@@ -430,6 +430,8 @@ def channel_from_dict(data):
             raise DimensionMismatch(
                 f"Kraus shape {arr.shape} does not match dims out={dim_out} in={dim_in}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("Kraus operator contains NaN or Inf entries")
         ops.append(arr)
     return from_kraus(ops)
 

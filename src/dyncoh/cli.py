@@ -42,7 +42,6 @@ class RunConfig:
     phi: list = field(default_factory=lambda: [2.0 * np.pi / 3.0, 0.0])
     tol: float = 1e-8
     seed: int = 0
-    threads: int = 1
     output_path: str = ""
     format: str = "json"
     full_sign_enumeration: bool = False
@@ -56,8 +55,6 @@ class RunConfig:
             raise ValidationError("lambda must lie in [0, 1]")
         if self.tol <= 0.0:
             raise ValidationError("tol must be positive")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
 
@@ -97,7 +94,7 @@ def _cmd_measure_pre(cfg):
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
     mode = "full" if cfg.full_sign_enumeration else "auto"
     rep = sdpmod.preprocessed_improvement(
-        theta, game, sign_enumeration=mode, gap_tol=cfg.tol, threads=cfg.threads
+        theta, game, sign_enumeration=mode, gap_tol=cfg.tol
     )
     return {
         "value": rep.value,
@@ -138,7 +135,7 @@ def _cmd_sweep(cfg):
     lambdas = cfg.lambdas if cfg.lambdas else [cfg.lam]
     p1_values = np.linspace(0.0, 1.0, cfg.p1_steps)
     mode = "full" if cfg.full_sign_enumeration else "auto"
-    rows = se.mixture_sweep(lambdas, p1_values, cfg.phi, threads=cfg.threads,
+    rows = se.mixture_sweep(lambdas, p1_values, cfg.phi,
                             sign_enumeration=mode, gap_tol=cfg.tol)
     if cfg.format == "csv":
         lines = ["lambda,p1,M"]
@@ -151,7 +148,7 @@ def _cmd_sweep(cfg):
 def _cmd_game(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
-    rep = sdpmod.preprocessed_improvement(theta, game, gap_tol=cfg.tol, threads=cfg.threads)
+    rep = sdpmod.preprocessed_improvement(theta, game, gap_tol=cfg.tol)
     s0 = ch.apply(theta, ch.apply(rep.phi_opt, rep.rho_opt))
     s1 = ch.apply(theta, ch.apply(rep.phi_opt,
                                   ch.apply(ch.phase_channel(game.phi), rep.rho_opt)))
@@ -222,7 +219,6 @@ def _build_parser():
                        help="comma-separated phases in radians")
         p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", dest="output_path", default="")
         p.add_argument("--format", default="csv" if name == "sweep" else "json",
                        choices=("json", "csv"))
@@ -250,7 +246,6 @@ def main(argv=None):
             "phi": _parse_reals(ns.phi),
             "tol": ns.tol,
             "seed": ns.seed,
-            "threads": ns.threads,
             "output_path": ns.output_path,
             "format": ns.format,
             "full_sign_enumeration": ns.full_sign_enumeration,

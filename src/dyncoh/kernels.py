@@ -11,7 +11,7 @@ Backend selection, resolved at import time:
 * ``DYNCOH_BACKEND=numba``  force numba (raises if numba is unavailable)
 * unset                     numba when importable, numpy otherwise
 
-``benchmarks/bench_kernels.py`` compares the two paths.
+numba is the optional ``jit`` extra of the package.
 """
 
 import math
@@ -66,12 +66,18 @@ class SparseConstraints:
         self.dense = np.ascontiguousarray(np.stack(matrices)) if self.m else np.zeros((0, 0, 0))
 
     def dot(self, x):
-        """Vector of tr(A_k X)."""
-        return self.dense.reshape(self.m, -1) @ x.reshape(-1)
+        """Vector of tr(A_k X); a stack of X gives one row per matrix.
+
+        Each matrix of a stack takes its own matrix-vector product, so its
+        row does not depend on the other matrices of the stack.
+        """
+        flat = x.reshape(*x.shape[:-2], -1, 1)
+        return (self.dense.reshape(self.m, -1) @ flat)[..., 0]
 
     def combine(self, y):
-        """sum_k y_k A_k."""
-        return np.tensordot(y, self.dense, axes=1)
+        """sum_k y_k A_k; a stack of y gives one matrix per row, each computed alone."""
+        flat = y[..., None, :] @ self.dense.reshape(self.m, -1)
+        return flat.reshape(*y.shape[:-1], self.n, self.n)
 
     def schur(self, w):
         """Matrix M[k,l] = tr(A_k W A_l W)."""

@@ -28,6 +28,8 @@ class GameConfig:
         phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
         if phi.ndim != 1 or phi.size < 1:
             raise ValidationError("phi must be a nonempty 1-d real vector")
+        if not np.all(np.isfinite(phi)):
+            raise ValidationError("phi contains NaN or Inf entries")
         object.__setattr__(self, "phi", phi)
         self.phi.flags.writeable = False
 

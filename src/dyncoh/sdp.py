@@ -7,20 +7,22 @@ joint system A (x) B (A carries the phases, B is the channel input):
     maximize   sum_n s_n <n| theta(Z) |n>,
                Z = sum_{ij} (lam - mu e^{i(phi_i - phi_j)}) <i|_A X |j>_A
     subject to X PSD, tr X = 1,
-               off-diagonals of tr_B X vanish,
                diag(<i|_A X |j>_A) = 0 for all i != j,
 
-one program per sign vector ``s`` over the channel's output dimension.  The
+one program per sign vector ``s`` over the channel's output dimension (the
+off-diagonals of tr_B X vanish too, as sums of the last family).  The
 winning ``X`` yields an optimal input state and pre-processing by a direct
 constructive recipe (`extract_optimal`).
 
 Complex Hermitian PSD variables are realized through the real symmetric
 embedding ``[[Re, -Im], [Im, Re]]``, so the backend (`ipm`) only ever sees
-real SDPs.
+real SDPs.  The sign programs share every constraint, so the constraints
+are built once per dims in independent real form (`sign_family`) and all
+programs of one evaluation are solved in one stacked interior-point run.
 """
 
+import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,7 @@ from . import channels as ch
 from . import linalg as la
 from . import measures as ms
 from .errors import DimensionMismatch, SolverFailure, ValidationError
-from .ipm import solve_real_sdp
+from .ipm import initial_point, solve_real_sdp, solve_stacked
 from .kernels import SparseConstraints
 
 DEFAULT_GAP_TOL = 1e-8
@@ -113,27 +115,29 @@ class MeasureReport:
 # ---------------------------------------------------------------------------
 
 def _embed(h):
-    """Complex Hermitian -> real symmetric [[Re, -Im], [Im, Re]]."""
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
+    """Complex Hermitian -> real symmetric [[Re, -Im], [Im, Re]] (also stacked)."""
+    re, im = h.real, h.imag
+    return np.concatenate([np.concatenate([re, -im], axis=-1),
+                           np.concatenate([im, re], axis=-1)], axis=-2)
 
 
 def _deembed(y, n):
-    """Real symmetric 2n x 2n -> complex Hermitian n x n (J-symmetrized)."""
-    re = 0.5 * (y[:n, :n] + y[n:, n:])
-    im = 0.5 * (y[n:, :n] - y[:n, n:])
-    return la.hermitian_part(re + 1j * im)
+    """Real symmetric 2n x 2n -> complex Hermitian n x n (J-symmetrized, also stacked)."""
+    re = 0.5 * (y[..., :n, :n] + y[..., n:, n:])
+    im = 0.5 * (y[..., n:, :n] - y[..., :n, n:])
+    z = re + 1j * im
+    return 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
 
 
-def _split_constraints(problem):
-    """Complex functionals -> independent real symmetric constraints.
+def _hermitian_split(functionals):
+    """Complex functionals ``(F, t)`` -> real symmetric rows with real targets.
 
-    Each ``(F, t)`` splits into Hermitian parts with real targets; linearly
-    dependent rows are removed after a consistency check, raising
-    ``SolverFailure("infeasible")`` on contradictory targets.
+    Each functional splits into its Hermitian and anti-Hermitian parts; a
+    vanishing part is dropped, raising ``SolverFailure("infeasible")`` when
+    its target is nonzero.
     """
-    n = problem.block_dim
     raw = []
-    for f, t in problem.equality_constraints:
+    for f, t in functionals:
         t = complex(t)
         h = 0.5 * (f + la.dagger(f))
         k = (f - la.dagger(f)) / 2j
@@ -147,7 +151,18 @@ def _split_constraints(problem):
             raise SolverFailure("infeasible", "constraint with zero functional, nonzero target")
     if not raw:
         raise ValidationError("problem has no effective constraints")
+    return raw
 
+
+def _split_constraints(problem):
+    """Complex functionals -> independent real symmetric constraints.
+
+    Linearly dependent rows of `_hermitian_split` are removed after a
+    consistency check, raising ``SolverFailure("infeasible")`` on
+    contradictory targets.
+    """
+    n = problem.block_dim
+    raw = _hermitian_split(problem.equality_constraints)
     kept_mats, kept_targets = [], []
     basis = []  # orthonormal vectorizations of kept rows
     kept_vecs = []
@@ -209,6 +224,71 @@ def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL,
 
 
 # ---------------------------------------------------------------------------
+# Constraint families shared by many objectives
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConstraintFamily:
+    """Independent real symmetric constraints ``A(X) = b`` on an embedded block.
+
+    ``start`` is the point every program over the family starts from,
+    strictly feasible when the family admits one.
+    """
+
+    constraints: SparseConstraints
+    targets: np.ndarray
+    start: np.ndarray
+
+
+def constraint_family(functionals):
+    """Real form of complex functionals that are independent by construction.
+
+    Stands in for the presolve of `solve_sdp`: the rank is checked once, when
+    the family is built, instead of Gram-Schmidt on every solve.
+    """
+    raw = _hermitian_split(functionals)
+    mats = [mat for mat, _ in raw]
+    rank = np.linalg.matrix_rank(np.stack(mats).reshape(len(mats), -1))
+    if rank != len(mats):
+        raise ValueError(f"constraint family has rank {rank} < {len(mats)} rows")
+    constraints = SparseConstraints(mats)
+    targets = np.array([t for _, t in raw])
+    start = initial_point(constraints, targets)
+    for shared in (constraints.dense, targets, start):  # cached families are shared
+        shared.flags.writeable = False
+    return ConstraintFamily(constraints, targets, start)
+
+
+def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL,
+                 max_iter=200):
+    """Maximize ``tr(C X)`` over a family for one Hermitian C or a stack of them.
+
+    A single objective goes through `solve_real_sdp`, a stack through one
+    `solve_stacked` run.  Returns ``(values, maximizers)`` shaped like the
+    objectives; raises `SolverFailure` when any program stops short of
+    optimality, so no value of a failed stack is ever returned.
+    """
+    objectives = np.asarray(objectives)
+    c = -0.5 * _embed(objectives)  # the backend minimizes
+    args = (family.constraints, family.targets, c)
+    kwargs = dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, x0=family.start)
+    if objectives.ndim == 2:
+        x, _, _, info = solve_real_sdp(*args, **kwargs)
+        infos = [info]
+    else:
+        x, _, _, infos = solve_stacked(*args, **kwargs)
+    failed = [(k, info) for k, info in enumerate(infos) if info.status != "optimal"]
+    if failed:
+        k, info = failed[0]
+        raise SolverFailure(
+            info.status,
+            f"{len(failed)} of {len(infos)} SDPs did not reach optimality, first #{k}: {info}",
+        )
+    values = np.array([-info.primal_objective for info in infos])
+    return (values if objectives.ndim == 3 else values[0]), _deembed(x, objectives.shape[-1])
+
+
+# ---------------------------------------------------------------------------
 # Sign-vector programs
 # ---------------------------------------------------------------------------
 
@@ -227,46 +307,56 @@ def enumerate_sign_vectors(n, full=False):
     return [(1,) + tuple(s) for s in itertools.product((1, -1), repeat=n - 1)]
 
 
+def _sign_functionals(da, db):
+    """tr X = 1 and diag(<i|_A X |j>_A) = 0 for i < j, as complex functionals."""
+    n = da * db
+    functionals = [(np.eye(n, dtype=complex), 1.0 + 0.0j)]
+    for i in range(da):
+        for j in range(i + 1, da):
+            for b in range(db):
+                f = np.zeros((n, n), dtype=complex)
+                f[i * db + b, j * db + b] = 1.0
+                functionals.append((f, 0.0 + 0.0j))
+    return functionals
+
+
+@functools.lru_cache(maxsize=None)
+def sign_family(da, db):
+    """The constraints every sign program over dims (da, db) shares.
+
+    m = 1 + da (da - 1) db independent real rows; the start is the embedded
+    maximally mixed X, strictly feasible for every sign program.
+    """
+    return constraint_family(_sign_functionals(da, db))
+
+
+def _sign_objectives(theta, cfg, signs):
+    """Stack of the Hermitian objectives of the programs for ``signs``."""
+    da, db = cfg.dim, theta.dim_in
+    signs = np.asarray(signs, dtype=float)
+    if signs.shape[-1] != theta.dim_out:
+        raise DimensionMismatch("sign vector length must equal the output dimension")
+    coeffs = ch.index_coeffs(theta)
+    idx = np.arange(theta.dim_out)
+    t_mats = np.moveaxis(coeffs[:, :, idx, idx] @ signs.T, -1, 0)
+    w_mat = cfg.lam * np.ones((da, da)) - cfg.mu * np.exp(
+        1j * (cfg.phi[:, None] - cfg.phi[None, :])
+    )
+    n = da * db
+    objectives = np.conj(np.einsum("ij,kab->kiajb", w_mat, t_mats)).reshape(-1, n, n)
+    return 0.5 * (objectives + np.conj(np.swapaxes(objectives, 1, 2)))
+
+
 def build_sign_program(theta, cfg, signs):
     """The SDP whose optimum is the best signed sum of output populations.
 
     ``signs`` is a +-1 vector of length ``theta.dim_out``.
     """
     da, db = cfg.dim, theta.dim_in
-    nout = theta.dim_out
-    if len(signs) != nout:
-        raise DimensionMismatch("sign vector length must equal the output dimension")
-    n = da * db
-
-    constraints = [(np.eye(n, dtype=complex), 1.0 + 0.0j)]
-    # off-diagonals of tr_B X vanish (sums of the entrywise family below;
-    # the presolve drops the redundancy)
-    for i in range(da):
-        for j in range(i + 1, da):
-            f = np.zeros((n, n), dtype=complex)
-            for b in range(db):
-                f[i * db + b, j * db + b] = 1.0
-            constraints.append((f, 0.0 + 0.0j))
-    # diag(<i| X |j>) = 0 for i != j
-    for i in range(da):
-        for j in range(i + 1, da):
-            for b in range(db):
-                f = np.zeros((n, n), dtype=complex)
-                f[i * db + b, j * db + b] = 1.0
-                constraints.append((f, 0.0 + 0.0j))
-
-    coeffs = ch.index_coeffs(theta)
-    idx = np.arange(nout)
-    t_mat = coeffs[:, :, idx, idx] @ np.asarray(signs, dtype=float)
-    w_mat = cfg.lam * np.ones((da, da)) - cfg.mu * np.exp(
-        1j * (cfg.phi[:, None] - cfg.phi[None, :])
-    )
-    objective = np.conj(np.kron(w_mat, t_mat))
-
     return SdpProblem(
-        psd_variables=(("X_AB", n),),
-        equality_constraints=tuple(constraints),
-        objective=la.hermitian_part(objective),
+        psd_variables=(("X_AB", da * db),),
+        equality_constraints=tuple(_sign_functionals(da, db)),
+        objective=_sign_objectives(theta, cfg, [signs])[0],
     )
 
 
@@ -368,12 +458,14 @@ def _feasible_mixed_point(da, db):
 
 
 def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
-                             feas_tol=DEFAULT_FEAS_TOL, threads=1, extract=True):
+                             feas_tol=DEFAULT_FEAS_TOL, extract=True):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
-    Solves one SDP per sign vector and reports the maximum, the winning X,
+    Solves one SDP per sign vector, all in one stacked interior-point run
+    over the shared `sign_family`, and reports the maximum, the winning X,
     and (when ``extract``) the optimal input state and pre-processing with a
-    round-trip verification residual.
+    round-trip verification residual.  If any program fails, `SolverFailure`
+    is raised and no value is reported.
 
     ``sign_enumeration``:
 
@@ -399,42 +491,26 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
         solve_cfg = _reflected(cfg)
         reflected = True
 
-    nout = theta.dim_out
-    signs = enumerate_sign_vectors(nout, full=(sign_enumeration != "halved"))
-    prior_signed = solve_cfg.lam - solve_cfg.mu
+    signs = enumerate_sign_vectors(theta.dim_out, full=(sign_enumeration != "halved"))
+    dims = (solve_cfg.dim, theta.dim_in)
+    family = sign_family(*dims)
+    # the constant patterns are pinned to +-(lam - mu); the rest overwritten below
+    per_sign = [(solve_cfg.lam - solve_cfg.mu) * s[0] for s in signs]
+    solved = [k for k, s in enumerate(signs)
+              if not (sign_enumeration == "auto" and len(set(s)) == 1)]
+    if solved:
+        objectives = _sign_objectives(theta, solve_cfg, [signs[k] for k in solved])
+        values, xs = solve_family(family, objectives, gap_tol=gap_tol, feas_tol=feas_tol)
+        for k, value in zip(solved, values):
+            per_sign[k] = float(value)
 
-    def _is_constant(s):
-        return all(e == 1 for e in s) or all(e == -1 for e in s)
-
-    def _constant_value(s):
-        return prior_signed if s[0] == 1 else -prior_signed
-
-    skip_constant = sign_enumeration == "auto"
-    to_solve = [
-        (k, s) for k, s in enumerate(signs) if not (skip_constant and _is_constant(s))
-    ]
-    problems = {k: build_sign_program(theta, solve_cfg, s) for k, s in to_solve}
-
-    def _solve(p):
-        return solve_sdp(p, gap_tol=gap_tol, feas_tol=feas_tol)
-
-    if threads > 1 and len(problems) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = dict(zip(problems, pool.map(_solve, problems.values())))
-    else:
-        solved = {k: _solve(p) for k, p in problems.items()}
-
-    per_sign = [
-        solved[k].objective_value if k in solved else _constant_value(s)
-        for k, s in enumerate(signs)
-    ]
     winner = int(np.argmax(per_sign))
     trace_norm = per_sign[winner]
     improvement = trace_norm - cfg.prior_gap
     if winner in solved:
-        x_opt = solved[winner].variable_values["X_AB"]
+        x_opt = xs[solved.index(winner)]
     else:
-        x_opt = _feasible_mixed_point(solve_cfg.dim, theta.dim_in)
+        x_opt = _feasible_mixed_point(*dims)
 
     if improvement < -1e-7:
         raise SolverFailure(
@@ -447,17 +523,13 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
     sigma = None
     residual = float("nan")
     if extract:
-        dims = (solve_cfg.dim, theta.dim_in)
         try:
             res = extract_optimal(x_opt, dims)
         except ValidationError:
             # solver noise: re-solve the winner at a tighter gap, then retry
-            prob = problems.get(winner) or build_sign_program(
-                theta, solve_cfg, signs[winner]
-            )
-            tight = solve_sdp(prob, gap_tol=gap_tol * 1e-2,
-                              feas_tol=feas_tol, max_iter=300)
-            x_opt = tight.variable_values["X_AB"]
+            objective = _sign_objectives(theta, solve_cfg, [signs[winner]])[0]
+            _, x_opt = solve_family(family, objective, gap_tol=gap_tol * 1e-2,
+                                    feas_tol=feas_tol, max_iter=300)
             try:
                 res = extract_optimal(x_opt, dims)
             except ValidationError:

@@ -6,6 +6,7 @@ inputs, which is what makes them usable as oracles against the exact SDP
 path (lower bounds can never exceed it).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,8 +250,10 @@ def _sign_observable(m):
     return (v * signs) @ la.dagger(v)
 
 
-def _mio_step_problem(dim_b, dim_c, q, sigma):
-    """Maximize tr(Q Psi(sigma)) over Choi matrices of MIO channels."""
+@functools.lru_cache(maxsize=None)
+def _mio_family(dim_b, dim_c):
+    """Choi matrices of MIO channels: trace preservation plus, for each
+    incoherent input, vanishing coherences of its output."""
     n = dim_c * dim_b
     constraints = []
     for i in range(dim_b):
@@ -265,12 +268,14 @@ def _mio_step_problem(dim_b, dim_c, q, sigma):
                 f = np.zeros((n, n), dtype=complex)
                 f[k * dim_b + j, l * dim_b + j] = 1.0
                 constraints.append((f, 0.0 + 0.0j))
+    return sdpmod.constraint_family(constraints)
+
+
+def _mio_step(dim_b, dim_c, q, sigma, gap_tol):
+    """Choi matrix of the MIO channel maximizing tr(Q Psi(sigma))."""
     objective = la.hermitian_part(np.kron(q, np.conj(sigma)))
-    return sdpmod.SdpProblem(
-        psd_variables=(("J_PSI", n),),
-        equality_constraints=tuple(constraints),
-        objective=objective,
-    )
+    _, choi = sdpmod.solve_family(_mio_family(dim_b, dim_c), objective, gap_tol=gap_tol)
+    return choi
 
 
 def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8,
@@ -306,9 +311,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
             diff = cfg.lam * tau - cfg.mu * ch.apply(phase, tau)
             p_obs = _sign_observable(diff)
             q = cfg.lam * p_obs - cfg.mu * ch.apply(phase_adj, p_obs)
-            problem = _mio_step_problem(dim_b, dim_c, q, sigma)
-            sol = sdpmod.solve_sdp(problem, gap_tol=gap_tol)
-            choi = sol.variable_values["J_PSI"]
+            choi = _mio_step(dim_b, dim_c, q, sigma, gap_tol)
             post = ch.channel_from_choi(choi, dim_b, dim_c, atol=1e-6)
         return value
 
@@ -373,7 +376,7 @@ def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
     return GameTranscript(trials, successes, empirical, predicted, float(z))
 
 
-def mixture_sweep(lambdas, p1_values, phi, threads=1, **solver_kwargs):
+def mixture_sweep(lambdas, p1_values, phi, **solver_kwargs):
     """Pre-processed improvement of Hadamard mixtures over a parameter grid.
 
     Returns rows (lam, p1, improvement), CSV-ready.
@@ -385,8 +388,6 @@ def mixture_sweep(lambdas, p1_values, phi, threads=1, **solver_kwargs):
                 raise ValidationError("mixture weights must lie in [0, 1]")
             theta = ch.hadamard_mixture(float(p1))
             cfg = ms.GameConfig(float(lam), np.asarray(phi, dtype=float))
-            rep = sdpmod.preprocessed_improvement(
-                theta, cfg, extract=False, threads=threads, **solver_kwargs
-            )
+            rep = sdpmod.preprocessed_improvement(theta, cfg, extract=False, **solver_kwargs)
             rows.append((float(lam), float(p1), rep.value))
     return rows

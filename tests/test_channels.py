@@ -305,3 +305,11 @@ def test_uri_resolution():
     assert la.max_abs(mixed.choi - expected.choi) <= 1e-12
     with pytest.raises(ValidationError):
         ch.from_uri("teleporter:9000")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_channel_from_dict_rejects_non_finite_entries(bad):
+    data = ch.channel_to_dict(ch.hadamard())
+    data["kraus"][0][0][0] = [bad, 0.0]
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        ch.channel_from_dict(data)

@@ -98,12 +98,13 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_measure_pre_is_byte_deterministic(capsys):
-    args = ["measure-pre", "--channel", "mix:hadamard:0.4", "--lambda", "0.7",
-            "--phi", "2.0,0", "--seed", "3", "--threads", "2"]
-    _, out1, _ = run_cli(args, capsys)
-    _, out2, _ = run_cli(args, capsys)
+    args = ["measure-pre", "--channel", "qft:3", "--lambda", "0.7",
+            "--phi", "2.0,0,1.0", "--seed", "3"]
+    code1, out1, _ = run_cli(args, capsys)
+    code2, out2, _ = run_cli(args, capsys)
+    assert code1 == code2 == 0
     assert out1 == out2
-    assert json.loads(out1)["config"]["threads"] == 2
+    assert len(json.loads(out1)["result"]["per_sign_values"]) == 8
 
 
 def test_game_command(capsys):
@@ -149,6 +150,24 @@ def test_unknown_flag_exit_code(capsys):
 def test_validation_error_exit_code(capsys):
     code, _, err = run_cli(["measure-pre", "--channel", "hadamard",
                             "--lambda", "1.5"], capsys)
+    assert code == 2
+    assert json.loads(err)["exit_code"] == 2
+
+
+def test_non_finite_phase_exit_code(capsys):
+    code, out, err = run_cli(["measure-pre", "--channel", "hadamard",
+                              "--phi", "nan,0"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "NaN or Inf" in json.loads(err)["error"]
+
+
+def test_non_finite_channel_file_exit_code(tmp_path, capsys):
+    bad = ch.channel_to_dict(ch.hadamard())
+    bad["kraus"][0][1][1] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(bad))
+    code, _, err = run_cli(["measure-pre", "--channel", str(path)], capsys)
     assert code == 2
     assert json.loads(err)["exit_code"] == 2
 

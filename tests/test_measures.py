@@ -23,6 +23,14 @@ def test_game_config_validation():
     assert not ms.GameConfig(0.5, np.array([1.0, 1.0])).has_nontrivial_phases()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_game_config_rejects_non_finite_inputs(bad):
+    with pytest.raises(ValidationError):
+        ms.GameConfig(0.5, np.array([bad, 0.0]))
+    with pytest.raises(ValidationError):
+        ms.GameConfig(bad, np.array([1.0, 0.0]))
+
+
 def test_signal_map_endpoint_is_identity():
     cfg = ms.GameConfig(1.0, np.array([0.3, 0.9]))
     sig = ms.signal_map(cfg)

@@ -324,13 +324,93 @@ def test_auto_per_sign_values_match_full(rng):
         assert a == pytest.approx(f, abs=1e-7)
 
 
-def test_thread_pool_is_deterministic(rng):
+def test_identical_calls_give_identical_per_sign_values(rng):
     theta = ch.random_channel(2, 3, rng)
     cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 2))
-    serial = sd.preprocessed_improvement(theta, cfg, extract=False, threads=1)
-    pooled = sd.preprocessed_improvement(theta, cfg, extract=False, threads=4)
-    assert serial.value == pooled.value
-    assert serial.per_sign_values == pooled.per_sign_values
+    first = sd.preprocessed_improvement(theta, cfg, extract=False)
+    second = sd.preprocessed_improvement(theta, cfg, extract=False)
+    assert first.value == second.value
+    assert first.per_sign_values == second.per_sign_values
+
+
+# ---------------------------------------------------------------------------
+# Stacked solve of the sign family
+# ---------------------------------------------------------------------------
+
+def _capture_stacked(monkeypatch, corrupt=None):
+    """Record the IpmInfo list of every stacked solve, optionally after
+    overwriting objective ``corrupt`` of the stack with NaN."""
+    runs = []
+    original = sd.solve_stacked
+
+    def recording(constraints, b, c, **kwargs):
+        if corrupt is not None:
+            c = np.array(c)
+            c[corrupt] = np.nan
+        out = original(constraints, b, c, **kwargs)
+        runs.append(out[3])
+        return out
+
+    monkeypatch.setattr(sd, "solve_stacked", recording)
+    return runs
+
+
+def test_stacked_solve_matches_solo_solves(rng, monkeypatch):
+    theta = ch.random_channel(2, 4, rng)
+    cfg = ms.GameConfig(0.6, rng.uniform(0, 2 * np.pi, 3))
+    runs = _capture_stacked(monkeypatch)
+    rep = sd.preprocessed_improvement(theta, cfg, extract=False)
+    solved = [k for k, s in enumerate(rep.sign_vectors) if len(set(s)) > 1]
+    assert len(runs) == 1 and len(runs[0]) == len(solved) == 14
+    for k, info in zip(solved, runs[0]):
+        solo = sd.solve_sdp(sd.build_sign_program(theta, cfg, rep.sign_vectors[k]))
+        assert info.status == "optimal"
+        assert rep.per_sign_values[k] == pytest.approx(solo.objective_value, abs=1e-7)
+        assert info.iterations == solo.iterations
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 4)])
+def test_sign_family_is_the_presolved_constraint_span(dims):
+    da, db = dims
+    n = da * db
+    family = sd.sign_family(da, db)
+    rows = family.constraints.dense.reshape(family.constraints.m, -1)
+    assert family.constraints.m == 1 + da * (da - 1) * db
+    assert np.linalg.matrix_rank(rows) == family.constraints.m
+    assert family.constraints.dot(family.start) == pytest.approx(family.targets, abs=1e-12)
+    assert np.linalg.eigvalsh(family.start).min() > 0.0
+    # the original program also pinned the off-diagonals of tr_B X
+    partial = []
+    for i in range(da):
+        for j in range(i + 1, da):
+            f = np.zeros((n, n), dtype=complex)
+            for b in range(db):
+                f[i * db + b, j * db + b] = 1.0
+            partial.append((f, 0.0 + 0.0j))
+    functionals = sd._sign_functionals(da, db)
+    original = sd.SdpProblem(
+        psd_variables=(("X_AB", n),),
+        equality_constraints=tuple(functionals[:1] + partial + functionals[1:]),
+        objective=np.zeros((n, n), dtype=complex),
+    )
+    mats, targets, _ = sd._split_constraints(original)
+    presolved = np.stack(mats).reshape(len(mats), -1)
+    assert len(mats) == family.constraints.m
+    assert np.linalg.matrix_rank(np.vstack([rows, presolved])) == family.constraints.m
+    assert np.linalg.lstsq(rows.T, presolved.T, rcond=None)[0].T @ family.targets \
+        == pytest.approx(targets, abs=1e-12)
+
+
+def test_failure_in_a_stack_stays_with_its_program(rng, monkeypatch):
+    theta = ch.random_channel(2, 3, rng)
+    cfg = ms.GameConfig(0.6, rng.uniform(0, 2 * np.pi, 2))
+    runs = _capture_stacked(monkeypatch, corrupt=2)
+    with pytest.raises(SolverFailure) as err:
+        sd.preprocessed_improvement(theta, cfg)
+    assert err.value.status == "numerical_failure"
+    (infos,) = runs
+    assert [info.status for info in infos] == ["optimal"] * 2 + ["numerical_failure"] \
+        + ["optimal"] * 3
 
 
 def test_prior_endpoints_have_zero_improvement(rng):

@@ -53,8 +53,10 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError("lambda must lie in [0, 1]")
-        if self.tol <= 0.0:
-            raise ValidationError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValidationError("tol must be a positive finite number")
+        if self.p1_steps < 1:
+            raise ValidationError("p1_steps must be at least 1")
         if self.format not in ("json", "csv"):
             raise ValidationError(f"unknown format {self.format!r}")
 

@@ -23,9 +23,13 @@ inverted once per iteration, and those inverses serve both step-length
 tests and S^-1.  The Cholesky factor of each Schur complement is inverted
 once as well and serves the predictor and the corrector solve.
 
-The Schur-complement assembly is the hot kernel.  It runs one program at a
-time through ``kernels.SparseConstraints.schur``, so peak memory stays that
-of a single solve.
+The Schur-complement assembly is the hot kernel.  The Schur matrices of the
+whole stack come from one ``kernels.SparseConstraints.schur`` call, which
+builds its temporaries in chunks under a fixed byte budget, and they are
+factorized in one stacked Cholesky call; only when that call fails are they
+factorized one by one with jitter retries.  The stack length itself is
+capped by the caller (``sdp.MAX_STACK`` programs per run), so the memory of
+a run stays bounded however many programs a caller has.
 """
 
 from dataclasses import dataclass
@@ -134,7 +138,13 @@ def _step(constraints, x, s, rp, rd, gap, centre):
     # Inverse Cholesky factor L^-1 of each Schur complement, applied as
     # L^-T (L^-1 r): forming M^-1 itself lets the primal residual drift
     # once M grows ill-conditioned near the optimum.
-    schur_inv = np.linalg.inv(np.stack([_schur_factor(constraints.schur(wk)) for wk in w]))
+    schur = constraints.schur(w)
+    try:
+        schur_factor = np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        # jitter retries stay with the program whose matrix needs them
+        schur_factor = np.stack([_schur_factor(mk) for mk in schur])
+    schur_inv = np.linalg.inv(schur_factor)
     rhs0 = rp + constraints.dot(w @ rd @ w)
 
     def direction(rc):

@@ -80,18 +80,44 @@ class SparseConstraints:
         return flat.reshape(*y.shape[:-1], self.n, self.n)
 
     def schur(self, w):
-        """Matrix M[k,l] = tr(A_k W A_l W)."""
+        """Matrix M[k,l] = tr(A_k W A_l W); a stack of W gives one matrix per W.
+
+        Each W of a stack takes the same products as alone, so its matrix
+        does not depend on the other matrices of the stack.
+        """
         if USE_NUMBA:
-            return _schur_numba(self.rows, self.cols, self.vals, self.offsets, w)
+            if w.ndim == 2:
+                return _schur_numba(self.rows, self.cols, self.vals, self.offsets, w)
+            return np.stack([_schur_numba(self.rows, self.cols, self.vals, self.offsets, wk)
+                             for wk in w])
         return schur_numpy(self.dense, w)
 
 
+# Byte budget of one (chunk, m, n, n) temporary of the Schur assembly.  It
+# holds a whole stack of qubit sign programs (2.5 KiB each), while a 4 x 4
+# sign program (400 KiB) is assembled alone, as an unstacked solve would.
+SCHUR_TEMP_BYTES = 1 << 18
+
+
 def schur_numpy(a_dense, w):
-    """Dense-batched Schur assembly: M[k,l] = tr(A_k W A_l W)."""
-    t = np.matmul(w, np.matmul(a_dense, w))
-    m = a_dense.shape[0]
-    out = a_dense.reshape(m, -1) @ t.reshape(m, -1).T
-    return 0.5 * (out + out.T)
+    """Dense-batched Schur assembly: M[k,l] = tr(A_k W A_l W), also stacked.
+
+    A stack of W is assembled in chunks whose (chunk, m, n, n) temporaries
+    stay within ``SCHUR_TEMP_BYTES`` whatever the stack length; a program
+    whose temporaries alone exceed it is assembled by itself.
+    """
+    if w.ndim == 2:
+        return schur_numpy(a_dense, w[None])[0]
+    m, n = a_dense.shape[0], a_dense.shape[-1]
+    a_rows = a_dense.reshape(m, -1)
+    chunk = max(1, SCHUR_TEMP_BYTES // (m * n * n * a_dense.itemsize))
+    out = np.empty((w.shape[0], m, m))
+    for lo in range(0, w.shape[0], chunk):
+        wc = w[lo:lo + chunk, None]
+        t = np.matmul(wc, np.matmul(a_dense, wc))
+        part = a_rows @ t.reshape(t.shape[0], m, -1).swapaxes(-1, -2)
+        out[lo:lo + chunk] = 0.5 * (part + part.swapaxes(-1, -2))
+    return out
 
 
 def schur_sparse_py(rows, cols, vals, offsets, w):

@@ -17,8 +17,10 @@ constructive recipe (`extract_optimal`).
 Complex Hermitian PSD variables are realized through the real symmetric
 embedding ``[[Re, -Im], [Im, Re]]``, so the backend (`ipm`) only ever sees
 real SDPs.  The sign programs share every constraint, so the constraints
-are built once per dims in independent real form (`sign_family`) and all
-programs of one evaluation are solved in one stacked interior-point run.
+are built once per dims in independent real form (`sign_family`), and the
+programs of one evaluation, or of many evaluations over the same dims
+(`evaluate_pairs`, which the mixture sweep uses), are solved together in
+stacked interior-point runs of at most ``MAX_STACK`` programs.
 """
 
 import functools
@@ -38,6 +40,9 @@ DEFAULT_GAP_TOL = 1e-8
 DEFAULT_FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9
 MAX_SIGN_DIMENSION = 20
+# Programs per stacked interior-point run.  Longer stacks are split, which
+# bounds a run's memory; a 4-outcome channel's 14 programs stay one stack.
+MAX_STACK = 64
 
 
 @dataclass(frozen=True)
@@ -263,20 +268,27 @@ def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_F
                  max_iter=200):
     """Maximize ``tr(C X)`` over a family for one Hermitian C or a stack of them.
 
-    A single objective goes through `solve_real_sdp`, a stack through one
-    `solve_stacked` run.  Returns ``(values, maximizers)`` shaped like the
-    objectives; raises `SolverFailure` when any program stops short of
-    optimality, so no value of a failed stack is ever returned.
+    A single objective goes through `solve_real_sdp`.  A stack goes through
+    consecutive `solve_stacked` runs of at most ``MAX_STACK`` programs, so
+    the memory of a run stays bounded whatever the stack length.  Returns
+    ``(values, maximizers)`` shaped like the objectives; raises
+    `SolverFailure` when any program stops short of optimality, so no value
+    of a failed stack is ever returned.
     """
     objectives = np.asarray(objectives)
     c = -0.5 * _embed(objectives)  # the backend minimizes
-    args = (family.constraints, family.targets, c)
     kwargs = dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, x0=family.start)
     if objectives.ndim == 2:
-        x, _, _, info = solve_real_sdp(*args, **kwargs)
+        x, _, _, info = solve_real_sdp(family.constraints, family.targets, c, **kwargs)
         infos = [info]
     else:
-        x, _, _, infos = solve_stacked(*args, **kwargs)
+        xs, infos = [], []
+        for lo in range(0, len(c), MAX_STACK):
+            x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
+                                               c[lo:lo + MAX_STACK], **kwargs)
+            xs.append(x)
+            infos.extend(run_infos)
+        x = np.concatenate(xs) if xs else np.empty_like(c)
     failed = [(k, info) for k, info in enumerate(infos) if info.status != "optimal"]
     if failed:
         k, info = failed[0]
@@ -441,28 +453,81 @@ def verify_extraction(theta, cfg, result, reported_value):
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-def _reflected(cfg):
-    """Equivalent game with the prior above 1/2 and negated phases.
-
-    Substituting rho -> phase_channel(-phi)(rho) inside the trace norm shows
-    the optimized value is invariant under (lam, phi) -> (1 - lam, -phi); the
-    optimal input transforms by the same phase conjugation.
-    """
-    return ms.GameConfig(1.0 - cfg.lam, -cfg.phi)
-
-
 def _feasible_mixed_point(da, db):
     """The maximally mixed X: strictly feasible for every sign program."""
     n = da * db
     return np.eye(n, dtype=complex) / n
 
 
+@dataclass
+class SignEvaluation:
+    """The sign programs of one (channel, game) pair, solved."""
+
+    per_sign: list
+    winner: int
+    improvement: float
+    x_opt: np.ndarray  # the winning program's maximizer
+
+
+def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
+                   feas_tol=DEFAULT_FEAS_TOL):
+    """Solve the sign programs of many (theta, cfg) pairs with the same dims.
+
+    The programs of every pair are stacked into one `solve_family` call over
+    the shared `sign_family`.  Returns ``(signs, evaluations)``, one
+    `SignEvaluation` per pair.  Raises `SolverFailure` when any program
+    fails or any pair's improvement is negative, so no value of such a
+    batch is returned.
+    """
+    if sign_enumeration not in ("auto", "full"):
+        raise ValidationError(f"unknown sign_enumeration {sign_enumeration!r}")
+    for theta, _ in pairs:
+        if not (theta.completely_positive and theta.trace_preserving):
+            raise ValidationError("pre-processed improvement requires a CPTP channel")
+        if theta.dim_out > MAX_SIGN_DIMENSION:
+            raise ValidationError("output dimension exceeds the sign enumeration guard")
+    dims = {(cfg.dim, theta.dim_in, theta.dim_out) for theta, cfg in pairs}
+    if not dims:
+        return [], []
+    if len(dims) > 1:
+        raise DimensionMismatch("pairs evaluated together must share their dims")
+    ((da, db, dim_out),) = dims
+
+    signs = enumerate_sign_vectors(dim_out, full=True)
+    # the constant patterns are pinned to +-(lam - mu) by trace preservation
+    per_sign = np.array([[(cfg.lam - cfg.mu) * s[0] for s in signs] for _, cfg in pairs])
+    solved = [k for k, s in enumerate(signs)
+              if not (sign_enumeration == "auto" and len(set(s)) == 1)]
+    if solved:
+        objectives = np.concatenate([
+            _sign_objectives(theta, cfg, [signs[k] for k in solved]) for theta, cfg in pairs
+        ])
+        values, xs = solve_family(sign_family(da, db), objectives,
+                                  gap_tol=gap_tol, feas_tol=feas_tol)
+        per_sign[:, solved] = values.reshape(len(pairs), len(solved))
+        xs = xs.reshape(len(pairs), len(solved), *xs.shape[1:])
+
+    evaluations = []
+    for p, (_, cfg) in enumerate(pairs):
+        winner = int(np.argmax(per_sign[p]))
+        improvement = float(per_sign[p, winner] - cfg.prior_gap)
+        if improvement < -1e-7:
+            raise SolverFailure(
+                "numerical_failure",
+                f"non-negativity violated: improvement {improvement:.3e}",
+            )
+        x_opt = (xs[p, solved.index(winner)] if winner in solved
+                 else _feasible_mixed_point(da, db))
+        evaluations.append(SignEvaluation(per_sign[p].tolist(), winner, improvement, x_opt))
+    return signs, evaluations
+
+
 def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
                              feas_tol=DEFAULT_FEAS_TOL, extract=True):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
-    Solves one SDP per sign vector, all in one stacked interior-point run
-    over the shared `sign_family`, and reports the maximum, the winning X,
+    Solves one SDP per sign vector through `evaluate_pairs`, stacked over
+    the shared `sign_family`, and reports the maximum, the winning X,
     and (when ``extract``) the optimal input state and pre-processing with a
     round-trip verification residual.  If any program fails, `SolverFailure`
     is raised and no value is reported.
@@ -473,50 +538,13 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
       evaluated analytically (their objective is pinned to +-(lam - mu) by
       trace preservation), so 2^N - 2 programs are actually solved.
     * ``"full"``: every pattern solved, no analytic shortcut.
-    * ``"halved"``: the 2^(N-1) representatives with first entry +1, after
-      reflecting the prior above 1/2.  This is a lower bound only: sign
-      patterns starting with -1 can win strictly for asymmetric channels, so
-      the result may undershoot.  Kept for comparison studies.
     """
-    if not (theta.completely_positive and theta.trace_preserving):
-        raise ValidationError("pre-processed improvement requires a CPTP channel")
-    if theta.dim_out > MAX_SIGN_DIMENSION:
-        raise ValidationError("output dimension exceeds the sign enumeration guard")
-    if sign_enumeration not in ("auto", "full", "halved"):
-        raise ValidationError(f"unknown sign_enumeration {sign_enumeration!r}")
-
-    solve_cfg = cfg
-    reflected = False
-    if sign_enumeration == "halved" and cfg.lam < 0.5:
-        solve_cfg = _reflected(cfg)
-        reflected = True
-
-    signs = enumerate_sign_vectors(theta.dim_out, full=(sign_enumeration != "halved"))
-    dims = (solve_cfg.dim, theta.dim_in)
-    family = sign_family(*dims)
-    # the constant patterns are pinned to +-(lam - mu); the rest overwritten below
-    per_sign = [(solve_cfg.lam - solve_cfg.mu) * s[0] for s in signs]
-    solved = [k for k, s in enumerate(signs)
-              if not (sign_enumeration == "auto" and len(set(s)) == 1)]
-    if solved:
-        objectives = _sign_objectives(theta, solve_cfg, [signs[k] for k in solved])
-        values, xs = solve_family(family, objectives, gap_tol=gap_tol, feas_tol=feas_tol)
-        for k, value in zip(solved, values):
-            per_sign[k] = float(value)
-
-    winner = int(np.argmax(per_sign))
-    trace_norm = per_sign[winner]
-    improvement = trace_norm - cfg.prior_gap
-    if winner in solved:
-        x_opt = xs[solved.index(winner)]
-    else:
-        x_opt = _feasible_mixed_point(*dims)
-
-    if improvement < -1e-7:
-        raise SolverFailure(
-            "numerical_failure",
-            f"non-negativity violated: improvement {improvement:.3e}",
-        )
+    signs, (evaluation,) = evaluate_pairs([(theta, cfg)], sign_enumeration,
+                                          gap_tol=gap_tol, feas_tol=feas_tol)
+    dims = (cfg.dim, theta.dim_in)
+    winner = evaluation.winner
+    trace_norm = evaluation.per_sign[winner]
+    x_opt = evaluation.x_opt
 
     rho_opt = None
     phi_opt = None
@@ -527,21 +555,15 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
             res = extract_optimal(x_opt, dims)
         except ValidationError:
             # solver noise: re-solve the winner at a tighter gap, then retry
-            objective = _sign_objectives(theta, solve_cfg, [signs[winner]])[0]
-            _, x_opt = solve_family(family, objective, gap_tol=gap_tol * 1e-2,
+            objective = _sign_objectives(theta, cfg, [signs[winner]])[0]
+            _, x_opt = solve_family(sign_family(*dims), objective, gap_tol=gap_tol * 1e-2,
                                     feas_tol=feas_tol, max_iter=300)
             try:
                 res = extract_optimal(x_opt, dims)
             except ValidationError:
                 res = extract_optimal(x_opt, dims, support_threshold=1e-7)
-        rho_opt = res.rho_opt
-        if reflected:
-            rho_opt = ch.apply(ch.phase_channel(-cfg.phi), rho_opt)
-        phi_opt = res.phi_opt
-        sigma = res.sigma_diag
-        residual = verify_extraction(
-            theta, cfg, ExtractionResult(sigma, rho_opt, phi_opt), trace_norm
-        )
+        rho_opt, phi_opt, sigma = res.rho_opt, res.phi_opt, res.sigma_diag
+        residual = verify_extraction(theta, cfg, res, trace_norm)
         if residual > 1e-6:
             raise SolverFailure(
                 "numerical_failure",
@@ -549,9 +571,9 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
             )
 
     return MeasureReport(
-        value=improvement,
+        value=evaluation.improvement,
         trace_norm=trace_norm,
-        per_sign_values=per_sign,
+        per_sign_values=evaluation.per_sign,
         sign_vectors=signs,
         x_opt=x_opt,
         rho_opt=rho_opt,

@@ -376,18 +376,25 @@ def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
     return GameTranscript(trials, successes, empirical, predicted, float(z))
 
 
-def mixture_sweep(lambdas, p1_values, phi, **solver_kwargs):
+def mixture_sweep(lambdas, p1_values, phi, sign_enumeration="auto",
+                  gap_tol=sdpmod.DEFAULT_GAP_TOL, feas_tol=sdpmod.DEFAULT_FEAS_TOL):
     """Pre-processed improvement of Hadamard mixtures over a parameter grid.
 
-    Returns rows (lam, p1, improvement), CSV-ready.
+    Every weight and prior is checked before any SDP is solved.  The sign
+    programs of all grid points are then solved together, in stacks of at
+    most ``sdp.MAX_STACK`` programs, with the same checks as
+    `sdp.preprocessed_improvement`: if any program fails or any point comes
+    out negative, `SolverFailure` is raised and no row is returned.
+
+    Returns rows (lam, p1, improvement) in grid order (priors outer),
+    CSV-ready; an empty grid gives no rows.
     """
-    rows = []
-    for lam in lambdas:
-        for p1 in p1_values:
-            if not 0.0 <= p1 <= 1.0:
-                raise ValidationError("mixture weights must lie in [0, 1]")
-            theta = ch.hadamard_mixture(float(p1))
-            cfg = ms.GameConfig(float(lam), np.asarray(phi, dtype=float))
-            rep = sdpmod.preprocessed_improvement(theta, cfg, extract=False, **solver_kwargs)
-            rows.append((float(lam), float(p1), rep.value))
-    return rows
+    p1_values = [float(p1) for p1 in p1_values]
+    if not all(0.0 <= p1 <= 1.0 for p1 in p1_values):
+        raise ValidationError("mixture weights must lie in [0, 1]")
+    phi = np.asarray(phi, dtype=float)
+    grid = [(float(lam), p1) for lam in lambdas for p1 in p1_values]
+    pairs = [(ch.hadamard_mixture(p1), ms.GameConfig(lam, phi)) for lam, p1 in grid]
+    _, evaluations = sdpmod.evaluate_pairs(pairs, sign_enumeration,
+                                           gap_tol=gap_tol, feas_tol=feas_tol)
+    return [(lam, p1, ev.improvement) for (lam, p1), ev in zip(grid, evaluations)]

@@ -1,10 +1,26 @@
 import numpy as np
 import pytest
 
+from dyncoh import sdp
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+@pytest.fixture
+def nan_at_fifth_pair(monkeypatch):
+    """Make the sign objectives of the fifth evaluated (channel, game) pair NaN."""
+    calls = []
+    original = sdp._sign_objectives
+
+    def corrupted(theta, cfg, signs):
+        calls.append(None)
+        out = original(theta, cfg, signs)
+        return out * np.nan if len(calls) == 5 else out
+
+    monkeypatch.setattr(sdp, "_sign_objectives", corrupted)
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -109,14 +109,9 @@ def test_criterion_05_tensor_and_auxiliary_invariance():
 
 def test_criterion_06_faithfulness_dichotomy_sweep():
     p1_grid = np.round(np.arange(0.02, 1.0001, 0.02), 10)
-    values = {}
-    for lam in (0.5, 0.9):
-        values[lam] = np.array([
-            sd.preprocessed_improvement(
-                ch.hadamard_mixture(float(p1)), ms.GameConfig(lam, PHI), extract=False
-            ).value
-            for p1 in p1_grid
-        ])
+    rows = se.mixture_sweep((0.5, 0.9), p1_grid, PHI)
+    values = {lam: np.array([value for row_lam, _, value in rows if row_lam == lam])
+              for lam in (0.5, 0.9)}
     assert np.all(values[0.5] > 1e-6)
     flat = (p1_grid >= 0.05) & (values[0.9] <= 1e-7)
     assert np.any(flat)

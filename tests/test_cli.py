@@ -97,6 +97,22 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"],
+                                   ["--p1-steps", "-1"], ["--p1-steps", "0"]])
+def test_sweep_rejects_bad_numbers(flags, capsys):
+    code, out, err = run_cli(["sweep", "--lambdas", "0.5", *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
+def test_sweep_solver_failure_exit_code(nan_at_fifth_pair, capsys):
+    code, out, err = run_cli(["sweep", "--lambdas", "0.5,0.9", "--p1-steps", "6"], capsys)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["status"] == "numerical_failure"
+
+
 def test_measure_pre_is_byte_deterministic(capsys):
     args = ["measure-pre", "--channel", "qft:3", "--lambda", "0.7",
             "--phi", "2.0,0,1.0", "--seed", "3"]

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from dyncoh import kernels
+from dyncoh import kernels, sdp
 
 
 def _random_sparse_symmetric(rng, n, nnz):
@@ -36,6 +36,18 @@ def test_schur_backends_agree(rng):
     sparse_py = kernels.schur_sparse_py(sc.rows, sc.cols, sc.vals, sc.offsets, w)
     assert np.allclose(dense, sparse_py, atol=1e-9)
     assert np.allclose(sc.schur(w), dense, atol=1e-9)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
+def test_stacked_schur_matches_per_matrix_schur(rng, dims):
+    sc = sdp.sign_family(*dims).constraints
+    g = rng.standard_normal((12, sc.n, sc.n))
+    w = g @ g.swapaxes(-1, -2) + np.eye(sc.n)
+    stacked = sc.schur(w)
+    assert stacked.shape == (12, sc.m, sc.m)
+    for wk, mk in zip(w, stacked):
+        single = sc.schur(wk)
+        assert np.abs(mk - single).max() <= 1e-12 * np.abs(single).max()
 
 
 def test_ascent_improves_and_matches_reference(rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyncoh import channels as ch
+from dyncoh import ipm
 from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh import sdp as sd
@@ -292,26 +293,10 @@ def test_auto_equals_full(rng):
         assert auto.value == pytest.approx(full.value, abs=1e-8)
 
 
-def test_halved_mode_is_a_lower_bound_and_can_undershoot(rng):
-    # halved enumeration can miss winners whose first sign is -1
-    strict = 0
-    for trial in range(12):
-        theta = ch.random_channel(3, 2, rng)
-        cfg = ms.GameConfig(0.75, rng.uniform(0, 2 * np.pi, 2))
-        full = sd.preprocessed_improvement(theta, cfg, "full", extract=False)
-        halved = sd.preprocessed_improvement(theta, cfg, "halved", extract=False)
-        assert halved.value <= full.value + 1e-7
-        if halved.value < full.value - 1e-6:
-            strict += 1
-    assert strict > 0, "expected at least one strict undershoot in this ensemble"
-
-
-def test_halved_matches_full_on_symmetric_qubit_case(rng):
-    for _ in range(6):
-        theta = ch.random_channel(2, 2, rng)
-        full = sd.preprocessed_improvement(theta, cfg_half(), "full", extract=False)
-        halved = sd.preprocessed_improvement(theta, cfg_half(), "halved", extract=False)
-        assert halved.value == pytest.approx(full.value, abs=1e-7)
+@pytest.mark.parametrize("mode", ["halved", "bogus"])
+def test_unknown_sign_enumeration_is_rejected(mode):
+    with pytest.raises(ValidationError):
+        sd.preprocessed_improvement(ch.hadamard(), cfg_half(), mode, extract=False)
 
 
 def test_auto_per_sign_values_match_full(rng):
@@ -369,6 +354,60 @@ def test_stacked_solve_matches_solo_solves(rng, monkeypatch):
         assert info.iterations == solo.iterations
 
 
+def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
+    family = sd.sign_family(2, 2)
+    signs = sd.enumerate_sign_vectors(2, full=True)
+    objectives = np.concatenate([
+        sd._sign_objectives(ch.random_channel(2, 2, rng),
+                            ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2)),
+                            signs)
+        for _ in range(18)
+    ])
+    assert len(objectives) > sd.MAX_STACK
+    values, xs = sd.solve_family(family, objectives[:0])
+    assert values.shape == (0,) and xs.shape == (0, 4, 4)
+    runs = _capture_stacked(monkeypatch)
+    values, xs = sd.solve_family(family, objectives)
+    assert [len(infos) for infos in runs] == [sd.MAX_STACK, len(objectives) - sd.MAX_STACK]
+    assert xs.shape == objectives.shape
+    for k, info in enumerate(info for infos in runs for info in infos):
+        _, _, _, solo = ipm.solve_real_sdp(family.constraints, family.targets,
+                                           -0.5 * sd._embed(objectives[k]), x0=family.start)
+        assert solo.status == info.status == "optimal"
+        assert values[k] == pytest.approx(-solo.primal_objective, abs=1e-7)
+        assert info.iterations == solo.iterations
+
+
+def test_schur_jitter_stays_with_its_program(rng):
+    family = sd.sign_family(2, 2)
+
+    class SingularSecond(type(family.constraints)):
+        """Zeroes the last row and column of the second Schur matrix of a stack."""
+
+        def schur(self, w):
+            out = super().schur(w)
+            if out.ndim == 3 and len(out) > 1:
+                out[1, -1, :] = out[1, :, -1] = 0.0
+            return out
+
+    constraints = SingularSecond(list(family.constraints.dense))
+    c = -0.5 * sd._embed(sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
+                                             [(1, -1), (-1, 1), (1, -1)]))
+    x = np.array(np.broadcast_to(family.start, c.shape))
+    s = np.array(np.broadcast_to(np.eye(c.shape[-1]), c.shape))
+    rp = family.targets - constraints.dot(x)
+    rd = c - s
+    gap = np.einsum("kij,kij->k", x, s)
+    centre = np.zeros(3, dtype=bool)
+    stacked = ipm._step(constraints, x, s, rp, rd, gap, centre)
+    for k in (0, 2):
+        one = ipm._step(constraints, x[k:k + 1], s[k:k + 1], rp[k:k + 1], rd[k:k + 1],
+                        gap[k:k + 1], centre[k:k + 1])
+        for part, solo in zip(stacked, one):
+            assert np.array_equal(part[k], solo[0])
+    assert all(np.isfinite(part[1]).all() for part in stacked)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 4)])
 def test_sign_family_is_the_presolved_constraint_span(dims):
     da, db = dims
@@ -422,17 +461,6 @@ def test_prior_endpoints_have_zero_improvement(rng):
         rep = sd.preprocessed_improvement(theta, cfg, extract=False)
         assert rep.value == pytest.approx(0.0, abs=1e-7)
         assert rep.trace_norm == pytest.approx(1.0, abs=1e-7)
-
-
-def test_halved_mode_extraction_below_half_prior(rng):
-    # reflection path: the extracted pair must still achieve the value under
-    # the original (lam < 1/2) configuration
-    theta = ch.random_channel(2, 2, rng)
-    cfg = ms.GameConfig(0.3, np.array([2.0 * np.pi / 3.0, 0.0]))
-    rep = sd.preprocessed_improvement(theta, cfg, "halved")
-    assert rep.verification_residual <= 1e-6
-    achieved = ms.game_value(theta, rep.phi_opt, rep.rho_opt, cfg)
-    assert achieved == pytest.approx(rep.trace_norm, abs=1e-6)
 
 
 def test_prior_reflection_identity(rng):

@@ -6,9 +6,10 @@ from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh import search as se
 from dyncoh import sdp as sd
-from dyncoh.errors import DimensionMismatch, ValidationError
+from dyncoh.errors import DimensionMismatch, SolverFailure, ValidationError
 
 SQRT3_HALF = np.sqrt(3.0) / 2.0
+PHI = np.array([2.0 * np.pi / 3.0, 0.0])
 
 
 def cfg_half():
@@ -223,3 +224,41 @@ def test_mixture_sweep_endpoints():
 def test_mixture_sweep_rejects_bad_weights():
     with pytest.raises(ValidationError):
         se.mixture_sweep([0.5], [1.5], [1.0, 0.0])
+
+
+def test_mixture_sweep_checks_the_grid_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an SDP was solved")
+
+    monkeypatch.setattr(sd, "solve_stacked", no_solve)
+    with pytest.raises(ValidationError):
+        se.mixture_sweep([0.5, 0.9], [0.0, 0.5, np.nan], PHI)
+    assert se.mixture_sweep([], [0.0, 1.0], PHI) == []
+    assert se.mixture_sweep([0.5], [], PHI) == []
+
+
+@pytest.mark.parametrize("mode", ["auto", "full"])
+def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
+    lambdas, p1_grid = (0.5, 0.9), np.linspace(0.0, 1.0, 17)
+    runs = []
+    original = sd.solve_stacked
+
+    def recording(constraints, b, c, **kwargs):
+        runs.append(len(c))
+        return original(constraints, b, c, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_stacked", recording)
+    rows = se.mixture_sweep(lambdas, p1_grid, PHI, sign_enumeration=mode)
+    assert len(runs) >= 2 and max(runs) <= sd.MAX_STACK
+    assert [(lam, p1) for lam, p1, _ in rows] == [(lam, p1) for lam in lambdas
+                                                  for p1 in p1_grid]
+    for lam, p1, value in rows:
+        rep = sd.preprocessed_improvement(ch.hadamard_mixture(p1), ms.GameConfig(lam, PHI),
+                                          mode, extract=False)
+        assert value == pytest.approx(rep.value, abs=1e-9)
+
+
+def test_mixture_sweep_raises_on_a_failed_grid_point(nan_at_fifth_pair):
+    with pytest.raises(SolverFailure) as err:
+        se.mixture_sweep([0.5, 0.9], np.linspace(0.0, 1.0, 6), PHI)
+    assert err.value.status == "numerical_failure"

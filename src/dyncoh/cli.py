@@ -55,6 +55,8 @@ class RunConfig:
             raise ValidationError("lambda must lie in [0, 1]")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValidationError("tol must be a positive finite number")
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
         if self.p1_steps < 1:
             raise ValidationError("p1_steps must be at least 1")
         if self.format not in ("json", "csv"):
@@ -168,8 +170,7 @@ def _cmd_game(cfg):
 
 
 def _cmd_counterexample(cfg):
-    budget = se.SearchBudget(random_samples=cfg.samples, rng_seed=cfg.seed)
-    before, after = se.swap_monotonicity_counterexample(budget)
+    before, after = se.swap_monotonicity_counterexample()
     return {"l_before": before, "l_after": after}
 
 
@@ -231,7 +232,7 @@ def _build_parser():
             p.add_argument("--p1-steps", dest="p1_steps", type=int, default=51)
         if name == "game":
             p.add_argument("--trials", type=int, default=100000)
-        if name in ("measure-post", "counterexample"):
+        if name == "measure-post":
             p.add_argument("--samples", type=int, default=2000)
     return parser
 

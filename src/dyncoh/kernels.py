@@ -1,43 +1,13 @@
-"""Hot numeric kernels with selectable backend.
+"""Numeric kernels, pure numpy.
 
-Two inner loops dominate runtime: assembly of the interior-point Schur
-complement ``M[k,l] = tr(A_k W A_l W)`` (constraint matrices are extremely
-sparse) and the pure-state coordinate-ascent refinement used by the search
-module.  Both ship in a numba ``@njit`` variant and a pure-numpy variant.
-
-Backend selection, resolved at import time:
-
-* ``DYNCOH_BACKEND=numpy``  force the pure-numpy path
-* ``DYNCOH_BACKEND=numba``  force numba (raises if numba is unavailable)
-* unset                     numba when importable, numpy otherwise
-
-numba is the optional ``jit`` extra of the package.
+Assembly of the interior-point Schur complement ``M[k,l] = tr(A_k W A_l W)``
+over sparse constraint matrices (`SparseConstraints.schur`, dense-batched in
+`schur_numpy`, with the loop-based `schur_sparse_py` as its independent
+reference), and a pure-state coordinate ascent (`pure_state_ascent`) that
+the tests use as an independent reference for the exact oracle in `search`.
 """
 
-import math
-import os
-
 import numpy as np
-
-_env = os.environ.get("DYNCOH_BACKEND", "").strip().lower()
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag instead
-    _HAVE_NUMBA = False
-
-if _env in ("numpy", "python"):
-    USE_NUMBA = False
-elif _env in ("numba", "jit"):
-    if not _HAVE_NUMBA:
-        raise ImportError("DYNCOH_BACKEND=numba but numba is not importable")
-    USE_NUMBA = True
-elif _env == "":
-    USE_NUMBA = _HAVE_NUMBA
-else:
-    raise ValueError(f"unrecognized DYNCOH_BACKEND value {_env!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +55,6 @@ class SparseConstraints:
         Each W of a stack takes the same products as alone, so its matrix
         does not depend on the other matrices of the stack.
         """
-        if USE_NUMBA:
-            if w.ndim == 2:
-                return _schur_numba(self.rows, self.cols, self.vals, self.offsets, w)
-            return np.stack([_schur_numba(self.rows, self.cols, self.vals, self.offsets, wk)
-                             for wk in w])
         return schur_numpy(self.dense, w)
 
 
@@ -121,7 +86,7 @@ def schur_numpy(a_dense, w):
 
 
 def schur_sparse_py(rows, cols, vals, offsets, w):
-    """Reference sparse assembly (python loop; numba compiles the same body)."""
+    """Reference sparse assembly, one python loop over the nonzeros."""
     m = offsets.size - 1
     out = np.zeros((m, m))
     for k in range(m):
@@ -177,78 +142,8 @@ def ascent_numpy(r_stack, x0, max_sweeps, step0, min_step):
     return x, best
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _schur_numba(rows, cols, vals, offsets, w):
-        m = offsets.size - 1
-        out = np.zeros((m, m))
-        for k in range(m):
-            for l in range(k, m):
-                acc = 0.0
-                for p in range(offsets[k], offsets[k + 1]):
-                    a = rows[p]
-                    b = cols[p]
-                    va = vals[p]
-                    for q in range(offsets[l], offsets[l + 1]):
-                        acc += va * vals[q] * w[b, rows[q]] * w[cols[q], a]
-                out[k, l] = acc
-                out[l, k] = acc
-        return out
-
-    @njit(cache=True)
-    def _objective_numba(r_stack, x):
-        nmat = r_stack.shape[0]
-        d = r_stack.shape[1]
-        nrm2 = 0.0
-        for i in range(2 * d):
-            nrm2 += x[i] * x[i]
-        if nrm2 == 0.0:
-            return 0.0
-        inv = 1.0 / math.sqrt(nrm2)
-        v = np.empty(d, dtype=np.complex128)
-        for i in range(d):
-            v[i] = complex(x[i], x[d + i]) * inv
-        total = 0.0
-        for n in range(nmat):
-            acc = 0.0
-            for i in range(d):
-                row = 0.0 + 0.0j
-                for j in range(d):
-                    row += r_stack[n, i, j] * v[j]
-                acc += (np.conj(v[i]) * row).real
-            total += abs(acc)
-        return total
-
-    @njit(cache=True)
-    def _ascent_numba(r_stack, x0, max_sweeps, step0, min_step):
-        x = x0.copy()
-        best = _objective_numba(r_stack, x)
-        step = step0
-        sweeps = 0
-        while step >= min_step and sweeps < max_sweeps:
-            sweeps += 1
-            improved = False
-            for c in range(x.size):
-                for s in range(2):
-                    sgn = 1.0 if s == 0 else -1.0
-                    old = x[c]
-                    x[c] = old + sgn * step
-                    val = _objective_numba(r_stack, x)
-                    if val > best + 1e-15:
-                        best = val
-                        improved = True
-                    else:
-                        x[c] = old
-            if not improved:
-                step *= 0.5
-        return x, best
-
-
 def pure_state_ascent(r_stack, x0, max_sweeps=60, step0=0.3, min_step=1e-6):
     """Refine a pure-state encoding x0; returns (x, objective value)."""
     r_stack = np.ascontiguousarray(r_stack, dtype=np.complex128)
     x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if USE_NUMBA:
-        return _ascent_numba(r_stack, x0, max_sweeps, step0, min_step)
     return ascent_numpy(r_stack, x0, max_sweeps, step0, min_step)

@@ -307,8 +307,10 @@ def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_F
 def enumerate_sign_vectors(n, full=False):
     """Sign patterns over the channel output dimension.
 
-    By default returns the 2^(n-1) representatives with first entry +1; with
-    ``full=True`` all 2^n patterns.  Guarded against combinatorial blowup.
+    By default returns the 2^(n-1) representatives with first entry +1, one
+    per pair {s, -s}; the exact oracle `search.sign_eigen_maximum` uses them,
+    since s and -s share one eigen-decomposition.  ``full=True`` gives all 2^n
+    patterns, one sign program each.  Guarded against combinatorial blowup.
     """
     if n < 1:
         raise ValidationError("need at least one output dimension")

@@ -1,9 +1,11 @@
-"""Sampling oracles, alternating lower bounds, and game simulation.
+"""Game-value oracles, alternating lower bounds, and game simulation.
 
-Everything here is independent of the sign-program reduction: values are
-computed by direct pipeline arithmetic over sampled or locally refined
-inputs, which is what makes them usable as oracles against the exact SDP
-path (lower bounds can never exceed it).
+Everything here is independent of the SDP sign-program reduction.  For a
+fixed pre-processing the best input state is found exactly, from the
+eigenvalues of signed sums of the pipeline's response tensors
+(`sign_eigen_maximum`); pre-processings are sampled.  That is what makes
+these values usable as oracles against the exact SDP path (lower bounds
+can never exceed it).
 """
 
 import functools
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as ch
-from . import kernels
 from . import linalg as la
 from . import measures as ms
 from . import sdp as sdpmod
@@ -24,12 +25,11 @@ class SearchBudget:
     """Sampling effort knobs; all counts must be >= 1."""
 
     random_samples: int = 2000
-    grid_resolution: int = 12
     refinement_iterations: int = 60
     rng_seed: int = 7
 
     def __post_init__(self):
-        if min(self.random_samples, self.grid_resolution, self.refinement_iterations) < 1:
+        if min(self.random_samples, self.refinement_iterations) < 1:
             raise ValidationError("budget counts must be >= 1")
 
 
@@ -43,57 +43,41 @@ class GameTranscript:
 
 
 # ---------------------------------------------------------------------------
-# Pipeline response tensors
+# Pipeline response tensors and the exact pure-state maximum
 # ---------------------------------------------------------------------------
 
-def _response_stack(theta, pre, cfg):
-    """Stack R with f_n(rho) = v^dag R_n v for pure rho = |v><v|.
+def _response_stacks(theta, pres, cfg):
+    """Stacks R, one per pre-processing, with f_n(rho) = v^dag R_n v for pure
+    rho = |v><v|.
 
     f_n is the n-th output population of theta o pre o (lam - mu Lambda_phi);
     the game value for the input is sum_n |f_n|.
     """
-    total = ch.compose(theta, ch.compose(pre, ms.signal_map(cfg)))
-    coeffs = ch.index_coeffs(total)
-    nout = theta.dim_out
-    idx = np.arange(nout)
-    k = coeffs[:, :, idx, idx]  # k[i, j, n]
-    return np.ascontiguousarray(np.transpose(k, (2, 1, 0)))  # R_n = K_n^T
+    signal = ms.signal_map(cfg)
+    idx = np.arange(theta.dim_out)
+    stacks = []
+    for pre in pres:
+        coeffs = ch.index_coeffs(ch.compose(theta, ch.compose(pre, signal)))
+        stacks.append(coeffs[:, :, idx, idx].transpose(2, 1, 0))  # R_n = K_n^T
+    return np.stack(stacks)
 
 
-def _batch_values(r_stack, vectors):
-    """Game values for a batch of unit state vectors."""
-    f = np.einsum("ki,nij,kj->kn", vectors.conj(), r_stack, vectors).real
-    return np.abs(f).sum(axis=1)
+def sign_eigen_maximum(r_stacks):
+    """Exact max over unit v of sum_n |v^dag R_n v|, one per stack of R.
 
-
-def _pair_superposition_vectors(dim, resolution):
-    """Basis kets plus two-index superpositions over a relative-phase grid."""
-    vecs = [la.basis_ket(dim, i) for i in range(dim)]
-    phases = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for xi in phases:
-                v = la.basis_ket(dim, i) + np.exp(1j * xi) * la.basis_ket(dim, j)
-                vecs.append(v / np.sqrt(2.0))
-    return np.array(vecs)
-
-
-def _bloch_grid_vectors(resolution):
-    polar = np.linspace(0.0, np.pi, resolution)
-    azimuth = np.linspace(0.0, 2.0 * np.pi, 2 * resolution, endpoint=False)
-    vecs = []
-    for t in polar:
-        for p in azimuth:
-            vecs.append([np.cos(t / 2.0), np.exp(1j * p) * np.sin(t / 2.0)])
-    return np.array(vecs, dtype=complex)
-
-
-def _refine(r_stack, vector, sweeps):
-    x0 = np.concatenate([vector.real, vector.imag])
-    x, value = kernels.pure_state_ascent(r_stack, x0, max_sweeps=sweeps)
-    d = vector.size
-    v = x[:d] + 1j * x[d:]
-    return v / np.linalg.norm(v), value
+    Takes a (P, N, d, d) stack of response tensors.  With H_n the Hermitian
+    part of R_n, sum_n |v^dag H_n v| = max_s v^dag (sum_n s_n H_n) v over
+    sign vectors s, so the maximum is max_s lambda_max(sum_n s_n H_n).  The
+    patterns s and -s share one decomposition (lambda_max of -A is
+    -lambda_min of A), so only the representatives with first entry +1 are
+    decomposed, all in one stacked ``eigvalsh``.  Returns a (P,) array.
+    """
+    r = np.asarray(r_stacks)
+    h = 0.5 * (r + r.conj().swapaxes(-1, -2))
+    signs = np.array(sdpmod.enumerate_sign_vectors(h.shape[1]), dtype=float)
+    w = np.linalg.eigvalsh(np.einsum("sn,pnij->psij", signs, h))
+    # + 0.0 turns an exact zero's sign bit off, so no value prints as -0.0
+    return np.maximum(w[..., -1], -w[..., 0]).max(axis=-1) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -153,72 +137,37 @@ def _pre_candidates(dim_a, dim_b, rng, n_random):
 def brute_force_game_value(theta, cfg, budget=SearchBudget()):
     """Sampled lower bound on the optimized game trace norm.
 
-    Pre-processings come from the free generator families (identity,
+    Pre-processings are sampled from the free generator families (identity,
     permutation and permutation-phase unitaries including pair swaps, random
-    dephasing-composed channels); input states from structured grids and Haar
-    draws, with the best candidates polished by coordinate ascent.  The
-    result never exceeds the exact optimum.
+    dephasing-composed channels; ``max(2, random_samples // 400)`` random
+    draws).  For each candidate the best input state is found exactly by
+    `sign_eigen_maximum`, so only the pre-processing is sampled and the
+    result never exceeds the exact optimum.  For a fixed ``rng_seed`` more
+    samples extend the candidate list, so the value never falls.
     """
     if not (theta.completely_positive and theta.trace_preserving):
         raise ValidationError("brute force requires a CPTP channel")
     rng = np.random.default_rng(budget.rng_seed)
-    da, db = cfg.dim, theta.dim_in
-
     n_random_pre = max(2, budget.random_samples // 400)
-    pres = _pre_candidates(da, db, rng, n_random_pre)
-
-    structured = _pair_superposition_vectors(da, budget.grid_resolution)
-    if da == 2:
-        structured = np.vstack([structured, _bloch_grid_vectors(budget.grid_resolution)])
-    n_haar = max(8, budget.random_samples // max(1, len(pres)))
-
-    best = []  # (value, stack index, vector)
-    stacks = []
-    for pre in pres:
-        r_stack = _response_stack(theta, pre, cfg)
-        stacks.append(r_stack)
-        haar = np.array([la.random_state_vector(da, rng) for _ in range(n_haar)])
-        vectors = np.vstack([structured, haar])
-        values = _batch_values(r_stack, vectors)
-        top = np.argsort(values)[-3:]
-        for t in top:
-            best.append((values[t], len(stacks) - 1, vectors[t]))
-
-    best.sort(key=lambda item: item[0], reverse=True)
-    overall = best[0][0] if best else 0.0
-    for value, si, vec in best[:10]:
-        _, refined = _refine(stacks[si], vec, budget.refinement_iterations)
-        overall = max(overall, refined)
-    return float(overall)
+    pres = _pre_candidates(cfg.dim, theta.dim_in, rng, n_random_pre)
+    return float(sign_eigen_maximum(_response_stacks(theta, pres, cfg)).max())
 
 
-def no_preprocessing_improvement(theta, cfg, budget=SearchBudget()):
+def no_preprocessing_improvement(theta, cfg):
     """Improvement without the optimal pre-processing (identity in its place).
 
-    Maximizes over pure input states only (grid plus Haar draws plus
-    coordinate ascent; pure states suffice by convexity of the trace norm).
+    Exact: the maximum over input states is attained on a pure state
+    (convexity of the trace norm) and computed by `sign_eigen_maximum`.
     Unlike the pre-processed improvement this is not monotone under free
     superchannels, see `swap_monotonicity_counterexample`.
     """
     if theta.dim_in != cfg.dim:
         raise DimensionMismatch("without pre-processing the phases act on the channel input")
-    rng = np.random.default_rng(budget.rng_seed)
-    da = cfg.dim
-    r_stack = _response_stack(theta, ch.identity_channel(da), cfg)
-    vectors = _pair_superposition_vectors(da, budget.grid_resolution)
-    if da == 2:
-        vectors = np.vstack([vectors, _bloch_grid_vectors(budget.grid_resolution)])
-    haar = np.array([la.random_state_vector(da, rng) for _ in range(budget.random_samples)])
-    vectors = np.vstack([vectors, haar])
-    values = _batch_values(r_stack, vectors)
-    best = float(values.max())
-    for t in np.argsort(values)[-8:]:
-        _, refined = _refine(r_stack, vectors[t], budget.refinement_iterations)
-        best = max(best, refined)
-    return best - cfg.prior_gap
+    stacks = _response_stacks(theta, [ch.identity_channel(cfg.dim)], cfg)
+    return float(sign_eigen_maximum(stacks)[0]) - cfg.prior_gap
 
 
-def swap_monotonicity_counterexample(budget=SearchBudget()):
+def swap_monotonicity_counterexample():
     """Free relabeling can create value when no pre-processing is allowed.
 
     A qubit detector tensored with an idle qubit scores zero when the phases
@@ -229,9 +178,9 @@ def swap_monotonicity_counterexample(budget=SearchBudget()):
     detector = ch.tensor(ch.hadamard(), ch.identity_channel(2))
     phi = np.array([np.pi, 0.0, np.pi, 0.0])  # phases live on the second qubit
     cfg = ms.GameConfig(0.5, phi)
-    l_before = no_preprocessing_improvement(detector, cfg, budget)
+    l_before = no_preprocessing_improvement(detector, cfg)
     swapped = ch.compose(detector, ch.swap_channel(2, 2))
-    l_after = no_preprocessing_improvement(swapped, cfg, budget)
+    l_after = no_preprocessing_improvement(swapped, cfg)
     if not (l_before <= 1e-6 < l_after):
         raise RuntimeError(
             f"counterexample regression: before={l_before:.3e}, after={l_after:.3e}"

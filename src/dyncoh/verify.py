@@ -190,9 +190,7 @@ def _check_pincer(rng, count=5):
 
 
 def _check_counterexample(rng):
-    before, after = se.swap_monotonicity_counterexample(
-        se.SearchBudget(random_samples=800, rng_seed=3)
-    )
+    before, after = se.swap_monotonicity_counterexample()
     return before <= 1e-6 and after >= 0.99, f"before {before:.2e}, after {after:.6f}"
 
 

@@ -191,8 +191,7 @@ def test_criterion_09_guessing_game_consistency():
 
 
 def test_criterion_10_swap_counterexample():
-    budget = se.SearchBudget(random_samples=2000, rng_seed=10)
-    before, after = se.swap_monotonicity_counterexample(budget)
+    before, after = se.swap_monotonicity_counterexample()
     assert before <= 1e-6
     assert after >= 0.99
 

@@ -145,11 +145,33 @@ def test_measure_post_command(capsys):
 
 
 def test_counterexample_command(capsys):
-    code, out, _ = run_cli(["counterexample", "--samples", "600"], capsys)
+    code, out, _ = run_cli(["counterexample"], capsys)
     assert code == 0
     result = json.loads(out)["result"]
     assert result["l_before"] <= 1e-6
     assert result["l_after"] >= 0.99
+    assert "-0.0" not in out
+
+
+def test_counterexample_takes_no_samples_flag(capsys):
+    code, out, err = run_cli(["counterexample", "--samples", "600"], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["game", "--channel", "hadamard"],
+    ["measure-post", "--channel", "hadamard"],
+])
+def test_negative_seed_exit_code(command, capsys):
+    code, out, err = run_cli([*command, "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"exit_code": 2,
+                                    "error": "seed must be a non-negative integer"}
 
 
 def test_parse_error_exit_code(capsys):

@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -63,22 +60,6 @@ def test_ascent_improves_and_matches_reference(rng):
     assert val_np >= start - 1e-12
     x_sel, val_sel = kernels.pure_state_ascent(r_stack, x0, max_sweeps=50)
     assert val_sel == pytest.approx(val_np, abs=1e-9)
-
-
-def test_env_flag_forces_numpy_backend():
-    import os
-
-    code = (
-        "import dyncoh.kernels as k; "
-        "assert k.USE_NUMBA is False, k.USE_NUMBA; print('ok')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, DYNCOH_BACKEND="numpy"),
-        capture_output=True, text=True,
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
 
 
 def test_objective_matches_direct_sum(rng):

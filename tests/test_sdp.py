@@ -171,10 +171,16 @@ def test_solver_matches_largest_eigenvalue(rng):
 # ---------------------------------------------------------------------------
 
 def test_enumerate_sign_vectors():
+    # the default mode gives one representative per pair {s, -s}; its caller
+    # is the exact oracle search.sign_eigen_maximum, which decomposes each
+    # representative once for both signs
     assert sd.enumerate_sign_vectors(1) == [(1,)]
     assert sd.enumerate_sign_vectors(2) == [(1, 1), (1, -1)]
-    assert len(sd.enumerate_sign_vectors(3)) == 4
-    assert len(sd.enumerate_sign_vectors(3, full=True)) == 8
+    reps = sd.enumerate_sign_vectors(3)
+    assert len(reps) == 4
+    full = sd.enumerate_sign_vectors(3, full=True)
+    assert len(full) == 8
+    assert sorted(reps + [tuple(-x for x in s) for s in reps]) == sorted(full)
     with pytest.raises(ValidationError):
         sd.enumerate_sign_vectors(21)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dyncoh import channels as ch
+from dyncoh import kernels
 from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh import search as se
@@ -17,8 +18,7 @@ def cfg_half():
 
 
 def small_budget(seed=1):
-    return se.SearchBudget(random_samples=600, grid_resolution=8,
-                           refinement_iterations=40, rng_seed=seed)
+    return se.SearchBudget(random_samples=600, refinement_iterations=40, rng_seed=seed)
 
 
 def test_budget_validation():
@@ -63,14 +63,63 @@ def test_brute_force_rectangular_dims(rng):
     assert lower >= cfg.prior_gap - 1e-9
 
 
+def test_brute_force_never_falls_with_more_samples(rng):
+    # a fixed seed draws the same candidates first, so more samples only
+    # extend the candidate list and the maximum over it cannot fall
+    da, db = 2, 3
+    short = se._pre_candidates(da, db, np.random.default_rng(4), 2)
+    long = se._pre_candidates(da, db, np.random.default_rng(4), 6)
+    assert len(long) == len(short) + 4
+    for a, b in zip(short, long):
+        assert np.array_equal(a.choi, b.choi)
+    for theta, cfg in ((ch.random_channel(2, 2, rng), cfg_half()),
+                       (ch.random_channel(3, 2, rng), ms.GameConfig(0.6, PHI))):
+        values = [se.brute_force_game_value(theta, cfg, se.SearchBudget(random_samples=n,
+                                                                        rng_seed=4))
+                  for n in (400, 800, 1600, 3200)]
+        assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Value without pre-processing and the SWAP counterexample
 # ---------------------------------------------------------------------------
 
+def test_no_preprocessing_hadamard_is_exact():
+    value = se.no_preprocessing_improvement(ch.hadamard(), cfg_half())
+    assert value == pytest.approx(SQRT3_HALF, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_no_preprocessing_is_attained_and_not_beaten(dim, rng):
+    for _ in range(10):
+        theta = ch.random_channel(dim, dim, rng)
+        cfg = ms.GameConfig(float(rng.uniform(0.2, 0.8)), rng.uniform(0, 2 * np.pi, dim))
+        value = se.no_preprocessing_improvement(theta, cfg) + cfg.prior_gap
+
+        # the leading eigenvector of the winning signed sum attains the value
+        # by direct game arithmetic on the output populations
+        (r_stack,) = se._response_stacks(theta, [ch.identity_channel(dim)], cfg)
+        h_stack = 0.5 * (r_stack + r_stack.conj().swapaxes(-1, -2))
+        tops = [np.linalg.eigh(np.einsum("n,nij->ij", np.array(s, float), h_stack))
+                for s in sd.enumerate_sign_vectors(theta.dim_out, full=True)]
+        w, v = max(tops, key=lambda wv: wv[0][-1])
+        assert w[-1] == pytest.approx(value, abs=1e-12)
+        rho = np.outer(v[:, -1], v[:, -1].conj())
+        out = ch.apply(theta, ch.apply(ms.signal_map(cfg), rho))
+        assert np.abs(np.diag(out).real).sum() == pytest.approx(value, abs=1e-12)
+
+        # no coordinate ascent from a Haar start beats it
+        for _ in range(20):
+            x0 = la.random_state_vector(dim, rng)
+            _, ascent = kernels.pure_state_ascent(r_stack, np.concatenate([x0.real, x0.imag]))
+            assert ascent <= value + 1e-12
+
+
+
 def test_no_preprocessing_zero_on_free_channels(rng):
     cfg = cfg_half()
     theta = ch.random_di(2, 2, rng)
-    assert se.no_preprocessing_improvement(theta, cfg, small_budget()) <= 1e-8
+    assert se.no_preprocessing_improvement(theta, cfg) <= 1e-8
 
 
 def test_no_preprocessing_requires_matching_dims(rng):
@@ -83,13 +132,13 @@ def test_no_preprocessing_bounded_by_preprocessed(rng):
     for _ in range(5):
         theta = ch.random_channel(2, 2, rng)
         cfg = cfg_half()
-        without = se.no_preprocessing_improvement(theta, cfg, small_budget())
+        without = se.no_preprocessing_improvement(theta, cfg)
         with_pre = sd.preprocessed_improvement(theta, cfg, extract=False).value
         assert without <= with_pre + 1e-6
 
 
 def test_counterexample_values():
-    before, after = se.swap_monotonicity_counterexample(small_budget())
+    before, after = se.swap_monotonicity_counterexample()
     assert before <= 1e-6
     assert after == pytest.approx(1.0, abs=1e-3)
 

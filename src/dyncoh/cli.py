@@ -48,7 +48,6 @@ class RunConfig:
     lambdas: list = field(default_factory=list)
     p1_steps: int = 51
     trials: int = 100000
-    samples: int = 2000
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -117,8 +116,8 @@ def _cmd_measure_pre(cfg):
 def _cmd_measure_post(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
-    budget = se.SearchBudget(random_samples=cfg.samples, rng_seed=cfg.seed)
-    value = se.postprocessed_improvement_lower(theta, game, budget, gap_tol=cfg.tol)
+    value = se.postprocessed_improvement_lower(theta, game, se.SearchBudget(rng_seed=cfg.seed),
+                                               gap_tol=cfg.tol)
     return {
         "value": value,
         "lower_bound": True,
@@ -232,8 +231,6 @@ def _build_parser():
             p.add_argument("--p1-steps", dest="p1_steps", type=int, default=51)
         if name == "game":
             p.add_argument("--trials", type=int, default=100000)
-        if name == "measure-post":
-            p.add_argument("--samples", type=int, default=2000)
     return parser
 
 
@@ -258,8 +255,6 @@ def main(argv=None):
             kwargs["p1_steps"] = ns.p1_steps
         if hasattr(ns, "trials"):
             kwargs["trials"] = ns.trials
-        if hasattr(ns, "samples"):
-            kwargs["samples"] = ns.samples
         cfg = RunConfig(**kwargs)
     except _ParseError as exc:
         sys.stderr.write(json.dumps({"exit_code": 1, "error": str(exc)}) + "\n")

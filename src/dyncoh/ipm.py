@@ -8,7 +8,10 @@ in the objective,
 
 each over a single dense PSD block, with Nesterov-Todd scaling and an
 adaptive centering parameter chosen from an affine predictor step (Todd,
-Toh & Tutuncu, SIAM J. Optim. 1998).
+Toh & Tutuncu, SIAM J. Optim. 1998).  The start is primal-feasible when
+the constraints admit a strictly feasible point, and every direction is
+corrected onto A(dX) = r_p, so the iterates stay primal-feasible to
+roundoff.
 
 Layout: the iterates of the programs still running are stacked along a
 leading axis, so each dense factorization (Cholesky, SVD, symmetric
@@ -94,22 +97,17 @@ def _schur_factor(mat):
 def _feasible_start(constraints, b, n):
     """Strictly feasible interior point via a least-norm projection, if any.
 
-    Solves the Gram system for the min-norm X with A(X) = b shifted toward a
-    multiple of the identity, and keeps it only when safely positive
-    definite.  Starting primal-feasible pins the primal residual at roundoff
-    for the whole run, which sidesteps the stall of infeasible-start
-    iterations on degenerate optimal faces.
+    Takes the min-norm correction that moves a multiple of the identity onto
+    A(X) = b, and keeps it only when safely positive definite.  Starting
+    primal-feasible, with every direction corrected onto A(dX) = r_p (see
+    `_step`), pins the primal residual at roundoff for the whole run,
+    which sidesteps the stall of infeasible iterations on degenerate
+    optimal faces.
     """
-    try:
-        gram = constraints.schur(np.eye(n))
-        chol = np.linalg.cholesky(gram + 1e-13 * np.eye(gram.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
     a_of_eye = constraints.dot(np.eye(n))
     best = None
     for center in (1.0, 0.5, 0.1, 2.0):
-        lam = np.linalg.solve(chol.T, np.linalg.solve(chol, b - center * a_of_eye))
-        cand = center * np.eye(n) + _sym(constraints.combine(lam))
+        cand = center * np.eye(n) + constraints.least_norm(b - center * a_of_eye)
         if np.max(np.abs(constraints.dot(cand) - b)) > 1e-10 * max(1.0, np.max(np.abs(b))):
             continue
         margin = np.linalg.eigvalsh(cand).min()
@@ -151,6 +149,10 @@ def _step(constraints, x, s, rp, rd, gap, centre):
         dy = (_t(schur_inv) @ (schur_inv @ (rhs0 - constraints.dot(rc))[..., None]))[..., 0]
         ds = rd - constraints.combine(dy)
         dx = _sym(rc - w @ ds @ w)
+        # Least-norm correction so that A(dX) = r_p holds to roundoff: the
+        # ill-conditioned Schur solve leaves an error there that otherwise
+        # builds up near degenerate optimal faces and stalls the run.
+        dx = dx + constraints.least_norm(rp - constraints.dot(dx))
         steps = np.minimum(1.0, _STEP_FRACTION * _max_step(factors_inv, np.concatenate([dx, ds])))
         return dx, dy, ds, steps[:k], steps[k:]
 
@@ -185,6 +187,9 @@ def _step_each(constraints, *stacks):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
+# A diverging program (an unbounded one, say) overflows to inf and NaN; the
+# finiteness and stuck tests then end it with ``numerical_failure``.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None):
     """Run the interior-point iteration on K objectives over shared constraints.
 

@@ -3,7 +3,9 @@
 Assembly of the interior-point Schur complement ``M[k,l] = tr(A_k W A_l W)``
 over sparse constraint matrices (`SparseConstraints.schur`, dense-batched in
 `schur_numpy`, with the loop-based `schur_sparse_py` as its independent
-reference), and a pure-state coordinate ascent (`pure_state_ascent`) that
+reference), the least-norm solution of ``A(X) = r`` that keeps the
+interior-point iterates primal-feasible (`SparseConstraints.least_norm`),
+and a pure-state coordinate ascent (`pure_state_ascent`) that
 the tests use as an independent reference for the exact oracle in `search`.
 """
 
@@ -17,7 +19,7 @@ import numpy as np
 class SparseConstraints:
     """CSR-style bundle of m sparse symmetric matrices sharing one shape."""
 
-    __slots__ = ("rows", "cols", "vals", "offsets", "m", "n", "dense")
+    __slots__ = ("rows", "cols", "vals", "offsets", "m", "n", "dense", "gram_inv")
 
     def __init__(self, matrices):
         self.m = len(matrices)
@@ -34,6 +36,9 @@ class SparseConstraints:
         self.vals = np.concatenate(vals).astype(np.float64) if self.m else np.zeros(0)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.dense = np.ascontiguousarray(np.stack(matrices)) if self.m else np.zeros((0, 0, 0))
+        # inverse of the Gram matrix G = A A^*, G[k,l] = tr(A_k A_l), for `least_norm`
+        flat = self.dense.reshape(self.m, self.n * self.n)
+        self.gram_inv = np.linalg.pinv(flat @ flat.T, hermitian=True)
 
     def dot(self, x):
         """Vector of tr(A_k X); a stack of X gives one row per matrix.
@@ -48,6 +53,11 @@ class SparseConstraints:
         """sum_k y_k A_k; a stack of y gives one matrix per row, each computed alone."""
         flat = y[..., None, :] @ self.dense.reshape(self.m, -1)
         return flat.reshape(*y.shape[:-1], self.n, self.n)
+
+    def least_norm(self, r):
+        """The least-norm X with A(X) = r, that is A^*(G^-1 r); a stack of r
+        gives one matrix per row, each computed alone, as in `combine`."""
+        return self.combine((r[..., None, :] @ self.gram_inv)[..., 0, :])
 
     def schur(self, w):
         """Matrix M[k,l] = tr(A_k W A_l W); a stack of W gives one matrix per W.

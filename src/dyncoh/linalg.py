@@ -18,8 +18,8 @@ EIG_ATOL = 1e-9
 
 
 def dagger(m):
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose (of each matrix of a stack)."""
+    return np.swapaxes(m.conj(), -1, -2)
 
 
 def max_abs(m):
@@ -34,7 +34,7 @@ def is_hermitian(m, atol=HERMITICITY_ATOL):
 
 
 def hermitian_part(m):
-    """(M + M^dag)/2."""
+    """(M + M^dag)/2, also stacked."""
     return 0.5 * (m + dagger(m))
 
 
@@ -45,7 +45,7 @@ def _require_finite(m, what="matrix"):
 
 def _require_hermitian(m, atol, what="matrix"):
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"{what} must be square, got shape {m.shape}")
     _require_finite(m, what)
     dev = max_abs(m - dagger(m))
@@ -88,14 +88,15 @@ def partial_trace(m, dims, keep):
 
 
 def eig_hermitian(m, atol=HERMITICITY_ATOL):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    The input is validated against ``atol`` and symmetrized before the
-    decomposition so solver noise cannot leak into complex eigenvalues.
+    The input is validated against ``atol`` (every matrix of a stack) and
+    symmetrized before the decomposition so solver noise cannot leak into
+    complex eigenvalues.
 
     Returns
     -------
-    (w, v) : eigenvalues ascending (real 1-d array), eigenvectors as columns.
+    (w, v) : eigenvalues ascending (real, last axis), eigenvectors as columns.
     """
     m = _require_hermitian(m, atol)
     w, v = np.linalg.eigh(hermitian_part(m))

@@ -259,7 +259,8 @@ def constraint_family(functionals):
     constraints = SparseConstraints(mats)
     targets = np.array([t for _, t in raw])
     start = initial_point(constraints, targets)
-    for shared in (constraints.dense, targets, start):  # cached families are shared
+    # cached families are shared
+    for shared in (constraints.dense, constraints.gram_inv, targets, start):
         shared.flags.writeable = False
     return ConstraintFamily(constraints, targets, start)
 

@@ -6,6 +6,11 @@ eigenvalues of signed sums of the pipeline's response tensors
 (`sign_eigen_maximum`); pre-processings are sampled.  That is what makes
 these values usable as oracles against the exact SDP path (lower bounds
 can never exceed it).
+
+The creation side (`postprocessed_improvement_lower`) is an alternating
+lower bound: independent chains of Helstrom and MIO-step SDP rounds, which
+advance in lockstep so that each round's MIO steps are solved in one
+stacked interior-point run over the shared `_mio_family` constraints.
 """
 
 import functools
@@ -192,13 +197,6 @@ def swap_monotonicity_counterexample():
 # Post-processed improvement (creation side): alternating lower bound
 # ---------------------------------------------------------------------------
 
-def _sign_observable(m):
-    """Observable +1 on the nonnegative eigenspace of m, -1 on the rest."""
-    w, v = la.eig_hermitian(m, atol=1e-8)
-    signs = np.where(w >= 0.0, 1.0, -1.0)
-    return (v * signs) @ la.dagger(v)
-
-
 @functools.lru_cache(maxsize=None)
 def _mio_family(dim_b, dim_c):
     """Choi matrices of MIO channels: trace preservation plus, for each
@@ -220,63 +218,74 @@ def _mio_family(dim_b, dim_c):
     return sdpmod.constraint_family(constraints)
 
 
-def _mio_step(dim_b, dim_c, q, sigma, gap_tol):
-    """Choi matrix of the MIO channel maximizing tr(Q Psi(sigma))."""
-    objective = la.hermitian_part(np.kron(q, np.conj(sigma)))
-    _, choi = sdpmod.solve_family(_mio_family(dim_b, dim_c), objective, gap_tol=gap_tol)
-    return choi
+@functools.lru_cache(maxsize=32)
+def _mio_starts(dim_b, dim_c, rng_seed, restarts):
+    """Starting post-processings of the alternating chains.
+
+    The identity (or a classical embedding) first, then ``restarts`` draws of
+    `random_mio` from ``rng_seed``, so more restarts extend the same tuple.
+    Cached and shared: the channels are frozen and their Choi arrays
+    read-only.
+    """
+    rng = np.random.default_rng(rng_seed)
+    first = ch.identity_channel(dim_b) if dim_b == dim_c else _classical_embed(dim_b, dim_c)
+    return (first,) + tuple(ch.random_mio(dim_b, dim_c, rng) for _ in range(restarts))
 
 
 def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8,
                                     gap_tol=sdpmod.DEFAULT_GAP_TOL, convergence_tol=1e-9):
     """Certified lower bound on the post-processed improvement.
 
-    For every incoherent basis input, alternates between the optimal sign
+    One chain runs per incoherent basis input and starting post-processing
+    (`_mio_starts`).  Its rounds alternate between the optimal sign
     observable for the current output pair (Helstrom step) and an SDP over
-    the Choi matrix of the free post-processing with the observable fixed.
-    Every iterate is a feasible strategy, so the reported value is a true
-    lower bound; each step is a restricted maximization, so the iteration is
-    monotone nondecreasing.  Exact evaluation is out of scope.
+    the Choi matrix of the free post-processing with the observable fixed
+    (MIO step), until a round raises its value by no more than
+    ``convergence_tol``.  Every iterate is a feasible strategy, so the value
+    is a true lower bound, and each step is a restricted maximization, so a
+    chain's value never falls.  The chains advance in lockstep: a round's
+    Helstrom steps are one stacked eigendecomposition and the MIO steps of
+    the chains still improving one `solve_family` call, which raises
+    `SolverFailure` if any of them fails.  Exact evaluation is out of scope.
     """
     if not (theta.completely_positive and theta.trace_preserving):
         raise ValidationError("post-processed improvement requires a CPTP channel")
-    rng = np.random.default_rng(budget.rng_seed)
     dim_b = theta.dim_out
     dim_c = cfg.dim
-    phase = ch.phase_channel(cfg.phi)
-    phase_adj = ch.phase_channel(-cfg.phi)
-    max_rounds = max(10, budget.refinement_iterations)
+    family = _mio_family(dim_b, dim_c)
+    # Choi tensors r[k, i, l, j]; a map acts as t -> sum_ij r[:, i, :, j] t_ij
+    phase, phase_adj = (ch.phase_channel(phi).choi.reshape((dim_c,) * 4)
+                        for phi in (cfg.phi, -cfg.phi))
+    starts = _mio_starts(dim_b, dim_c, budget.rng_seed, restarts)
 
-    def _alternate(sigma, post0):
-        post = post0
-        value = -np.inf
-        for _ in range(max_rounds):
-            tau = ch.apply(post, sigma)
-            new_value = ms.helstrom_norm(cfg, tau, ch.apply(phase, tau))
-            if new_value <= value + convergence_tol:
-                value = max(value, new_value)
-                break
-            value = new_value
-            diff = cfg.lam * tau - cfg.mu * ch.apply(phase, tau)
-            p_obs = _sign_observable(diff)
-            q = cfg.lam * p_obs - cfg.mu * ch.apply(phase_adj, p_obs)
-            choi = _mio_step(dim_b, dim_c, q, sigma, gap_tol)
-            post = ch.channel_from_choi(choi, dim_b, dim_c, atol=1e-6)
-        return value
-
-    inits = []
-    if dim_b == dim_c:
-        inits.append(ch.identity_channel(dim_b))
-    else:
-        inits.append(_classical_embed(dim_b, dim_c))
-    inits.extend(ch.random_mio(dim_b, dim_c, rng) for _ in range(restarts))
-
-    best = -np.inf
-    for i in range(theta.dim_in):
-        sigma = ch.apply(theta, la.basis_proj(theta.dim_in, i))
-        for post0 in inits:
-            best = max(best, _alternate(sigma, post0))
-    return float(best - cfg.prior_gap)
+    # one chain per (incoherent input, start): its input and current Choi matrix
+    inputs = [ch.apply(theta, la.basis_proj(theta.dim_in, i)) for i in range(theta.dim_in)]
+    sigma = np.stack([s for s in inputs for _ in starts])
+    choi = np.stack([post.choi for _ in inputs for post in starts])
+    value = np.full(len(choi), -np.inf)
+    active = np.arange(len(choi))
+    for _ in range(max(10, budget.refinement_iterations)):
+        posts = choi[active].reshape(-1, dim_c, dim_b, dim_c, dim_b)
+        tau = np.einsum("pkilj,pij->pkl", posts, sigma[active])
+        diff = cfg.lam * tau - cfg.mu * np.einsum("kilj,pij->pkl", phase, tau)
+        w, v = la.eig_hermitian(diff, atol=1e-8)
+        new_value = np.abs(w).sum(axis=-1)
+        improved = new_value > value[active] + convergence_tol
+        value[active] = np.maximum(value[active], new_value)
+        active, w, v = active[improved], w[improved], v[improved]
+        if not active.size:
+            break
+        # sign observable: +1 on the nonnegative eigenspace, -1 on the rest
+        p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ la.dagger(v)
+        q = cfg.lam * p_obs - cfg.mu * np.einsum("kilj,pij->pkl", phase_adj, p_obs)
+        # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)) over the Choi matrix J of Psi
+        objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
+        _, new_choi = sdpmod.solve_family(
+            family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])),
+            gap_tol=gap_tol)
+        for k, j in zip(active, new_choi):
+            choi[k] = ch.channel_from_choi(j, dim_b, dim_c, atol=1e-6).choi
+    return float(value.max() - cfg.prior_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,7 @@ def test_measure_post_command(capsys):
         ["measure-post", "--channel", "hadamard", "--lambda", "0.5",
          "--phi", "2.0943951023931953,0"], capsys)
     assert code == 0
+    assert "samples" not in json.loads(out)["config"]
     result = json.loads(out)["result"]
     assert result["lower_bound"] is True
     assert result["value"] == pytest.approx(np.sqrt(3) / 2, abs=1e-4)
@@ -153,8 +154,10 @@ def test_counterexample_command(capsys):
     assert "-0.0" not in out
 
 
-def test_counterexample_takes_no_samples_flag(capsys):
-    code, out, err = run_cli(["counterexample", "--samples", "600"], capsys)
+@pytest.mark.parametrize("command", ["counterexample", "measure-post"])
+def test_no_samples_flag(command, capsys):
+    # neither command samples anything, so neither takes a sample count
+    code, out, err = run_cli([command, "--samples", "5"], capsys)
     assert code == 1
     assert out == ""
     assert json.loads(err)["exit_code"] == 1

@@ -24,6 +24,22 @@ def test_sparse_constraints_roundtrip(rng):
     assert np.allclose(sc.combine(y), sum(c * a for c, a in zip(y, mats)), atol=1e-12)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
+def test_least_norm_solves_the_constraints_in_their_span(rng, dims):
+    sc = sdp.sign_family(*dims).constraints
+    r = rng.standard_normal((5, sc.m))
+    x = sc.least_norm(r)
+    assert np.abs(sc.dot(x) - r).max() <= 1e-12
+    assert np.array_equal(x, x.swapaxes(-1, -2))
+    # the least-norm solution is a combination of the constraint matrices
+    rows = sc.dense.reshape(sc.m, -1)
+    coeffs = np.linalg.lstsq(rows.T, x.reshape(5, -1).T, rcond=None)[0].T
+    assert np.abs(sc.combine(coeffs) - x).max() <= 1e-12
+    # each row of a stack is computed alone
+    for k in range(5):
+        assert np.array_equal(sc.least_norm(r[k:k + 1])[0], x[k])
+
+
 def test_schur_backends_agree(rng):
     mats = [_random_sparse_symmetric(rng, 14, 5) for _ in range(20)]
     sc = kernels.SparseConstraints(mats)

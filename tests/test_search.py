@@ -192,15 +192,139 @@ def test_postprocessed_is_monotone_in_iterations(rng):
     assert vals[1] <= vals[2] + 1e-9
 
 
-def test_postprocessed_qutrit_embedding_dominates_qubit_case(rng):
-    # a unitary acting as the Hadamard on a 2-dim subspace scores at least
-    # the embedded qubit value
+def qutrit_embedding():
+    """A unitary acting as the Hadamard on a 2-dim subspace of a qutrit."""
     h = np.eye(3, dtype=complex)
     h[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    theta = ch.unitary_channel(h)
-    cfg = ms.GameConfig(0.5, np.array([2.0 * np.pi / 3.0, 0.0, 0.0]))
+    return ch.unitary_channel(h), ms.GameConfig(0.5, np.array([2.0 * np.pi / 3.0, 0.0, 0.0]))
+
+
+def test_postprocessed_qutrit_embedding_dominates_qubit_case(rng):
+    # the embedding scores at least the embedded qubit value
+    theta, cfg = qutrit_embedding()
     val = se.postprocessed_improvement_lower(theta, cfg, small_budget(), restarts=4)
     assert val >= SQRT3_HALF - 1e-4
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_postprocessed_hadamard_is_analytic_at_every_prior(lam):
+    value = se.postprocessed_improvement_lower(ch.hadamard(), ms.GameConfig(lam, PHI))
+    assert value == pytest.approx(np.sqrt(1.0 - lam * (1.0 - lam)) - abs(2.0 * lam - 1.0),
+                                  abs=1e-8)
+
+
+def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8,
+                         convergence_tol=1e-9):
+    """The alternating bound chain after chain, one MIO-step SDP per solve.
+
+    Returns the value and, per chain (inputs outer, starts inner), the number
+    of MIO steps the chain took.
+    """
+    rng = np.random.default_rng(budget.rng_seed)
+    dim_b, dim_c = theta.dim_out, cfg.dim
+    phase, phase_adj = ch.phase_channel(cfg.phi), ch.phase_channel(-cfg.phi)
+    family = se._mio_family(dim_b, dim_c)
+    inits = [ch.identity_channel(dim_b) if dim_b == dim_c else se._classical_embed(dim_b, dim_c)]
+    inits.extend(ch.random_mio(dim_b, dim_c, rng) for _ in range(restarts))
+    best, steps = -np.inf, []
+    for i in range(theta.dim_in):
+        sigma = ch.apply(theta, la.basis_proj(theta.dim_in, i))
+        for post in inits:
+            value, n = -np.inf, 0
+            for _ in range(max(10, budget.refinement_iterations)):
+                tau = ch.apply(post, sigma)
+                new_value = ms.helstrom_norm(cfg, tau, ch.apply(phase, tau))
+                if new_value <= value + convergence_tol:
+                    value = max(value, new_value)
+                    break
+                value = new_value
+                w, v = la.eig_hermitian(cfg.lam * tau - cfg.mu * ch.apply(phase, tau), atol=1e-8)
+                p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
+                q = cfg.lam * p_obs - cfg.mu * ch.apply(phase_adj, p_obs)
+                _, choi = sd.solve_family(family, la.hermitian_part(np.kron(q, np.conj(sigma))))
+                post = ch.channel_from_choi(choi, dim_b, dim_c, atol=1e-6)
+                n += 1
+            best = max(best, value)
+            steps.append(n)
+    return best - cfg.prior_gap, steps
+
+
+def _creation_cases():
+    rng = np.random.default_rng(77)
+    cases = [(ch.hadamard(), ms.GameConfig(lam, PHI)) for lam in (0.2, 0.5, 0.8)]
+    cases += [(ch.random_channel(2, 2, rng),
+               ms.GameConfig(float(rng.uniform(0.2, 0.8)), rng.uniform(0, 2 * np.pi, 2)))
+              for _ in range(4)]
+    return cases + [qutrit_embedding()]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_postprocessed_lockstep_matches_chain_by_chain_reference(case):
+    theta, cfg = _creation_cases()[case]
+    reference, _ = _alternate_reference(theta, cfg)
+    assert se.postprocessed_improvement_lower(theta, cfg) == pytest.approx(reference, abs=1e-12)
+
+
+def _record_mio_runs(monkeypatch, corrupt=None):
+    """Sizes of the stacked solves, optionally after overwriting objective
+    ``corrupt`` of the first stack with NaN."""
+    runs = []
+    original = sd.solve_stacked
+
+    def recording(constraints, b, c, **kwargs):
+        if corrupt is not None and not runs:
+            c = np.array(c)
+            c[corrupt] = np.nan
+        runs.append(len(c))
+        return original(constraints, b, c, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_stacked", recording)
+    return runs
+
+
+def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
+    theta, cfg = _creation_cases()[0]  # chains take 1 to 14 MIO steps
+    _, steps = _alternate_reference(theta, cfg)
+    runs = _record_mio_runs(monkeypatch)
+    se.postprocessed_improvement_lower(theta, cfg)
+    # a round's run holds exactly the chains whose value rose in that round
+    assert runs[0] == len(steps) == 18
+    assert runs == [sum(n > r for n in steps) for r in range(max(steps))]
+    assert len(runs) <= max(10, se.SearchBudget().refinement_iterations)
+
+
+def test_postprocessed_failed_mio_step_raises(monkeypatch):
+    runs = _record_mio_runs(monkeypatch, corrupt=5)
+    with pytest.raises(SolverFailure) as err:
+        se.postprocessed_improvement_lower(ch.hadamard(), cfg_half())
+    assert err.value.status == "numerical_failure"
+    assert runs == [18]
+
+
+def test_postprocessed_never_falls_with_more_restarts(rng):
+    # the starts for more restarts extend those for fewer, chain for chain
+    short, long = se._mio_starts(2, 2, 3, 2), se._mio_starts(2, 2, 3, 8)
+    assert len(short) == 3 and len(long) == 9
+    for a, b in zip(short, long):
+        assert np.array_equal(a.choi, b.choi)
+    theta = ch.random_channel(2, 2, rng)
+    cfg = ms.GameConfig(0.6, PHI)
+    values = [se.postprocessed_improvement_lower(theta, cfg, se.SearchBudget(rng_seed=3),
+                                                 restarts=r) for r in (1, 2, 4, 8)]
+    assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+
+
+def test_postprocessed_starts_are_cached_and_read_only(rng):
+    theta = ch.random_channel(2, 2, rng)
+    values = [se.postprocessed_improvement_lower(theta, cfg_half(), se.SearchBudget(rng_seed=k))
+              for k in (5, 7, 5)]
+    assert values[0] == values[2]
+    starts = se._mio_starts(2, 2, 5, 8)
+    assert starts is se._mio_starts(2, 2, 5, 8)
+    for post in starts:
+        assert not post.choi.flags.writeable
+        with pytest.raises(ValueError):
+            post.choi[0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------

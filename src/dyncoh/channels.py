@@ -73,18 +73,19 @@ class Channel(LinearMap):
             raise ValidationError("Channel requires all CPTP flags true")
 
 
+def _cptp_flags(choi, dim_in, dim_out, atol):
+    """(Hermitian, PSD, output-trace reduction equal to identity) within atol."""
+    if not la.is_hermitian(choi, atol):
+        return False, False, False
+    cp = bool(np.linalg.eigvalsh(la.hermitian_part(choi)).min() >= -atol)
+    red = la.partial_trace(choi, (dim_out, dim_in), keep=1)
+    return True, cp, la.max_abs(red - np.eye(dim_in)) <= atol
+
+
 def linear_map_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
     """Wrap a Choi matrix, computing the property flags numerically."""
     choi = np.ascontiguousarray(choi, dtype=complex)
-    hp = la.is_hermitian(choi, atol)
-    cp = False
-    tp = False
-    if hp:
-        w = np.linalg.eigvalsh(la.hermitian_part(choi))
-        cp = bool(w.min() >= -atol)
-        red = la.partial_trace(choi, (dim_out, dim_in), keep=1)
-        tp = la.max_abs(red - np.eye(dim_in)) <= atol
-    return LinearMap(dim_in, dim_out, choi, hp, cp, tp)
+    return LinearMap(dim_in, dim_out, choi, *_cptp_flags(choi, dim_in, dim_out, atol))
 
 
 def channel_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
@@ -276,6 +277,8 @@ def mixture(channels, probs):
     probs = np.asarray(probs, dtype=float)
     if len(channels) != probs.size or probs.size == 0:
         raise ValidationError("need one probability per channel")
+    if not np.all(np.isfinite(probs)):
+        raise ValidationError("probabilities contain NaN or Inf entries")
     if probs.min() < -1e-12 or abs(probs.sum() - 1.0) > 1e-9:
         raise ValidationError("probabilities must be nonnegative and sum to 1")
     dim_in, dim_out = channels[0].dim_in, channels[0].dim_out
@@ -297,13 +300,7 @@ def hadamard_mixture(p1):
 
 def is_cptp(m, atol=MEMBERSHIP_ATOL):
     """Choi PSD within atol and output-trace reduction equal to identity."""
-    if not la.is_hermitian(m.choi, atol):
-        return False
-    w = np.linalg.eigvalsh(la.hermitian_part(m.choi))
-    if w.min() < -atol:
-        return False
-    red = la.partial_trace(m.choi, (m.dim_out, m.dim_in), keep=1)
-    return la.max_abs(red - np.eye(m.dim_in)) <= atol
+    return all(_cptp_flags(m.choi, m.dim_in, m.dim_out, atol))
 
 
 def _require_cptp(m, atol):
@@ -347,15 +344,11 @@ def _haar_isometry(rows, cols, rng):
     return q * (d / np.abs(d))
 
 
-def random_unitary(dim, rng):
-    return _haar_isometry(dim, dim, rng)
-
-
-def random_channel(dim_in, dim_out, rng, kraus_rank=None):
+def random_channel(dim_in, dim_out, rng):
     """Random CPTP map via isometric dilation and environment trace-out."""
     if dim_in < 1 or dim_out < 1:
         raise ValidationError("dimensions must be positive")
-    rank = dim_in * dim_out if kraus_rank is None else kraus_rank
+    rank = dim_in * dim_out
     v = _haar_isometry(dim_out * rank, dim_in, rng)
     ops = [v.reshape(dim_out, rank, dim_in)[:, e, :] for e in range(rank)]
     return from_kraus(ops)
@@ -371,7 +364,15 @@ def permutation_phase_channel(dim, rng):
     return unitary_channel(u)
 
 
-def random_di(dim_in, dim_out, rng, mix_free_unitaries=True):
+def _mix_free_unitaries(base, rng):
+    """Mix ``base`` with two permutation-phase channels when it is square."""
+    if base.dim_in != base.dim_out:
+        return base
+    extra = [permutation_phase_channel(base.dim_in, rng) for _ in range(2)]
+    return mixture([base] + extra, rng.dirichlet(np.ones(3)))
+
+
+def random_di(dim_in, dim_out, rng):
     """Random detection-incoherent channel.
 
     The generating family is (random channel) o dephasing, mixed with
@@ -379,23 +380,16 @@ def random_di(dim_in, dim_out, rng, mix_free_unitaries=True):
     asserted at construction.
     """
     base = compose(random_channel(dim_in, dim_out, rng), dephasing(dim_in))
-    ch = base
-    if mix_free_unitaries and dim_in == dim_out:
-        extra = [permutation_phase_channel(dim_in, rng) for _ in range(2)]
-        w = rng.dirichlet(np.ones(3))
-        ch = mixture([base] + extra, w)
+    ch = _mix_free_unitaries(base, rng)
     assert is_detection_incoherent(ch), "generator produced a non-DI channel"
     return ch
 
 
-def random_mio(dim_in, dim_out, rng, mix_free_unitaries=True):
-    """Random maximally-incoherent channel: dephasing o (random channel)."""
+def random_mio(dim_in, dim_out, rng):
+    """Random maximally-incoherent channel: dephasing o (random channel),
+    mixed like `random_di`."""
     base = compose(dephasing(dim_out), random_channel(dim_in, dim_out, rng))
-    ch = base
-    if mix_free_unitaries and dim_in == dim_out:
-        extra = [permutation_phase_channel(dim_in, rng) for _ in range(2)]
-        w = rng.dirichlet(np.ones(3))
-        ch = mixture([base] + extra, w)
+    ch = _mix_free_unitaries(base, rng)
     assert is_mio(ch), "generator produced a non-MIO channel"
     return ch
 

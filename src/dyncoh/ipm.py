@@ -39,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SparseConstraints
-
 _STEP_FRACTION = 0.98
 _TINY = 1e-14
 _STALL_LIMIT = 25
@@ -210,8 +208,6 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     (X, y, S, infos) with X, S of shape (K, n, n), y of shape (K, m) and one
     `IpmInfo` per program.
     """
-    if not isinstance(constraints, SparseConstraints):
-        constraints = SparseConstraints(list(constraints))
     m, n = constraints.m, constraints.n
     if m == 0:
         raise ValueError("interior-point solver requires at least one constraint")

@@ -39,6 +39,8 @@ from .kernels import SparseConstraints
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9
+# Feasibility tolerance of a winning X, and of the channel extracted from it
+EXTRACTION_ATOL = 1e-6
 MAX_SIGN_DIMENSION = 20
 # Programs per stacked interior-point run.  Longer stacks are split, which
 # bounds a run's memory; a 4-outcome channel's 14 programs stay one stack.
@@ -197,12 +199,11 @@ def _split_constraints(problem):
     return kept_mats, np.asarray(kept_targets), n
 
 
-def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL,
-              max_iter=200, raise_on_failure=True):
+def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_iter=200):
     """Solve one SdpProblem (maximization) through the real-embedded backend.
 
-    Returns an `SdpSolution`; unless ``raise_on_failure`` is disabled, any
-    status other than ``optimal`` raises `SolverFailure` with diagnostics.
+    Returns an `SdpSolution`; any status other than ``optimal`` raises
+    `SolverFailure` with diagnostics.
     """
     mats, targets, n = _split_constraints(problem)
     c_real = _embed(problem.objective) * 0.5
@@ -223,7 +224,7 @@ def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL,
         primal_residual=info.primal_residual,
         dual_residual=info.dual_residual,
     )
-    if sol.status != "optimal" and raise_on_failure:
+    if sol.status != "optimal":
         raise SolverFailure(sol.status, f"SDP did not reach optimality: {info}")
     return sol
 
@@ -265,31 +266,27 @@ def constraint_family(functionals):
     return ConstraintFamily(constraints, targets, start)
 
 
-def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL,
-                 max_iter=200):
+def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, max_iter=200):
     """Maximize ``tr(C X)`` over a family for one Hermitian C or a stack of them.
 
-    A single objective goes through `solve_real_sdp`.  A stack goes through
-    consecutive `solve_stacked` runs of at most ``MAX_STACK`` programs, so
-    the memory of a run stays bounded whatever the stack length.  Returns
+    The programs go through consecutive `solve_stacked` runs of at most
+    ``MAX_STACK`` programs, so the memory of a run stays bounded whatever
+    the stack length; a single objective is a stack of one.  Returns
     ``(values, maximizers)`` shaped like the objectives; raises
     `SolverFailure` when any program stops short of optimality, so no value
     of a failed stack is ever returned.
     """
     objectives = np.asarray(objectives)
-    c = -0.5 * _embed(objectives)  # the backend minimizes
-    kwargs = dict(gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, x0=family.start)
-    if objectives.ndim == 2:
-        x, _, _, info = solve_real_sdp(family.constraints, family.targets, c, **kwargs)
-        infos = [info]
-    else:
-        xs, infos = [], []
-        for lo in range(0, len(c), MAX_STACK):
-            x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
-                                               c[lo:lo + MAX_STACK], **kwargs)
-            xs.append(x)
-            infos.extend(run_infos)
-        x = np.concatenate(xs) if xs else np.empty_like(c)
+    c = -0.5 * _embed(objectives.reshape(-1, *objectives.shape[-2:]))  # the backend minimizes
+    xs, infos = [], []
+    for lo in range(0, len(c), MAX_STACK):
+        x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
+                                           c[lo:lo + MAX_STACK], gap_tol=gap_tol,
+                                           feas_tol=DEFAULT_FEAS_TOL, max_iter=max_iter,
+                                           x0=family.start)
+        xs.append(x)
+        infos.extend(run_infos)
+    x = np.concatenate(xs) if xs else np.empty_like(c)
     failed = [(k, info) for k, info in enumerate(infos) if info.status != "optimal"]
     if failed:
         k, info = failed[0]
@@ -298,7 +295,8 @@ def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_F
             f"{len(failed)} of {len(infos)} SDPs did not reach optimality, first #{k}: {info}",
         )
     values = np.array([-info.primal_objective for info in infos])
-    return (values if objectives.ndim == 3 else values[0]), _deembed(x, objectives.shape[-1])
+    x = _deembed(x, objectives.shape[-1])
+    return (values, x) if objectives.ndim == 3 else (values[0], x[0])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,7 @@ def build_sign_program(theta, cfg, signs):
 # Extraction of the optimal pair
 # ---------------------------------------------------------------------------
 
-def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD, check_atol=1e-6):
+def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD):
     """Recover (sigma, rho_opt, phi_opt) from a feasible winning X.
 
     The input-state populations sigma come from the diagonal of tr_B X, the
@@ -394,15 +392,15 @@ def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD, check_atol
         raise DimensionMismatch(f"X shape {x.shape} does not match dims {dims}")
 
     # feasibility within tolerance
-    if abs(np.trace(x).real - 1.0) > check_atol:
+    if abs(np.trace(x).real - 1.0) > EXTRACTION_ATOL:
         raise ValidationError("X is not unit trace within tolerance")
-    if np.linalg.eigvalsh(x).min() < -check_atol:
+    if np.linalg.eigvalsh(x).min() < -EXTRACTION_ATOL:
         raise ValidationError("X is not PSD within tolerance")
     for i in range(da):
         for j in range(da):
             if i != j:
                 diag = np.diagonal(x[i * db:(i + 1) * db, j * db:(j + 1) * db])
-                if la.max_abs(diag) > check_atol:
+                if la.max_abs(diag) > EXTRACTION_ATOL:
                     raise ValidationError("X violates the free-pre-processing constraints")
 
     red = la.partial_trace(x, (da, db), keep=0)
@@ -423,7 +421,7 @@ def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD, check_atol
                 for l in range(db):
                     j_tilde[k * ds + a, l * ds + c] = block[k, l] * scale
     try:
-        phi_tilde = ch.channel_from_choi(j_tilde, ds, db, atol=check_atol)
+        phi_tilde = ch.channel_from_choi(j_tilde, ds, db, atol=EXTRACTION_ATOL)
     except ValidationError as exc:
         raise ValidationError(f"rescaled X does not define a channel: {exc}") from exc
 
@@ -441,7 +439,7 @@ def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD, check_atol
     projector_transfer = ch.from_kraus(kraus)
 
     phi_opt = ch.compose(phi_tilde, projector_transfer)
-    if not ch.is_detection_incoherent(phi_opt, atol=check_atol):
+    if not ch.is_detection_incoherent(phi_opt, atol=EXTRACTION_ATOL):
         raise ValidationError("extracted pre-processing fails the membership test")
     return ExtractionResult(sigma_diag=sigma, rho_opt=rho_opt, phi_opt=phi_opt)
 
@@ -456,12 +454,6 @@ def verify_extraction(theta, cfg, result, reported_value):
 # Full evaluation
 # ---------------------------------------------------------------------------
 
-def _feasible_mixed_point(da, db):
-    """The maximally mixed X: strictly feasible for every sign program."""
-    n = da * db
-    return np.eye(n, dtype=complex) / n
-
-
 @dataclass
 class SignEvaluation:
     """The sign programs of one (channel, game) pair, solved."""
@@ -472,8 +464,7 @@ class SignEvaluation:
     x_opt: np.ndarray  # the winning program's maximizer
 
 
-def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
-                   feas_tol=DEFAULT_FEAS_TOL):
+def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL):
     """Solve the sign programs of many (theta, cfg) pairs with the same dims.
 
     The programs of every pair are stacked into one `solve_family` call over
@@ -505,8 +496,7 @@ def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
         objectives = np.concatenate([
             _sign_objectives(theta, cfg, [signs[k] for k in solved]) for theta, cfg in pairs
         ])
-        values, xs = solve_family(sign_family(da, db), objectives,
-                                  gap_tol=gap_tol, feas_tol=feas_tol)
+        values, xs = solve_family(sign_family(da, db), objectives, gap_tol=gap_tol)
         per_sign[:, solved] = values.reshape(len(pairs), len(solved))
         xs = xs.reshape(len(pairs), len(solved), *xs.shape[1:])
 
@@ -519,14 +509,15 @@ def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
                 "numerical_failure",
                 f"non-negativity violated: improvement {improvement:.3e}",
             )
+        # a constant pattern wins at the maximally mixed X, feasible for all
         x_opt = (xs[p, solved.index(winner)] if winner in solved
-                 else _feasible_mixed_point(da, db))
+                 else np.eye(da * db, dtype=complex) / (da * db))
         evaluations.append(SignEvaluation(per_sign[p].tolist(), winner, improvement, x_opt))
     return signs, evaluations
 
 
 def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
-                             feas_tol=DEFAULT_FEAS_TOL, extract=True):
+                             extract=True):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
     Solves one SDP per sign vector through `evaluate_pairs`, stacked over
@@ -542,8 +533,7 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
       trace preservation), so 2^N - 2 programs are actually solved.
     * ``"full"``: every pattern solved, no analytic shortcut.
     """
-    signs, (evaluation,) = evaluate_pairs([(theta, cfg)], sign_enumeration,
-                                          gap_tol=gap_tol, feas_tol=feas_tol)
+    signs, (evaluation,) = evaluate_pairs([(theta, cfg)], sign_enumeration, gap_tol=gap_tol)
     dims = (cfg.dim, theta.dim_in)
     winner = evaluation.winner
     trace_norm = evaluation.per_sign[winner]
@@ -560,7 +550,7 @@ def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAUL
             # solver noise: re-solve the winner at a tighter gap, then retry
             objective = _sign_objectives(theta, cfg, [signs[winner]])[0]
             _, x_opt = solve_family(sign_family(*dims), objective, gap_tol=gap_tol * 1e-2,
-                                    feas_tol=feas_tol, max_iter=300)
+                                    max_iter=300)
             try:
                 res = extract_optimal(x_opt, dims)
             except ValidationError:

@@ -24,6 +24,9 @@ from . import measures as ms
 from . import sdp as sdpmod
 from .errors import DimensionMismatch, ValidationError
 
+# A chain stops once a round raises its value by no more than this.
+CONVERGENCE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SearchBudget:
@@ -233,7 +236,7 @@ def _mio_starts(dim_b, dim_c, rng_seed, restarts):
 
 
 def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8,
-                                    gap_tol=sdpmod.DEFAULT_GAP_TOL, convergence_tol=1e-9):
+                                    gap_tol=sdpmod.DEFAULT_GAP_TOL):
     """Certified lower bound on the post-processed improvement.
 
     One chain runs per incoherent basis input and starting post-processing
@@ -241,7 +244,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     observable for the current output pair (Helstrom step) and an SDP over
     the Choi matrix of the free post-processing with the observable fixed
     (MIO step), until a round raises its value by no more than
-    ``convergence_tol``.  Every iterate is a feasible strategy, so the value
+    ``CONVERGENCE_TOL``.  Every iterate is a feasible strategy, so the value
     is a true lower bound, and each step is a restricted maximization, so a
     chain's value never falls.  The chains advance in lockstep: a round's
     Helstrom steps are one stacked eigendecomposition and the MIO steps of
@@ -270,7 +273,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         diff = cfg.lam * tau - cfg.mu * np.einsum("kilj,pij->pkl", phase, tau)
         w, v = la.eig_hermitian(diff, atol=1e-8)
         new_value = np.abs(w).sum(axis=-1)
-        improved = new_value > value[active] + convergence_tol
+        improved = new_value > value[active] + CONVERGENCE_TOL
         value[active] = np.maximum(value[active], new_value)
         active, w, v = active[improved], w[improved], v[improved]
         if not active.size:
@@ -335,7 +338,7 @@ def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
 
 
 def mixture_sweep(lambdas, p1_values, phi, sign_enumeration="auto",
-                  gap_tol=sdpmod.DEFAULT_GAP_TOL, feas_tol=sdpmod.DEFAULT_FEAS_TOL):
+                  gap_tol=sdpmod.DEFAULT_GAP_TOL):
     """Pre-processed improvement of Hadamard mixtures over a parameter grid.
 
     Every weight and prior is checked before any SDP is solved.  The sign
@@ -353,6 +356,5 @@ def mixture_sweep(lambdas, p1_values, phi, sign_enumeration="auto",
     phi = np.asarray(phi, dtype=float)
     grid = [(float(lam), p1) for lam in lambdas for p1 in p1_values]
     pairs = [(ch.hadamard_mixture(p1), ms.GameConfig(lam, phi)) for lam, p1 in grid]
-    _, evaluations = sdpmod.evaluate_pairs(pairs, sign_enumeration,
-                                           gap_tol=gap_tol, feas_tol=feas_tol)
+    _, evaluations = sdpmod.evaluate_pairs(pairs, sign_enumeration, gap_tol=gap_tol)
     return [(lam, p1, ev.improvement) for (lam, p1), ev in zip(grid, evaluations)]

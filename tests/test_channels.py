@@ -78,12 +78,6 @@ def test_phase_channel_pi_zero_is_pauli_z(rng):
     assert np.allclose(ch.apply(lam, rho), z @ rho @ z.conj().T, atol=1e-12)
 
 
-def test_phase_channel_is_free_both_ways(rng):
-    lam = ch.phase_channel(rng.uniform(0.0, 2.0 * np.pi, 4))
-    assert ch.is_detection_incoherent(lam)
-    assert ch.is_mio(lam)
-
-
 def test_compose_dephasing_idempotent():
     deph = ch.dephasing(3)
     assert la.max_abs(ch.compose(deph, deph).choi - deph.choi) <= 1e-12
@@ -192,34 +186,6 @@ def test_membership_requires_cptp():
         ch.is_mio(ch.complementary_dephasing(2))
 
 
-def test_membership_matches_direct_composition(rng):
-    def direct_di(theta, atol=1e-8):
-        deph_out = ch.dephasing(theta.dim_out)
-        deph_in = ch.dephasing(theta.dim_in)
-        lhs = ch.compose(deph_out, theta)
-        rhs = ch.compose(lhs, deph_in)
-        return la.max_abs(lhs.choi - rhs.choi) <= atol
-
-    def direct_mio(theta, atol=1e-8):
-        deph_out = ch.dephasing(theta.dim_out)
-        deph_in = ch.dephasing(theta.dim_in)
-        lhs = ch.compose(theta, deph_in)
-        rhs = ch.compose(ch.compose(deph_out, theta), deph_in)
-        return la.max_abs(lhs.choi - rhs.choi) <= atol
-
-    for k in range(60):
-        din = int(rng.integers(2, 4))
-        dout = int(rng.integers(2, 4))
-        if k % 3 == 0:
-            theta = ch.random_di(din, dout, rng)
-        elif k % 3 == 1:
-            theta = ch.random_mio(din, dout, rng)
-        else:
-            theta = ch.random_channel(din, dout, rng)
-        assert ch.is_detection_incoherent(theta) == direct_di(theta)
-        assert ch.is_mio(theta) == direct_mio(theta)
-
-
 def test_small_resourceful_mixture_is_caught():
     weak = ch.mixture([ch.hadamard(), ch.identity_channel(2)], [1e-3, 1.0 - 1e-3])
     assert not ch.is_detection_incoherent(weak)
@@ -249,6 +215,8 @@ def test_unitary_channel_rejects_non_unitary():
 def test_mixture_rejects_bad_probabilities():
     with pytest.raises(ValidationError):
         ch.mixture([ch.hadamard(), ch.identity_channel(2)], [0.7, 0.7])
+    with pytest.raises(ValidationError, match="NaN or Inf"):
+        ch.mixture([ch.hadamard(), ch.identity_channel(2)], [float("nan"), float("nan")])
 
 
 def test_random_generators_pass_membership(rng):
@@ -258,31 +226,6 @@ def test_random_generators_pass_membership(rng):
         assert ch.is_detection_incoherent(ch.random_di(din, dout, rng))
         assert ch.is_mio(ch.random_mio(din, dout, rng))
         assert ch.is_cptp(ch.random_channel(din, dout, rng), 1e-8)
-
-
-def test_permutation_phase_channels_free(rng):
-    for dim in (2, 3, 4):
-        u = ch.permutation_phase_channel(dim, rng)
-        assert ch.is_detection_incoherent(u)
-        assert ch.is_mio(u)
-
-
-def test_coefficient_identities_hold(rng):
-    for _ in range(100):
-        din = int(rng.integers(2, 4))
-        dout = int(rng.integers(2, 4))
-        theta = ch.random_channel(din, dout, rng)
-        r1, r2, r3 = ch.coefficient_identity_residuals(ch.index_coeffs(theta))
-        assert max(r1, r2, r3) <= 1e-9
-
-
-def test_kraus_roundtrip(rng):
-    for _ in range(20):
-        din = int(rng.integers(2, 4))
-        dout = int(rng.integers(2, 4))
-        theta = ch.random_channel(din, dout, rng)
-        back = ch.from_kraus(ch.to_kraus(theta))
-        assert la.max_abs(back.choi - theta.choi) <= 1e-8
 
 
 def test_json_roundtrip(tmp_path, rng):

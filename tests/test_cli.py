@@ -177,6 +177,18 @@ def test_negative_seed_exit_code(command, capsys):
                                     "error": "seed must be a non-negative integer"}
 
 
+@pytest.mark.parametrize("command", ["measure-pre", "measure-post", "classify", "game"])
+def test_nan_mixture_weight_exit_code(command, capsys):
+    code, out, err = run_cli([command, "--channel", "mix:hadamard:nan"], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["exit_code"] == 2
+    assert "NaN or Inf" in error["error"]
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(["measure-pre", "--lambda", "abc"], capsys)
     assert code == 1

@@ -152,10 +152,7 @@ def _cmd_game(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
     rep = sdpmod.preprocessed_improvement(theta, game, gap_tol=cfg.tol)
-    s0 = ch.apply(theta, ch.apply(rep.phi_opt, rep.rho_opt))
-    s1 = ch.apply(theta, ch.apply(rep.phi_opt,
-                                  ch.apply(ch.phase_channel(game.phi), rep.rho_opt)))
-    povm = ms.optimal_incoherent_povm(game, s0, s1)
+    _, _, povm = se.optimal_game_instance(theta, rep)
     tr = se.monte_carlo_game(theta, rep.phi_opt, rep.rho_opt, povm, game,
                              cfg.trials, cfg.seed)
     return {

@@ -1,20 +1,21 @@
-"""Dense primal-dual interior-point method for small real symmetric SDPs.
+"""Dense primal-dual interior-point method for small complex Hermitian SDPs.
 
 Solves a stack of K programs that share their constraints and differ only
 in the objective,
 
-    (P_k)  min <C_k, X>   s.t.  tr(A_i X) = b_i,  X PSD
-    (D_k)  max b.y        s.t.  sum_i y_i A_i + S = C_k,  S PSD
+    (P_k)  min Re tr(C_k X)   s.t.  Re tr(H_i X) = b_i,  X PSD
+    (D_k)  max b.y            s.t.  sum_i y_i H_i + S = C_k,  S PSD
 
-each over a single dense PSD block, with Nesterov-Todd scaling and an
-adaptive centering parameter chosen from an affine predictor step (Todd,
-Toh & Tutuncu, SIAM J. Optim. 1998).  The start is primal-feasible when
-the constraints admit a strictly feasible point, and every direction is
-corrected onto A(dX) = r_p, so the iterates stay primal-feasible to
-roundoff.
+each over a single dense Hermitian PSD block, with C_k and H_i Hermitian,
+Nesterov-Todd scaling and an adaptive centering parameter chosen from an
+affine predictor step (Todd, Toh & Tutuncu, SIAM J. Optim. 1998).  The
+block is handled natively, at its complex dimension n, as SDPT3 handles
+complex blocks.  The start is primal-feasible when the constraints admit a
+strictly feasible point, and every direction is corrected onto
+A(dX) = r_p, so the iterates stay primal-feasible to roundoff.
 
 Layout: the iterates of the programs still running are stacked along a
-leading axis, so each dense factorization (Cholesky, SVD, symmetric
+leading axis, so each dense factorization (Cholesky, SVD, Hermitian
 eigenvalues, inverses) is one stacked numpy call per iteration.  Every
 program keeps its own stopping tests, stall counter, Schur jitter retries
 and failure status, so a program takes the same steps in a stack as alone,
@@ -46,7 +47,7 @@ _STALL_LIMIT = 25
 
 @dataclass
 class IpmInfo:
-    status: str  # "optimal" | "numerical_failure"
+    status: str  # "optimal" | "unbounded" | "numerical_failure"
     iterations: int
     gap: float
     primal_residual: float
@@ -55,25 +56,35 @@ class IpmInfo:
     dual_objective: float
 
 
-def _t(m):
-    return m.swapaxes(-1, -2)
+def _h(m):
+    return m.conj().swapaxes(-1, -2)
 
 
-def _sym(m):
-    return 0.5 * (m + _t(m))
+def _herm(m):
+    return 0.5 * (m + _h(m))
+
+
+def _inner(a, b):
+    """Re tr(A B) of Hermitian A, B, one per matrix of a stack."""
+    return np.einsum("kij,kij->k", a, b.conj()).real
+
+
+def _entry_size(m):
+    """Largest entry of the real form [[Re, -Im], [Im, Re]] of each matrix."""
+    return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
 
 
 def _max_step(ell_inv, dm):
     """Largest alpha with M + alpha*dM PSD, per matrix, from inv(chol(M))."""
-    lam = np.linalg.eigvalsh(_sym(ell_inv @ dm @ _t(ell_inv)))[..., 0]
+    lam = np.linalg.eigvalsh(_herm(ell_inv @ dm @ _h(ell_inv)))[..., 0]
     return np.where(lam >= -_TINY, np.inf, -1.0 / np.minimum(lam, -_TINY))
 
 
 def _nt_scaling(lx, ls):
     """W with W S W = X, from the Cholesky factors of X and S and one SVD."""
-    _, sv, vt = np.linalg.svd(_t(ls) @ lx)
-    g = (lx @ _t(vt)) * (sv[..., None, :] ** -0.5)
-    return g @ _t(g)
+    _, sv, vh = np.linalg.svd(_h(ls) @ lx)
+    g = (lx @ _h(vh)) * (sv[..., None, :] ** -0.5)
+    return g @ _h(g)
 
 
 def _schur_factor(mat):
@@ -102,10 +113,11 @@ def _feasible_start(constraints, b, n):
     which sidesteps the stall of infeasible iterations on degenerate
     optimal faces.
     """
-    a_of_eye = constraints.dot(np.eye(n))
+    eye = np.eye(n, dtype=complex)
+    a_of_eye = constraints.dot(eye)
     best = None
     for center in (1.0, 0.5, 0.1, 2.0):
-        cand = center * np.eye(n) + constraints.least_norm(b - center * a_of_eye)
+        cand = center * eye + constraints.least_norm(b - center * a_of_eye)
         if np.max(np.abs(constraints.dot(cand) - b)) > 1e-10 * max(1.0, np.max(np.abs(b))):
             continue
         margin = np.linalg.eigvalsh(cand).min()
@@ -119,12 +131,13 @@ def initial_point(constraints, b):
     b = np.asarray(b, dtype=float)
     x = _feasible_start(constraints, b, constraints.n)
     if x is None:
-        x = np.eye(constraints.n) * max(1.0, float(np.max(np.abs(b))))
+        x = np.eye(constraints.n, dtype=complex) * max(1.0, float(np.max(np.abs(b))))
     return x
 
 
 def _step(constraints, x, s, rp, rd, gap, centre):
-    """Predictor-corrector NT direction and step lengths for a stack."""
+    """Predictor-corrector NT direction and step lengths for a stack, and
+    whether each primal step is unbounded (dX keeps X PSD at any length)."""
     k, n = x.shape[0], x.shape[-1]
     # X and S of every program factorized and inverted in one stacked call each
     factors = np.linalg.cholesky(np.concatenate([x, s]))
@@ -144,25 +157,27 @@ def _step(constraints, x, s, rp, rd, gap, centre):
     rhs0 = rp + constraints.dot(w @ rd @ w)
 
     def direction(rc):
-        dy = (_t(schur_inv) @ (schur_inv @ (rhs0 - constraints.dot(rc))[..., None]))[..., 0]
+        rhs = (rhs0 - constraints.dot(rc))[..., None]
+        dy = (schur_inv.swapaxes(-1, -2) @ (schur_inv @ rhs))[..., 0]
         ds = rd - constraints.combine(dy)
-        dx = _sym(rc - w @ ds @ w)
+        dx = _herm(rc - w @ ds @ w)
         # Least-norm correction so that A(dX) = r_p holds to roundoff: the
         # ill-conditioned Schur solve leaves an error there that otherwise
         # builds up near degenerate optimal faces and stalls the run.
         dx = dx + constraints.least_norm(rp - constraints.dot(dx))
-        steps = np.minimum(1.0, _STEP_FRACTION * _max_step(factors_inv, np.concatenate([dx, ds])))
-        return dx, dy, ds, steps[:k], steps[k:]
+        steps = _max_step(factors_inv, np.concatenate([dx, ds]))
+        ray = np.isinf(steps[:k])
+        steps = np.minimum(1.0, _STEP_FRACTION * steps)
+        return dx, dy, ds, steps[:k], steps[k:], ray
 
     mu = gap / n
     # Affine predictor fixes the centering parameter.
-    dx_a, _, ds_a, ap, ad = direction(-x)
-    mu_aff = np.einsum("kij,kij->k", x + ap[:, None, None] * dx_a,
-                       s + ad[:, None, None] * ds_a) / n
+    dx_a, _, ds_a, ap, ad, _ = direction(-x)
+    mu_aff = _inner(x + ap[:, None, None] * dx_a, s + ad[:, None, None] * ds_a) / n
     sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.99)
     # keep centering up while infeasibility dominates the gap
     sigma = np.where(centre, np.maximum(sigma, 0.5), sigma)
-    s_inv = _sym(_t(ls_inv) @ ls_inv)
+    s_inv = _herm(_h(ls_inv) @ ls_inv)
     return direction((sigma * mu)[:, None, None] * s_inv - x)
 
 
@@ -181,12 +196,22 @@ def _step_each(constraints, *stacks):
             x = one[0]
             zero = np.zeros(1)
             parts.append((np.zeros_like(x), np.zeros((1, constraints.m)),
-                          np.zeros_like(x), zero, zero))
+                          np.zeros_like(x), zero, zero, np.zeros(1, dtype=bool)))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-# A diverging program (an unbounded one, say) overflows to inf and NaN; the
-# finiteness and stuck tests then end it with ``numerical_failure``.
+def _recedes(constraints, c, dx, tol):
+    """Whether each dX is a recession direction of its program: dX PSD,
+    A(dX) = 0 and Re tr(C dX) < 0, each to ``tol`` relative to the size of dX."""
+    size = np.linalg.norm(dx, axis=(-2, -1))
+    rows = np.linalg.norm(constraints.flat, axis=1)
+    return ((np.linalg.eigvalsh(dx)[:, 0] >= -tol * size)
+            & (np.abs(constraints.dot(dx)) <= tol * size[:, None] * rows).all(axis=1)
+            & (_inner(c, dx) < -tol * size * np.linalg.norm(c, axis=(-2, -1))))
+
+
+# A program that diverges along no recession direction overflows to inf and
+# NaN; the finiteness and stuck tests then end it with ``numerical_failure``.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None):
     """Run the interior-point iteration on K objectives over shared constraints.
@@ -194,11 +219,11 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     Parameters
     ----------
     constraints : SparseConstraints
-        The m constraint matrices A_i (symmetric, linearly independent).
+        The m constraint matrices H_i (Hermitian, linearly independent).
     b : (m,) array
         Constraint targets.
     c : (K, n, n) array
-        Symmetric objective matrices of the K minimizations.
+        Hermitian objective matrices of the K minimizations.
     x0 : (n, n) array, optional
         Strictly feasible start shared by all programs; `initial_point` when
         omitted.
@@ -206,21 +231,25 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     Returns
     -------
     (X, y, S, infos) with X, S of shape (K, n, n), y of shape (K, m) and one
-    `IpmInfo` per program.
+    `IpmInfo` per program.  A program whose direction from a primal-feasible
+    iterate is a recession direction (`_recedes`) stops as ``unbounded``.
     """
     m, n = constraints.m, constraints.n
     if m == 0:
         raise ValueError("interior-point solver requires at least one constraint")
     b = np.asarray(b, dtype=float)
-    c = _sym(np.asarray(c, dtype=float))
+    c = _herm(np.asarray(c, dtype=complex))
     k_total = c.shape[0]
 
+    # S0 and the dual residual are scaled as in the real form of the program,
+    # for which the tolerances are set: min <C', X'> with X' = [[Re X, -Im X],
+    # [Im X, Re X]] and C' the same form of C / 2, whose dual slack is S / 2.
     scale_b = max(1.0, float(np.max(np.abs(b))))
-    scale_c = np.maximum(1.0, np.abs(c).max(axis=(1, 2), initial=0.0))
+    scale_c = np.maximum(1.0, 0.5 * _entry_size(c))
     if x0 is None:
         x0 = initial_point(constraints, b)
     x = np.array(np.broadcast_to(x0, c.shape))
-    s = np.eye(n) * scale_c[:, None, None]
+    s = np.eye(n, dtype=complex) * (2.0 * scale_c[:, None, None])
     y = np.zeros((k_total, m))
     best_gap = np.full(k_total, np.inf)
     stall = np.zeros(k_total, dtype=int)
@@ -240,11 +269,11 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
             break
         rp = b - constraints.dot(x)
         rd = c - s - constraints.combine(y)
-        gap = np.einsum("kij,kij->k", x, s)
-        pobj = np.einsum("kij,kij->k", c, x)
+        gap = _inner(x, s)
+        pobj = _inner(c, x)
         dobj = y @ b
         prim_res = np.abs(rp).max(axis=1) / scale_b
-        dual_res = np.abs(rd).max(axis=(1, 2)) / (1.0 + scale_c)
+        dual_res = 0.5 * _entry_size(rd) / (1.0 + scale_c)
         rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
         # one row per program, in the order of the IpmInfo fields
         figures = np.stack([rel_gap, prim_res, dual_res, pobj, dobj], axis=1)
@@ -267,18 +296,23 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
 
         centre = np.maximum(figures[:, 1], figures[:, 2]) > figures[:, 0]
         try:
-            dx, dy, ds, ap, ad = _step(constraints, x, s, rp, rd, gap, centre)
+            dx, dy, ds, ap, ad, ray = _step(constraints, x, s, rp, rd, gap, centre)
         except np.linalg.LinAlgError:
-            dx, dy, ds, ap, ad = _step_each(constraints, x, s, rp, rd, gap, centre)
+            dx, dy, ds, ap, ad, ray = _step_each(constraints, x, s, rp, rd, gap, centre)
         stuck = (ap < 1e-10) & (ad < 1e-10)
-        if stuck.any():
+        unbounded = ray & (figures[:, 1] <= feas_tol)  # X feasible, X + t dX PSD for all t
+        if unbounded.any():
+            unbounded[unbounded] = _recedes(constraints, c[unbounded], dx[unbounded], feas_tol)
+        ended = stuck | unbounded
+        if ended.any():
             finish(stuck, "numerical_failure", it, figures)
+            finish(unbounded, "unbounded", it, figures)
             ids, x, y, s, c, scale_c, best_gap, stall, figures, dx, dy, ds, ap, ad = (
-                a[~stuck] for a in (ids, x, y, s, c, scale_c, best_gap, stall, figures,
+                a[~ended] for a in (ids, x, y, s, c, scale_c, best_gap, stall, figures,
                                     dx, dy, ds, ap, ad))
-        x = _sym(x + ap[:, None, None] * dx)
+        x = _herm(x + ap[:, None, None] * dx)
         y = y + ad[:, None] * dy
-        s = _sym(s + ad[:, None, None] * ds)
+        s = _herm(s + ad[:, None, None] * ds)
     else:
         finish(np.ones(ids.size, dtype=bool), "numerical_failure", max_iter, figures)
     return out_x, out_y, out_s, infos
@@ -287,10 +321,10 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
 def solve_real_sdp(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None):
     """One program: `solve_stacked` with K = 1.
 
-    ``c`` is the (n, n) symmetric objective of the minimization.  Returns
+    ``c`` is the (n, n) Hermitian objective of the minimization.  Returns
     ``(X, y, S, info)``.
     """
-    x, y, s, infos = solve_stacked(constraints, b, np.asarray(c, dtype=float)[None],
+    x, y, s, infos = solve_stacked(constraints, b, np.asarray(c, dtype=complex)[None],
                                    gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter,
                                    x0=x0)
     return x[0], y[0], s[0], infos[0]

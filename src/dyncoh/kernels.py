@@ -1,12 +1,13 @@
 """Numeric kernels, pure numpy.
 
-Assembly of the interior-point Schur complement ``M[k,l] = tr(A_k W A_l W)``
-over sparse constraint matrices (`SparseConstraints.schur`, dense-batched in
-`schur_numpy`, with the loop-based `schur_sparse_py` as its independent
-reference), the least-norm solution of ``A(X) = r`` that keeps the
-interior-point iterates primal-feasible (`SparseConstraints.least_norm`),
-and a pure-state coordinate ascent (`pure_state_ascent`) that
-the tests use as an independent reference for the exact oracle in `search`.
+Assembly of the interior-point Schur complement
+``M[k,l] = Re tr(H_k W H_l W)`` over sparse complex Hermitian constraint
+matrices (`SparseConstraints.schur`, dense-batched in `schur_numpy`, with the
+loop-based `schur_sparse_py` as its independent reference), the least-norm
+solution of ``A(X) = r`` that keeps the interior-point iterates
+primal-feasible (`SparseConstraints.least_norm`), and a pure-state coordinate
+ascent (`pure_state_ascent`) that the tests use as an independent reference
+for the exact oracle in `search`.
 """
 
 import numpy as np
@@ -17,42 +18,34 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 class SparseConstraints:
-    """CSR-style bundle of m sparse symmetric matrices sharing one shape."""
+    """m sparse Hermitian matrices H_k sharing one shape, held densely.
 
-    __slots__ = ("rows", "cols", "vals", "offsets", "m", "n", "dense", "gram_inv")
+    ``A(X)`` is the vector of Re tr(H_k X) and ``A*(y)`` is sum_k y_k H_k.
+    """
+
+    __slots__ = ("m", "n", "dense", "flat", "gram_inv")
 
     def __init__(self, matrices):
         self.m = len(matrices)
-        self.n = matrices[0].shape[0] if self.m else 0
-        rows, cols, vals, offsets = [], [], [], [0]
-        for a in matrices:
-            r, c = np.nonzero(a)
-            rows.append(r)
-            cols.append(c)
-            vals.append(a[r, c])
-            offsets.append(offsets[-1] + r.size)
-        self.rows = np.concatenate(rows).astype(np.int64) if self.m else np.zeros(0, np.int64)
-        self.cols = np.concatenate(cols).astype(np.int64) if self.m else np.zeros(0, np.int64)
-        self.vals = np.concatenate(vals).astype(np.float64) if self.m else np.zeros(0)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.dense = np.ascontiguousarray(np.stack(matrices)) if self.m else np.zeros((0, 0, 0))
-        # inverse of the Gram matrix G = A A^*, G[k,l] = tr(A_k A_l), for `least_norm`
-        flat = self.dense.reshape(self.m, self.n * self.n)
-        self.gram_inv = np.linalg.pinv(flat @ flat.T, hermitian=True)
+        self.dense = np.array(matrices, dtype=complex) if self.m else np.zeros((0, 0, 0), complex)
+        self.n = self.dense.shape[-1]
+        # real vectorizations [Re, Im] of the H_k, one row each
+        self.flat = real_vectors(self.dense)
+        # inverse of the real Gram matrix G[k,l] = Re tr(H_k H_l), for `least_norm`
+        self.gram_inv = np.linalg.pinv(self.flat @ self.flat.T, hermitian=True)
 
     def dot(self, x):
-        """Vector of tr(A_k X); a stack of X gives one row per matrix.
+        """Vector of Re tr(H_k X); a stack of X gives one row per matrix.
 
         Each matrix of a stack takes its own matrix-vector product, so its
         row does not depend on the other matrices of the stack.
         """
-        flat = x.reshape(*x.shape[:-2], -1, 1)
-        return (self.dense.reshape(self.m, -1) @ flat)[..., 0]
+        return (self.flat @ real_vectors(x)[..., None])[..., 0]
 
     def combine(self, y):
-        """sum_k y_k A_k; a stack of y gives one matrix per row, each computed alone."""
-        flat = y[..., None, :] @ self.dense.reshape(self.m, -1)
-        return flat.reshape(*y.shape[:-1], self.n, self.n)
+        """sum_k y_k H_k; a stack of y gives one matrix per row, each computed alone."""
+        flat = (y[..., None, :] @ self.flat)[..., 0, :]
+        return flat.view(complex).reshape(*y.shape[:-1], self.n, self.n)
 
     def least_norm(self, r):
         """The least-norm X with A(X) = r, that is A^*(G^-1 r); a stack of r
@@ -60,7 +53,7 @@ class SparseConstraints:
         return self.combine((r[..., None, :] @ self.gram_inv)[..., 0, :])
 
     def schur(self, w):
-        """Matrix M[k,l] = tr(A_k W A_l W); a stack of W gives one matrix per W.
+        """Matrix M[k,l] = Re tr(H_k W H_l W); a stack of W gives one matrix per W.
 
         Each W of a stack takes the same products as alone, so its matrix
         does not depend on the other matrices of the stack.
@@ -68,14 +61,21 @@ class SparseConstraints:
         return schur_numpy(self.dense, w)
 
 
+def real_vectors(a):
+    """The real vectorizations [Re, Im] of a complex matrix or a stack of them,
+    the float64 view of its entries: Re tr(H X) = <vec H, vec X> for Hermitian H."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(np.float64).reshape(*a.shape[:-2], -1)
+
+
 # Byte budget of one (chunk, m, n, n) temporary of the Schur assembly.  It
-# holds a whole stack of qubit sign programs (2.5 KiB each), while a 4 x 4
-# sign program (400 KiB) is assembled alone, as an unstacked solve would.
+# holds a whole stack of qubit sign programs (1.25 KiB each), while a 4 x 4
+# sign program (196 KiB) is assembled alone, as an unstacked solve would.
 SCHUR_TEMP_BYTES = 1 << 18
 
 
 def schur_numpy(a_dense, w):
-    """Dense-batched Schur assembly: M[k,l] = tr(A_k W A_l W), also stacked.
+    """Dense-batched Schur assembly: M[k,l] = Re tr(H_k W H_l W), also stacked.
 
     A stack of W is assembled in chunks whose (chunk, m, n, n) temporaries
     stay within ``SCHUR_TEMP_BYTES`` whatever the stack length; a program
@@ -84,31 +84,30 @@ def schur_numpy(a_dense, w):
     if w.ndim == 2:
         return schur_numpy(a_dense, w[None])[0]
     m, n = a_dense.shape[0], a_dense.shape[-1]
-    a_rows = a_dense.reshape(m, -1)
+    a_rows = real_vectors(a_dense)
     chunk = max(1, SCHUR_TEMP_BYTES // (m * n * n * a_dense.itemsize))
     out = np.empty((w.shape[0], m, m))
     for lo in range(0, w.shape[0], chunk):
         wc = w[lo:lo + chunk, None]
-        t = np.matmul(wc, np.matmul(a_dense, wc))
-        part = a_rows @ t.reshape(t.shape[0], m, -1).swapaxes(-1, -2)
+        # T_l = W H_l W is Hermitian, so Re tr(H_k T_l) = <vec H_k, vec T_l>
+        t = real_vectors(np.matmul(wc, np.matmul(a_dense, wc)))
+        part = a_rows @ t.swapaxes(-1, -2)
         out[lo:lo + chunk] = 0.5 * (part + part.swapaxes(-1, -2))
     return out
 
 
-def schur_sparse_py(rows, cols, vals, offsets, w):
+def schur_sparse_py(matrices, w):
     """Reference sparse assembly, one python loop over the nonzeros."""
-    m = offsets.size - 1
+    nonzeros = [[(a, b, h[a, b]) for a, b in zip(*np.nonzero(h))] for h in matrices]
+    m = len(nonzeros)
     out = np.zeros((m, m))
     for k in range(m):
         for l in range(k, m):
-            acc = 0.0
-            for p in range(offsets[k], offsets[k + 1]):
-                a, b, va = rows[p], cols[p], vals[p]
-                wrow = w[b]
-                for q in range(offsets[l], offsets[l + 1]):
-                    acc += va * vals[q] * wrow[rows[q]] * w[cols[q], a]
-            out[k, l] = acc
-            out[l, k] = acc
+            acc = 0.0j
+            for a, b, hk in nonzeros[k]:
+                for c, d, hl in nonzeros[l]:
+                    acc += hk * hl * w[b, c] * w[d, a]
+            out[k, l] = out[l, k] = acc.real
     return out
 
 

@@ -14,13 +14,13 @@ off-diagonals of tr_B X vanish too, as sums of the last family).  The
 winning ``X`` yields an optimal input state and pre-processing by a direct
 constructive recipe (`extract_optimal`).
 
-Complex Hermitian PSD variables are realized through the real symmetric
-embedding ``[[Re, -Im], [Im, Re]]``, so the backend (`ipm`) only ever sees
-real SDPs.  The sign programs share every constraint, so the constraints
-are built once per dims in independent real form (`sign_family`), and the
-programs of one evaluation, or of many evaluations over the same dims
-(`evaluate_pairs`, which the mixture sweep uses), are solved together in
-stacked interior-point runs of at most ``MAX_STACK`` programs.
+Complex functionals become Hermitian rows ``Re tr(H X) = t`` on the n x n
+block, which the backend (`ipm`) solves natively.  The sign programs share
+every constraint, so the constraints are built once per dims as independent
+Hermitian rows (`sign_family`), and the programs of one evaluation, or of
+many evaluations over the same dims (`evaluate_pairs`, which the mixture
+sweep uses), are solved together in stacked interior-point runs of at most
+``MAX_STACK`` programs.
 """
 
 import functools
@@ -34,7 +34,7 @@ from . import linalg as la
 from . import measures as ms
 from .errors import DimensionMismatch, SolverFailure, ValidationError
 from .ipm import initial_point, solve_real_sdp, solve_stacked
-from .kernels import SparseConstraints
+from .kernels import SparseConstraints, real_vectors
 
 DEFAULT_GAP_TOL = 1e-8
 DEFAULT_FEAS_TOL = 1e-9
@@ -82,7 +82,7 @@ class SdpSolution:
     variable_values: dict
     objective_value: float
     duality_gap: float
-    status: str  # "optimal" | "infeasible" | "numerical_failure"
+    status: str  # "optimal"; other statuses raise `SolverFailure`
     iterations: int = 0
     primal_residual: float = 0.0
     dual_residual: float = 0.0
@@ -118,105 +118,76 @@ class MeasureReport:
 
 
 # ---------------------------------------------------------------------------
-# Real embedding and presolve
+# Presolve
 # ---------------------------------------------------------------------------
 
-def _embed(h):
-    """Complex Hermitian -> real symmetric [[Re, -Im], [Im, Re]] (also stacked)."""
-    re, im = h.real, h.imag
-    return np.concatenate([np.concatenate([re, -im], axis=-1),
-                           np.concatenate([im, re], axis=-1)], axis=-2)
-
-
-def _deembed(y, n):
-    """Real symmetric 2n x 2n -> complex Hermitian n x n (J-symmetrized, also stacked)."""
-    re = 0.5 * (y[..., :n, :n] + y[..., n:, n:])
-    im = 0.5 * (y[..., n:, :n] - y[..., :n, n:])
-    z = re + 1j * im
-    return 0.5 * (z + np.conj(np.swapaxes(z, -1, -2)))
-
-
 def _hermitian_split(functionals):
-    """Complex functionals ``(F, t)`` -> real symmetric rows with real targets.
+    """Complex functionals ``(F, t)`` -> Hermitian rows ``Re tr(H X) = t_H``.
 
-    Each functional splits into its Hermitian and anti-Hermitian parts; a
-    vanishing part is dropped, raising ``SolverFailure("infeasible")`` when
-    its target is nonzero.
+    Each functional splits into its Hermitian part (target Re t) and its
+    anti-Hermitian part over 2i (target -Im t); a vanishing part is dropped,
+    raising ``SolverFailure("infeasible")`` when its target is nonzero.
     """
     raw = []
     for f, t in functionals:
         t = complex(t)
-        h = 0.5 * (f + la.dagger(f))
-        k = (f - la.dagger(f)) / 2j
-        if la.max_abs(h) > 1e-14:
-            raw.append((_embed(h) * 0.5, t.real))
-        elif abs(t.real) > 1e-12:
-            raise SolverFailure("infeasible", "constraint with zero functional, nonzero target")
-        if la.max_abs(k) > 1e-14:
-            raw.append((_embed(k) * 0.5, -t.imag))
-        elif abs(t.imag) > 1e-12:
-            raise SolverFailure("infeasible", "constraint with zero functional, nonzero target")
+        for part, target in ((0.5 * (f + la.dagger(f)), t.real),
+                             ((f - la.dagger(f)) / 2j, -t.imag)):
+            if la.max_abs(part) > 1e-14:
+                raw.append((part, target))
+            elif abs(target) > 1e-12:
+                raise SolverFailure("infeasible",
+                                    "constraint with zero functional, nonzero target")
     if not raw:
         raise ValidationError("problem has no effective constraints")
     return raw
 
 
 def _split_constraints(problem):
-    """Complex functionals -> independent real symmetric constraints.
+    """Complex functionals -> independent Hermitian constraint rows.
 
-    Linearly dependent rows of `_hermitian_split` are removed after a
-    consistency check, raising ``SolverFailure("infeasible")`` on
-    contradictory targets.
+    Rows of `_hermitian_split` that are linearly dependent over the reals
+    are removed after a consistency check, raising
+    ``SolverFailure("infeasible")`` on contradictory targets.
     """
-    n = problem.block_dim
-    raw = _hermitian_split(problem.equality_constraints)
-    kept_mats, kept_targets = [], []
-    basis = []  # orthonormal vectorizations of kept rows
-    kept_vecs = []
-    for mat, target in raw:
-        v = mat.reshape(-1)
-        r = v.copy()
-        for q in basis:
-            r = r - (q @ r) * q
-        # second pass for numerical orthogonality
-        for q in basis:
-            r = r - (q @ r) * q
+    mats, targets, basis = [], [], []  # kept rows, and orthonormal vectorizations
+    for mat, target in _hermitian_split(problem.equality_constraints):
+        v = r = real_vectors(mat)
+        for _ in range(2):  # a second pass for numerical orthogonality
+            for q in basis:
+                r = r - (q @ r) * q
         nrm = np.linalg.norm(r)
         if nrm > 1e-10 * max(1.0, np.linalg.norm(v)):
-            kept_mats.append(mat)
-            kept_targets.append(target)
+            mats.append(mat)
+            targets.append(target)
             basis.append(r / nrm)
-            kept_vecs.append(v)
-        else:
-            # Dependent row: target must agree with the implied combination.
-            coeff, *_ = np.linalg.lstsq(np.array(kept_vecs).T, v, rcond=None)
-            implied = float(np.array(kept_targets) @ coeff)
-            if abs(implied - target) > 1e-9 * max(1.0, abs(target)):
-                raise SolverFailure(
-                    "infeasible",
-                    f"inconsistent dependent constraint: target {target}, implied {implied}",
-                )
-    return kept_mats, np.asarray(kept_targets), n
+            continue
+        # Dependent row: target must agree with the implied combination.
+        coeff, *_ = np.linalg.lstsq(real_vectors(np.stack(mats)).T, v, rcond=None)
+        implied = float(np.array(targets) @ coeff)
+        if abs(implied - target) > 1e-9 * max(1.0, abs(target)):
+            raise SolverFailure(
+                "infeasible",
+                f"inconsistent dependent constraint: target {target}, implied {implied}",
+            )
+    return mats, np.asarray(targets)
 
 
 def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_iter=200):
-    """Solve one SdpProblem (maximization) through the real-embedded backend.
+    """Solve one SdpProblem (maximization) on its Hermitian block.
 
     Returns an `SdpSolution`; any status other than ``optimal`` raises
     `SolverFailure` with diagnostics.
     """
-    mats, targets, n = _split_constraints(problem)
-    c_real = _embed(problem.objective) * 0.5
+    mats, targets = _split_constraints(problem)
     constraints = SparseConstraints(mats)
     # backend minimizes; negate for maximization
     x, _, _, info = solve_real_sdp(
-        constraints, targets, -c_real,
+        constraints, targets, -problem.objective,
         gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter,
     )
-    name = problem.psd_variables[0][0]
-    value = _deembed(x, n)
     sol = SdpSolution(
-        variable_values={name: value},
+        variable_values={problem.psd_variables[0][0]: x},
         objective_value=-info.primal_objective,
         duality_gap=info.gap,
         status=info.status,
@@ -235,7 +206,7 @@ def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_i
 
 @dataclass(frozen=True)
 class ConstraintFamily:
-    """Independent real symmetric constraints ``A(X) = b`` on an embedded block.
+    """Independent Hermitian constraints ``A(X) = b`` on a Hermitian block.
 
     ``start`` is the point every program over the family starts from,
     strictly feasible when the family admits one.
@@ -247,21 +218,22 @@ class ConstraintFamily:
 
 
 def constraint_family(functionals):
-    """Real form of complex functionals that are independent by construction.
+    """Hermitian rows of complex functionals that are independent by construction.
 
-    Stands in for the presolve of `solve_sdp`: the rank is checked once, when
-    the family is built, instead of Gram-Schmidt on every solve.
+    Stands in for the presolve of `solve_sdp`: the rank over the reals is
+    checked once, when the family is built, instead of Gram-Schmidt on
+    every solve.
     """
     raw = _hermitian_split(functionals)
     mats = [mat for mat, _ in raw]
-    rank = np.linalg.matrix_rank(np.stack(mats).reshape(len(mats), -1))
+    rank = np.linalg.matrix_rank(real_vectors(np.stack(mats)))
     if rank != len(mats):
         raise ValueError(f"constraint family has rank {rank} < {len(mats)} rows")
     constraints = SparseConstraints(mats)
     targets = np.array([t for _, t in raw])
     start = initial_point(constraints, targets)
     # cached families are shared
-    for shared in (constraints.dense, constraints.gram_inv, targets, start):
+    for shared in (constraints.dense, constraints.flat, constraints.gram_inv, targets, start):
         shared.flags.writeable = False
     return ConstraintFamily(constraints, targets, start)
 
@@ -277,7 +249,7 @@ def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, max_iter=200):
     of a failed stack is ever returned.
     """
     objectives = np.asarray(objectives)
-    c = -0.5 * _embed(objectives.reshape(-1, *objectives.shape[-2:]))  # the backend minimizes
+    c = -objectives.reshape(-1, *objectives.shape[-2:])  # the backend minimizes
     xs, infos = [], []
     for lo in range(0, len(c), MAX_STACK):
         x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
@@ -295,7 +267,6 @@ def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, max_iter=200):
             f"{len(failed)} of {len(infos)} SDPs did not reach optimality, first #{k}: {info}",
         )
     values = np.array([-info.primal_objective for info in infos])
-    x = _deembed(x, objectives.shape[-1])
     return (values, x) if objectives.ndim == 3 else (values[0], x[0])
 
 
@@ -337,7 +308,7 @@ def _sign_functionals(da, db):
 def sign_family(da, db):
     """The constraints every sign program over dims (da, db) shares.
 
-    m = 1 + da (da - 1) db independent real rows; the start is the embedded
+    m = 1 + da (da - 1) db independent Hermitian rows; the start is the
     maximally mixed X, strictly feasible for every sign program.
     """
     return constraint_family(_sign_functionals(da, db))
@@ -396,12 +367,9 @@ def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD):
         raise ValidationError("X is not unit trace within tolerance")
     if np.linalg.eigvalsh(x).min() < -EXTRACTION_ATOL:
         raise ValidationError("X is not PSD within tolerance")
-    for i in range(da):
-        for j in range(da):
-            if i != j:
-                diag = np.diagonal(x[i * db:(i + 1) * db, j * db:(j + 1) * db])
-                if la.max_abs(diag) > EXTRACTION_ATOL:
-                    raise ValidationError("X violates the free-pre-processing constraints")
+    x4 = x.reshape(da, db, da, db)  # x4[i, a, j, b] = <i a| X |j b>
+    if la.max_abs(np.einsum("ibjb->ijb", x4)[~np.eye(da, dtype=bool)]) > EXTRACTION_ATOL:
+        raise ValidationError("X violates the free-pre-processing constraints")
 
     red = la.partial_trace(x, (da, db), keep=0)
     sigma = np.diagonal(red).real.copy()
@@ -411,31 +379,20 @@ def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD):
     support = [i for i in range(da) if sigma[i] > support_threshold]
     ds = len(support)
 
-    # channel on the support: blocks of X rescaled by the populations
-    j_tilde = np.zeros((db * ds, db * ds), dtype=complex)
-    for a, ia in enumerate(support):
-        for c, ic in enumerate(support):
-            block = x[ia * db:(ia + 1) * db, ic * db:(ic + 1) * db]
-            scale = 1.0 / np.sqrt(sigma[ia] * sigma[ic])
-            for k in range(db):
-                for l in range(db):
-                    j_tilde[k * ds + a, l * ds + c] = block[k, l] * scale
+    # channel on the support: blocks of X rescaled by the populations,
+    # J[k ds + a, l ds + c] = <a k| X |c l> / sqrt(sigma_a sigma_c)
+    blocks = x4[np.ix_(support, range(db), support, range(db))]
+    scale = 1.0 / np.sqrt(np.outer(sigma[support], sigma[support]))
+    j_tilde = (blocks * scale[:, None, :, None]).transpose(1, 0, 3, 2).reshape(db * ds, -1)
     try:
         phi_tilde = ch.channel_from_choi(j_tilde, ds, db, atol=EXTRACTION_ATOL)
     except ValidationError as exc:
         raise ValidationError(f"rescaled X does not define a channel: {exc}") from exc
 
     # projector transfer onto the support, unsupported indices to a fixed state
-    kraus = []
-    k0 = np.zeros((ds, da), dtype=complex)
-    for a, ia in enumerate(support):
-        k0[a, ia] = 1.0
-    kraus.append(k0)
-    for j in range(da):
-        if j not in support:
-            lj = np.zeros((ds, da), dtype=complex)
-            lj[0, j] = 1.0
-            kraus.append(lj)
+    unit = np.eye(da, dtype=complex)
+    kraus = [unit[support]] + [np.outer(unit[0, :ds], unit[j]) for j in range(da)
+                               if j not in support]
     projector_transfer = ch.from_kraus(kraus)
 
     phi_opt = ch.compose(phi_tilde, projector_transfer)

@@ -295,6 +295,19 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
 # Monte-Carlo game simulation
 # ---------------------------------------------------------------------------
 
+def optimal_game_instance(theta, report):
+    """The game a pre-processed `sdp.MeasureReport` of ``theta`` plays best.
+
+    Returns ``(omega0, omega1, povm)``: the channel's outputs for the
+    report's optimal input and pre-processing, without and with the phases
+    of its game, and the optimal incoherent POVM between them.
+    """
+    cfg, pre, rho = report.config, report.phi_opt, report.rho_opt
+    omega0 = ch.apply(theta, ch.apply(pre, rho))
+    omega1 = ch.apply(theta, ch.apply(pre, ch.apply(ch.phase_channel(cfg.phi), rho)))
+    return omega0, omega1, ms.optimal_incoherent_povm(cfg, omega0, omega1)
+
+
 def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
     """Simulate the guessing game and compare with the predicted rate.
 

@@ -223,9 +223,7 @@ def _check_post_hadamard(rng):
 def _check_game(rng):
     theta = ch.hadamard()
     rep = sdpmod.preprocessed_improvement(theta, HALF)
-    s0 = ch.apply(theta, ch.apply(rep.phi_opt, rep.rho_opt))
-    s1 = ch.apply(theta, ch.apply(rep.phi_opt, ch.apply(ch.phase_channel(PHI), rep.rho_opt)))
-    povm = ms.optimal_incoherent_povm(HALF, s0, s1)
+    _, _, povm = se.optimal_game_instance(theta, rep)
     tr = se.monte_carlo_game(theta, rep.phi_opt, rep.rho_opt, povm, HALF, 100000,
                              int(rng.integers(1 << 31)))
     return abs(tr.z_score) <= 4.0, f"z-score {tr.z_score:.2f} at {tr.trials} trials"

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread, set before numpy is first imported (BLAS reads these at
+# load time): on a small machine a multi-threaded OpenBLAS makes each first
+# evaluation at new dims several times slower than one thread does.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

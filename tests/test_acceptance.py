@@ -109,20 +109,12 @@ def test_criterion_07_extraction_roundtrip():
           f"50 qubit and 10 qutrit-input channels (tolerance 1e-5)")
 
 
-def _optimal_instance(theta, cfg):
-    rep = sd.preprocessed_improvement(theta, cfg)
-    s0 = ch.apply(theta, ch.apply(rep.phi_opt, rep.rho_opt))
-    s1 = ch.apply(theta, ch.apply(rep.phi_opt,
-                                  ch.apply(ch.phase_channel(cfg.phi), rep.rho_opt)))
-    povm = ms.optimal_incoherent_povm(cfg, s0, s1)
-    return rep, povm
-
-
 def test_criterion_09_guessing_game_consistency():
     cfg = ms.GameConfig(0.5, PHI)
     zs = []
     for theta, seed in ((ch.hadamard(), 909), (ch.random_channel(2, 2, np.random.default_rng(99)), 910)):
-        rep, povm = _optimal_instance(theta, cfg)
+        rep = sd.preprocessed_improvement(theta, cfg)
+        _, _, povm = se.optimal_game_instance(theta, rep)
         tr = se.monte_carlo_game(theta, rep.phi_opt, rep.rho_opt, povm, cfg, 100000, seed)
         target = 0.5 + 0.5 * (rep.value + cfg.prior_gap)
         assert tr.predicted_rate == pytest.approx(target, abs=1e-6)

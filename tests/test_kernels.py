@@ -14,6 +14,15 @@ def _random_sparse_symmetric(rng, n, nnz):
     return a
 
 
+def _random_sparse_hermitian(rng, n, nnz):
+    a = np.zeros((n, n), dtype=complex)
+    for _ in range(nnz):
+        i, j = rng.integers(0, n, size=2)
+        a[i, j] += rng.standard_normal() + (1j * rng.standard_normal() if i != j else 0.0)
+        a[j, i] = np.conj(a[i, j])
+    return a
+
+
 def test_sparse_constraints_roundtrip(rng):
     mats = [_random_sparse_symmetric(rng, 10, 4) for _ in range(12)]
     sc = kernels.SparseConstraints(mats)
@@ -30,10 +39,10 @@ def test_least_norm_solves_the_constraints_in_their_span(rng, dims):
     r = rng.standard_normal((5, sc.m))
     x = sc.least_norm(r)
     assert np.abs(sc.dot(x) - r).max() <= 1e-12
-    assert np.array_equal(x, x.swapaxes(-1, -2))
-    # the least-norm solution is a combination of the constraint matrices
-    rows = sc.dense.reshape(sc.m, -1)
-    coeffs = np.linalg.lstsq(rows.T, x.reshape(5, -1).T, rcond=None)[0].T
+    assert np.array_equal(x, x.conj().swapaxes(-1, -2))
+    # the least-norm solution is a real combination of the constraint matrices
+    rows = kernels.real_vectors(sc.dense)
+    coeffs = np.linalg.lstsq(rows.T, kernels.real_vectors(x).T, rcond=None)[0].T
     assert np.abs(sc.combine(coeffs) - x).max() <= 1e-12
     # each row of a stack is computed alone
     for k in range(5):
@@ -41,21 +50,23 @@ def test_least_norm_solves_the_constraints_in_their_span(rng, dims):
 
 
 def test_schur_backends_agree(rng):
-    mats = [_random_sparse_symmetric(rng, 14, 5) for _ in range(20)]
-    sc = kernels.SparseConstraints(mats)
-    w = rng.standard_normal((14, 14))
-    w = w @ w.T + np.eye(14)
-    dense = kernels.schur_numpy(sc.dense, w)
-    sparse_py = kernels.schur_sparse_py(sc.rows, sc.cols, sc.vals, sc.offsets, w)
-    assert np.allclose(dense, sparse_py, atol=1e-9)
-    assert np.allclose(sc.schur(w), dense, atol=1e-9)
+    # real symmetric rows, then complex Hermitian rows with a complex W
+    for sparse, phase in ((_random_sparse_symmetric, 0.0), (_random_sparse_hermitian, 1j)):
+        mats = [sparse(rng, 14, 5) for _ in range(20)]
+        sc = kernels.SparseConstraints(mats)
+        w = rng.standard_normal((14, 14)) + phase * rng.standard_normal((14, 14))
+        w = w @ w.conj().T + np.eye(14)
+        dense = kernels.schur_numpy(sc.dense, w)
+        sparse_py = kernels.schur_sparse_py(mats, w)
+        assert np.allclose(dense, sparse_py, atol=1e-9)
+        assert np.allclose(sc.schur(w), dense, atol=1e-9)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
 def test_stacked_schur_matches_per_matrix_schur(rng, dims):
     sc = sdp.sign_family(*dims).constraints
-    g = rng.standard_normal((12, sc.n, sc.n))
-    w = g @ g.swapaxes(-1, -2) + np.eye(sc.n)
+    g = rng.standard_normal((12, sc.n, sc.n)) + 1j * rng.standard_normal((12, sc.n, sc.n))
+    w = g @ g.conj().swapaxes(-1, -2) + np.eye(sc.n)
     stacked = sc.schur(w)
     assert stacked.shape == (12, sc.m, sc.m)
     for wk, mk in zip(w, stacked):

@@ -7,6 +7,7 @@ from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh import sdp as sd
 from dyncoh.errors import SolverFailure, ValidationError
+from dyncoh.kernels import SparseConstraints, real_vectors
 
 
 def cfg_half():
@@ -89,7 +90,14 @@ def test_solver_reports_unbounded_as_failure():
     )
     with pytest.raises(SolverFailure) as err:
         sd.solve_sdp(prob, max_iter=60)
-    assert err.value.status == "numerical_failure"
+    assert err.value.status == "unbounded"
+    # the recession direction ends the run before its iteration budget, and
+    # before the iterates diverge
+    mats, targets = sd._split_constraints(prob)
+    _, _, _, info = ipm.solve_real_sdp(SparseConstraints(mats), targets, -prob.objective,
+                                       max_iter=60)
+    assert info.status == "unbounded"
+    assert info.iterations < 60 and np.isfinite(info.primal_objective)
 
 
 def test_solver_accepts_redundant_consistent_rows():
@@ -358,7 +366,7 @@ def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
     assert xs.shape == objectives.shape
     for k, info in enumerate(info for infos in runs for info in infos):
         _, _, _, solo = ipm.solve_real_sdp(family.constraints, family.targets,
-                                           -0.5 * sd._embed(objectives[k]), x0=family.start)
+                                           -objectives[k], x0=family.start)
         assert solo.status == info.status == "optimal"
         assert values[k] == pytest.approx(-solo.primal_objective, abs=1e-7)
         assert info.iterations == solo.iterations
@@ -371,11 +379,11 @@ def test_single_objective_is_a_stack_of_one(rng):
     objective = sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])[0]
     value, x = sd.solve_family(family, objective)
     values, xs = sd.solve_family(family, objective[None])
-    x_real, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets,
-                                            -0.5 * sd._embed(objective), x0=family.start)
+    x_solo, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, -objective,
+                                            x0=family.start)
     assert value == values[0] == -info.primal_objective
     assert np.array_equal(x, xs[0])
-    assert np.array_equal(x, sd._deembed(x_real, 4))
+    assert np.array_equal(x, x_solo)
 
 
 def test_schur_jitter_stays_with_its_program(rng):
@@ -391,13 +399,13 @@ def test_schur_jitter_stays_with_its_program(rng):
             return out
 
     constraints = SingularSecond(list(family.constraints.dense))
-    c = -0.5 * sd._embed(sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
-                                             [(1, -1), (-1, 1), (1, -1)]))
+    c = -sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
+                             [(1, -1), (-1, 1), (1, -1)])
     x = np.array(np.broadcast_to(family.start, c.shape))
-    s = np.array(np.broadcast_to(np.eye(c.shape[-1]), c.shape))
+    s = np.array(np.broadcast_to(np.eye(c.shape[-1], dtype=complex), c.shape))
     rp = family.targets - constraints.dot(x)
     rd = c - s
-    gap = np.einsum("kij,kij->k", x, s)
+    gap = ipm._inner(x, s)
     centre = np.zeros(3, dtype=bool)
     stacked = ipm._step(constraints, x, s, rp, rd, gap, centre)
     for k in (0, 2):
@@ -413,7 +421,8 @@ def test_sign_family_is_the_presolved_constraint_span(dims):
     da, db = dims
     n = da * db
     family = sd.sign_family(da, db)
-    rows = family.constraints.dense.reshape(family.constraints.m, -1)
+    # independence is over the reals: rank of the vectorizations [Re, Im]
+    rows = real_vectors(family.constraints.dense)
     assert family.constraints.m == 1 + da * (da - 1) * db
     assert np.linalg.matrix_rank(rows) == family.constraints.m
     assert family.constraints.dot(family.start) == pytest.approx(family.targets, abs=1e-12)
@@ -432,8 +441,8 @@ def test_sign_family_is_the_presolved_constraint_span(dims):
         equality_constraints=tuple(functionals[:1] + partial + functionals[1:]),
         objective=np.zeros((n, n), dtype=complex),
     )
-    mats, targets, _ = sd._split_constraints(original)
-    presolved = np.stack(mats).reshape(len(mats), -1)
+    mats, targets = sd._split_constraints(original)
+    presolved = real_vectors(np.stack(mats))
     assert len(mats) == family.constraints.m
     assert np.linalg.matrix_rank(np.vstack([rows, presolved])) == family.constraints.m
     assert np.linalg.lstsq(rows.T, presolved.T, rcond=None)[0].T @ family.targets \

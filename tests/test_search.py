@@ -331,10 +331,7 @@ def test_game_hadamard_consistency():
     cfg = cfg_half()
     theta = ch.hadamard()
     rep = sd.preprocessed_improvement(theta, cfg)
-    s0 = ch.apply(theta, ch.apply(rep.phi_opt, rep.rho_opt))
-    s1 = ch.apply(theta, ch.apply(rep.phi_opt,
-                                  ch.apply(ch.phase_channel(cfg.phi), rep.rho_opt)))
-    povm = ms.optimal_incoherent_povm(cfg, s0, s1)
+    _, _, povm = se.optimal_game_instance(theta, rep)
     tr = se.monte_carlo_game(theta, rep.phi_opt, rep.rho_opt, povm, cfg, 100000, 2718)
     target = ms.success_probability(rep.value, cfg)
     assert tr.predicted_rate == pytest.approx(target, abs=1e-9)

@@ -27,13 +27,11 @@ inverted once per iteration, and those inverses serve both step-length
 tests and S^-1.  The Cholesky factor of each Schur complement is inverted
 once as well and serves the predictor and the corrector solve.
 
-The Schur-complement assembly is the hot kernel.  The Schur matrices of the
-whole stack come from one ``kernels.SparseConstraints.schur`` call, which
-builds its temporaries in chunks under a fixed byte budget, and they are
-factorized in one stacked Cholesky call; only when that call fails are they
-factorized one by one with jitter retries.  The stack length itself is
-capped by the caller (``sdp.MAX_STACK`` programs per run), so the memory of
-a run stays bounded however many programs a caller has.
+The Schur matrices of the whole stack come from one
+``kernels.SparseConstraints.schur`` call, which gathers most entries from W,
+and are factorized in one stacked Cholesky call; only when that call fails
+are they factorized one by one with jitter retries.  The caller caps the
+stack length (``sdp.MAX_STACK`` programs per run), which bounds its memory.
 """
 
 from dataclasses import dataclass
@@ -47,7 +45,7 @@ _STALL_LIMIT = 25
 
 @dataclass
 class IpmInfo:
-    status: str  # "optimal" | "unbounded" | "numerical_failure"
+    status: str  # "optimal" | "unbounded" | "infeasible" | "numerical_failure"
     iterations: int
     gap: float
     primal_residual: float
@@ -210,8 +208,17 @@ def _recedes(constraints, c, dx, tol):
             & (_inner(c, dx) < -tol * size * np.linalg.norm(c, axis=(-2, -1))))
 
 
+def _farkas(constraints, b, dy, tol):
+    """Whether each dy is a Farkas ray, a proof that no PSD X has A(X) = b:
+    b.dy > 0 and A*(dy) negative semidefinite, to ``tol`` relative to the size of dy."""
+    dy = dy / np.maximum(np.abs(dy).max(axis=1, keepdims=True), _TINY)  # no overflow
+    aty = constraints.combine(dy)
+    return ((dy @ b > tol * np.linalg.norm(dy, axis=1))
+            & (np.linalg.eigvalsh(aty)[:, -1] <= tol * np.linalg.norm(aty, axis=(-2, -1))))
+
+
 # A program that diverges along no recession direction overflows to inf and
-# NaN; the finiteness and stuck tests then end it with ``numerical_failure``.
+# NaN; the finiteness and stuck tests then end it (see `fail`).
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None):
     """Run the interior-point iteration on K objectives over shared constraints.
@@ -232,7 +239,8 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     -------
     (X, y, S, infos) with X, S of shape (K, n, n), y of shape (K, m) and one
     `IpmInfo` per program.  A program whose direction from a primal-feasible
-    iterate is a recession direction (`_recedes`) stops as ``unbounded``.
+    iterate is a recession direction (`_recedes`) stops as ``unbounded``, and
+    one that fails after a dual step along a Farkas ray as ``infeasible``.
     """
     m, n = constraints.m, constraints.n
     if m == 0:
@@ -251,6 +259,7 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     x = np.array(np.broadcast_to(x0, c.shape))
     s = np.eye(n, dtype=complex) * (2.0 * scale_c[:, None, None])
     y = np.zeros((k_total, m))
+    last_dy = np.zeros((k_total, m))  # the last finite dual direction
     best_gap = np.full(k_total, np.inf)
     stall = np.zeros(k_total, dtype=int)
 
@@ -263,6 +272,14 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
             k = ids[j]
             out_x[k], out_y[k], out_s[k] = x[j], y[j], s[j]
             infos[k] = IpmInfo(status, it, *(float(f) for f in figures[j]))
+
+    def fail(mask, it, figures):
+        # infeasible when the last finite dy is a Farkas ray
+        ray = mask.copy()
+        if mask.any():
+            ray[mask] = _farkas(constraints, b, last_dy[mask], feas_tol)
+        finish(ray, "infeasible", it, figures)
+        finish(mask & ~ray, "numerical_failure", it, figures)
 
     for it in range(1, max_iter + 1):
         if not ids.size:
@@ -287,10 +304,10 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
         done = optimal | failed
         if done.any():
             finish(optimal, "optimal", it, figures)
-            finish(failed, "numerical_failure", it, figures)
-            ids, x, y, s, c, scale_c, best_gap, stall, rp, rd, gap, figures = (
+            fail(failed, it, figures)
+            ids, x, y, s, c, scale_c, best_gap, stall, rp, rd, gap, figures, last_dy = (
                 a[~done] for a in (ids, x, y, s, c, scale_c, best_gap, stall,
-                                   rp, rd, gap, figures))
+                                   rp, rd, gap, figures, last_dy))
             if not ids.size:
                 break
 
@@ -299,22 +316,23 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
             dx, dy, ds, ap, ad, ray = _step(constraints, x, s, rp, rd, gap, centre)
         except np.linalg.LinAlgError:
             dx, dy, ds, ap, ad, ray = _step_each(constraints, x, s, rp, rd, gap, centre)
+        last_dy = np.where(np.isfinite(dy).all(axis=1)[:, None], dy, last_dy)
         stuck = (ap < 1e-10) & (ad < 1e-10)
         unbounded = ray & (figures[:, 1] <= feas_tol)  # X feasible, X + t dX PSD for all t
         if unbounded.any():
             unbounded[unbounded] = _recedes(constraints, c[unbounded], dx[unbounded], feas_tol)
         ended = stuck | unbounded
         if ended.any():
-            finish(stuck, "numerical_failure", it, figures)
+            fail(stuck, it, figures)
             finish(unbounded, "unbounded", it, figures)
-            ids, x, y, s, c, scale_c, best_gap, stall, figures, dx, dy, ds, ap, ad = (
+            ids, x, y, s, c, scale_c, best_gap, stall, figures, dx, dy, ds, ap, ad, last_dy = (
                 a[~ended] for a in (ids, x, y, s, c, scale_c, best_gap, stall, figures,
-                                    dx, dy, ds, ap, ad))
+                                    dx, dy, ds, ap, ad, last_dy))
         x = _herm(x + ap[:, None, None] * dx)
         y = y + ad[:, None] * dy
         s = _herm(s + ad[:, None, None] * ds)
     else:
-        finish(np.ones(ids.size, dtype=bool), "numerical_failure", max_iter, figures)
+        fail(np.ones(ids.size, dtype=bool), max_iter, figures)
     return out_x, out_y, out_s, infos
 
 

@@ -2,12 +2,13 @@
 
 Assembly of the interior-point Schur complement
 ``M[k,l] = Re tr(H_k W H_l W)`` over sparse complex Hermitian constraint
-matrices (`SparseConstraints.schur`, dense-batched in `schur_numpy`, with the
-loop-based `schur_sparse_py` as its independent reference), the least-norm
-solution of ``A(X) = r`` that keeps the interior-point iterates
-primal-feasible (`SparseConstraints.least_norm`), and a pure-state coordinate
-ascent (`pure_state_ascent`) that the tests use as an independent reference
-for the exact oracle in `search`.
+matrices (`SparseConstraints.schur`): entries between rows that pin one
+entry of X are gathered from W, and only the other rows, such as the trace
+row, take dense products W H W.  Also the least-norm solution of
+``A(X) = r`` that keeps the interior-point iterates primal-feasible
+(`SparseConstraints.least_norm`), and a pure-state coordinate ascent
+(`pure_state_ascent`) that the tests use as an independent reference for the
+exact oracle in `search`.
 """
 
 import numpy as np
@@ -21,18 +22,57 @@ class SparseConstraints:
     """m sparse Hermitian matrices H_k sharing one shape, held densely.
 
     ``A(X)`` is the vector of Re tr(H_k X) and ``A*(y)`` is sum_k y_k H_k.
+    The rows are split once for the Schur assembly (`schur`): each of
+    ``unit_rows`` is g E_pq + conj(g) E_qp with p <= q and g real or
+    imaginary, and ``dense_rows`` are the rest.
     """
 
-    __slots__ = ("m", "n", "dense", "flat", "gram_inv")
+    __slots__ = ("m", "n", "dense", "flat", "gram_inv", "unit_rows", "dense_rows",
+                 "_gather", "_stacked", "_assemble", "_weights")
 
     def __init__(self, matrices):
-        self.m = len(matrices)
-        self.dense = np.array(matrices, dtype=complex) if self.m else np.zeros((0, 0, 0), complex)
-        self.n = self.dense.shape[-1]
+        self.m = m = len(matrices)
+        self.dense = np.array(matrices, dtype=complex) if m else np.zeros((0, 0, 0), complex)
+        self.n = n = self.dense.shape[-1]
         # real vectorizations [Re, Im] of the H_k, one row each
         self.flat = real_vectors(self.dense)
         # inverse of the real Gram matrix G[k,l] = Re tr(H_k H_l), for `least_norm`
         self.gram_inv = np.linalg.pinv(self.flat @ self.flat.T, hermitian=True)
+        # Unit rows: one nonzero in the upper triangle, at (p, q), with g = h_pq
+        # (h_pp / 2 on the diagonal) real (a Re row) or imaginary (an Im row)
+        upper = np.triu(self.dense)
+        rows = np.flatnonzero(np.count_nonzero(upper, axis=(1, 2)) == 1)
+        _, p, q = np.nonzero(upper[rows])
+        g = self.dense[rows, p, q] * np.where(p == q, 0.5, 1.0)
+        unit = (g.real == 0.0) | (g.imag == 0.0)
+        self.unit_rows = u = rows[unit]
+        self.dense_rows = d = np.flatnonzero(np.bincount(u, minlength=m) == 0)
+        im, v = (g[unit].real == 0.0).astype(np.intp), g[unit].real + g[unit].imag
+        # The Re and Im rows of one functional share their position (p, q), so
+        # W is gathered once per pair of positions a, b: W[p_b,q_a], W[q_a,q_b]
+        # and W[p_b,p_a], at flat indices into W.  (np.unique would do, but
+        # its first call imports numpy.ma.)
+        key = p[unit] * n + q[unit]
+        positions = np.flatnonzero(np.bincount(key, minlength=n * n))
+        slot = np.searchsorted(positions, key)
+        p, q = np.divmod(positions, n)
+        self._gather = np.stack([p * n + q[:, None], q[:, None] * n + q, p * n + p[:, None]])
+        self._stacked = self.dense[d].reshape(len(d) * n, n)  # for H_l W of every dense l
+        # Where `schur` reads each entry of M, and its weight: a Re row k reads
+        # E, an Im row F, at (s_k, s_l), the real part if row l is of the same
+        # kind, else the imaginary part (negated from an Im to a Re row).
+        npos, nd = len(positions), len(d)
+        self._assemble = index = np.empty((m, m), dtype=np.intp)
+        self._weights = weights = np.ones((m, m))
+        index[u[:, None], u] = np.ravel_multi_index(
+            (im[:, None], slot[:, None], slot, im[:, None] ^ im), (2, npos, npos, 2))
+        weights[u[:, None], u] = np.outer(v, v) * np.where(im[:, None] > im, -1.0, 1.0)
+        index[:, d] = 4 * npos * npos + np.arange(m * nd).reshape(m, nd)
+        index[d, :] = index[:, d].T
+        index[d[:, None], d] = 4 * npos * npos + m * nd + np.arange(nd * nd).reshape(nd, nd)
+        weights[d[:, None], d] = 0.5
+        for part in (u, d, self._gather, self._stacked, index, weights):
+            part.flags.writeable = False
 
     def dot(self, x):
         """Vector of Re tr(H_k X); a stack of X gives one row per matrix.
@@ -55,60 +95,41 @@ class SparseConstraints:
     def schur(self, w):
         """Matrix M[k,l] = Re tr(H_k W H_l W); a stack of W gives one matrix per W.
 
-        Each W of a stack takes the same products as alone, so its matrix
-        does not depend on the other matrices of the stack.
+        Between unit rows the entries are gathered from W (Fujisawa, Kojima
+        & Nakata, Math. Program. 79, 1997): with A[k,l] = W[q_k,p_l] W[q_l,p_k]
+        and B[k,l] = W[q_k,q_l] W[p_l,p_k], taken once per pair of positions,
+        M[k,l] = 2 Re(g_k g_l A + g_k conj(g_l) B).  For g = v (a Re row) or
+        g = i v (an Im row), M / (2 v_k v_l) is a real or imaginary part of
+        E = B + conj(A) or F = B - conj(A).  A dense row l takes the product
+        T_l = W H_l W and fills its row and column with <vec H_k, vec T_l>.
+        A, B and the block between dense rows are summed with their
+        transposes first, so M is symmetric to the last bit.  Each W of a
+        stack takes the same products as alone, so its matrix does not
+        depend on the other matrices of the stack.
         """
-        return schur_numpy(self.dense, w)
+        if w.ndim == 2:
+            return self.schur(w[None])[0]
+        k, d = w.shape[0], self.dense_rows
+        w_pq, w_qq, w_pp = w.reshape(k, -1)[:, self._gather].swapaxes(0, 1)
+        a = w_pq * w_pq.swapaxes(-1, -2)  # conj(A), as W is Hermitian
+        a = a + a.swapaxes(-1, -2)
+        b = w_qq * w_pp
+        b += b.conj().swapaxes(-1, -2)
+        # T_l = W H_l W is Hermitian, so Re tr(H_k T_l) = <vec H_k, vec T_l>
+        t = real_vectors(w[:, None] @ (self._stacked @ w).reshape(k, len(d), *w.shape[1:]))
+        cross = self.flat @ t.swapaxes(-1, -2)
+        both = cross[:, d]
+        blocks = (real_vectors(b + a), real_vectors(b - a), cross, both + both.swapaxes(-1, -2))
+        out = np.concatenate([x.reshape(k, -1) for x in blocks], axis=1)[:, self._assemble]
+        out *= self._weights
+        return out
 
 
 def real_vectors(a):
     """The real vectorizations [Re, Im] of a complex matrix or a stack of them,
     the float64 view of its entries: Re tr(H X) = <vec H, vec X> for Hermitian H."""
     a = np.ascontiguousarray(a, dtype=complex)
-    return a.view(np.float64).reshape(*a.shape[:-2], -1)
-
-
-# Byte budget of one (chunk, m, n, n) temporary of the Schur assembly.  It
-# holds a whole stack of qubit sign programs (1.25 KiB each), while a 4 x 4
-# sign program (196 KiB) is assembled alone, as an unstacked solve would.
-SCHUR_TEMP_BYTES = 1 << 18
-
-
-def schur_numpy(a_dense, w):
-    """Dense-batched Schur assembly: M[k,l] = Re tr(H_k W H_l W), also stacked.
-
-    A stack of W is assembled in chunks whose (chunk, m, n, n) temporaries
-    stay within ``SCHUR_TEMP_BYTES`` whatever the stack length; a program
-    whose temporaries alone exceed it is assembled by itself.
-    """
-    if w.ndim == 2:
-        return schur_numpy(a_dense, w[None])[0]
-    m, n = a_dense.shape[0], a_dense.shape[-1]
-    a_rows = real_vectors(a_dense)
-    chunk = max(1, SCHUR_TEMP_BYTES // (m * n * n * a_dense.itemsize))
-    out = np.empty((w.shape[0], m, m))
-    for lo in range(0, w.shape[0], chunk):
-        wc = w[lo:lo + chunk, None]
-        # T_l = W H_l W is Hermitian, so Re tr(H_k T_l) = <vec H_k, vec T_l>
-        t = real_vectors(np.matmul(wc, np.matmul(a_dense, wc)))
-        part = a_rows @ t.swapaxes(-1, -2)
-        out[lo:lo + chunk] = 0.5 * (part + part.swapaxes(-1, -2))
-    return out
-
-
-def schur_sparse_py(matrices, w):
-    """Reference sparse assembly, one python loop over the nonzeros."""
-    nonzeros = [[(a, b, h[a, b]) for a, b in zip(*np.nonzero(h))] for h in matrices]
-    m = len(nonzeros)
-    out = np.zeros((m, m))
-    for k in range(m):
-        for l in range(k, m):
-            acc = 0.0j
-            for a, b, hk in nonzeros[k]:
-                for c, d, hl in nonzeros[l]:
-                    acc += hk * hl * w[b, c] * w[d, a]
-            out[k, l] = out[l, k] = acc.real
-    return out
+    return a.view(np.float64).reshape(*a.shape[:-2], 2 * a.shape[-2] * a.shape[-1])
 
 
 # ---------------------------------------------------------------------------

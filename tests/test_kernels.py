@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dyncoh import kernels, sdp
+from dyncoh import kernels, sdp, search
 
 
 def _random_sparse_symmetric(rng, n, nnz):
@@ -49,6 +49,34 @@ def test_least_norm_solves_the_constraints_in_their_span(rng, dims):
         assert np.array_equal(sc.least_norm(r[k:k + 1])[0], x[k])
 
 
+def _schur_reference(matrices, w):
+    """Re tr(H_k W H_l W) by one python loop over the nonzeros of each pair of rows."""
+    nonzeros = [[(a, b, h[a, b]) for a, b in zip(*np.nonzero(h))] for h in matrices]
+    m = len(nonzeros)
+    out = np.zeros((m, m))
+    for k in range(m):
+        for l in range(k, m):
+            acc = 0.0j
+            for a, b, hk in nonzeros[k]:
+                for c, d, hl in nonzeros[l]:
+                    acc += hk * hl * w[b, c] * w[d, a]
+            out[k, l] = out[l, k] = acc.real
+    return out
+
+
+def _random_weights(rng, n, count=None):
+    shape = (n, n) if count is None else (count, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return g @ g.conj().swapaxes(-1, -2) + np.eye(n)
+
+
+def _assert_matches_reference(sc, w):
+    got = sc.schur(w)
+    assert np.array_equal(got, got.swapaxes(-1, -2))
+    expected = _schur_reference(sc.dense, w)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_schur_backends_agree(rng):
     # real symmetric rows, then complex Hermitian rows with a complex W
     for sparse, phase in ((_random_sparse_symmetric, 0.0), (_random_sparse_hermitian, 1j)):
@@ -56,22 +84,57 @@ def test_schur_backends_agree(rng):
         sc = kernels.SparseConstraints(mats)
         w = rng.standard_normal((14, 14)) + phase * rng.standard_normal((14, 14))
         w = w @ w.conj().T + np.eye(14)
-        dense = kernels.schur_numpy(sc.dense, w)
-        sparse_py = kernels.schur_sparse_py(mats, w)
-        assert np.allclose(dense, sparse_py, atol=1e-9)
-        assert np.allclose(sc.schur(w), dense, atol=1e-9)
+        _assert_matches_reference(sc, w)
+
+
+@pytest.mark.parametrize("family, dims", [
+    (sdp.sign_family, (2, 2)), (sdp.sign_family, (2, 3)), (sdp.sign_family, (3, 3)),
+    (sdp.sign_family, (4, 4)), (search._mio_family, (2, 2)), (search._mio_family, (2, 3)),
+    (search._mio_family, (3, 2)),
+])
+def test_schur_matches_reference_on_the_solver_families(rng, family, dims):
+    sc = family(*dims).constraints
+    _assert_matches_reference(sc, _random_weights(rng, sc.n))
+
+
+def test_schur_mixes_unit_and_dense_rows(rng):
+    n = 5
+    rows = []
+    for p, q, g in ((0, 0, 2.0), (3, 3, -1.5), (0, 1, 1.0), (0, 1, -0.7j), (1, 2, 0.4j),
+                    (2, 4, np.exp(1j * np.pi / 3))):
+        h = np.zeros((n, n), dtype=complex)
+        h[p, q] += g
+        h[q, p] += np.conj(g)
+        rows.append(h)
+    two = np.zeros((n, n), dtype=complex)
+    two[0, 2] = two[2, 0] = 1.0
+    two[1, 3], two[3, 1] = 0.5j, -0.5j
+    rows += [np.eye(n), two]
+    sc = kernels.SparseConstraints(rows)
+    # a single entry of any other phase stays a dense row
+    assert sc.unit_rows.tolist() == [0, 1, 2, 3, 4]
+    assert sc.dense_rows.tolist() == [5, 6, 7]
+    _assert_matches_reference(sc, _random_weights(rng, n))
+
+
+@pytest.mark.parametrize("family, dims, unit, dense", [
+    (sdp.sign_family, (4, 4), 48, 1), (sdp.sign_family, (2, 2), 4, 1),
+    (search._mio_family, (2, 2), 4, 4),
+])
+def test_schur_gathers_every_row_but_the_dense_ones(family, dims, unit, dense):
+    sc = family(*dims).constraints
+    assert (len(sc.unit_rows), len(sc.dense_rows)) == (unit, dense)
+    assert not (sc.unit_rows.flags.writeable or sc.dense_rows.flags.writeable)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
 def test_stacked_schur_matches_per_matrix_schur(rng, dims):
     sc = sdp.sign_family(*dims).constraints
-    g = rng.standard_normal((12, sc.n, sc.n)) + 1j * rng.standard_normal((12, sc.n, sc.n))
-    w = g @ g.conj().swapaxes(-1, -2) + np.eye(sc.n)
+    w = _random_weights(rng, sc.n, 12)
     stacked = sc.schur(w)
     assert stacked.shape == (12, sc.m, sc.m)
     for wk, mk in zip(w, stacked):
-        single = sc.schur(wk)
-        assert np.abs(mk - single).max() <= 1e-12 * np.abs(single).max()
+        assert np.array_equal(mk, sc.schur(wk))
 
 
 def test_ascent_improves_and_matches_reference(rng):

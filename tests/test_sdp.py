@@ -100,6 +100,25 @@ def test_solver_reports_unbounded_as_failure():
     assert info.iterations < 60 and np.isfinite(info.primal_objective)
 
 
+def test_solver_reports_infeasible_as_failure():
+    # X[0,0] = -1 admits no PSD X: the dual climbs along the Farkas ray y < 0
+    f = np.zeros((2, 2), dtype=complex)
+    f[0, 0] = 1.0
+    prob = sd.SdpProblem(
+        psd_variables=(("X", 2),),
+        equality_constraints=((f, -1.0),),
+        objective=np.eye(2, dtype=complex),
+    )
+    with pytest.raises(SolverFailure) as err:
+        sd.solve_sdp(prob)
+    assert err.value.status == "infeasible"
+    # with a zero objective the iterates overflow first; the last finite
+    # dual direction still certifies it
+    mats, targets = sd._split_constraints(prob)
+    _, _, _, info = ipm.solve_real_sdp(SparseConstraints(mats), targets, np.zeros((2, 2)))
+    assert info.status == "infeasible" and not np.isfinite(info.gap)
+
+
 def test_solver_accepts_redundant_consistent_rows():
     f = np.zeros((2, 2), dtype=complex)
     f[0, 0] = 1.0

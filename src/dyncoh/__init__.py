@@ -10,12 +10,9 @@ from .errors import DimensionMismatch, SolverFailure, ValidationError
 from .measures import GameConfig, IncoherentPovm
 from .sdp import (
     MeasureReport,
-    SdpProblem,
-    SdpSolution,
     enumerate_sign_vectors,
     extract_optimal,
     preprocessed_improvement,
-    solve_sdp,
 )
 from .search import (
     GameTranscript,
@@ -34,8 +31,6 @@ __all__ = [
     "GameTranscript",
     "IncoherentPovm",
     "MeasureReport",
-    "SdpProblem",
-    "SdpSolution",
     "SearchBudget",
     "SolverFailure",
     "ValidationError",
@@ -46,6 +41,5 @@ __all__ = [
     "no_preprocessing_improvement",
     "postprocessed_improvement_lower",
     "preprocessed_improvement",
-    "solve_sdp",
     "__version__",
 ]

@@ -411,15 +411,17 @@ def channel_to_dict(ch):
 
 
 def channel_from_dict(data):
+    """The channel of a `channel_to_dict` record; `ValidationError` on any
+    malformed field."""
     try:
         dim_in = int(data["dim_in"])
         dim_out = int(data["dim_out"])
-        raw = data["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"channel JSON missing field: {exc}") from exc
+        raw = [np.array([[complex(c[0], c[1]) for c in row] for row in k])
+               for k in data["kraus"]]
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ValidationError(f"malformed channel JSON: {exc!r}") from exc
     ops = []
-    for k in raw:
-        arr = np.array([[complex(c[0], c[1]) for c in row] for row in k])
+    for arr in raw:
         if arr.shape != (dim_out, dim_in):
             raise DimensionMismatch(
                 f"Kraus shape {arr.shape} does not match dims out={dim_out} in={dim_in}"
@@ -436,8 +438,14 @@ def save_channel(ch, path):
 
 
 def load_channel(path):
+    """Read a channel JSON file; `ValidationError` when it is not UTF-8 JSON
+    of a channel, `OSError` when it cannot be read."""
     with open(path, "r", encoding="utf-8") as f:
-        return channel_from_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise ValidationError(f"{path} is not UTF-8 JSON: {exc}") from exc
+    return channel_from_dict(data)
 
 
 def from_uri(uri):

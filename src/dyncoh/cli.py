@@ -5,8 +5,9 @@ counterexample, verify.  Reports are JSON (CSV for sweeps) with the fully
 resolved run configuration embedded, and identical configurations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 parse error, 2 dimension/validation error,
-3 solver failure.  Errors print one JSON line on stderr.
+Exit codes: 0 success, 1 parse error, 2 dimension/validation error or a
+file that cannot be read or written, 3 solver failure.  Errors print one
+JSON line on stderr.
 """
 
 import argparse
@@ -44,7 +45,6 @@ class RunConfig:
     seed: int = 0
     output_path: str = ""
     format: str = "json"
-    full_sign_enumeration: bool = False
     lambdas: list = field(default_factory=list)
     p1_steps: int = 51
     trials: int = 100000
@@ -95,10 +95,7 @@ def _emit(cfg, payload):
 def _cmd_measure_pre(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
-    mode = "full" if cfg.full_sign_enumeration else "auto"
-    rep = sdpmod.preprocessed_improvement(
-        theta, game, sign_enumeration=mode, gap_tol=cfg.tol
-    )
+    rep = sdpmod.preprocessed_improvement(theta, game)
     return {
         "value": rep.value,
         "trace_norm": rep.trace_norm,
@@ -116,8 +113,7 @@ def _cmd_measure_pre(cfg):
 def _cmd_measure_post(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
-    value = se.postprocessed_improvement_lower(theta, game, se.SearchBudget(rng_seed=cfg.seed),
-                                               gap_tol=cfg.tol)
+    value = se.postprocessed_improvement_lower(theta, game, se.SearchBudget(rng_seed=cfg.seed))
     return {
         "value": value,
         "lower_bound": True,
@@ -137,9 +133,7 @@ def _cmd_classify(cfg):
 def _cmd_sweep(cfg):
     lambdas = cfg.lambdas if cfg.lambdas else [cfg.lam]
     p1_values = np.linspace(0.0, 1.0, cfg.p1_steps)
-    mode = "full" if cfg.full_sign_enumeration else "auto"
-    rows = se.mixture_sweep(lambdas, p1_values, cfg.phi,
-                            sign_enumeration=mode, gap_tol=cfg.tol)
+    rows = se.mixture_sweep(lambdas, p1_values, cfg.phi)
     if cfg.format == "csv":
         lines = ["lambda,p1,M"]
         for lam, p1, value in rows:
@@ -151,7 +145,7 @@ def _cmd_sweep(cfg):
 def _cmd_game(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
-    rep = sdpmod.preprocessed_improvement(theta, game, gap_tol=cfg.tol)
+    rep = sdpmod.preprocessed_improvement(theta, game)
     _, _, povm = se.optimal_game_instance(theta, rep)
     tr = se.monte_carlo_game(theta, rep.phi_opt, rep.rho_opt, povm, game,
                              cfg.trials, cfg.seed)
@@ -201,7 +195,7 @@ def run(cfg):
         sys.stderr.write(json.dumps({"exit_code": 3, "error": str(exc),
                                      "status": exc.status}) + "\n")
         return 3
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         sys.stderr.write(json.dumps({"exit_code": 2, "error": str(exc)}) + "\n")
         return 2
 
@@ -216,13 +210,13 @@ def _build_parser():
         p.add_argument("--lambda", dest="lam", type=float, default=0.5)
         p.add_argument("--phi", default="2.0943951023931953,0",
                        help="comma-separated phases in radians")
-        p.add_argument("--tol", type=float, default=1e-8)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", dest="output_path", default="")
         p.add_argument("--format", default="csv" if name == "sweep" else "json",
                        choices=("json", "csv"))
-        p.add_argument("--full-sign-enumeration", action="store_true",
-                       help="solve every sign program, no analytic shortcut")
+        if name == "classify":
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="membership tolerance of the class tests")
         if name == "sweep":
             p.add_argument("--lambdas", default="", help="comma-separated priors")
             p.add_argument("--p1-steps", dest="p1_steps", type=int, default=51)
@@ -241,12 +235,12 @@ def main(argv=None):
             "channel_uri": ns.channel,
             "lam": ns.lam,
             "phi": _parse_reals(ns.phi),
-            "tol": ns.tol,
             "seed": ns.seed,
             "output_path": ns.output_path,
             "format": ns.format,
-            "full_sign_enumeration": ns.full_sign_enumeration,
         }
+        if hasattr(ns, "tol"):
+            kwargs["tol"] = ns.tol
         if hasattr(ns, "lambdas"):
             kwargs["lambdas"] = _parse_reals(ns.lambdas) if ns.lambdas else []
             kwargs["p1_steps"] = ns.p1_steps

@@ -136,22 +136,28 @@ def real_vectors(a):
 # Pure-state coordinate ascent
 # ---------------------------------------------------------------------------
 
-def objective_numpy(r_stack, x):
-    """sum_n |v^dag R_n v| with v the normalized complex vector encoded by x."""
+def pure_state_ascent(r_stack, x0, max_sweeps=60, step0=0.3, min_step=1e-6):
+    """Cyclic coordinate ascent of sum_n |v^dag R_n v| over pure states.
+
+    ``x0`` is the real encoding [Re v, Im v] of the start, normalized at
+    each evaluation.  Each sweep tries +-step on every coordinate and keeps
+    a move that raises the value; a sweep without one halves the step.
+    Returns (x, value at x).
+    """
+    r_stack = np.ascontiguousarray(r_stack, dtype=np.complex128)
     d = r_stack.shape[1]
-    v = x[:d] + 1j * x[d:]
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return 0.0
-    v = v / nrm
-    vals = np.einsum("i,nij,j->n", v.conj(), r_stack, v).real
-    return float(np.sum(np.abs(vals)))
 
+    def objective(x):
+        v = x[:d] + 1j * x[d:]
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            return 0.0
+        v = v / nrm
+        vals = np.einsum("i,nij,j->n", v.conj(), r_stack, v).real
+        return float(np.sum(np.abs(vals)))
 
-def ascent_numpy(r_stack, x0, max_sweeps, step0, min_step):
-    """Cyclic coordinate ascent on the real encoding of a pure state."""
-    x = x0.copy()
-    best = objective_numpy(r_stack, x)
+    x = np.array(x0, dtype=np.float64)
+    best = objective(x)
     step = step0
     sweeps = 0
     while step >= min_step and sweeps < max_sweeps:
@@ -161,7 +167,7 @@ def ascent_numpy(r_stack, x0, max_sweeps, step0, min_step):
             for sgn in (1.0, -1.0):
                 old = x[c]
                 x[c] = old + sgn * step
-                val = objective_numpy(r_stack, x)
+                val = objective(x)
                 if val > best + 1e-15:
                     best = val
                     improved = True
@@ -170,10 +176,3 @@ def ascent_numpy(r_stack, x0, max_sweeps, step0, min_step):
         if not improved:
             step *= 0.5
     return x, best
-
-
-def pure_state_ascent(r_stack, x0, max_sweeps=60, step0=0.3, min_step=1e-6):
-    """Refine a pure-state encoding x0; returns (x, objective value)."""
-    r_stack = np.ascontiguousarray(r_stack, dtype=np.complex128)
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    return ascent_numpy(r_stack, x0, max_sweeps, step0, min_step)

@@ -15,12 +15,16 @@ winning ``X`` yields an optimal input state and pre-processing by a direct
 constructive recipe (`extract_optimal`).
 
 Complex functionals become Hermitian rows ``Re tr(H X) = t`` on the n x n
-block, which the backend (`ipm`) solves natively.  The sign programs share
-every constraint, so the constraints are built once per dims as independent
-Hermitian rows (`sign_family`), and the programs of one evaluation, or of
-many evaluations over the same dims (`evaluate_pairs`, which the mixture
-sweep uses), are solved together in stacked interior-point runs of at most
-``MAX_STACK`` programs.
+block, which the backend (`ipm`) solves natively.  Every program, a single
+`SdpProblem` or a family of programs, goes through one presolve
+(`constraint_family`), which keeps the independent rows.  The sign programs
+share every constraint, so the constraints are built once per dims
+(`sign_family`), and the programs of one evaluation, or of many evaluations
+over the same dims (`evaluate_pairs`, which the mixture sweep uses), are
+solved together in stacked interior-point runs of at most ``MAX_STACK``
+programs.  The two constant sign patterns are never solved: trace
+preservation pins their value to +-(lam - mu).  Every program stops at the
+relative gap ``DEFAULT_GAP_TOL``.
 """
 
 import functools
@@ -102,7 +106,10 @@ class MeasureReport:
     """Result of evaluating the pre-processed improvement.
 
     ``value`` is the improvement over prior-only betting; ``trace_norm`` the
-    underlying optimized trace norm (``value + |lam - mu|``).
+    underlying optimized trace norm (``value + |lam - mu|``).  The optimal
+    pair (``rho_opt``, ``phi_opt``) is always extracted, and
+    ``verification_residual`` is the distance between its direct game value
+    and ``trace_norm``.
     """
 
     value: float
@@ -114,94 +121,11 @@ class MeasureReport:
     phi_opt: ch.Channel
     verification_residual: float
     config: ms.GameConfig
-    sigma_diag: np.ndarray = field(default=None, repr=False)
+    sigma_diag: np.ndarray = field(repr=False)
 
 
 # ---------------------------------------------------------------------------
-# Presolve
-# ---------------------------------------------------------------------------
-
-def _hermitian_split(functionals):
-    """Complex functionals ``(F, t)`` -> Hermitian rows ``Re tr(H X) = t_H``.
-
-    Each functional splits into its Hermitian part (target Re t) and its
-    anti-Hermitian part over 2i (target -Im t); a vanishing part is dropped,
-    raising ``SolverFailure("infeasible")`` when its target is nonzero.
-    """
-    raw = []
-    for f, t in functionals:
-        t = complex(t)
-        for part, target in ((0.5 * (f + la.dagger(f)), t.real),
-                             ((f - la.dagger(f)) / 2j, -t.imag)):
-            if la.max_abs(part) > 1e-14:
-                raw.append((part, target))
-            elif abs(target) > 1e-12:
-                raise SolverFailure("infeasible",
-                                    "constraint with zero functional, nonzero target")
-    if not raw:
-        raise ValidationError("problem has no effective constraints")
-    return raw
-
-
-def _split_constraints(problem):
-    """Complex functionals -> independent Hermitian constraint rows.
-
-    Rows of `_hermitian_split` that are linearly dependent over the reals
-    are removed after a consistency check, raising
-    ``SolverFailure("infeasible")`` on contradictory targets.
-    """
-    mats, targets, basis = [], [], []  # kept rows, and orthonormal vectorizations
-    for mat, target in _hermitian_split(problem.equality_constraints):
-        v = r = real_vectors(mat)
-        for _ in range(2):  # a second pass for numerical orthogonality
-            for q in basis:
-                r = r - (q @ r) * q
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-10 * max(1.0, np.linalg.norm(v)):
-            mats.append(mat)
-            targets.append(target)
-            basis.append(r / nrm)
-            continue
-        # Dependent row: target must agree with the implied combination.
-        coeff, *_ = np.linalg.lstsq(real_vectors(np.stack(mats)).T, v, rcond=None)
-        implied = float(np.array(targets) @ coeff)
-        if abs(implied - target) > 1e-9 * max(1.0, abs(target)):
-            raise SolverFailure(
-                "infeasible",
-                f"inconsistent dependent constraint: target {target}, implied {implied}",
-            )
-    return mats, np.asarray(targets)
-
-
-def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_iter=200):
-    """Solve one SdpProblem (maximization) on its Hermitian block.
-
-    Returns an `SdpSolution`; any status other than ``optimal`` raises
-    `SolverFailure` with diagnostics.
-    """
-    mats, targets = _split_constraints(problem)
-    constraints = SparseConstraints(mats)
-    # backend minimizes; negate for maximization
-    x, _, _, info = solve_real_sdp(
-        constraints, targets, -problem.objective,
-        gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter,
-    )
-    sol = SdpSolution(
-        variable_values={problem.psd_variables[0][0]: x},
-        objective_value=-info.primal_objective,
-        duality_gap=info.gap,
-        status=info.status,
-        iterations=info.iterations,
-        primal_residual=info.primal_residual,
-        dual_residual=info.dual_residual,
-    )
-    if sol.status != "optimal":
-        raise SolverFailure(sol.status, f"SDP did not reach optimality: {info}")
-    return sol
-
-
-# ---------------------------------------------------------------------------
-# Constraint families shared by many objectives
+# Presolve and single programs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -218,27 +142,88 @@ class ConstraintFamily:
 
 
 def constraint_family(functionals):
-    """Hermitian rows of complex functionals that are independent by construction.
+    """The presolve: complex functionals ``(F, t)`` -> independent Hermitian rows.
 
-    Stands in for the presolve of `solve_sdp`: the rank over the reals is
-    checked once, when the family is built, instead of Gram-Schmidt on
-    every solve.
+    Each functional splits into its Hermitian part (target Re t) and its
+    anti-Hermitian part over 2i (target -Im t).  A vanishing part is
+    dropped, and a row i whose residual against the rows kept before it,
+    |R_ii| of a QR factorization of their real vectorizations v, is at most
+    1e-10 max(1, |v_i|).  A dropped row whose target disagrees with the
+    rows that give it raises ``SolverFailure("infeasible")``.  The arrays
+    are read-only, since cached families are shared.
     """
-    raw = _hermitian_split(functionals)
-    mats = [mat for mat, _ in raw]
-    rank = np.linalg.matrix_rank(real_vectors(np.stack(mats)))
-    if rank != len(mats):
-        raise ValueError(f"constraint family has rank {rank} < {len(mats)} rows")
-    constraints = SparseConstraints(mats)
-    targets = np.array([t for _, t in raw])
+    mats, targets = [], []
+    for f, t in functionals:
+        t = complex(t)
+        for part, target in ((0.5 * (f + la.dagger(f)), t.real),
+                             ((f - la.dagger(f)) / 2j, -t.imag)):
+            if la.max_abs(part) > 1e-14:
+                mats.append(part)
+                targets.append(target)
+            elif abs(target) > 1e-12:
+                raise SolverFailure("infeasible",
+                                    "constraint with zero functional, nonzero target")
+    if not mats:
+        raise ValidationError("problem has no effective constraints")
+    mats, targets = np.array(mats), np.array(targets)
+    v = real_vectors(mats)
+    tol = 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=1))
+    keep = np.arange(len(v))
+    while True:
+        # QR goes on past a dependent column along an arbitrary direction,
+        # which can hide a later independent row, so it restarts without it
+        r = np.abs(np.diagonal(np.linalg.qr(v[keep].T, mode="r")))
+        small = np.flatnonzero(r <= tol[keep[:r.size]])
+        if not small.size:
+            break
+        j = small[0]
+        coeff, *_ = np.linalg.lstsq(v[keep[:j]].T, v[keep[j]], rcond=None)
+        implied, target = targets[keep[:j]] @ coeff, targets[keep[j]]
+        if abs(implied - target) > 1e-9 * max(1.0, abs(target)):
+            raise SolverFailure(
+                "infeasible",
+                f"inconsistent dependent constraint: target {target}, implied {implied}",
+            )
+        keep = np.delete(keep, j)
+    constraints = SparseConstraints(mats[keep])
+    targets = targets[keep]
     start = initial_point(constraints, targets)
-    # cached families are shared
     for shared in (constraints.dense, constraints.flat, constraints.gram_inv, targets, start):
         shared.flags.writeable = False
     return ConstraintFamily(constraints, targets, start)
 
 
-def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, max_iter=200):
+def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_iter=200):
+    """Solve one SdpProblem (maximization) on its Hermitian block.
+
+    Returns an `SdpSolution`; any status other than ``optimal`` raises
+    `SolverFailure` with diagnostics.
+    """
+    family = constraint_family(problem.equality_constraints)
+    # backend minimizes; negate for maximization
+    x, _, _, info = solve_real_sdp(
+        family.constraints, family.targets, -problem.objective,
+        gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, x0=family.start,
+    )
+    sol = SdpSolution(
+        variable_values={problem.psd_variables[0][0]: x},
+        objective_value=-info.primal_objective,
+        duality_gap=info.gap,
+        status=info.status,
+        iterations=info.iterations,
+        primal_residual=info.primal_residual,
+        dual_residual=info.dual_residual,
+    )
+    if sol.status != "optimal":
+        raise SolverFailure(sol.status, f"SDP did not reach optimality: {info}")
+    return sol
+
+
+# ---------------------------------------------------------------------------
+# Families of programs sharing their constraints
+# ---------------------------------------------------------------------------
+
+def solve_family(family, objectives):
     """Maximize ``tr(C X)`` over a family for one Hermitian C or a stack of them.
 
     The programs go through consecutive `solve_stacked` runs of at most
@@ -253,9 +238,8 @@ def solve_family(family, objectives, gap_tol=DEFAULT_GAP_TOL, max_iter=200):
     xs, infos = [], []
     for lo in range(0, len(c), MAX_STACK):
         x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
-                                           c[lo:lo + MAX_STACK], gap_tol=gap_tol,
-                                           feas_tol=DEFAULT_FEAS_TOL, max_iter=max_iter,
-                                           x0=family.start)
+                                           c[lo:lo + MAX_STACK], gap_tol=DEFAULT_GAP_TOL,
+                                           feas_tol=DEFAULT_FEAS_TOL, x0=family.start)
         xs.append(x)
         infos.extend(run_infos)
     x = np.concatenate(xs) if xs else np.empty_like(c)
@@ -348,7 +332,7 @@ def build_sign_program(theta, cfg, signs):
 # Extraction of the optimal pair
 # ---------------------------------------------------------------------------
 
-def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD):
+def extract_optimal(x_opt, dims):
     """Recover (sigma, rho_opt, phi_opt) from a feasible winning X.
 
     The input-state populations sigma come from the diagonal of tr_B X, the
@@ -376,7 +360,7 @@ def extract_optimal(x_opt, dims, support_threshold=SUPPORT_THRESHOLD):
     amp = np.sqrt(np.clip(sigma, 0.0, None))
     rho_opt = np.outer(amp, amp).astype(complex)
 
-    support = [i for i in range(da) if sigma[i] > support_threshold]
+    support = [i for i in range(da) if sigma[i] > SUPPORT_THRESHOLD]
     ds = len(support)
 
     # channel on the support: blocks of X rescaled by the populations,
@@ -421,22 +405,19 @@ class SignEvaluation:
     x_opt: np.ndarray  # the winning program's maximizer
 
 
-def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL):
+def evaluate_pairs(pairs):
     """Solve the sign programs of many (theta, cfg) pairs with the same dims.
 
-    The programs of every pair are stacked into one `solve_family` call over
-    the shared `sign_family`.  Returns ``(signs, evaluations)``, one
-    `SignEvaluation` per pair.  Raises `SolverFailure` when any program
-    fails or any pair's improvement is negative, so no value of such a
-    batch is returned.
+    The non-constant patterns of every pair are stacked into one
+    `solve_family` call over the shared `sign_family`; the two constant
+    patterns are pinned to +-(lam - mu) by trace preservation.  Returns
+    ``(signs, evaluations)``, all 2^N patterns and one `SignEvaluation` per
+    pair.  Raises `SolverFailure` when any program fails or any pair's
+    improvement is negative, so no value of such a batch is returned.
     """
-    if sign_enumeration not in ("auto", "full"):
-        raise ValidationError(f"unknown sign_enumeration {sign_enumeration!r}")
     for theta, _ in pairs:
         if not (theta.completely_positive and theta.trace_preserving):
             raise ValidationError("pre-processed improvement requires a CPTP channel")
-        if theta.dim_out > MAX_SIGN_DIMENSION:
-            raise ValidationError("output dimension exceeds the sign enumeration guard")
     dims = {(cfg.dim, theta.dim_in, theta.dim_out) for theta, cfg in pairs}
     if not dims:
         return [], []
@@ -445,15 +426,13 @@ def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL):
     ((da, db, dim_out),) = dims
 
     signs = enumerate_sign_vectors(dim_out, full=True)
-    # the constant patterns are pinned to +-(lam - mu) by trace preservation
     per_sign = np.array([[(cfg.lam - cfg.mu) * s[0] for s in signs] for _, cfg in pairs])
-    solved = [k for k, s in enumerate(signs)
-              if not (sign_enumeration == "auto" and len(set(s)) == 1)]
+    solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
     if solved:
         objectives = np.concatenate([
             _sign_objectives(theta, cfg, [signs[k] for k in solved]) for theta, cfg in pairs
         ])
-        values, xs = solve_family(sign_family(da, db), objectives, gap_tol=gap_tol)
+        values, xs = solve_family(sign_family(da, db), objectives)
         per_sign[:, solved] = values.reshape(len(pairs), len(solved))
         xs = xs.reshape(len(pairs), len(solved), *xs.shape[1:])
 
@@ -473,62 +452,40 @@ def evaluate_pairs(pairs, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL):
     return signs, evaluations
 
 
-def preprocessed_improvement(theta, cfg, sign_enumeration="auto", gap_tol=DEFAULT_GAP_TOL,
-                             extract=True):
+def preprocessed_improvement(theta, cfg):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
-    Solves one SDP per sign vector through `evaluate_pairs`, stacked over
-    the shared `sign_family`, and reports the maximum, the winning X,
-    and (when ``extract``) the optimal input state and pre-processing with a
-    round-trip verification residual.  If any program fails, `SolverFailure`
-    is raised and no value is reported.
-
-    ``sign_enumeration``:
-
-    * ``"auto"`` (default): all 2^N patterns, with the two constant patterns
-      evaluated analytically (their objective is pinned to +-(lam - mu) by
-      trace preservation), so 2^N - 2 programs are actually solved.
-    * ``"full"``: every pattern solved, no analytic shortcut.
+    Solves one SDP per non-constant sign vector through `evaluate_pairs`,
+    stacked over the shared `sign_family`, and reports the maximum, the
+    winning X, and the optimal input state and pre-processing extracted from
+    it, with the residual of their round trip through the game arithmetic.
+    If any program fails, the extraction fails, or the residual exceeds
+    1e-6, `SolverFailure` is raised and no value is reported.
     """
-    signs, (evaluation,) = evaluate_pairs([(theta, cfg)], sign_enumeration, gap_tol=gap_tol)
-    dims = (cfg.dim, theta.dim_in)
-    winner = evaluation.winner
-    trace_norm = evaluation.per_sign[winner]
-    x_opt = evaluation.x_opt
-
-    rho_opt = None
-    phi_opt = None
-    sigma = None
-    residual = float("nan")
-    if extract:
-        try:
-            res = extract_optimal(x_opt, dims)
-        except ValidationError:
-            # solver noise: re-solve the winner at a tighter gap, then retry
-            objective = _sign_objectives(theta, cfg, [signs[winner]])[0]
-            _, x_opt = solve_family(sign_family(*dims), objective, gap_tol=gap_tol * 1e-2,
-                                    max_iter=300)
-            try:
-                res = extract_optimal(x_opt, dims)
-            except ValidationError:
-                res = extract_optimal(x_opt, dims, support_threshold=1e-7)
-        rho_opt, phi_opt, sigma = res.rho_opt, res.phi_opt, res.sigma_diag
-        residual = verify_extraction(theta, cfg, res, trace_norm)
-        if residual > 1e-6:
-            raise SolverFailure(
-                "numerical_failure",
-                f"extraction round-trip residual {residual:.3e} exceeds 1e-6",
-            )
+    signs, (evaluation,) = evaluate_pairs([(theta, cfg)])
+    trace_norm = evaluation.per_sign[evaluation.winner]
+    try:
+        res = extract_optimal(evaluation.x_opt, (cfg.dim, theta.dim_in))
+    except ValidationError as exc:
+        raise SolverFailure(
+            "numerical_failure", f"no optimal pair extracted from the solver's X: {exc}"
+        ) from exc
+    residual = verify_extraction(theta, cfg, res, trace_norm)
+    if residual > 1e-6:
+        raise SolverFailure(
+            "numerical_failure",
+            f"extraction round-trip residual {residual:.3e} exceeds 1e-6",
+        )
 
     return MeasureReport(
         value=evaluation.improvement,
         trace_norm=trace_norm,
         per_sign_values=evaluation.per_sign,
         sign_vectors=signs,
-        x_opt=x_opt,
-        rho_opt=rho_opt,
-        phi_opt=phi_opt,
+        x_opt=evaluation.x_opt,
+        rho_opt=res.rho_opt,
+        phi_opt=res.phi_opt,
         verification_residual=residual,
         config=cfg,
-        sigma_diag=sigma,
+        sigma_diag=res.sigma_diag,
     )

@@ -235,8 +235,7 @@ def _mio_starts(dim_b, dim_c, rng_seed, restarts):
     return (first,) + tuple(ch.random_mio(dim_b, dim_c, rng) for _ in range(restarts))
 
 
-def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8,
-                                    gap_tol=sdpmod.DEFAULT_GAP_TOL):
+def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8):
     """Certified lower bound on the post-processed improvement.
 
     One chain runs per incoherent basis input and starting post-processing
@@ -284,8 +283,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)) over the Choi matrix J of Psi
         objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
         _, new_choi = sdpmod.solve_family(
-            family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])),
-            gap_tol=gap_tol)
+            family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])))
         for k, j in zip(active, new_choi):
             choi[k] = ch.channel_from_choi(j, dim_b, dim_c, atol=1e-6).choi
     return float(value.max() - cfg.prior_gap)
@@ -350,8 +348,7 @@ def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
     return GameTranscript(trials, successes, empirical, predicted, float(z))
 
 
-def mixture_sweep(lambdas, p1_values, phi, sign_enumeration="auto",
-                  gap_tol=sdpmod.DEFAULT_GAP_TOL):
+def mixture_sweep(lambdas, p1_values, phi):
     """Pre-processed improvement of Hadamard mixtures over a parameter grid.
 
     Every weight and prior is checked before any SDP is solved.  The sign
@@ -369,5 +366,5 @@ def mixture_sweep(lambdas, p1_values, phi, sign_enumeration="auto",
     phi = np.asarray(phi, dtype=float)
     grid = [(float(lam), p1) for lam in lambdas for p1 in p1_values]
     pairs = [(ch.hadamard_mixture(p1), ms.GameConfig(lam, phi)) for lam, p1 in grid]
-    _, evaluations = sdpmod.evaluate_pairs(pairs, sign_enumeration, gap_tol=gap_tol)
+    _, evaluations = sdpmod.evaluate_pairs(pairs)
     return [(lam, p1, ev.improvement) for (lam, p1), ev in zip(grid, evaluations)]

@@ -23,15 +23,8 @@ def test_measure_pre_hadamard(capsys):
     assert data["result"]["value"] == pytest.approx(np.sqrt(3) / 2, abs=1e-4)
     assert data["result"]["verification_residual"] <= 1e-6
     assert data["config"]["command"] == "measure-pre"
-    assert all(np.isfinite(v) for v in data["result"]["per_sign_values"])
-
-
-def test_measure_pre_full_enumeration_flag(capsys):
-    code, out, _ = run_cli(
-        ["measure-pre", "--channel", "hadamard", "--full-sign-enumeration"], capsys)
-    assert code == 0
-    data = json.loads(out)
     assert len(data["result"]["per_sign_values"]) == 4
+    assert all(np.isfinite(v) for v in data["result"]["per_sign_values"])
 
 
 def test_classify_hadamard(capsys):
@@ -60,9 +53,7 @@ def test_measure_pre_on_channel_file(tmp_path, capsys):
                             "--lambda", "0.5", "--phi", "2.0,0"], capsys)
     assert code == 0
     got = json.loads(out)["result"]["value"]
-    expected = sd.preprocessed_improvement(
-        theta, ms.GameConfig(0.5, np.array([2.0, 0.0])), extract=False
-    ).value
+    expected = sd.preprocessed_improvement(theta, ms.GameConfig(0.5, np.array([2.0, 0.0]))).value
     # serialization truncates the Kraus set at the numerical-rank threshold
     assert got == pytest.approx(expected, abs=1e-6)
 
@@ -97,13 +88,31 @@ def test_sweep_is_byte_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol", "inf"],
+@pytest.mark.parametrize("flags", [["--lambdas", "0.5,nan"], ["--lambdas", "inf"],
                                    ["--p1-steps", "-1"], ["--p1-steps", "0"]])
 def test_sweep_rejects_bad_numbers(flags, capsys):
     code, out, err = run_cli(["sweep", "--lambdas", "0.5", *flags], capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_classify_rejects_bad_tol(tol, capsys):
+    code, out, err = run_cli(["classify", "--channel", "hadamard", "--tol", tol], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("flags", [["--tol", "0.5"], ["--full-sign-enumeration"]])
+def test_measure_pre_takes_no_solver_flags(flags, capsys):
+    # the gap tolerance is fixed and the constant sign patterns are always
+    # evaluated analytically; --tol is classify's membership tolerance
+    code, out, err = run_cli(["measure-pre", "--channel", "qft:3", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 1
 
 
 def test_sweep_solver_failure_exit_code(nan_at_fifth_pair, capsys):
@@ -113,14 +122,18 @@ def test_sweep_solver_failure_exit_code(nan_at_fifth_pair, capsys):
     assert json.loads(err)["status"] == "numerical_failure"
 
 
-def test_measure_pre_is_byte_deterministic(capsys):
-    args = ["measure-pre", "--channel", "qft:3", "--lambda", "0.7",
-            "--phi", "2.0,0,1.0", "--seed", "3"]
+@pytest.mark.parametrize("args", [
+    ["measure-pre", "--channel", "qft:3", "--lambda", "0.7", "--phi", "2.0,0,1.0",
+     "--seed", "3"],
+    ["measure-post", "--channel", "hadamard", "--lambda", "0.6", "--seed", "3"],
+    ["classify", "--channel", "qft:3"],
+    ["game", "--channel", "hadamard", "--trials", "2000", "--seed", "3"],
+], ids=lambda args: args[0])
+def test_is_byte_deterministic(args, capsys):
     code1, out1, _ = run_cli(args, capsys)
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
-    assert len(json.loads(out1)["result"]["per_sign_values"]) == 8
 
 
 def test_game_command(capsys):
@@ -245,6 +258,36 @@ def test_dimension_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(["classify", "--channel", str(path)], capsys)
     assert code == 2
     assert json.loads(err)["exit_code"] == 2
+
+
+@pytest.mark.parametrize("case", ["kraus_not_a_list", "dim_not_a_number", "dim_is_infinite",
+                                  "scalar_entry", "one_element_pair", "not_utf8",
+                                  "channel_is_a_directory", "out_is_a_directory"])
+def test_bad_files_exit_code(case, tmp_path, capsys):
+    good = ch.channel_to_dict(ch.hadamard())
+    records = {
+        "kraus_not_a_list": dict(good, kraus=5),
+        "dim_not_a_number": dict(good, dim_in="x"),
+        "dim_is_infinite": dict(good, dim_in=float("inf")),
+        "scalar_entry": dict(good, kraus=[[[1.0, 0.0], [0.0, 1.0]]]),
+        "one_element_pair": dict(good, kraus=[[[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+    }
+    path = tmp_path / "theta.json"
+    args = ["classify", "--channel", str(path)]
+    if case in records:
+        path.write_text(json.dumps(records[case]))
+    elif case == "not_utf8":
+        path.write_bytes(b'{"dim_in": 2, "kraus": "\xff"}')
+    elif case == "channel_is_a_directory":
+        path.mkdir()
+    else:
+        args = ["classify", "--channel", "hadamard", "--out", str(tmp_path)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == 2
 
 
 def test_verify_wiring(monkeypatch, capsys):

@@ -7,7 +7,7 @@ from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh import sdp as sd
 from dyncoh.errors import SolverFailure, ValidationError
-from dyncoh.kernels import SparseConstraints, real_vectors
+from dyncoh.kernels import real_vectors
 
 
 def cfg_half():
@@ -93,8 +93,8 @@ def test_solver_reports_unbounded_as_failure():
     assert err.value.status == "unbounded"
     # the recession direction ends the run before its iteration budget, and
     # before the iterates diverge
-    mats, targets = sd._split_constraints(prob)
-    _, _, _, info = ipm.solve_real_sdp(SparseConstraints(mats), targets, -prob.objective,
+    family = sd.constraint_family(prob.equality_constraints)
+    _, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, -prob.objective,
                                        max_iter=60)
     assert info.status == "unbounded"
     assert info.iterations < 60 and np.isfinite(info.primal_objective)
@@ -114,8 +114,8 @@ def test_solver_reports_infeasible_as_failure():
     assert err.value.status == "infeasible"
     # with a zero objective the iterates overflow first; the last finite
     # dual direction still certifies it
-    mats, targets = sd._split_constraints(prob)
-    _, _, _, info = ipm.solve_real_sdp(SparseConstraints(mats), targets, np.zeros((2, 2)))
+    family = sd.constraint_family(prob.equality_constraints)
+    _, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, np.zeros((2, 2)))
     assert info.status == "infeasible" and not np.isfinite(info.gap)
 
 
@@ -128,6 +128,7 @@ def test_solver_accepts_redundant_consistent_rows():
         psd_variables=(("X", 2),),
         equality_constraints=(
             (np.eye(2, dtype=complex), 1.0),
+            (np.eye(2, dtype=complex), 1.0),  # a repeat before an independent row
             (f, 0.3),
             (g, 0.7),
         ),
@@ -295,38 +296,23 @@ def test_di_channel_programs_never_beat_prior(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_auto_equals_full(rng):
+def test_constant_patterns_are_pinned_to_the_prior(rng):
+    # the two constant sign programs are never solved: trace preservation pins
+    # them to +-(lam - mu), which solving them must reproduce
     for _ in range(8):
-        din = int(rng.integers(2, 4))
-        dout = int(rng.integers(2, 4))
+        da, din, dout = (int(d) for d in rng.integers(2, 4, size=3))
         theta = ch.random_channel(din, dout, rng)
-        cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2))
-        auto = sd.preprocessed_improvement(theta, cfg, "auto", extract=False)
-        full = sd.preprocessed_improvement(theta, cfg, "full", extract=False)
-        assert auto.value == pytest.approx(full.value, abs=1e-8)
-
-
-@pytest.mark.parametrize("mode", ["halved", "bogus"])
-def test_unknown_sign_enumeration_is_rejected(mode):
-    with pytest.raises(ValidationError):
-        sd.preprocessed_improvement(ch.hadamard(), cfg_half(), mode, extract=False)
-
-
-def test_auto_per_sign_values_match_full(rng):
-    theta = ch.random_channel(2, 2, rng)
-    cfg = ms.GameConfig(0.7, rng.uniform(0, 2 * np.pi, 2))
-    auto = sd.preprocessed_improvement(theta, cfg, "auto", extract=False)
-    full = sd.preprocessed_improvement(theta, cfg, "full", extract=False)
-    assert auto.sign_vectors == full.sign_vectors
-    for a, f in zip(auto.per_sign_values, full.per_sign_values):
-        assert a == pytest.approx(f, abs=1e-7)
+        cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, da))
+        objectives = sd._sign_objectives(theta, cfg, [(1,) * dout, (-1,) * dout])
+        values, _ = sd.solve_family(sd.sign_family(da, din), objectives)
+        assert values == pytest.approx([cfg.lam - cfg.mu, cfg.mu - cfg.lam], abs=1e-8)
 
 
 def test_identical_calls_give_identical_per_sign_values(rng):
     theta = ch.random_channel(2, 3, rng)
     cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 2))
-    first = sd.preprocessed_improvement(theta, cfg, extract=False)
-    second = sd.preprocessed_improvement(theta, cfg, extract=False)
+    first = sd.preprocessed_improvement(theta, cfg)
+    second = sd.preprocessed_improvement(theta, cfg)
     assert first.value == second.value
     assert first.per_sign_values == second.per_sign_values
 
@@ -357,7 +343,7 @@ def test_stacked_solve_matches_solo_solves(rng, monkeypatch):
     theta = ch.random_channel(2, 4, rng)
     cfg = ms.GameConfig(0.6, rng.uniform(0, 2 * np.pi, 3))
     runs = _capture_stacked(monkeypatch)
-    rep = sd.preprocessed_improvement(theta, cfg, extract=False)
+    rep = sd.preprocessed_improvement(theta, cfg)
     solved = [k for k, s in enumerate(rep.sign_vectors) if len(set(s)) > 1]
     assert len(runs) == 1 and len(runs[0]) == len(solved) == 14
     for k, info in zip(solved, runs[0]):
@@ -455,17 +441,12 @@ def test_sign_family_is_the_presolved_constraint_span(dims):
                 f[i * db + b, j * db + b] = 1.0
             partial.append((f, 0.0 + 0.0j))
     functionals = sd._sign_functionals(da, db)
-    original = sd.SdpProblem(
-        psd_variables=(("X_AB", n),),
-        equality_constraints=tuple(functionals[:1] + partial + functionals[1:]),
-        objective=np.zeros((n, n), dtype=complex),
-    )
-    mats, targets = sd._split_constraints(original)
-    presolved = real_vectors(np.stack(mats))
-    assert len(mats) == family.constraints.m
-    assert np.linalg.matrix_rank(np.vstack([rows, presolved])) == family.constraints.m
-    assert np.linalg.lstsq(rows.T, presolved.T, rcond=None)[0].T @ family.targets \
-        == pytest.approx(targets, abs=1e-12)
+    presolved = sd.constraint_family(functionals[:1] + partial + functionals[1:])
+    presolved_rows = real_vectors(presolved.constraints.dense)
+    assert presolved.constraints.m == family.constraints.m
+    assert np.linalg.matrix_rank(np.vstack([rows, presolved_rows])) == family.constraints.m
+    assert np.linalg.lstsq(rows.T, presolved_rows.T, rcond=None)[0].T @ family.targets \
+        == pytest.approx(presolved.targets, abs=1e-12)
 
 
 def test_failure_in_a_stack_stays_with_its_program(rng, monkeypatch):
@@ -486,7 +467,7 @@ def test_prior_endpoints_have_zero_improvement(rng):
     theta = ch.random_channel(2, 2, rng)
     for lam in (0.0, 1.0):
         cfg = ms.GameConfig(lam, np.array([2.0 * np.pi / 3.0, 0.0]))
-        rep = sd.preprocessed_improvement(theta, cfg, extract=False)
+        rep = sd.preprocessed_improvement(theta, cfg)
         assert rep.value == pytest.approx(0.0, abs=1e-7)
         assert rep.trace_norm == pytest.approx(1.0, abs=1e-7)
 
@@ -497,8 +478,8 @@ def test_prior_reflection_identity(rng):
         theta = ch.random_channel(2, 2, rng)
         lam = float(rng.uniform(0, 1))
         phi = rng.uniform(0, 2 * np.pi, 2)
-        a = sd.preprocessed_improvement(theta, ms.GameConfig(lam, phi), extract=False)
-        b = sd.preprocessed_improvement(theta, ms.GameConfig(1 - lam, -phi), extract=False)
+        a = sd.preprocessed_improvement(theta, ms.GameConfig(lam, phi))
+        b = sd.preprocessed_improvement(theta, ms.GameConfig(1 - lam, -phi))
         assert a.value == pytest.approx(b.value, abs=1e-7)
 
 
@@ -558,6 +539,19 @@ def test_extraction_rejects_infeasible_x():
         sd.extract_optimal(bad, (2, 2))
 
 
+def test_extraction_failure_is_a_solver_failure(monkeypatch):
+    # the X comes from the solver, so an X that yields no pair is solver
+    # trouble, not bad input
+    def fail(x_opt, dims):
+        raise ValidationError("X is not PSD within tolerance")
+
+    monkeypatch.setattr(sd, "extract_optimal", fail)
+    with pytest.raises(SolverFailure) as err:
+        sd.preprocessed_improvement(ch.hadamard(), cfg_half())
+    assert err.value.status == "numerical_failure"
+    assert "not PSD" in str(err.value)
+
+
 def test_extraction_roundtrip_random_channels(rng):
     worst = 0.0
     for _ in range(20):
@@ -587,18 +581,18 @@ def test_convexity(rng):
     for _ in range(5):
         th1 = ch.random_channel(2, 2, rng)
         th2 = ch.random_channel(2, 2, rng)
-        m1 = sd.preprocessed_improvement(th1, cfg, extract=False).value
-        m2 = sd.preprocessed_improvement(th2, cfg, extract=False).value
+        m1 = sd.preprocessed_improvement(th1, cfg).value
+        m2 = sd.preprocessed_improvement(th2, cfg).value
         for t in (0.25, 0.5, 0.75):
             mix = ch.mixture([th1, th2], [t, 1.0 - t])
-            m_mix = sd.preprocessed_improvement(mix, cfg, extract=False).value
+            m_mix = sd.preprocessed_improvement(mix, cfg).value
             assert m_mix <= t * m1 + (1.0 - t) * m2 + 1e-5
 
 
 def test_faithfulness_dichotomy_probe():
     phi = np.array([2.0 * np.pi / 3.0, 0.0])
     weak = ch.hadamard_mixture(0.05)
-    at_half = sd.preprocessed_improvement(weak, ms.GameConfig(0.5, phi), extract=False).value
-    at_biased = sd.preprocessed_improvement(weak, ms.GameConfig(0.9, phi), extract=False).value
+    at_half = sd.preprocessed_improvement(weak, ms.GameConfig(0.5, phi)).value
+    at_biased = sd.preprocessed_improvement(weak, ms.GameConfig(0.9, phi)).value
     assert at_half > 1e-6
     assert at_biased <= 1e-7

@@ -49,7 +49,7 @@ def test_brute_force_never_beats_sdp(rng):
         theta = ch.random_channel(2, 2, rng)
         lam = float(rng.choice([0.4, 0.5, 0.7]))
         cfg = ms.GameConfig(lam, rng.uniform(0, 2 * np.pi, 2))
-        exact = sd.preprocessed_improvement(theta, cfg, extract=False).trace_norm
+        exact = sd.preprocessed_improvement(theta, cfg).trace_norm
         lower = se.brute_force_game_value(theta, cfg, small_budget(trial))
         assert lower <= exact + 1e-6
 
@@ -57,7 +57,7 @@ def test_brute_force_never_beats_sdp(rng):
 def test_brute_force_rectangular_dims(rng):
     theta = ch.random_channel(3, 2, rng)
     cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 2))
-    exact = sd.preprocessed_improvement(theta, cfg, extract=False).trace_norm
+    exact = sd.preprocessed_improvement(theta, cfg).trace_norm
     lower = se.brute_force_game_value(theta, cfg, small_budget())
     assert lower <= exact + 1e-6
     assert lower >= cfg.prior_gap - 1e-9
@@ -133,7 +133,7 @@ def test_no_preprocessing_bounded_by_preprocessed(rng):
         theta = ch.random_channel(2, 2, rng)
         cfg = cfg_half()
         without = se.no_preprocessing_improvement(theta, cfg)
-        with_pre = sd.preprocessed_improvement(theta, cfg, extract=False).value
+        with_pre = sd.preprocessed_improvement(theta, cfg).value
         assert without <= with_pre + 1e-6
 
 
@@ -376,8 +376,7 @@ def test_mixture_sweep_checks_the_grid_before_solving(monkeypatch):
     assert se.mixture_sweep([0.5], [], PHI) == []
 
 
-@pytest.mark.parametrize("mode", ["auto", "full"])
-def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
+def test_mixture_sweep_matches_per_point_evaluation(monkeypatch):
     lambdas, p1_grid = (0.5, 0.9), np.linspace(0.0, 1.0, 17)
     runs = []
     original = sd.solve_stacked
@@ -387,13 +386,12 @@ def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
         return original(constraints, b, c, **kwargs)
 
     monkeypatch.setattr(sd, "solve_stacked", recording)
-    rows = se.mixture_sweep(lambdas, p1_grid, PHI, sign_enumeration=mode)
+    rows = se.mixture_sweep(lambdas, p1_grid, PHI)
     assert len(runs) >= 2 and max(runs) <= sd.MAX_STACK
     assert [(lam, p1) for lam, p1, _ in rows] == [(lam, p1) for lam in lambdas
                                                   for p1 in p1_grid]
     for lam, p1, value in rows:
-        rep = sd.preprocessed_improvement(ch.hadamard_mixture(p1), ms.GameConfig(lam, PHI),
-                                          mode, extract=False)
+        rep = sd.preprocessed_improvement(ch.hadamard_mixture(p1), ms.GameConfig(lam, PHI))
         assert value == pytest.approx(rep.value, abs=1e-9)
 
 

@@ -146,10 +146,10 @@ def constraint_family(functionals):
 
     Each functional splits into its Hermitian part (target Re t) and its
     anti-Hermitian part over 2i (target -Im t).  A vanishing part is
-    dropped, and a row i whose residual against the rows kept before it,
+    dropped, as is a row i whose residual against the rows kept before it,
     |R_ii| of a QR factorization of their real vectorizations v, is at most
-    1e-10 max(1, |v_i|).  A dropped row whose target disagrees with the
-    rows that give it raises ``SolverFailure("infeasible")``.  The arrays
+    1e-10 max(1, |v_i|).  A dropped row whose target disagrees with what
+    the kept rows imply raises ``SolverFailure("infeasible")``.  The arrays
     are read-only, since cached families are shared.
     """
     mats, targets = [], []

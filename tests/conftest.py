@@ -31,6 +31,18 @@ def nan_at_fifth_pair(monkeypatch):
     monkeypatch.setattr(sdp, "_sign_objectives", corrupted)
 
 
+def full_sign_enumeration(theta, cfg):
+    """Solve all 2^N sign programs of a pair, the constant ones included.
+
+    Returns (signs, per-sign values): the reference that the analytic
+    constant patterns of `sdp.evaluate_pairs` must reproduce.
+    """
+    signs = sdp.enumerate_sign_vectors(theta.dim_out, full=True)
+    values, _ = sdp.solve_family(sdp.sign_family(cfg.dim, theta.dim_in),
+                                 sdp._sign_objectives(theta, cfg, signs))
+    return signs, values.tolist()
+
+
 def random_hermitian(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (g + g.conj().T)

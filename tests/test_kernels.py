@@ -154,3 +154,20 @@ def test_ascent_improves_and_matches_reference(rng):
     x, value = kernels.pure_state_ascent(r_stack, x0, max_sweeps=50)
     assert value >= direct(x0) - 1e-12
     assert value == pytest.approx(direct(x), abs=1e-12)
+
+
+def test_objective_matches_direct_sum(rng):
+    # with no sweeps the ascent only evaluates its objective at the start
+    d = 4
+    r_stack = np.stack([
+        0.5 * (m + m.conj().T)
+        for m in (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                  for _ in range(3))
+    ])
+    x0 = rng.standard_normal(2 * d)
+    v = x0[:d] + 1j * x0[d:]
+    v = v / np.linalg.norm(v)
+    direct = sum(abs((v.conj() @ r @ v).real) for r in r_stack)
+    x, value = kernels.pure_state_ascent(r_stack, x0, max_sweeps=0)
+    assert np.array_equal(x, x0)
+    assert value == pytest.approx(direct, abs=1e-12)

@@ -9,6 +9,8 @@ from dyncoh import sdp as sd
 from dyncoh.errors import SolverFailure, ValidationError
 from dyncoh.kernels import real_vectors
 
+from conftest import full_sign_enumeration
+
 
 def cfg_half():
     return ms.GameConfig(0.5, np.array([2.0 * np.pi / 3.0, 0.0]))
@@ -306,6 +308,27 @@ def test_constant_patterns_are_pinned_to_the_prior(rng):
         objectives = sd._sign_objectives(theta, cfg, [(1,) * dout, (-1,) * dout])
         values, _ = sd.solve_family(sd.sign_family(da, din), objectives)
         assert values == pytest.approx([cfg.lam - cfg.mu, cfg.mu - cfg.lam], abs=1e-8)
+
+
+def test_auto_equals_full(rng):
+    for _ in range(8):
+        din = int(rng.integers(2, 4))
+        dout = int(rng.integers(2, 4))
+        theta = ch.random_channel(din, dout, rng)
+        cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2))
+        auto = sd.preprocessed_improvement(theta, cfg)
+        _, full = full_sign_enumeration(theta, cfg)
+        assert auto.value == pytest.approx(max(full) - cfg.prior_gap, abs=1e-8)
+
+
+def test_auto_per_sign_values_match_full(rng):
+    theta = ch.random_channel(2, 2, rng)
+    cfg = ms.GameConfig(0.7, rng.uniform(0, 2 * np.pi, 2))
+    auto = sd.preprocessed_improvement(theta, cfg)
+    signs, full = full_sign_enumeration(theta, cfg)
+    assert auto.sign_vectors == signs
+    for a, f in zip(auto.per_sign_values, full):
+        assert a == pytest.approx(f, abs=1e-7)
 
 
 def test_identical_calls_give_identical_per_sign_values(rng):

@@ -9,6 +9,8 @@ from dyncoh import search as se
 from dyncoh import sdp as sd
 from dyncoh.errors import DimensionMismatch, SolverFailure, ValidationError
 
+from conftest import full_sign_enumeration
+
 SQRT3_HALF = np.sqrt(3.0) / 2.0
 PHI = np.array([2.0 * np.pi / 3.0, 0.0])
 
@@ -376,7 +378,10 @@ def test_mixture_sweep_checks_the_grid_before_solving(monkeypatch):
     assert se.mixture_sweep([0.5], [], PHI) == []
 
 
-def test_mixture_sweep_matches_per_point_evaluation(monkeypatch):
+@pytest.mark.parametrize("mode", ["auto", "full"])
+def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
+    # "auto" checks against the package's per-point evaluation, "full"
+    # against solving every sign pattern, the constant ones included
     lambdas, p1_grid = (0.5, 0.9), np.linspace(0.0, 1.0, 17)
     runs = []
     original = sd.solve_stacked
@@ -391,8 +396,12 @@ def test_mixture_sweep_matches_per_point_evaluation(monkeypatch):
     assert [(lam, p1) for lam, p1, _ in rows] == [(lam, p1) for lam in lambdas
                                                   for p1 in p1_grid]
     for lam, p1, value in rows:
-        rep = sd.preprocessed_improvement(ch.hadamard_mixture(p1), ms.GameConfig(lam, PHI))
-        assert value == pytest.approx(rep.value, abs=1e-9)
+        theta, cfg = ch.hadamard_mixture(p1), ms.GameConfig(lam, PHI)
+        if mode == "auto":
+            expected = sd.preprocessed_improvement(theta, cfg).value
+        else:
+            expected = max(full_sign_enumeration(theta, cfg)[1]) - cfg.prior_gap
+        assert value == pytest.approx(expected, abs=1e-9)
 
 
 def test_mixture_sweep_raises_on_a_failed_grid_point(nan_at_fifth_pair):

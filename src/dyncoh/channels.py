@@ -412,10 +412,13 @@ def channel_to_dict(ch):
 
 def channel_from_dict(data):
     """The channel of a `channel_to_dict` record; `ValidationError` on any
-    malformed field."""
+    malformed field.  The dims must be JSON integers: neither a float such as
+    2.9 nor a bool is read as one."""
     try:
-        dim_in = int(data["dim_in"])
-        dim_out = int(data["dim_out"])
+        dim_in, dim_out = data["dim_in"], data["dim_out"]
+        for dim in (dim_in, dim_out):
+            if isinstance(dim, bool) or not isinstance(dim, int):
+                raise TypeError(f"channel dims must be integers, got {dim!r}")
         raw = [np.array([[complex(c[0], c[1]) for c in row] for row in k])
                for k in data["kraus"]]
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

@@ -16,22 +16,26 @@ A(dX) = r_p, so the iterates stay primal-feasible to roundoff.
 
 Layout: the iterates of the programs still running are stacked along a
 leading axis, so each dense factorization (Cholesky, SVD, Hermitian
-eigenvalues, inverses) is one stacked numpy call per iteration.  Every
+eigenvalues, the Schur solve) is one stacked numpy call per iteration.  Every
 program keeps its own stopping tests, stall counter, Schur jitter retries
 and failure status, so a program takes the same steps in a stack as alone,
 and it leaves the stack as soon as it stops.  A single program is the
 stack with K = 1 (`solve_real_sdp`).
 
-Factor reuse: the Cholesky factors of X and S that build the NT scaling are
-inverted once per iteration, and those inverses serve both step-length
-tests and S^-1.  The Cholesky factor of each Schur complement is inverted
-once as well and serves the predictor and the corrector solve.
+No inverse: the scaled frame of Todd, Toh & Tutuncu, as in SDPT3, gives the
+step from the Cholesky factors of X and S and one SVD (`_scaled_frame`):
+frames P_x, P_s with P X P^H = I turn each step-length test into the least
+eigenvalue of P dM P^H, and S^-1 = P_s^H P_s.  The corrector has no
+second-order term, so its direction is affine in the centring term sigma mu:
+one solve of the Schur system with two right-hand sides gives the dual
+direction of the predictor and its slope in sigma mu (`_schur_solve`), and
+dS and dX of both come out of one stacked pass, so the corrector only
+combines them.
 
 The Schur matrices of the whole stack come from one
-``kernels.SparseConstraints.schur`` call, which gathers most entries from W,
-and are factorized in one stacked Cholesky call; only when that call fails
-are they factorized one by one with jitter retries.  The caller caps the
-stack length (``sdp.MAX_STACK`` programs per run), which bounds its memory.
+``kernels.SparseConstraints.schur`` call, which gathers most entries from W.
+The caller caps the stack length (``sdp.MAX_STACK`` programs per run), which
+bounds its memory.
 """
 
 from dataclasses import dataclass
@@ -72,21 +76,38 @@ def _entry_size(m):
     return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
 
 
-def _max_step(ell_inv, dm):
-    """Largest alpha with M + alpha*dM PSD, per matrix, from inv(chol(M))."""
-    lam = np.linalg.eigvalsh(_herm(ell_inv @ dm @ _h(ell_inv)))[..., 0]
+def _max_step(frame, dm):
+    """Largest alpha with M + alpha*dM PSD, per matrix, from a frame P with
+    P M P^H = I: the congruence takes M + alpha*dM to I + alpha*P dM P^H, so
+    alpha is -1 / lambda_min(P dM P^H), and unbounded when that is >= 0."""
+    lam = np.linalg.eigvalsh(_herm(frame @ dm @ _h(frame)))[..., 0]
     return np.where(lam >= -_TINY, np.inf, -1.0 / np.minimum(lam, -_TINY))
 
 
-def _nt_scaling(lx, ls):
-    """W with W S W = X, from the Cholesky factors of X and S and one SVD."""
-    _, sv, vh = np.linalg.svd(_h(ls) @ lx)
-    g = (lx @ _h(vh)) * (sv[..., None, :] ** -0.5)
-    return g @ _h(g)
+def _scaled_frame(x, s):
+    """NT scaling and scaled frames of each X, S pair, with no inverse.
+
+    With L_s^H L_x = U Sigma V^H (Cholesky factors X = L_x L_x^H, S = L_s L_s^H
+    and one SVD), G = L_x V Sigma^-1/2 gives W = G G^H with W S W = X, and
+    P_x = Sigma^-1 U^H L_s^H, P_s = Sigma^-1 V^H L_x^H = Sigma^-1/2 G^H map X
+    and S to the identity, P X P^H = I.  Returns ``(W, frames, S^-1)``, where
+    ``frames`` stacks P_x of every program over P_s of every program and
+    S^-1 = G Sigma^-1 G^H = P_s^H P_s.
+    """
+    k = x.shape[0]
+    factors = np.linalg.cholesky(np.concatenate([x, s]))
+    lx, ls = factors[:k], factors[k:]
+    u, sv, vh = np.linalg.svd(_h(ls) @ lx)
+    lxv = lx @ _h(vh)
+    # P_x^H, P_s^H and G, each a matrix with scaled columns
+    cols = np.concatenate([ls @ u, lxv, lxv]) / np.concatenate([sv, sv, np.sqrt(sv)])[:, None]
+    products = cols[k:] @ _h(cols[k:])
+    return products[k:], _h(cols[:2 * k]), _herm(products[:k])
 
 
-def _schur_factor(mat):
-    """Cholesky factor of one Schur complement.
+def _jittered(mat):
+    """One Schur complement, with jitter on its diagonal if it is not
+    positive definite.
 
     Jitter guards against dependence sneaking past the presolve; after three
     attempts the factorization failure propagates.
@@ -94,11 +115,34 @@ def _schur_factor(mat):
     m = mat.shape[0]
     jitter = 0.0
     for _ in range(3):
+        candidate = mat + jitter * np.eye(m)
         try:
-            return np.linalg.cholesky(mat + jitter * np.eye(m))
+            np.linalg.cholesky(candidate)
+            return candidate
         except np.linalg.LinAlgError:
             jitter = max(10.0 * jitter, 1e-13 * (1.0 + np.trace(mat) / m))
     raise np.linalg.LinAlgError("Schur complement is not positive definite")
+
+
+def _schur_solve(constraints, w, s_inv, x, rp, rd):
+    """``[u, v]`` of shape (2, K, m), with the dual direction dy = u - sigma mu v.
+
+    The right-hand side of the Schur system, r_p + A(W r_d W) - A(r_c), is
+    affine in sigma mu, as r_c = sigma mu S^-1 - X, so one solve of
+    M [u, v] = [r_p + A(W r_d W + X), A(S^-1)] serves the predictor
+    (sigma mu = 0) and the corrector.  A stacked Cholesky call only tests M
+    for positive definiteness; when it fails, jitter retries stay with the
+    program whose matrix needs them.
+    """
+    schur = constraints.schur(w)
+    try:
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        schur = np.stack([_jittered(mk) for mk in schur])
+    k = x.shape[0]
+    rhs = constraints.dot(np.concatenate([w @ rd @ w + x, s_inv])).reshape(2, k, -1)
+    rhs[0] += rp
+    return np.linalg.solve(schur, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _feasible_start(constraints, b, n):
@@ -137,46 +181,36 @@ def _step(constraints, x, s, rp, rd, gap, centre):
     """Predictor-corrector NT direction and step lengths for a stack, and
     whether each primal step is unbounded (dX keeps X PSD at any length)."""
     k, n = x.shape[0], x.shape[-1]
-    # X and S of every program factorized and inverted in one stacked call each
-    factors = np.linalg.cholesky(np.concatenate([x, s]))
-    w = _nt_scaling(factors[:k], factors[k:])
-    factors_inv = np.linalg.inv(factors)
-    ls_inv = factors_inv[k:]
-    # Inverse Cholesky factor L^-1 of each Schur complement, applied as
-    # L^-T (L^-1 r): forming M^-1 itself lets the primal residual drift
-    # once M grows ill-conditioned near the optimum.
-    schur = constraints.schur(w)
-    try:
-        schur_factor = np.linalg.cholesky(schur)
-    except np.linalg.LinAlgError:
-        # jitter retries stay with the program whose matrix needs them
-        schur_factor = np.stack([_schur_factor(mk) for mk in schur])
-    schur_inv = np.linalg.inv(schur_factor)
-    rhs0 = rp + constraints.dot(w @ rd @ w)
+    w, frames, s_inv = _scaled_frame(x, s)
+    # dy, dS and dX are affine in sigma mu: index 0 holds the predictor
+    # (sigma mu = 0) and index 1 minus the slope, so both take one stacked pass.
+    dy = _schur_solve(constraints, w, s_inv, x, rp, rd)
+    ds = -constraints.combine(dy)
+    ds[0] += rd
+    dx = -_herm(np.concatenate([x, s_inv]).reshape(ds.shape) + w @ ds @ w)
+    # Least-norm correction so that A(dX) = r_p holds to roundoff: the
+    # ill-conditioned Schur solve leaves an error there that otherwise
+    # builds up near degenerate optimal faces and stalls the run.
+    r = -constraints.dot(dx)
+    r[0] += rp
+    dx += constraints.least_norm(r)
 
-    def direction(rc):
-        rhs = (rhs0 - constraints.dot(rc))[..., None]
-        dy = (schur_inv.swapaxes(-1, -2) @ (schur_inv @ rhs))[..., 0]
-        ds = rd - constraints.combine(dy)
-        dx = _herm(rc - w @ ds @ w)
-        # Least-norm correction so that A(dX) = r_p holds to roundoff: the
-        # ill-conditioned Schur solve leaves an error there that otherwise
-        # builds up near degenerate optimal faces and stalls the run.
-        dx = dx + constraints.least_norm(rp - constraints.dot(dx))
-        steps = _max_step(factors_inv, np.concatenate([dx, ds]))
-        ray = np.isinf(steps[:k])
-        steps = np.minimum(1.0, _STEP_FRACTION * steps)
-        return dx, dy, ds, steps[:k], steps[k:], ray
+    def steps(dx, ds):
+        alpha = _max_step(frames, np.concatenate([dx, ds]))
+        ray = np.isinf(alpha[:k])
+        alpha = np.minimum(1.0, _STEP_FRACTION * alpha)
+        return alpha[:k], alpha[k:], ray
 
     mu = gap / n
     # Affine predictor fixes the centering parameter.
-    dx_a, _, ds_a, ap, ad, _ = direction(-x)
-    mu_aff = _inner(x + ap[:, None, None] * dx_a, s + ad[:, None, None] * ds_a) / n
+    ap, ad, _ = steps(dx[0], ds[0])
+    mu_aff = _inner(x + ap[:, None, None] * dx[0], s + ad[:, None, None] * ds[0]) / n
     sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.99)
     # keep centering up while infeasibility dominates the gap
-    sigma = np.where(centre, np.maximum(sigma, 0.5), sigma)
-    s_inv = _herm(_h(ls_inv) @ ls_inv)
-    return direction((sigma * mu)[:, None, None] * s_inv - x)
+    sigma_mu = np.where(centre, np.maximum(sigma, 0.5), sigma) * mu
+    t = sigma_mu[:, None, None]
+    dx, ds = dx[0] - t * dx[1], ds[0] - t * ds[1]
+    return (dx, dy[0] - sigma_mu[:, None] * dy[1], ds, *steps(dx, ds))
 
 
 def _step_each(constraints, *stacks):

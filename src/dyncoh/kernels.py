@@ -4,8 +4,12 @@ Assembly of the interior-point Schur complement
 ``M[k,l] = Re tr(H_k W H_l W)`` over sparse complex Hermitian constraint
 matrices (`SparseConstraints.schur`): entries between rows that pin one
 entry of X are gathered from W, and only the other rows, such as the trace
-row, take dense products W H W.  Also the least-norm solution of
-``A(X) = r`` that keeps the interior-point iterates primal-feasible
+row, take dense products W H W.  The same split serves ``A(X)``
+(`SparseConstraints.dot`): a row that pins one entry of X gathers two
+float64 slots of X, and only the other rows take a dense product.
+``A*(y)`` (`SparseConstraints.combine`) gathers, for each slot of X, the
+few rows that touch it.  Also the least-norm solution of ``A(X) = r`` that
+keeps the interior-point iterates primal-feasible
 (`SparseConstraints.least_norm`), and a pure-state coordinate ascent
 (`pure_state_ascent`) that the tests use as an independent reference for the
 exact oracle in `search`.
@@ -22,12 +26,13 @@ class SparseConstraints:
     """m sparse Hermitian matrices H_k sharing one shape, held densely.
 
     ``A(X)`` is the vector of Re tr(H_k X) and ``A*(y)`` is sum_k y_k H_k.
-    The rows are split once for the Schur assembly (`schur`): each of
-    ``unit_rows`` is g E_pq + conj(g) E_qp with p <= q and g real or
+    The rows are split once for the Schur assembly (`schur`) and for `dot`:
+    each of ``unit_rows`` is g E_pq + conj(g) E_qp with p <= q and g real or
     imaginary, and ``dense_rows`` are the rest.
     """
 
     __slots__ = ("m", "n", "dense", "flat", "gram_inv", "unit_rows", "dense_rows",
+                 "_dense_flat", "_reads", "_read_weights", "_columns", "_column_weights",
                  "_gather", "_stacked", "_assemble", "_weights")
 
     def __init__(self, matrices):
@@ -48,11 +53,34 @@ class SparseConstraints:
         self.unit_rows = u = rows[unit]
         self.dense_rows = d = np.flatnonzero(np.bincount(u, minlength=m) == 0)
         im, v = (g[unit].real == 0.0).astype(np.intp), g[unit].real + g[unit].imag
+        # `dot` reads two entries per row from vec X followed by the products of
+        # the dense rows: a unit row reads Re or Im of X[p,q] and of X[q,p],
+        # weighted by its own entries, and a row with a single entry to read
+        # (a diagonal unit row, or a dense row its product) reads it twice at
+        # half weight, which sums to that entry times its weight exactly.
+        pu, qu = p[unit], q[unit]
+        self._dense_flat = self.flat[d]
+        self._reads = reads = np.empty((2, m), dtype=np.intp)
+        self._read_weights = read_weights = np.full((2, m), 0.5)
+        reads[:, u] = 2 * np.stack([pu * n + qu, qu * n + pu]) + im
+        read_weights[:, u] = self.flat[u, reads[:, u]] * np.where(pu == qu, 0.5, 1.0)
+        reads[:, d] = 2 * n * n + np.arange(len(d))
+        # `combine` writes each slot j of vec A*(y) as the sum of y_k flat[k,j]
+        # over the rows k with flat[k,j] != 0, in row order, one term per row
+        # of `_columns` (rows may share a slot before presolve); a slot with
+        # fewer terms reads row 0 at weight 0 for the rest.
+        slot_of, row_of = np.nonzero(self.flat.T)
+        count = np.bincount(slot_of, minlength=self.flat.shape[1])
+        rank = np.arange(len(slot_of)) - (np.cumsum(count) - count)[slot_of]
+        self._columns = np.zeros((count.max(initial=1), len(count)), dtype=np.intp)
+        self._column_weights = np.zeros(self._columns.shape)
+        self._columns[rank, slot_of] = row_of
+        self._column_weights[rank, slot_of] = self.flat[row_of, slot_of]
         # The Re and Im rows of one functional share their position (p, q), so
         # W is gathered once per pair of positions a, b: W[p_b,q_a], W[q_a,q_b]
         # and W[p_b,p_a], at flat indices into W.  (np.unique would do, but
         # its first call imports numpy.ma.)
-        key = p[unit] * n + q[unit]
+        key = pu * n + qu
         positions = np.flatnonzero(np.bincount(key, minlength=n * n))
         slot = np.searchsorted(positions, key)
         p, q = np.divmod(positions, n)
@@ -71,20 +99,32 @@ class SparseConstraints:
         index[d, :] = index[:, d].T
         index[d[:, None], d] = 4 * npos * npos + m * nd + np.arange(nd * nd).reshape(nd, nd)
         weights[d[:, None], d] = 0.5
-        for part in (u, d, self._gather, self._stacked, index, weights):
+        for part in (u, d, self._dense_flat, reads, read_weights, self._columns,
+                     self._column_weights, self._gather, self._stacked, index, weights):
             part.flags.writeable = False
 
     def dot(self, x):
         """Vector of Re tr(H_k X); a stack of X gives one row per matrix.
 
-        Each matrix of a stack takes its own matrix-vector product, so its
-        row does not depend on the other matrices of the stack.
+        Each row is a gather of two entries: of vec X for a unit row, of the
+        product of a dense row with vec X for a dense row.  Each matrix of a
+        stack takes its own product, so its row does not depend on the other
+        matrices of the stack.
         """
-        return (self.flat @ real_vectors(x)[..., None])[..., 0]
+        vec = real_vectors(x)
+        ext = np.concatenate([vec, (self._dense_flat @ vec[..., None])[..., 0]], axis=-1)
+        terms = ext[..., self._reads] * self._read_weights
+        return terms[..., 0, :] + terms[..., 1, :]
 
     def combine(self, y):
-        """sum_k y_k H_k; a stack of y gives one matrix per row, each computed alone."""
-        flat = (y[..., None, :] @ self.flat)[..., 0, :]
+        """sum_k y_k H_k; a stack of y gives one matrix per row, each computed alone.
+
+        Each slot of vec A*(y) is a gather of the few rows that touch it.
+        """
+        terms = np.take(y, self._columns, axis=-1) * self._column_weights
+        flat = terms[..., 0, :]
+        for j in range(1, len(self._columns)):
+            flat = flat + terms[..., j, :]
         return flat.view(complex).reshape(*y.shape[:-1], self.n, self.n)
 
     def least_norm(self, r):

@@ -224,17 +224,16 @@ def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_i
 # ---------------------------------------------------------------------------
 
 def solve_family(family, objectives):
-    """Maximize ``tr(C X)`` over a family for one Hermitian C or a stack of them.
+    """Maximize ``tr(C_k X)`` over a family for a stack of Hermitian C_k.
 
     The programs go through consecutive `solve_stacked` runs of at most
     ``MAX_STACK`` programs, so the memory of a run stays bounded whatever
-    the stack length; a single objective is a stack of one.  Returns
-    ``(values, maximizers)`` shaped like the objectives; raises
-    `SolverFailure` when any program stops short of optimality, so no value
-    of a failed stack is ever returned.
+    the stack length.  Returns ``(values, maximizers)`` of shapes (K,) and
+    (K, n, n) for K objectives; raises `SolverFailure` when any program
+    stops short of optimality, so no value of a failed stack is ever
+    returned.
     """
-    objectives = np.asarray(objectives)
-    c = -objectives.reshape(-1, *objectives.shape[-2:])  # the backend minimizes
+    c = -np.asarray(objectives)  # the backend minimizes
     xs, infos = [], []
     for lo in range(0, len(c), MAX_STACK):
         x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
@@ -250,8 +249,7 @@ def solve_family(family, objectives):
             info.status,
             f"{len(failed)} of {len(infos)} SDPs did not reach optimality, first #{k}: {info}",
         )
-    values = np.array([-info.primal_objective for info in infos])
-    return (values, x) if objectives.ndim == 3 else (values[0], x[0])
+    return np.array([-info.primal_objective for info in infos]), x
 
 
 # ---------------------------------------------------------------------------

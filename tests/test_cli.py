@@ -261,6 +261,7 @@ def test_dimension_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["kraus_not_a_list", "dim_not_a_number", "dim_is_infinite",
+                                  "dim_is_fractional", "dim_is_a_bool",
                                   "scalar_entry", "one_element_pair", "not_utf8",
                                   "channel_is_a_directory", "out_is_a_directory"])
 def test_bad_files_exit_code(case, tmp_path, capsys):
@@ -269,6 +270,10 @@ def test_bad_files_exit_code(case, tmp_path, capsys):
         "kraus_not_a_list": dict(good, kraus=5),
         "dim_not_a_number": dict(good, dim_in="x"),
         "dim_is_infinite": dict(good, dim_in=float("inf")),
+        "dim_is_fractional": dict(good, dim_in=2.9),
+        # a trace channel has one output, so True would read as its dim
+        "dim_is_a_bool": dict(ch.channel_to_dict(ch.from_kraus([np.eye(1, 2), np.eye(1, 2, 1)])),
+                              dim_out=True),
         "scalar_entry": dict(good, kraus=[[[1.0, 0.0], [0.0, 1.0]]]),
         "one_element_pair": dict(good, kraus=[[[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
     }

@@ -87,34 +87,73 @@ def test_schur_backends_agree(rng):
         _assert_matches_reference(sc, w)
 
 
-@pytest.mark.parametrize("family, dims", [
+SOLVER_FAMILIES = [
     (sdp.sign_family, (2, 2)), (sdp.sign_family, (2, 3)), (sdp.sign_family, (3, 3)),
     (sdp.sign_family, (4, 4)), (search._mio_family, (2, 2)), (search._mio_family, (2, 3)),
     (search._mio_family, (3, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("family, dims", SOLVER_FAMILIES)
 def test_schur_matches_reference_on_the_solver_families(rng, family, dims):
     sc = family(*dims).constraints
     _assert_matches_reference(sc, _random_weights(rng, sc.n))
 
 
-def test_schur_mixes_unit_and_dense_rows(rng):
-    n = 5
-    rows = []
-    for p, q, g in ((0, 0, 2.0), (3, 3, -1.5), (0, 1, 1.0), (0, 1, -0.7j), (1, 2, 0.4j),
-                    (2, 4, np.exp(1j * np.pi / 3))):
-        h = np.zeros((n, n), dtype=complex)
-        h[p, q] += g
-        h[q, p] += np.conj(g)
-        rows.append(h)
+def _single_entry(n, p, q, g):
+    h = np.zeros((n, n), dtype=complex)
+    h[p, q] += g
+    h[q, p] += np.conj(g)
+    return h
+
+
+def _mixed_rows(n=5):
+    """Diagonal and off-diagonal unit rows, then a single entry of phase pi/3,
+    the trace row and a two-entry row, which are dense rows."""
+    rows = [_single_entry(n, p, q, g) for p, q, g in (
+        (0, 0, 2.0), (3, 3, -1.5), (0, 1, 1.0), (0, 1, -0.7j), (1, 2, 0.4j),
+        (2, 4, np.exp(1j * np.pi / 3)))]
     two = np.zeros((n, n), dtype=complex)
     two[0, 2] = two[2, 0] = 1.0
     two[1, 3], two[3, 1] = 0.5j, -0.5j
-    rows += [np.eye(n), two]
-    sc = kernels.SparseConstraints(rows)
+    return rows + [np.eye(n), two]
+
+
+def test_schur_mixes_unit_and_dense_rows(rng):
+    sc = kernels.SparseConstraints(_mixed_rows())
     # a single entry of any other phase stays a dense row
     assert sc.unit_rows.tolist() == [0, 1, 2, 3, 4]
     assert sc.dense_rows.tolist() == [5, 6, 7]
-    _assert_matches_reference(sc, _random_weights(rng, n))
+    _assert_matches_reference(sc, _random_weights(rng, sc.n))
+
+
+def _repeated_rows(n=4):
+    """Unit rows that share their slots, as a set can hold before presolve."""
+    re, im, diag = _single_entry(n, 1, 2, 1.5), _single_entry(n, 1, 2, -0.5j), \
+        _single_entry(n, 3, 3, 2.0)
+    return [re, im, re, diag, np.eye(n), diag, 2.0 * re]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda f=family, d=dims: f(*d).constraints for family, dims in SOLVER_FAMILIES),
+    lambda: kernels.SparseConstraints(_mixed_rows()),
+    lambda: kernels.SparseConstraints(_repeated_rows()),
+], ids=[f"{family.__name__}{dims}" for family, dims in SOLVER_FAMILIES] + ["mixed", "repeated"])
+def test_gathers_match_the_dense_products(rng, make):
+    sc = make()
+    x = _random_weights(rng, sc.n, 6)
+    y = rng.standard_normal((6, sc.m))
+    dense_dot = (sc.flat @ kernels.real_vectors(x)[..., None])[..., 0]
+    coeffs = y @ sc.gram_inv
+    for got, expected in ((sc.dot(x), dense_dot),
+                          (kernels.real_vectors(sc.combine(y)), y @ sc.flat),
+                          (kernels.real_vectors(sc.least_norm(y)), coeffs @ sc.flat)):
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+    # each matrix of a stack gets the bits of a stack of one
+    for k in range(6):
+        assert np.array_equal(sc.dot(x[k:k + 1])[0], sc.dot(x)[k])
+        assert np.array_equal(sc.combine(y[k:k + 1])[0], sc.combine(y)[k])
+        assert np.array_equal(sc.least_norm(y[k:k + 1])[0], sc.least_norm(y)[k])
 
 
 @pytest.mark.parametrize("family, dims, unit, dense", [

@@ -401,17 +401,16 @@ def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
 
 
 def test_single_objective_is_a_stack_of_one(rng):
-    # a 2-D objective takes the stacked path as a stack of one, and
-    # ipm.solve_real_sdp is that same K = 1 stack, so all agree bit for bit
+    # ipm.solve_real_sdp is the K = 1 stack, so a stack of one from
+    # solve_family agrees with it bit for bit
     family = sd.sign_family(2, 2)
-    objective = sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])[0]
-    value, x = sd.solve_family(family, objective)
-    values, xs = sd.solve_family(family, objective[None])
-    x_solo, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, -objective,
+    objectives = sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
+    values, xs = sd.solve_family(family, objectives)
+    x_solo, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, -objectives[0],
                                             x0=family.start)
-    assert value == values[0] == -info.primal_objective
-    assert np.array_equal(x, xs[0])
-    assert np.array_equal(x, x_solo)
+    assert values.shape == (1,) and xs.shape == (1, *x_solo.shape)
+    assert values[0] == -info.primal_objective
+    assert np.array_equal(xs[0], x_solo)
 
 
 def test_schur_jitter_stays_with_its_program(rng):
@@ -442,6 +441,57 @@ def test_schur_jitter_stays_with_its_program(rng):
         for part, solo in zip(stacked, one):
             assert np.array_equal(part[k], solo[0])
     assert all(np.isfinite(part[1]).all() for part in stacked)
+
+
+def _random_pd(rng, k, n):
+    g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return g @ g.conj().swapaxes(-1, -2) / n + 0.1 * np.eye(n)
+
+
+def _assert_close(got, expected, rtol=1e-10):
+    assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_scaled_frame_maps_x_and_s_to_the_identity(rng, n):
+    x, s = _random_pd(rng, 4, n), _random_pd(rng, 4, n)
+    w, frames, s_inv = ipm._scaled_frame(x, s)
+    p_x, p_s = frames[:4], frames[4:]
+    eye = np.broadcast_to(np.eye(n), x.shape)
+    _assert_close(p_x @ x @ ipm._h(p_x), eye)
+    _assert_close(p_s @ s @ ipm._h(p_s), eye)
+    _assert_close(w @ s @ w, x)
+    _assert_close(s_inv @ s, eye)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
+def test_two_column_schur_solve_gives_the_corrector_of_a_direct_solve(rng, dims):
+    family = sd.sign_family(*dims)
+    constraints, n, k = family.constraints, family.constraints.n, 3
+    x, s = _random_pd(rng, k, n), _random_pd(rng, k, n)
+    rp = rng.standard_normal((k, constraints.m))
+    rd = ipm._herm(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
+    w, frames, s_inv = ipm._scaled_frame(x, s)
+    u, v = ipm._schur_solve(constraints, w, s_inv, x, rp, rd)
+    schur = constraints.schur(w)
+
+    def direct(sigma_mu):
+        rc = sigma_mu[:, None, None] * s_inv - x
+        rhs = rp + constraints.dot(w @ rd @ w) - constraints.dot(rc)
+        return rc, np.linalg.solve(schur, rhs[..., None])[..., 0]
+
+    for sigma_mu in (np.zeros(k), np.array([1e-6, 0.3, 2.0])):
+        _assert_close(u - sigma_mu[:, None] * v, direct(sigma_mu)[1])
+    # the corrector of a step is the direction of a direct solve at its sigma mu
+    gap = ipm._inner(x, s)
+    dx, dy, ds, *_ = ipm._step(constraints, x, s, rp, rd, gap, np.zeros(k, dtype=bool))
+    sigma_mu = np.einsum("ki,ki->k", u - dy, v) / np.einsum("ki,ki->k", v, v)
+    rc, dy_direct = direct(sigma_mu)
+    ds_direct = rd - constraints.combine(dy_direct)
+    dx_direct = ipm._herm(rc - w @ ds_direct @ w)
+    dx_direct += constraints.least_norm(rp - constraints.dot(dx_direct))
+    for got, expected in ((dy, dy_direct), (ds, ds_direct), (dx, dx_direct)):
+        _assert_close(got, expected)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 4)])

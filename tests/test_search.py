@@ -212,8 +212,9 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
                 w, v = la.eig_hermitian(cfg.lam * tau - cfg.mu * ch.apply(phase, tau), atol=1e-8)
                 p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
                 q = cfg.lam * p_obs - cfg.mu * ch.apply(phase_adj, p_obs)
-                _, choi = sd.solve_family(family, la.hermitian_part(np.kron(q, np.conj(sigma))))
-                post = ch.channel_from_choi(choi, dim_b, dim_c, atol=1e-6)
+                _, choi = sd.solve_family(family,
+                                          la.hermitian_part(np.kron(q, np.conj(sigma)))[None])
+                post = ch.channel_from_choi(choi[0], dim_b, dim_c, atol=1e-6)
                 n += 1
             best = max(best, value)
             steps.append(n)

@@ -99,8 +99,12 @@ def _cmd_measure_pre(cfg):
     return {
         "value": rep.value,
         "trace_norm": rep.trace_norm,
+        "lower_bound": rep.lower_bound,
+        "upper_bound": rep.upper_bound,
         "success_probability": ms.success_probability(rep.value, game),
         "per_sign_values": rep.per_sign_values,
+        "per_sign_status": rep.per_sign_status,
+        "pruned": rep.pruned,
         "sign_vectors": [list(s) for s in rep.sign_vectors],
         "verification_residual": rep.verification_residual,
         "sigma_diag": [float(x) for x in rep.sigma_diag],

@@ -36,6 +36,13 @@ The Schur matrices of the whole stack come from one
 ``kernels.SparseConstraints.schur`` call, which gathers most entries from W.
 The caller caps the stack length (``sdp.MAX_STACK`` programs per run), which
 bounds its memory.
+
+Certificates and pruning: when every feasible X has tr X = 1, as in the
+sign programs, any dual iterate bounds its program from below
+(`_dual_bound`).  In a stack whose programs carry group labels, one stacked
+``eigvalsh`` call per iteration gives that bound for every running program,
+and a program whose bound shows it cannot reach the least objective of its
+group stops as ``pruned``.  A stack without groups computes neither.
 """
 
 from dataclasses import dataclass
@@ -49,13 +56,18 @@ _STALL_LIMIT = 25
 
 @dataclass
 class IpmInfo:
-    status: str  # "optimal" | "unbounded" | "infeasible" | "numerical_failure"
+    # "optimal" | "pruned" | "unbounded" | "infeasible" | "numerical_failure";
+    # "pruned" only in a stack with groups (see `solve_stacked`)
+    status: str
     iterations: int
     gap: float
     primal_residual: float
     dual_residual: float
     primal_objective: float
     dual_objective: float
+    # certified lower bound on the objective of every feasible X at the last
+    # iterate (`_dual_bound`); -inf in a stack without groups
+    bound: float = -np.inf
 
 
 def _h(m):
@@ -232,6 +244,30 @@ def _step_each(constraints, *stacks):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
+def rounding_allowance(n, size):
+    """Rounding allowance of a computation on n x n matrices, or of a sum of
+    n terms, whose terms are at most ``size``: 4 n eps size."""
+    return 4.0 * np.finfo(float).eps * n * size
+
+
+def _dual_bound(b, y, z, size):
+    """b.y + lambda_min(Z) less its rounding allowance, per program of a stack.
+
+    With Z = C - A*(y) and tr X = 1 on the feasible set, every feasible X has
+    Re tr(C X) = b.y + Re tr(Z X) >= b.y + lambda_min(Z).  The bound is made
+    safe in floating point by a stated allowance, not by interval arithmetic
+    (as Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007, do):
+    forming Z moves each entry by a few eps times ``size``, the largest
+    entry of C, S and r_d, which moves its spectrum by up to n times that;
+    ``eigvalsh`` adds a backward error of order n eps ||Z|| <= n^2 eps
+    ``size``; b.y adds m eps |b|.|y|.  The allowance is
+    4 eps (n^2 size + m |b|.|y|).  Z must be finite.
+    """
+    n, m = z.shape[-1], y.shape[-1]
+    allowance = rounding_allowance(n, n * size) + rounding_allowance(m, np.abs(y) @ np.abs(b))
+    return y @ b + np.linalg.eigvalsh(z)[:, 0] - allowance
+
+
 def _recedes(constraints, c, dx, tol):
     """Whether each dX is a recession direction of its program: dX PSD,
     A(dX) = 0 and Re tr(C dX) < 0, each to ``tol`` relative to the size of dX."""
@@ -254,7 +290,8 @@ def _farkas(constraints, b, dy, tol):
 # A program that diverges along no recession direction overflows to inf and
 # NaN; the finiteness and stuck tests then end it (see `fail`).
 @np.errstate(over="ignore", invalid="ignore")
-def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None):
+def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None,
+                  groups=None, incumbents=None):
     """Run the interior-point iteration on K objectives over shared constraints.
 
     Parameters
@@ -268,6 +305,14 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     x0 : (n, n) array, optional
         Strictly feasible start shared by all programs; `initial_point` when
         omitted.
+    groups : (K,) int array, optional
+        The group of each program, an index into ``incumbents``.  Only for
+        constraints under which every feasible X has tr X = 1.
+    incumbents : (G,) float array
+        With ``groups``: per group, the least objective known to be attained,
+        updated in place with the objective of every primal-feasible iterate
+        (primal residual at most ``feas_tol``) of the group's programs, so it
+        carries over to the next run.
 
     Returns
     -------
@@ -275,6 +320,10 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     `IpmInfo` per program.  A program whose direction from a primal-feasible
     iterate is a recession direction (`_recedes`) stops as ``unbounded``, and
     one that fails after a dual step along a Farkas ray as ``infeasible``.
+    With ``groups``, each info carries the program's bound at its last
+    iterate, and a program stops as ``pruned`` once its bound exceeds its
+    group's incumbent f by more than gap_tol (1 + |f|).  The other programs
+    take the same steps, to the bit.
     """
     m, n = constraints.m, constraints.n
     if m == 0:
@@ -282,6 +331,8 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
     b = np.asarray(b, dtype=float)
     c = _herm(np.asarray(c, dtype=complex))
     k_total = c.shape[0]
+    if groups is not None:
+        groups = np.asarray(groups, dtype=np.intp)
 
     # S0 and the dual residual are scaled as in the real form of the program,
     # for which the tolerances are set: min <C', X'> with X' = [[Re X, -Im X],
@@ -306,6 +357,10 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
             k = ids[j]
             out_x[k], out_y[k], out_s[k] = x[j], y[j], s[j]
             infos[k] = IpmInfo(status, it, *(float(f) for f in figures[j]))
+        # A failure leaves its group with no incumbent, so the group prunes
+        # no more and its other programs end as they would alone.
+        if groups is not None and status not in ("optimal", "pruned"):
+            incumbents[groups[ids[mask]]] = np.nan
 
     def fail(mask, it, figures):
         # infeasible when the last finite dy is a Farkas ray
@@ -324,7 +379,8 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
         pobj = _inner(c, x)
         dobj = y @ b
         prim_res = np.abs(rp).max(axis=1) / scale_b
-        dual_res = 0.5 * _entry_size(rd) / (1.0 + scale_c)
+        rd_size = _entry_size(rd)
+        dual_res = 0.5 * rd_size / (1.0 + scale_c)
         rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
         # one row per program, in the order of the IpmInfo fields
         figures = np.stack([rel_gap, prim_res, dual_res, pobj, dobj], axis=1)
@@ -336,9 +392,26 @@ def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, 
         finite = np.isfinite(figures[:, :3]).all(axis=1)
         failed = ~optimal & (~finite | (stall > _STALL_LIMIT))
         done = optimal | failed
+        if groups is not None:
+            # A finite dual residual makes C, S and r_d finite, so no
+            # non-finite iterate reaches eigvalsh.
+            bound = np.full(ids.size, -np.inf)
+            bound[finite] = _dual_bound(
+                b, y[finite], s[finite] + rd[finite],
+                2.0 * scale_c[finite] + _entry_size(s[finite]) + rd_size[finite])
+            group = groups[ids]
+            feasible = finite & (prim_res <= feas_tol)
+            np.minimum.at(incumbents, group[feasible], pobj[feasible])
+            incumbents[group[failed]] = np.nan  # as `finish` does
+            best = incumbents[group]
+            pruned = ~done & (bound > best + gap_tol * (1.0 + np.abs(best)))
+            done |= pruned
+            figures = np.column_stack([figures, bound])
         if done.any():
             finish(optimal, "optimal", it, figures)
             fail(failed, it, figures)
+            if groups is not None:
+                finish(pruned, "pruned", it, figures)
             ids, x, y, s, c, scale_c, best_gap, stall, rp, rd, gap, figures, last_dy = (
                 a[~done] for a in (ids, x, y, s, c, scale_c, best_gap, stall,
                                    rp, rd, gap, figures, last_dy))

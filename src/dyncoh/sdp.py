@@ -23,8 +23,15 @@ share every constraint, so the constraints are built once per dims
 over the same dims (`evaluate_pairs`, which the mixture sweep uses), are
 solved together in stacked interior-point runs of at most ``MAX_STACK``
 programs.  The two constant sign patterns are never solved: trace
-preservation pins their value to +-(lam - mu).  Every program stops at the
-relative gap ``DEFAULT_GAP_TOL``.
+preservation pins their value to +-(lam - mu).
+
+Each sign program carries a certified ceiling, its dual bound
+(`ipm._dual_bound`), and the programs of one pair form a group whose floor
+starts at the exact constant-pattern value |lam - mu| and rises with the
+objective of every primal-feasible iterate.  A program stops at the
+relative gap ``DEFAULT_GAP_TOL``, or as ``pruned`` once its ceiling falls
+below its pair's floor by more than that gap: it cannot win, and its
+ceiling stands in for its value.
 """
 
 import functools
@@ -37,7 +44,7 @@ from . import channels as ch
 from . import linalg as la
 from . import measures as ms
 from .errors import DimensionMismatch, SolverFailure, ValidationError
-from .ipm import initial_point, solve_real_sdp, solve_stacked
+from .ipm import initial_point, rounding_allowance, solve_real_sdp, solve_stacked
 from .kernels import SparseConstraints, real_vectors
 
 DEFAULT_GAP_TOL = 1e-8
@@ -49,6 +56,8 @@ MAX_SIGN_DIMENSION = 20
 # Programs per stacked interior-point run.  Longer stacks are split, which
 # bounds a run's memory; a 4-outcome channel's 14 programs stay one stack.
 MAX_STACK = 64
+# Widest bracket [lower_bound, upper_bound] a report may carry
+BRACKET_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -109,12 +118,23 @@ class MeasureReport:
     underlying optimized trace norm (``value + |lam - mu|``).  The optimal
     pair (``rho_opt``, ``phi_opt``) is always extracted, and
     ``verification_residual`` is the distance between its direct game value
-    and ``trace_norm``.
+    and ``trace_norm``.  The optimized trace norm lies in
+    [``lower_bound``, ``upper_bound``]: the direct game value of the
+    extracted pair, and the largest per-sign ceiling plus a rounding
+    allowance (`SignEvaluation`).  ``per_sign_status``
+    says what each of ``per_sign_values`` is: ``exact`` (a constant
+    pattern), ``optimal`` (a solved program's value) or ``pruned`` (the
+    ceiling of a program stopped because it cannot win); ``pruned`` counts
+    the last.
     """
 
     value: float
     trace_norm: float
+    lower_bound: float
+    upper_bound: float
     per_sign_values: list
+    per_sign_status: list
+    pruned: int
     sign_vectors: list
     x_opt: np.ndarray
     rho_opt: np.ndarray
@@ -223,32 +243,49 @@ def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_i
 # Families of programs sharing their constraints
 # ---------------------------------------------------------------------------
 
-def solve_family(family, objectives):
-    """Maximize ``tr(C_k X)`` over a family for a stack of Hermitian C_k.
+def _solve_runs(family, objectives, groups=None, floors=None):
+    """Maximize ``tr(C_k X)`` over a family; returns ``(maximizers, infos)``.
 
     The programs go through consecutive `solve_stacked` runs of at most
     ``MAX_STACK`` programs, so the memory of a run stays bounded whatever
-    the stack length.  Returns ``(values, maximizers)`` of shapes (K,) and
-    (K, n, n) for K objectives; raises `SolverFailure` when any program
-    stops short of optimality, so no value of a failed stack is ever
-    returned.
+    the stack length.  With ``groups`` (one label per program, an index
+    into ``floors``, the best value known per group), programs that cannot
+    win their group are pruned, and a group's floor carries over from run
+    to run.  Raises `SolverFailure` when any program ends neither optimal
+    nor pruned, so no value of a failed stack is ever returned.
     """
     c = -np.asarray(objectives)  # the backend minimizes
+    # the least objective per group, in the backend's terms, updated by every run
+    incumbents = None if groups is None else -np.asarray(floors, dtype=float)
     xs, infos = [], []
     for lo in range(0, len(c), MAX_STACK):
-        x, _, _, run_infos = solve_stacked(family.constraints, family.targets,
-                                           c[lo:lo + MAX_STACK], gap_tol=DEFAULT_GAP_TOL,
-                                           feas_tol=DEFAULT_FEAS_TOL, x0=family.start)
+        run = slice(lo, lo + MAX_STACK)
+        x, _, _, run_infos = solve_stacked(
+            family.constraints, family.targets, c[run], gap_tol=DEFAULT_GAP_TOL,
+            feas_tol=DEFAULT_FEAS_TOL, x0=family.start,
+            groups=None if groups is None else groups[run], incumbents=incumbents)
         xs.append(x)
         infos.extend(run_infos)
-    x = np.concatenate(xs) if xs else np.empty_like(c)
-    failed = [(k, info) for k, info in enumerate(infos) if info.status != "optimal"]
+    failed = [(k, info) for k, info in enumerate(infos)
+              if info.status not in ("optimal", "pruned")]
     if failed:
         k, info = failed[0]
         raise SolverFailure(
             info.status,
             f"{len(failed)} of {len(infos)} SDPs did not reach optimality, first #{k}: {info}",
         )
+    return (np.concatenate(xs) if xs else np.empty_like(c)), infos
+
+
+def solve_family(family, objectives):
+    """Maximize ``tr(C_k X)`` over a family for a stack of Hermitian C_k.
+
+    Returns ``(values, maximizers)`` of shapes (K,) and (K, n, n) for K
+    objectives, through `_solve_runs`, without groups, so every program
+    runs to optimality; raises `SolverFailure` when any program stops short
+    of it.
+    """
+    x, infos = _solve_runs(family, objectives)
     return np.array([-info.primal_objective for info in infos]), x
 
 
@@ -383,10 +420,10 @@ def extract_optimal(x_opt, dims):
     return ExtractionResult(sigma_diag=sigma, rho_opt=rho_opt, phi_opt=phi_opt)
 
 
-def verify_extraction(theta, cfg, result, reported_value):
-    """|direct game value of the extracted pair - reported optimum|."""
-    achieved = ms.game_value(theta, result.phi_opt, result.rho_opt, cfg)
-    return abs(achieved - reported_value)
+def verify_extraction(theta, cfg, result):
+    """The direct game value of the extracted pair, which the pair attains:
+    the floor of a report's bracket."""
+    return ms.game_value(theta, result.phi_opt, result.rho_opt, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -395,23 +432,33 @@ def verify_extraction(theta, cfg, result, reported_value):
 
 @dataclass
 class SignEvaluation:
-    """The sign programs of one (channel, game) pair, solved."""
+    """The sign programs of one (channel, game) pair, solved.
+
+    ``per_sign`` holds each pattern's value, or its ceiling where
+    ``per_sign_status`` says ``pruned``.  ``upper_bound`` is the largest
+    ceiling, the constant patterns counting as exact, plus the rounding
+    allowance of the n x n game arithmetic (`ipm.rounding_allowance`), so
+    that a value computed for a strategy never exceeds it by rounding alone.
+    """
 
     per_sign: list
+    per_sign_status: list
     winner: int
     improvement: float
+    upper_bound: float
     x_opt: np.ndarray  # the winning program's maximizer
 
 
 def evaluate_pairs(pairs):
     """Solve the sign programs of many (theta, cfg) pairs with the same dims.
 
-    The non-constant patterns of every pair are stacked into one
-    `solve_family` call over the shared `sign_family`; the two constant
-    patterns are pinned to +-(lam - mu) by trace preservation.  Returns
-    ``(signs, evaluations)``, all 2^N patterns and one `SignEvaluation` per
-    pair.  Raises `SolverFailure` when any program fails or any pair's
-    improvement is negative, so no value of such a batch is returned.
+    The non-constant patterns of every pair go into stacked runs over the
+    shared `sign_family`, one group per pair, whose floor starts at the
+    exact constant-pattern value |lam - mu|; the two constant patterns are
+    pinned to +-(lam - mu) by trace preservation.  Returns ``(signs,
+    evaluations)``, all 2^N patterns and one `SignEvaluation` per pair.
+    Raises `SolverFailure` when any program fails or any pair's improvement
+    is negative, so no value of such a batch is returned.
     """
     for theta, _ in pairs:
         if not (theta.completely_positive and theta.trace_preserving):
@@ -425,18 +472,28 @@ def evaluate_pairs(pairs):
 
     signs = enumerate_sign_vectors(dim_out, full=True)
     per_sign = np.array([[(cfg.lam - cfg.mu) * s[0] for s in signs] for _, cfg in pairs])
+    ceiling = per_sign.copy()
+    status = np.full(per_sign.shape, "exact", dtype=object)
     solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
     if solved:
         objectives = np.concatenate([
             _sign_objectives(theta, cfg, [signs[k] for k in solved]) for theta, cfg in pairs
         ])
-        values, xs = solve_family(sign_family(da, db), objectives)
-        per_sign[:, solved] = values.reshape(len(pairs), len(solved))
+        groups = np.repeat(np.arange(len(pairs)), len(solved))
+        xs, infos = _solve_runs(sign_family(da, db), objectives, groups,
+                                [cfg.prior_gap for _, cfg in pairs])
+        shape = (len(pairs), len(solved))
+        status[:, solved] = np.array([info.status for info in infos], dtype=object).reshape(shape)
+        ceiling[:, solved] = -np.array([info.bound for info in infos]).reshape(shape)
+        per_sign[:, solved] = np.where(
+            status[:, solved] == "pruned", ceiling[:, solved],
+            -np.array([info.primal_objective for info in infos]).reshape(shape))
         xs = xs.reshape(len(pairs), len(solved), *xs.shape[1:])
 
     evaluations = []
     for p, (_, cfg) in enumerate(pairs):
-        winner = int(np.argmax(per_sign[p]))
+        # a pruned entry is a ceiling, which no X attains, so it never wins
+        winner = int(np.argmax(np.where(status[p] == "pruned", -np.inf, per_sign[p])))
         improvement = float(per_sign[p, winner] - cfg.prior_gap)
         if improvement < -1e-7:
             raise SolverFailure(
@@ -446,7 +503,10 @@ def evaluate_pairs(pairs):
         # a constant pattern wins at the maximally mixed X, feasible for all
         x_opt = (xs[p, solved.index(winner)] if winner in solved
                  else np.eye(da * db, dtype=complex) / (da * db))
-        evaluations.append(SignEvaluation(per_sign[p].tolist(), winner, improvement, x_opt))
+        top = ceiling[p].max()
+        upper = float(top + rounding_allowance(da * db, 1.0 + abs(top)))
+        evaluations.append(SignEvaluation(per_sign[p].tolist(), status[p].tolist(), winner,
+                                          improvement, upper, x_opt))
     return signs, evaluations
 
 
@@ -456,9 +516,11 @@ def preprocessed_improvement(theta, cfg):
     Solves one SDP per non-constant sign vector through `evaluate_pairs`,
     stacked over the shared `sign_family`, and reports the maximum, the
     winning X, and the optimal input state and pre-processing extracted from
-    it, with the residual of their round trip through the game arithmetic.
-    If any program fails, the extraction fails, or the residual exceeds
-    1e-6, `SolverFailure` is raised and no value is reported.
+    it, with the residual of their round trip through the game arithmetic,
+    and the bracket of the direct game value of that pair and the largest
+    ceiling.  If any program fails, the extraction fails, the residual
+    exceeds 1e-6, or the bracket is inverted or wider than ``BRACKET_TOL``,
+    `SolverFailure` is raised and no value is reported.
     """
     signs, (evaluation,) = evaluate_pairs([(theta, cfg)])
     trace_norm = evaluation.per_sign[evaluation.winner]
@@ -468,17 +530,28 @@ def preprocessed_improvement(theta, cfg):
         raise SolverFailure(
             "numerical_failure", f"no optimal pair extracted from the solver's X: {exc}"
         ) from exc
-    residual = verify_extraction(theta, cfg, res, trace_norm)
+    achieved = verify_extraction(theta, cfg, res)
+    residual = abs(achieved - trace_norm)
     if residual > 1e-6:
         raise SolverFailure(
             "numerical_failure",
             f"extraction round-trip residual {residual:.3e} exceeds 1e-6",
         )
+    if not 0.0 <= evaluation.upper_bound - achieved <= BRACKET_TOL:
+        raise SolverFailure(
+            "numerical_failure",
+            f"bracket [{achieved!r}, {evaluation.upper_bound!r}] is inverted or wider "
+            f"than {BRACKET_TOL}",
+        )
 
     return MeasureReport(
         value=evaluation.improvement,
         trace_norm=trace_norm,
+        lower_bound=achieved,
+        upper_bound=evaluation.upper_bound,
         per_sign_values=evaluation.per_sign,
+        per_sign_status=evaluation.per_sign_status,
+        pruned=evaluation.per_sign_status.count("pruned"),
         sign_vectors=signs,
         x_opt=evaluation.x_opt,
         rho_opt=res.rho_opt,

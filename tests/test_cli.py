@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from dyncoh import channels as ch
 from dyncoh import cli
+from dyncoh import sdp as sd
 from dyncoh import verify as verifymod
 
 
@@ -25,6 +27,11 @@ def test_measure_pre_hadamard(capsys):
     assert data["config"]["command"] == "measure-pre"
     assert len(data["result"]["per_sign_values"]) == 4
     assert all(np.isfinite(v) for v in data["result"]["per_sign_values"])
+    result = data["result"]
+    assert len(result["per_sign_status"]) == 4
+    assert result["pruned"] == result["per_sign_status"].count("pruned")
+    assert result["trace_norm"] <= result["upper_bound"]
+    assert 0.0 <= result["upper_bound"] - result["lower_bound"] <= 1e-7
 
 
 def test_classify_hadamard(capsys):
@@ -120,6 +127,31 @@ def test_sweep_solver_failure_exit_code(nan_at_fifth_pair, capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["status"] == "numerical_failure"
+
+
+@pytest.mark.parametrize("fault", ["numerical_failure", "wide_bracket"])
+def test_measure_pre_solver_fault_exit_code(fault, monkeypatch, capsys):
+    # one program of the stack forced to fail, or every ceiling lifted by
+    # 1e-6 so that the bracket is too wide: either way exit 3, one JSON line
+    original = sd.solve_stacked
+
+    def faulty(*args, **kwargs):
+        x, y, s, infos = original(*args, **kwargs)
+        if fault == "numerical_failure":
+            infos[1] = dataclasses.replace(infos[1], status="numerical_failure")
+        else:
+            infos = [dataclasses.replace(info, bound=info.bound - 1e-6) for info in infos]
+        return x, y, s, infos
+
+    monkeypatch.setattr(sd, "solve_stacked", faulty)
+    code, out, err = run_cli(["measure-pre", "--channel", "hadamard"], capsys)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["exit_code"] == 3 and error["status"] == "numerical_failure"
+    assert ("wider" in error["error"]) == (fault == "wide_bracket")
 
 
 @pytest.mark.parametrize("args", [

@@ -327,8 +327,11 @@ def test_auto_per_sign_values_match_full(rng):
     auto = sd.preprocessed_improvement(theta, cfg)
     signs, full = full_sign_enumeration(theta, cfg)
     assert auto.sign_vectors == signs
-    for a, f in zip(auto.per_sign_values, full):
-        assert a == pytest.approx(f, abs=1e-7)
+    for a, f, status in zip(auto.per_sign_values, full, auto.per_sign_status):
+        if status == "pruned":  # a ceiling, below the winner
+            assert f <= a < auto.trace_norm
+        else:
+            assert a == pytest.approx(f, abs=1e-7)
 
 
 def test_identical_calls_give_identical_per_sign_values(rng):
@@ -371,9 +374,14 @@ def test_stacked_solve_matches_solo_solves(rng, monkeypatch):
     assert len(runs) == 1 and len(runs[0]) == len(solved) == 14
     for k, info in zip(solved, runs[0]):
         solo = sd.solve_sdp(sd.build_sign_program(theta, cfg, rep.sign_vectors[k]))
-        assert info.status == "optimal"
-        assert rep.per_sign_values[k] == pytest.approx(solo.objective_value, abs=1e-7)
-        assert info.iterations == solo.iterations
+        assert info.status == rep.per_sign_status[k]
+        if info.status == "pruned":  # a ceiling, below the winner
+            assert solo.objective_value <= rep.per_sign_values[k] < rep.trace_norm
+            assert info.iterations < solo.iterations
+        else:
+            assert info.status == "optimal"
+            assert rep.per_sign_values[k] == pytest.approx(solo.objective_value, abs=1e-7)
+            assert info.iterations == solo.iterations
 
 
 def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
@@ -411,6 +419,65 @@ def test_single_objective_is_a_stack_of_one(rng):
     assert values.shape == (1,) and xs.shape == (1, *x_solo.shape)
     assert values[0] == -info.primal_objective
     assert np.array_equal(xs[0], x_solo)
+
+
+def test_pruning_leaves_the_winner_bit_identical(rng, monkeypatch):
+    # pruned programs leave the stack; the others take the steps they take in
+    # an ungrouped solve, so every optimal value and the winning X agree to
+    # the bit
+    theta = ch.random_channel(2, 4, rng)
+    cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 3))  # a non-constant sign wins
+    runs = _capture_stacked(monkeypatch)
+    signs, (ev,) = sd.evaluate_pairs([(theta, cfg)])
+    solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
+    values, xs = sd.solve_family(sd.sign_family(3, 2),
+                                 sd._sign_objectives(theta, cfg, [signs[k] for k in solved]))
+    grouped, ungrouped = runs
+    assert ev.per_sign_status.count("pruned") > 0
+    assert ev.per_sign_status[ev.winner] == "optimal"
+    assert ev.per_sign[ev.winner] == values[solved.index(ev.winner)]
+    assert np.array_equal(ev.x_opt, xs[solved.index(ev.winner)])
+    for j, k in enumerate(solved):
+        if ev.per_sign_status[k] == "optimal":
+            assert ev.per_sign[k] == values[j]
+            assert grouped[j].iterations == ungrouped[j].iterations
+        else:
+            assert grouped[j].iterations < ungrouped[j].iterations
+
+
+def test_ceilings_bound_the_exact_values(rng, monkeypatch):
+    # every program's ceiling, optimal or pruned, lies above the value an
+    # ungrouped solve reaches, and the report's upper bound above them all
+    pairs = {}
+    for _ in range(12):
+        da = int(rng.integers(2, 4))
+        din, dout = (int(d) for d in rng.integers(2, 5, size=2))
+        cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, da))
+        pairs.setdefault((da, din, dout), []).append((ch.random_channel(din, dout, rng), cfg))
+    pruned = 0
+    runs = _capture_stacked(monkeypatch)
+    for group in pairs.values():
+        first = len(runs)
+        signs, evaluations = sd.evaluate_pairs(group)
+        infos = [info for infos in runs[first:] for info in infos]
+        solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
+        for p, ((theta, cfg), ev) in enumerate(zip(group, evaluations)):
+            _, exact = full_sign_enumeration(theta, cfg)
+            for j, k in enumerate(solved):
+                assert -infos[p * len(solved) + j].bound >= exact[k]
+            assert ev.upper_bound >= max(exact)
+            assert ev.upper_bound - ev.per_sign[ev.winner] <= sd.BRACKET_TOL
+            pruned += ev.per_sign_status.count("pruned")
+    assert pruned > 0
+
+
+def test_ties_prune_nothing():
+    # on qft:3 every non-constant sign program has the same value, so no
+    # ceiling falls below the best floor
+    rep = sd.preprocessed_improvement(ch.qft(3), ms.GameConfig(0.7, np.array([2.0, 0.0, 1.0])))
+    assert rep.pruned == 0
+    assert set(rep.per_sign_status) == {"exact", "optimal"}
+    assert rep.lower_bound <= rep.upper_bound <= rep.lower_bound + sd.BRACKET_TOL
 
 
 def test_schur_jitter_stays_with_its_program(rng):
@@ -642,7 +709,7 @@ def test_verify_extraction_on_free_channel(rng):
     theta = ch.random_di(2, 2, rng)
     rep = sd.preprocessed_improvement(theta, cfg)
     res = sd.ExtractionResult(rep.sigma_diag, rep.rho_opt, rep.phi_opt)
-    assert sd.verify_extraction(theta, cfg, res, rep.trace_norm) <= 1e-8
+    assert abs(sd.verify_extraction(theta, cfg, res) - rep.trace_norm) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ class RunConfig:
             raise ValidationError("seed must be a non-negative integer")
         if self.p1_steps < 1:
             raise ValidationError("p1_steps must be at least 1")
-        if self.format not in ("json", "csv"):
-            raise ValidationError(f"unknown format {self.format!r}")
+        if self.format not in (("json", "csv") if self.command == "sweep" else ("json",)):
+            raise ValidationError(f"format {self.format!r} is not available for {self.command}")
 
 
 def _parse_reals(text):

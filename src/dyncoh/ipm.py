@@ -14,13 +14,14 @@ complex blocks.  The start is primal-feasible when the constraints admit a
 strictly feasible point, and every direction is corrected onto
 A(dX) = r_p, so the iterates stay primal-feasible to roundoff.
 
-Layout: the iterates of the programs still running are stacked along a
-leading axis, so each dense factorization (Cholesky, SVD, Hermitian
-eigenvalues, the Schur solve) is one stacked numpy call per iteration.  Every
-program keeps its own stopping tests, stall counter, Schur jitter retries
-and failure status, so a program takes the same steps in a stack as alone,
-and it leaves the stack as soon as it stops.  A single program is the
-stack with K = 1 (`solve_real_sdp`).
+Layout: each program has one state in arrays over the whole stack, from
+which every iteration gathers the programs still running along a leading
+axis, so each dense factorization (Cholesky, SVD, Hermitian eigenvalues,
+the Schur solve) is one stacked numpy call, and to which it writes their
+step back.  Every program keeps its own stopping tests, stall counter, Schur
+jitter retries and failure status, so a program takes the same steps in a
+stack as alone, and it leaves the running set once it stops.  A single program
+is the stack with K = 1 (`solve_real_sdp`).
 
 No inverse: the scaled frame of Todd, Toh & Tutuncu, as in SDPT3, gives the
 step from the Cholesky factors of X and S and one SVD (`_scaled_frame`):
@@ -49,9 +50,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg as la
+from .kernels import SparseConstraints
+
+# A program stops as optimal at this relative duality gap and these scaled
+# primal and dual residuals, or fails after MAX_ITER iterations.
+GAP_TOL = 1e-8
+FEAS_TOL = 1e-9
+MAX_ITER = 200
 _STEP_FRACTION = 0.98
 _TINY = 1e-14
 _STALL_LIMIT = 25
+
+
+@dataclass(frozen=True)
+class ConstraintFamily:
+    """Independent Hermitian constraints ``A(X) = b`` on a Hermitian block.
+
+    ``start`` is the point every program over the family starts from,
+    strictly feasible when the family admits one (`initial_point`).
+    """
+
+    constraints: SparseConstraints
+    targets: np.ndarray
+    start: np.ndarray
 
 
 @dataclass
@@ -70,14 +92,6 @@ class IpmInfo:
     bound: float = -np.inf
 
 
-def _h(m):
-    return m.conj().swapaxes(-1, -2)
-
-
-def _herm(m):
-    return 0.5 * (m + _h(m))
-
-
 def _inner(a, b):
     """Re tr(A B) of Hermitian A, B, one per matrix of a stack."""
     return np.einsum("kij,kij->k", a, b.conj()).real
@@ -92,7 +106,7 @@ def _max_step(frame, dm):
     """Largest alpha with M + alpha*dM PSD, per matrix, from a frame P with
     P M P^H = I: the congruence takes M + alpha*dM to I + alpha*P dM P^H, so
     alpha is -1 / lambda_min(P dM P^H), and unbounded when that is >= 0."""
-    lam = np.linalg.eigvalsh(_herm(frame @ dm @ _h(frame)))[..., 0]
+    lam = np.linalg.eigvalsh(la.hermitian_part(frame @ dm @ la.dagger(frame)))[..., 0]
     return np.where(lam >= -_TINY, np.inf, -1.0 / np.minimum(lam, -_TINY))
 
 
@@ -109,12 +123,12 @@ def _scaled_frame(x, s):
     k = x.shape[0]
     factors = np.linalg.cholesky(np.concatenate([x, s]))
     lx, ls = factors[:k], factors[k:]
-    u, sv, vh = np.linalg.svd(_h(ls) @ lx)
-    lxv = lx @ _h(vh)
+    u, sv, vh = np.linalg.svd(la.dagger(ls) @ lx)
+    lxv = lx @ la.dagger(vh)
     # P_x^H, P_s^H and G, each a matrix with scaled columns
     cols = np.concatenate([ls @ u, lxv, lxv]) / np.concatenate([sv, sv, np.sqrt(sv)])[:, None]
-    products = cols[k:] @ _h(cols[k:])
-    return products[k:], _h(cols[:2 * k]), _herm(products[:k])
+    products = cols[k:] @ la.dagger(cols[k:])
+    return products[k:], la.dagger(cols[:2 * k]), la.hermitian_part(products[:k])
 
 
 def _jittered(mat):
@@ -199,7 +213,7 @@ def _step(constraints, x, s, rp, rd, gap, centre):
     dy = _schur_solve(constraints, w, s_inv, x, rp, rd)
     ds = -constraints.combine(dy)
     ds[0] += rd
-    dx = -_herm(np.concatenate([x, s_inv]).reshape(ds.shape) + w @ ds @ w)
+    dx = -la.hermitian_part(np.concatenate([x, s_inv]).reshape(ds.shape) + w @ ds @ w)
     # Least-norm correction so that A(dX) = r_p holds to roundoff: the
     # ill-conditioned Schur solve leaves an error there that otherwise
     # builds up near degenerate optimal faces and stalls the run.
@@ -288,168 +302,156 @@ def _farkas(constraints, b, dy, tol):
 
 
 # A program that diverges along no recession direction overflows to inf and
-# NaN; the finiteness and stuck tests then end it (see `fail`).
+# NaN; the finiteness and stuck tests then end it.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_stacked(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None,
-                  groups=None, incumbents=None):
-    """Run the interior-point iteration on K objectives over shared constraints.
+def solve_stacked(family, c, groups=None, incumbents=None):
+    """Run the interior-point iteration on K objectives over one family.
 
     Parameters
     ----------
-    constraints : SparseConstraints
-        The m constraint matrices H_i (Hermitian, linearly independent).
-    b : (m,) array
-        Constraint targets.
+    family : ConstraintFamily
+        The m constraints H_i (Hermitian, linearly independent), their
+        targets b, and the start every program takes.
     c : (K, n, n) array
         Hermitian objective matrices of the K minimizations.
-    x0 : (n, n) array, optional
-        Strictly feasible start shared by all programs; `initial_point` when
-        omitted.
     groups : (K,) int array, optional
         The group of each program, an index into ``incumbents``.  Only for
         constraints under which every feasible X has tr X = 1.
     incumbents : (G,) float array
         With ``groups``: per group, the least objective known to be attained,
         updated in place with the objective of every primal-feasible iterate
-        (primal residual at most ``feas_tol``) of the group's programs, so it
+        (primal residual at most ``FEAS_TOL``) of the group's programs, so it
         carries over to the next run.
 
     Returns
     -------
     (X, y, S, infos) with X, S of shape (K, n, n), y of shape (K, m) and one
-    `IpmInfo` per program.  A program whose direction from a primal-feasible
-    iterate is a recession direction (`_recedes`) stops as ``unbounded``, and
-    one that fails after a dual step along a Farkas ray as ``infeasible``.
-    With ``groups``, each info carries the program's bound at its last
-    iterate, and a program stops as ``pruned`` once its bound exceeds its
-    group's incumbent f by more than gap_tol (1 + |f|).  The other programs
-    take the same steps, to the bit.
+    `IpmInfo` per program.  A program stops as ``optimal`` at relative gap
+    ``GAP_TOL`` and residuals ``FEAS_TOL``; one whose direction from a
+    primal-feasible iterate is a recession direction (`_recedes`) as
+    ``unbounded``; one that fails after a dual step along a Farkas ray as
+    ``infeasible``; any other stall, overflow or ``MAX_ITER`` iterations as
+    ``numerical_failure``.  With ``groups``, each info carries the program's
+    bound at its last iterate, and a program stops as ``pruned`` once its
+    bound exceeds its group's incumbent f by more than GAP_TOL (1 + |f|).
+    The other programs take the same steps, to the bit.
     """
-    m, n = constraints.m, constraints.n
-    if m == 0:
-        raise ValueError("interior-point solver requires at least one constraint")
-    b = np.asarray(b, dtype=float)
-    c = _herm(np.asarray(c, dtype=complex))
-    k_total = c.shape[0]
-    if groups is not None:
-        groups = np.asarray(groups, dtype=np.intp)
+    constraints, b = family.constraints, family.targets
+    c = la.hermitian_part(np.asarray(c, dtype=complex))
+    k_total, n = len(c), constraints.n
 
     # S0 and the dual residual are scaled as in the real form of the program,
     # for which the tolerances are set: min <C', X'> with X' = [[Re X, -Im X],
     # [Im X, Re X]] and C' the same form of C / 2, whose dual slack is S / 2.
     scale_b = max(1.0, float(np.max(np.abs(b))))
     scale_c = np.maximum(1.0, 0.5 * _entry_size(c))
-    if x0 is None:
-        x0 = initial_point(constraints, b)
-    x = np.array(np.broadcast_to(x0, c.shape))
+    x = np.array(np.broadcast_to(family.start, c.shape))
     s = np.eye(n, dtype=complex) * (2.0 * scale_c[:, None, None])
-    y = np.zeros((k_total, m))
-    last_dy = np.zeros((k_total, m))  # the last finite dual direction
+    y = np.zeros((k_total, constraints.m))
+    last_dy = np.zeros_like(y)  # the last finite dual direction
     best_gap = np.full(k_total, np.inf)
     stall = np.zeros(k_total, dtype=int)
+    status = np.empty(k_total, dtype=object)
+    stopped_at = np.zeros(k_total, dtype=int)
+    record = np.full((k_total, 6), -np.inf)  # the figures of IpmInfo, bound last
+    run = np.arange(k_total)  # the programs still running
 
-    out_x, out_y, out_s = np.empty_like(x), np.empty_like(y), np.empty_like(s)
-    infos = [None] * k_total
-    ids = np.arange(k_total)  # original index of each program still running
-
-    def finish(mask, status, it, figures):
-        for j in np.flatnonzero(mask):
-            k = ids[j]
-            out_x[k], out_y[k], out_s[k] = x[j], y[j], s[j]
-            infos[k] = IpmInfo(status, it, *(float(f) for f in figures[j]))
+    def stop(mask, outcome, it, figures):
+        """End the running programs in ``mask`` with ``outcome``; None is a
+        failure, ``infeasible`` when the last finite dy is a Farkas ray."""
+        ended = run[mask]
+        if not ended.size:
+            return
         # A failure leaves its group with no incumbent, so the group prunes
         # no more and its other programs end as they would alone.
-        if groups is not None and status not in ("optimal", "pruned"):
-            incumbents[groups[ids[mask]]] = np.nan
+        if groups is not None and outcome not in ("optimal", "pruned"):
+            incumbents[groups[ended]] = np.nan
+        if outcome is None:
+            outcome = np.where(_farkas(constraints, b, last_dy[ended], FEAS_TOL),
+                               "infeasible", "numerical_failure")
+        status[ended] = outcome
+        stopped_at[ended] = it
+        record[ended, :figures.shape[1]] = figures[mask]
 
-    def fail(mask, it, figures):
-        # infeasible when the last finite dy is a Farkas ray
-        ray = mask.copy()
-        if mask.any():
-            ray[mask] = _farkas(constraints, b, last_dy[mask], feas_tol)
-        finish(ray, "infeasible", it, figures)
-        finish(mask & ~ray, "numerical_failure", it, figures)
-
-    for it in range(1, max_iter + 1):
-        if not ids.size:
+    for it in range(1, MAX_ITER + 1):
+        if not run.size:
             break
-        rp = b - constraints.dot(x)
-        rd = c - s - constraints.combine(y)
-        gap = _inner(x, s)
-        pobj = _inner(c, x)
-        dobj = y @ b
+        xr, yr, sr, cr = x[run], y[run], s[run], c[run]
+        rp = b - constraints.dot(xr)
+        rd = cr - sr - constraints.combine(yr)
+        gap = _inner(xr, sr)
+        pobj = _inner(cr, xr)
+        dobj = yr @ b
         prim_res = np.abs(rp).max(axis=1) / scale_b
         rd_size = _entry_size(rd)
-        dual_res = 0.5 * rd_size / (1.0 + scale_c)
+        dual_res = 0.5 * rd_size / (1.0 + scale_c[run])
         rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
         # one row per program, in the order of the IpmInfo fields
         figures = np.stack([rel_gap, prim_res, dual_res, pobj, dobj], axis=1)
 
-        optimal = (rel_gap <= gap_tol) & (prim_res <= feas_tol) & (dual_res <= feas_tol)
-        improved = gap < best_gap * (1.0 - 1e-4)
-        best_gap = np.where(improved, gap, best_gap)
-        stall = np.where(improved, 0, stall + 1)
+        optimal = (rel_gap <= GAP_TOL) & (prim_res <= FEAS_TOL) & (dual_res <= FEAS_TOL)
+        closest = best_gap[run]
+        improved = gap < closest * (1.0 - 1e-4)
+        best_gap[run] = np.where(improved, gap, closest)
+        stall[run] = stalled = np.where(improved, 0, stall[run] + 1)
         finite = np.isfinite(figures[:, :3]).all(axis=1)
-        failed = ~optimal & (~finite | (stall > _STALL_LIMIT))
+        failed = ~optimal & (~finite | (stalled > _STALL_LIMIT))
         done = optimal | failed
         if groups is not None:
             # A finite dual residual makes C, S and r_d finite, so no
             # non-finite iterate reaches eigvalsh.
-            bound = np.full(ids.size, -np.inf)
+            bound = np.full(run.size, -np.inf)
             bound[finite] = _dual_bound(
-                b, y[finite], s[finite] + rd[finite],
-                2.0 * scale_c[finite] + _entry_size(s[finite]) + rd_size[finite])
-            group = groups[ids]
-            feasible = finite & (prim_res <= feas_tol)
+                b, yr[finite], sr[finite] + rd[finite],
+                2.0 * scale_c[run][finite] + _entry_size(sr[finite]) + rd_size[finite])
+            group = groups[run]
+            feasible = finite & (prim_res <= FEAS_TOL)
             np.minimum.at(incumbents, group[feasible], pobj[feasible])
-            incumbents[group[failed]] = np.nan  # as `finish` does
+            incumbents[group[failed]] = np.nan  # as `stop` does
             best = incumbents[group]
-            pruned = ~done & (bound > best + gap_tol * (1.0 + np.abs(best)))
+            pruned = ~done & (bound > best + GAP_TOL * (1.0 + np.abs(best)))
             done |= pruned
             figures = np.column_stack([figures, bound])
+            stop(pruned, "pruned", it, figures)
         if done.any():
-            finish(optimal, "optimal", it, figures)
-            fail(failed, it, figures)
-            if groups is not None:
-                finish(pruned, "pruned", it, figures)
-            ids, x, y, s, c, scale_c, best_gap, stall, rp, rd, gap, figures, last_dy = (
-                a[~done] for a in (ids, x, y, s, c, scale_c, best_gap, stall,
-                                   rp, rd, gap, figures, last_dy))
-            if not ids.size:
+            stop(optimal, "optimal", it, figures)
+            stop(failed, None, it, figures)
+            run, xr, yr, sr, cr, rp, rd, gap, figures = (
+                a[~done] for a in (run, xr, yr, sr, cr, rp, rd, gap, figures))
+            if not run.size:
                 break
 
         centre = np.maximum(figures[:, 1], figures[:, 2]) > figures[:, 0]
         try:
-            dx, dy, ds, ap, ad, ray = _step(constraints, x, s, rp, rd, gap, centre)
+            dx, dy, ds, ap, ad, ray = _step(constraints, xr, sr, rp, rd, gap, centre)
         except np.linalg.LinAlgError:
-            dx, dy, ds, ap, ad, ray = _step_each(constraints, x, s, rp, rd, gap, centre)
-        last_dy = np.where(np.isfinite(dy).all(axis=1)[:, None], dy, last_dy)
+            dx, dy, ds, ap, ad, ray = _step_each(constraints, xr, sr, rp, rd, gap, centre)
+        last_dy[run] = np.where(np.isfinite(dy).all(axis=1)[:, None], dy, last_dy[run])
         stuck = (ap < 1e-10) & (ad < 1e-10)
-        unbounded = ray & (figures[:, 1] <= feas_tol)  # X feasible, X + t dX PSD for all t
+        unbounded = ray & (figures[:, 1] <= FEAS_TOL)  # X feasible, X + t dX PSD for all t
         if unbounded.any():
-            unbounded[unbounded] = _recedes(constraints, c[unbounded], dx[unbounded], feas_tol)
+            unbounded[unbounded] = _recedes(constraints, cr[unbounded], dx[unbounded], FEAS_TOL)
         ended = stuck | unbounded
         if ended.any():
-            fail(stuck, it, figures)
-            finish(unbounded, "unbounded", it, figures)
-            ids, x, y, s, c, scale_c, best_gap, stall, figures, dx, dy, ds, ap, ad, last_dy = (
-                a[~ended] for a in (ids, x, y, s, c, scale_c, best_gap, stall, figures,
-                                    dx, dy, ds, ap, ad, last_dy))
-        x = _herm(x + ap[:, None, None] * dx)
-        y = y + ad[:, None] * dy
-        s = _herm(s + ad[:, None, None] * ds)
+            stop(stuck, None, it, figures)
+            stop(unbounded, "unbounded", it, figures)
+            run, xr, yr, sr, figures, dx, dy, ds, ap, ad = (
+                a[~ended] for a in (run, xr, yr, sr, figures, dx, dy, ds, ap, ad))
+        x[run] = la.hermitian_part(xr + ap[:, None, None] * dx)
+        y[run] = yr + ad[:, None] * dy
+        s[run] = la.hermitian_part(sr + ad[:, None, None] * ds)
     else:
-        fail(np.ones(ids.size, dtype=bool), max_iter, figures)
-    return out_x, out_y, out_s, infos
+        stop(np.ones(run.size, dtype=bool), None, MAX_ITER, figures)
+    infos = [IpmInfo(str(status[k]), int(stopped_at[k]), *(float(f) for f in record[k]))
+             for k in range(k_total)]
+    return x, y, s, infos
 
 
-def solve_real_sdp(constraints, b, c, gap_tol=1e-8, feas_tol=1e-9, max_iter=200, x0=None):
+def solve_real_sdp(family, c):
     """One program: `solve_stacked` with K = 1.
 
     ``c`` is the (n, n) Hermitian objective of the minimization.  Returns
     ``(X, y, S, info)``.
     """
-    x, y, s, infos = solve_stacked(constraints, b, np.asarray(c, dtype=complex)[None],
-                                   gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter,
-                                   x0=x0)
+    x, y, s, infos = solve_stacked(family, np.asarray(c, dtype=complex)[None])
     return x[0], y[0], s[0], infos[0]

@@ -29,7 +29,7 @@ Each sign program carries a certified ceiling, its dual bound
 (`ipm._dual_bound`), and the programs of one pair form a group whose floor
 starts at the exact constant-pattern value |lam - mu| and rises with the
 objective of every primal-feasible iterate.  A program stops at the
-relative gap ``DEFAULT_GAP_TOL``, or as ``pruned`` once its ceiling falls
+relative gap ``ipm.GAP_TOL``, or as ``pruned`` once its ceiling falls
 below its pair's floor by more than that gap: it cannot win, and its
 ceiling stands in for its value.
 """
@@ -44,11 +44,10 @@ from . import channels as ch
 from . import linalg as la
 from . import measures as ms
 from .errors import DimensionMismatch, SolverFailure, ValidationError
-from .ipm import initial_point, rounding_allowance, solve_real_sdp, solve_stacked
+from .ipm import (ConstraintFamily, initial_point, rounding_allowance, solve_real_sdp,
+                  solve_stacked)
 from .kernels import SparseConstraints, real_vectors
 
-DEFAULT_GAP_TOL = 1e-8
-DEFAULT_FEAS_TOL = 1e-9
 SUPPORT_THRESHOLD = 1e-9
 # Feasibility tolerance of a winning X, and of the channel extracted from it
 EXTRACTION_ATOL = 1e-6
@@ -148,19 +147,6 @@ class MeasureReport:
 # Presolve and single programs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintFamily:
-    """Independent Hermitian constraints ``A(X) = b`` on a Hermitian block.
-
-    ``start`` is the point every program over the family starts from,
-    strictly feasible when the family admits one.
-    """
-
-    constraints: SparseConstraints
-    targets: np.ndarray
-    start: np.ndarray
-
-
 def constraint_family(functionals):
     """The presolve: complex functionals ``(F, t)`` -> independent Hermitian rows.
 
@@ -213,7 +199,7 @@ def constraint_family(functionals):
     return ConstraintFamily(constraints, targets, start)
 
 
-def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_iter=200):
+def solve_sdp(problem):
     """Solve one SdpProblem (maximization) on its Hermitian block.
 
     Returns an `SdpSolution`; any status other than ``optimal`` raises
@@ -221,10 +207,7 @@ def solve_sdp(problem, gap_tol=DEFAULT_GAP_TOL, feas_tol=DEFAULT_FEAS_TOL, max_i
     """
     family = constraint_family(problem.equality_constraints)
     # backend minimizes; negate for maximization
-    x, _, _, info = solve_real_sdp(
-        family.constraints, family.targets, -problem.objective,
-        gap_tol=gap_tol, feas_tol=feas_tol, max_iter=max_iter, x0=family.start,
-    )
+    x, _, _, info = solve_real_sdp(family, -problem.objective)
     sol = SdpSolution(
         variable_values={problem.psd_variables[0][0]: x},
         objective_value=-info.primal_objective,
@@ -261,9 +244,8 @@ def _solve_runs(family, objectives, groups=None, floors=None):
     for lo in range(0, len(c), MAX_STACK):
         run = slice(lo, lo + MAX_STACK)
         x, _, _, run_infos = solve_stacked(
-            family.constraints, family.targets, c[run], gap_tol=DEFAULT_GAP_TOL,
-            feas_tol=DEFAULT_FEAS_TOL, x0=family.start,
-            groups=None if groups is None else groups[run], incumbents=incumbents)
+            family, c[run], groups=None if groups is None else groups[run],
+            incumbents=incumbents)
         xs.append(x)
         infos.extend(run_infos)
     failed = [(k, info) for k, info in enumerate(infos)
@@ -347,7 +329,7 @@ def _sign_objectives(theta, cfg, signs):
     )
     n = da * db
     objectives = np.conj(np.einsum("ij,kab->kiajb", w_mat, t_mats)).reshape(-1, n, n)
-    return 0.5 * (objectives + np.conj(np.swapaxes(objectives, 1, 2)))
+    return la.hermitian_part(objectives)
 
 
 def build_sign_program(theta, cfg, signs):

@@ -80,8 +80,7 @@ def sign_eigen_maximum(r_stacks):
     -lambda_min of A), so only the representatives with first entry +1 are
     decomposed, all in one stacked ``eigvalsh``.  Returns a (P,) array.
     """
-    r = np.asarray(r_stacks)
-    h = 0.5 * (r + r.conj().swapaxes(-1, -2))
+    h = la.hermitian_part(np.asarray(r_stacks))
     signs = np.array(sdpmod.enumerate_sign_vectors(h.shape[1]), dtype=float)
     w = np.linalg.eigvalsh(np.einsum("sn,pnij->psij", signs, h))
     # + 0.0 turns an exact zero's sign bit off, so no value prints as -0.0

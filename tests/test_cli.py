@@ -104,6 +104,21 @@ def test_sweep_rejects_bad_numbers(flags, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
+@pytest.mark.parametrize("command", [["classify", "--channel", "hadamard"],
+                                     ["measure-pre", "--channel", "hadamard"],
+                                     ["counterexample"]])
+def test_csv_is_refused_outside_sweep(command, tmp_path, capsys):
+    # only a sweep has rows; the other reports are JSON, so CSV is refused
+    # before any work and nothing is written
+    out_path = tmp_path / "report.csv"
+    code, out, err = run_cli([*command, "--format", "csv", "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 2
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_classify_rejects_bad_tol(tol, capsys):
     code, out, err = run_cli(["classify", "--channel", "hadamard", "--tol", tol], capsys)

@@ -91,13 +91,12 @@ def test_solver_reports_unbounded_as_failure():
         objective=np.diag([0.0, 1.0]).astype(complex),
     )
     with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp(prob, max_iter=60)
+        sd.solve_sdp(prob)
     assert err.value.status == "unbounded"
     # the recession direction ends the run before its iteration budget, and
     # before the iterates diverge
     family = sd.constraint_family(prob.equality_constraints)
-    _, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, -prob.objective,
-                                       max_iter=60)
+    _, _, _, info = ipm.solve_real_sdp(family, -prob.objective)
     assert info.status == "unbounded"
     assert info.iterations < 60 and np.isfinite(info.primal_objective)
 
@@ -117,7 +116,7 @@ def test_solver_reports_infeasible_as_failure():
     # with a zero objective the iterates overflow first; the last finite
     # dual direction still certifies it
     family = sd.constraint_family(prob.equality_constraints)
-    _, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, np.zeros((2, 2)))
+    _, _, _, info = ipm.solve_real_sdp(family, np.zeros((2, 2)))
     assert info.status == "infeasible" and not np.isfinite(info.gap)
 
 
@@ -153,7 +152,7 @@ def test_solution_certificates_respect_tolerances():
         equality_constraints=((np.eye(3, dtype=complex), 1.0),),
         objective=np.diag([1.0, 2.0, -1.0]).astype(complex),
     )
-    sol = sd.solve_sdp(prob, gap_tol=1e-8, feas_tol=1e-9)
+    sol = sd.solve_sdp(prob)
     assert sol.status == "optimal"
     assert sol.duality_gap <= 1e-8
     assert sol.primal_residual <= 1e-9
@@ -353,11 +352,11 @@ def _capture_stacked(monkeypatch, corrupt=None):
     runs = []
     original = sd.solve_stacked
 
-    def recording(constraints, b, c, **kwargs):
+    def recording(family, c, **kwargs):
         if corrupt is not None:
             c = np.array(c)
             c[corrupt] = np.nan
-        out = original(constraints, b, c, **kwargs)
+        out = original(family, c, **kwargs)
         runs.append(out[3])
         return out
 
@@ -401,8 +400,7 @@ def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
     assert [len(infos) for infos in runs] == [sd.MAX_STACK, len(objectives) - sd.MAX_STACK]
     assert xs.shape == objectives.shape
     for k, info in enumerate(info for infos in runs for info in infos):
-        _, _, _, solo = ipm.solve_real_sdp(family.constraints, family.targets,
-                                           -objectives[k], x0=family.start)
+        _, _, _, solo = ipm.solve_real_sdp(family, -objectives[k])
         assert solo.status == info.status == "optimal"
         assert values[k] == pytest.approx(-solo.primal_objective, abs=1e-7)
         assert info.iterations == solo.iterations
@@ -414,8 +412,7 @@ def test_single_objective_is_a_stack_of_one(rng):
     family = sd.sign_family(2, 2)
     objectives = sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
     values, xs = sd.solve_family(family, objectives)
-    x_solo, _, _, info = ipm.solve_real_sdp(family.constraints, family.targets, -objectives[0],
-                                            x0=family.start)
+    x_solo, _, _, info = ipm.solve_real_sdp(family, -objectives[0])
     assert values.shape == (1,) and xs.shape == (1, *x_solo.shape)
     assert values[0] == -info.primal_objective
     assert np.array_equal(xs[0], x_solo)
@@ -525,8 +522,8 @@ def test_scaled_frame_maps_x_and_s_to_the_identity(rng, n):
     w, frames, s_inv = ipm._scaled_frame(x, s)
     p_x, p_s = frames[:4], frames[4:]
     eye = np.broadcast_to(np.eye(n), x.shape)
-    _assert_close(p_x @ x @ ipm._h(p_x), eye)
-    _assert_close(p_s @ s @ ipm._h(p_s), eye)
+    _assert_close(p_x @ x @ la.dagger(p_x), eye)
+    _assert_close(p_s @ s @ la.dagger(p_s), eye)
     _assert_close(w @ s @ w, x)
     _assert_close(s_inv @ s, eye)
 
@@ -537,7 +534,7 @@ def test_two_column_schur_solve_gives_the_corrector_of_a_direct_solve(rng, dims)
     constraints, n, k = family.constraints, family.constraints.n, 3
     x, s = _random_pd(rng, k, n), _random_pd(rng, k, n)
     rp = rng.standard_normal((k, constraints.m))
-    rd = ipm._herm(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
+    rd = la.hermitian_part(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
     w, frames, s_inv = ipm._scaled_frame(x, s)
     u, v = ipm._schur_solve(constraints, w, s_inv, x, rp, rd)
     schur = constraints.schur(w)
@@ -555,7 +552,7 @@ def test_two_column_schur_solve_gives_the_corrector_of_a_direct_solve(rng, dims)
     sigma_mu = np.einsum("ki,ki->k", u - dy, v) / np.einsum("ki,ki->k", v, v)
     rc, dy_direct = direct(sigma_mu)
     ds_direct = rd - constraints.combine(dy_direct)
-    dx_direct = ipm._herm(rc - w @ ds_direct @ w)
+    dx_direct = la.hermitian_part(rc - w @ ds_direct @ w)
     dx_direct += constraints.least_norm(rp - constraints.dot(dx_direct))
     for got, expected in ((dy, dy_direct), (ds, ds_direct), (dx, dx_direct)):
         _assert_close(got, expected)
@@ -599,6 +596,37 @@ def test_failure_in_a_stack_stays_with_its_program(rng, monkeypatch):
     (infos,) = runs
     assert [info.status for info in infos] == ["optimal"] * 2 + ["numerical_failure"] \
         + ["optimal"] * 3
+
+
+def test_each_stop_in_a_stack_matches_its_solo_solve():
+    # over X00 = 1 on 2 x 2 the programs stop in turn: unbounded after the
+    # step of iteration 1, on NaN at the first test, and optimal; each keeps
+    # the status, iteration count, X and y it reaches alone, to the bit
+    f = np.zeros((2, 2), dtype=complex)
+    f[0, 0] = 1.0
+    family = sd.constraint_family([(f, 1.0)])
+    c = np.array([np.diag([0.0, -1.0]), [[0, 1], [1, 2]], np.full((2, 2), np.nan),
+                  [[1, 0.5j], [-0.5j, 3]]], dtype=complex)
+    x, y, _, infos = ipm.solve_stacked(family, c)
+    assert [info.status for info in infos] == ["unbounded", "optimal", "numerical_failure",
+                                               "optimal"]
+    assert infos[0].iterations == infos[2].iterations == 1
+    for k, info in enumerate(infos):
+        x_solo, y_solo, _, solo = ipm.solve_real_sdp(family, c[k])
+        assert (info.status, info.iterations) == (solo.status, solo.iterations)
+        assert x[k].tobytes() == x_solo.tobytes() and y[k].tobytes() == y_solo.tobytes()
+
+
+def test_the_iteration_cap_fails_every_running_program(rng, monkeypatch):
+    monkeypatch.setattr(ipm, "MAX_ITER", 3)
+    c = np.concatenate([-sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
+                                             [(1, -1), (-1, 1)]) for _ in range(3)])
+    _, _, _, infos = ipm.solve_stacked(sd.sign_family(2, 2), c)
+    assert len(infos) == 6
+    for info in infos:
+        assert (info.status, info.iterations) == ("numerical_failure", 3)
+        assert np.isfinite([info.gap, info.primal_residual, info.dual_residual,
+                            info.primal_objective, info.dual_objective]).all()
 
 
 def test_prior_endpoints_have_zero_improvement(rng):

@@ -243,12 +243,12 @@ def _record_mio_runs(monkeypatch, corrupt=None):
     runs = []
     original = sd.solve_stacked
 
-    def recording(constraints, b, c, **kwargs):
+    def recording(family, c, **kwargs):
         if corrupt is not None and not runs:
             c = np.array(c)
             c[corrupt] = np.nan
         runs.append(len(c))
-        return original(constraints, b, c, **kwargs)
+        return original(family, c, **kwargs)
 
     monkeypatch.setattr(sd, "solve_stacked", recording)
     return runs
@@ -387,9 +387,9 @@ def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
     runs = []
     original = sd.solve_stacked
 
-    def recording(constraints, b, c, **kwargs):
+    def recording(family, c, **kwargs):
         runs.append(len(c))
-        return original(constraints, b, c, **kwargs)
+        return original(family, c, **kwargs)
 
     monkeypatch.setattr(sd, "solve_stacked", recording)
     rows = se.mixture_sweep(lambdas, p1_grid, PHI)

@@ -1,7 +1,9 @@
 import ast
+import inspect
 from pathlib import Path
 
 import dyncoh
+from dyncoh import ipm, sdp
 
 SOURCES = sorted(Path(dyncoh.__file__).parent.glob("*.py"))
 
@@ -35,3 +37,12 @@ def test_the_inverse_check_sees_every_spelling():
     for text in spellings:
         assert list(_inverse_uses(ast.parse(text))) == [1], text
     assert list(_inverse_uses(ast.parse("np.linalg.pinv(a); inv = 1; x.inv"))) == []
+
+
+def test_the_solvers_take_no_settings():
+    # the solver has no knobs: the tolerances and the iteration cap are the
+    # `ipm` constants, and every program starts at its family's start
+    for solver in (ipm.solve_stacked, ipm.solve_real_sdp, sdp.solve_sdp):
+        settings = {"gap_tol", "feas_tol", "max_iter", "x0"} & set(
+            inspect.signature(solver).parameters)
+        assert settings == set(), solver.__name__

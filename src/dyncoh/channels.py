@@ -111,9 +111,11 @@ def from_kraus(kraus_ops, atol=FLAG_ATOL):
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise DimensionMismatch("Kraus operators must share one shape")
-    comp = sum(la.dagger(k) @ k for k in ops)
-    dev = la.max_abs(comp - np.eye(dim_in))
-    if dev > max(atol, 1e-9):
+    # huge entries overflow the sum to inf or NaN, which the check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        comp = sum(la.dagger(k) @ k for k in ops)
+        dev = la.max_abs(comp - np.eye(dim_in))
+    if not dev <= max(atol, 1e-9):
         raise ValidationError(f"incomplete Kraus set: ||sum K^dag K - 1||_max = {dev:.3e}")
     choi = np.zeros((dim_out * dim_in,) * 2, dtype=complex)
     for k in ops:
@@ -413,14 +415,20 @@ def channel_to_dict(ch):
 def channel_from_dict(data):
     """The channel of a `channel_to_dict` record; `ValidationError` on any
     malformed field.  The dims must be JSON integers: neither a float such as
-    2.9 nor a bool is read as one."""
+    2.9 nor a bool is read as one.  Each Kraus entry must be a list of exactly
+    two JSON numbers, its real and imaginary parts, neither of them a bool."""
+
+    def entry(c):  # json reads a number as an int or a float, and true as a bool
+        if not (isinstance(c, list) and len(c) == 2 and {type(x) for x in c} <= {int, float}):
+            raise TypeError(f"Kraus entries must be [re, im] pairs of numbers, got {c!r}")
+        return complex(*c)
+
     try:
         dim_in, dim_out = data["dim_in"], data["dim_out"]
         for dim in (dim_in, dim_out):
             if isinstance(dim, bool) or not isinstance(dim, int):
                 raise TypeError(f"channel dims must be integers, got {dim!r}")
-        raw = [np.array([[complex(c[0], c[1]) for c in row] for row in k])
-               for k in data["kraus"]]
+        raw = [np.array([[entry(c) for c in row] for row in k]) for k in data["kraus"]]
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValidationError(f"malformed channel JSON: {exc!r}") from exc
     ops = []

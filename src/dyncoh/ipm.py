@@ -1,18 +1,21 @@
 """Dense primal-dual interior-point method for small complex Hermitian SDPs.
 
-Solves a stack of K programs that share their constraints and differ only
-in the objective,
+Maximizes Re tr(C_k X) subject to Re tr(H_i X) = b_i and X PSD for a stack
+of K objectives C_k that share their constraints, each over a single dense
+Hermitian PSD block, with C_k and H_i Hermitian.  Every objective, floor
+and ceiling in and out is in these terms.  Only inside is C_k negated, once
+on entry: the iteration runs on the pair
 
-    (P_k)  min Re tr(C_k X)   s.t.  Re tr(H_i X) = b_i,  X PSD
-    (D_k)  max b.y            s.t.  sum_i y_i H_i + S = C_k,  S PSD
+    (P_k)  min Re tr(-C_k X)   s.t.  Re tr(H_i X) = b_i,  X PSD
+    (D_k)  max b.y             s.t.  sum_i y_i H_i + S = -C_k,  S PSD,
 
-each over a single dense Hermitian PSD block, with C_k and H_i Hermitian,
-Nesterov-Todd scaling and an adaptive centering parameter chosen from an
-affine predictor step (Todd, Toh & Tutuncu, SIAM J. Optim. 1998).  The
-block is handled natively, at its complex dimension n, as SDPT3 handles
-complex blocks.  The start is primal-feasible when the constraints admit a
-strictly feasible point, and every direction is corrected onto
-A(dX) = r_p, so the iterates stay primal-feasible to roundoff.
+to which the returned y and S belong, with Nesterov-Todd scaling and an
+adaptive centering parameter chosen from an affine predictor step (Todd,
+Toh & Tutuncu, SIAM J. Optim. 1998).  The block is handled natively, at
+its complex dimension n, as SDPT3 handles complex blocks.  The start is
+primal-feasible when the constraints admit a strictly feasible point, and
+every direction is corrected onto A(dX) = r_p, so the iterates stay
+primal-feasible to roundoff.
 
 Layout: each program has one state in arrays over the whole stack, from
 which every iteration gathers the programs still running along a leading
@@ -39,11 +42,12 @@ The caller caps the stack length (``sdp.MAX_STACK`` programs per run), which
 bounds its memory.
 
 Certificates and pruning: when every feasible X has tr X = 1, as in the
-sign programs, any dual iterate bounds its program from below
+sign programs, any dual iterate bounds its program from above
 (`_dual_bound`).  In a stack whose programs carry group labels, one stacked
-``eigvalsh`` call per iteration gives that bound for every running program,
-and a program whose bound shows it cannot reach the least objective of its
-group stops as ``pruned``.  A stack without groups computes neither.
+``eigvalsh`` call per iteration gives that ceiling for every running
+program, and a program whose ceiling shows it cannot reach the greatest
+objective attained in its group stops as ``pruned``.  A stack without
+groups computes neither.
 """
 
 from dataclasses import dataclass
@@ -87,9 +91,9 @@ class IpmInfo:
     dual_residual: float
     primal_objective: float
     dual_objective: float
-    # certified lower bound on the objective of every feasible X at the last
-    # iterate (`_dual_bound`); -inf in a stack without groups
-    bound: float = -np.inf
+    # certified ceiling on the objective of every feasible X at the last
+    # iterate (`_dual_bound`); inf in a stack without groups
+    bound: float = np.inf
 
 
 def _inner(a, b):
@@ -265,10 +269,11 @@ def rounding_allowance(n, size):
 
 
 def _dual_bound(b, y, z, size):
-    """b.y + lambda_min(Z) less its rounding allowance, per program of a stack.
+    """Ceiling on the maximization at a dual iterate, per program of a stack:
+    -(b.y + lambda_min(Z)) plus its rounding allowance.
 
-    With Z = C - A*(y) and tr X = 1 on the feasible set, every feasible X has
-    Re tr(C X) = b.y + Re tr(Z X) >= b.y + lambda_min(Z).  The bound is made
+    With Z = -C - A*(y) and tr X = 1 on the feasible set, every feasible X has
+    Re tr(-C X) = b.y + Re tr(Z X) >= b.y + lambda_min(Z).  The bound is made
     safe in floating point by a stated allowance, not by interval arithmetic
     (as Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007, do):
     forming Z moves each entry by a few eps times ``size``, the largest
@@ -279,11 +284,11 @@ def _dual_bound(b, y, z, size):
     """
     n, m = z.shape[-1], y.shape[-1]
     allowance = rounding_allowance(n, n * size) + rounding_allowance(m, np.abs(y) @ np.abs(b))
-    return y @ b + np.linalg.eigvalsh(z)[:, 0] - allowance
+    return -(y @ b + np.linalg.eigvalsh(z)[:, 0] - allowance)
 
 
 def _recedes(constraints, c, dx, tol):
-    """Whether each dX is a recession direction of its program: dX PSD,
+    """Whether each dX is a recession direction of its minimization: dX PSD,
     A(dX) = 0 and Re tr(C dX) < 0, each to ``tol`` relative to the size of dX."""
     size = np.linalg.norm(dx, axis=(-2, -1))
     rows = np.linalg.norm(constraints.flat, axis=1)
@@ -304,7 +309,7 @@ def _farkas(constraints, b, dy, tol):
 # A program that diverges along no recession direction overflows to inf and
 # NaN; the finiteness and stuck tests then end it.
 @np.errstate(over="ignore", invalid="ignore")
-def solve_stacked(family, c, groups=None, incumbents=None):
+def solve_stacked(family, c, groups=None, floors=None):
     """Run the interior-point iteration on K objectives over one family.
 
     Parameters
@@ -313,15 +318,15 @@ def solve_stacked(family, c, groups=None, incumbents=None):
         The m constraints H_i (Hermitian, linearly independent), their
         targets b, and the start every program takes.
     c : (K, n, n) array
-        Hermitian objective matrices of the K minimizations.
+        Hermitian objective matrices of the K maximizations.
     groups : (K,) int array, optional
-        The group of each program, an index into ``incumbents``.  Only for
+        The group of each program, an index into ``floors``.  Only for
         constraints under which every feasible X has tr X = 1.
-    incumbents : (G,) float array
-        With ``groups``: per group, the least objective known to be attained,
-        updated in place with the objective of every primal-feasible iterate
-        (primal residual at most ``FEAS_TOL``) of the group's programs, so it
-        carries over to the next run.
+    floors : (G,) float array
+        With ``groups``: per group, the greatest objective known to be
+        attained, updated in place with the objective of every
+        primal-feasible iterate (primal residual at most ``FEAS_TOL``) of the
+        group's programs, so it carries over to the next run.
 
     Returns
     -------
@@ -332,12 +337,12 @@ def solve_stacked(family, c, groups=None, incumbents=None):
     ``unbounded``; one that fails after a dual step along a Farkas ray as
     ``infeasible``; any other stall, overflow or ``MAX_ITER`` iterations as
     ``numerical_failure``.  With ``groups``, each info carries the program's
-    bound at its last iterate, and a program stops as ``pruned`` once its
-    bound exceeds its group's incumbent f by more than GAP_TOL (1 + |f|).
+    ceiling at its last iterate, and a program stops as ``pruned`` once its
+    ceiling falls below its group's floor f by more than GAP_TOL (1 + |f|).
     The other programs take the same steps, to the bit.
     """
     constraints, b = family.constraints, family.targets
-    c = la.hermitian_part(np.asarray(c, dtype=complex))
+    c = la.hermitian_part(-np.asarray(c, dtype=complex))  # the iteration minimizes
     k_total, n = len(c), constraints.n
 
     # S0 and the dual residual are scaled as in the real form of the program,
@@ -353,7 +358,7 @@ def solve_stacked(family, c, groups=None, incumbents=None):
     stall = np.zeros(k_total, dtype=int)
     status = np.empty(k_total, dtype=object)
     stopped_at = np.zeros(k_total, dtype=int)
-    record = np.full((k_total, 6), -np.inf)  # the figures of IpmInfo, bound last
+    record = np.full((k_total, 6), np.inf)  # the figures of IpmInfo, bound last
     run = np.arange(k_total)  # the programs still running
 
     def stop(mask, outcome, it, figures):
@@ -362,10 +367,10 @@ def solve_stacked(family, c, groups=None, incumbents=None):
         ended = run[mask]
         if not ended.size:
             return
-        # A failure leaves its group with no incumbent, so the group prunes
-        # no more and its other programs end as they would alone.
+        # A failure leaves its group with no floor, so the group prunes no
+        # more and its other programs end as they would alone.
         if groups is not None and outcome not in ("optimal", "pruned"):
-            incumbents[groups[ended]] = np.nan
+            floors[groups[ended]] = np.nan
         if outcome is None:
             outcome = np.where(_farkas(constraints, b, last_dy[ended], FEAS_TOL),
                                "infeasible", "numerical_failure")
@@ -380,8 +385,8 @@ def solve_stacked(family, c, groups=None, incumbents=None):
         rp = b - constraints.dot(xr)
         rd = cr - sr - constraints.combine(yr)
         gap = _inner(xr, sr)
-        pobj = _inner(cr, xr)
-        dobj = yr @ b
+        pobj = -_inner(cr, xr)  # the objectives of the maximization
+        dobj = -(yr @ b)
         prim_res = np.abs(rp).max(axis=1) / scale_b
         rd_size = _entry_size(rd)
         dual_res = 0.5 * rd_size / (1.0 + scale_c[run])
@@ -400,16 +405,16 @@ def solve_stacked(family, c, groups=None, incumbents=None):
         if groups is not None:
             # A finite dual residual makes C, S and r_d finite, so no
             # non-finite iterate reaches eigvalsh.
-            bound = np.full(run.size, -np.inf)
+            bound = np.full(run.size, np.inf)
             bound[finite] = _dual_bound(
                 b, yr[finite], sr[finite] + rd[finite],
                 2.0 * scale_c[run][finite] + _entry_size(sr[finite]) + rd_size[finite])
             group = groups[run]
             feasible = finite & (prim_res <= FEAS_TOL)
-            np.minimum.at(incumbents, group[feasible], pobj[feasible])
-            incumbents[group[failed]] = np.nan  # as `stop` does
-            best = incumbents[group]
-            pruned = ~done & (bound > best + GAP_TOL * (1.0 + np.abs(best)))
+            np.maximum.at(floors, group[feasible], pobj[feasible])
+            floors[group[failed]] = np.nan  # as `stop` does
+            best = floors[group]
+            pruned = ~done & (bound < best - GAP_TOL * (1.0 + np.abs(best)))
             done |= pruned
             figures = np.column_stack([figures, bound])
             stop(pruned, "pruned", it, figures)
@@ -450,7 +455,7 @@ def solve_stacked(family, c, groups=None, incumbents=None):
 def solve_real_sdp(family, c):
     """One program: `solve_stacked` with K = 1.
 
-    ``c`` is the (n, n) Hermitian objective of the minimization.  Returns
+    ``c`` is the (n, n) Hermitian objective of the maximization.  Returns
     ``(X, y, S, info)``.
     """
     x, y, s, infos = solve_stacked(family, np.asarray(c, dtype=complex)[None])

@@ -15,8 +15,8 @@ winning ``X`` yields an optimal input state and pre-processing by a direct
 constructive recipe (`extract_optimal`).
 
 Complex functionals become Hermitian rows ``Re tr(H X) = t`` on the n x n
-block, which the backend (`ipm`) solves natively.  Every program, a single
-`SdpProblem` or a family of programs, goes through one presolve
+block, over which the backend (`ipm`) maximizes natively.  Every program,
+one (`solve_sdp`) or a family (`solve_family`), goes through one presolve
 (`constraint_family`), which keeps the independent rows.  The sign programs
 share every constraint, so the constraints are built once per dims
 (`sign_family`), and the programs of one evaluation, or of many evaluations
@@ -57,47 +57,6 @@ MAX_SIGN_DIMENSION = 20
 MAX_STACK = 64
 # Widest bracket [lower_bound, upper_bound] a report may carry
 BRACKET_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """One linear-objective SDP over named complex PSD blocks.
-
-    ``equality_constraints`` holds pairs ``(F, t)`` encoding
-    ``sum_pq conj(F[p,q]) X[p,q] = t``; the objective matrix is Hermitian so
-    the objective ``tr(objective @ X)`` is real on Hermitian feasible points.
-    """
-
-    psd_variables: tuple
-    equality_constraints: tuple
-    objective: np.ndarray
-
-    def __post_init__(self):
-        if len(self.psd_variables) != 1:
-            raise ValidationError("exactly one PSD block is supported")
-        _, n = self.psd_variables[0]
-        if self.objective.shape != (n, n):
-            raise DimensionMismatch("objective shape does not match the PSD block")
-        if not la.is_hermitian(self.objective, 1e-9):
-            raise ValidationError("objective must be Hermitian (real-valued objective)")
-        for f, _ in self.equality_constraints:
-            if f.shape != (n, n):
-                raise DimensionMismatch("constraint functional shape mismatch")
-
-    @property
-    def block_dim(self):
-        return self.psd_variables[0][1]
-
-
-@dataclass
-class SdpSolution:
-    variable_values: dict
-    objective_value: float
-    duality_gap: float
-    status: str  # "optimal"; other statuses raise `SolverFailure`
-    iterations: int = 0
-    primal_residual: float = 0.0
-    dual_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -199,76 +158,54 @@ def constraint_family(functionals):
     return ConstraintFamily(constraints, targets, start)
 
 
-def solve_sdp(problem):
-    """Solve one SdpProblem (maximization) on its Hermitian block.
+def solve_sdp(functionals, objective):
+    """Maximize ``Re tr(objective X)`` over PSD X on one Hermitian block,
+    subject to complex functionals ``(F, t)``: ``sum_pq conj(F[p,q]) X[p,q] = t``.
 
-    Returns an `SdpSolution`; any status other than ``optimal`` raises
-    `SolverFailure` with diagnostics.
+    One program through the presolve and `solve_real_sdp`.  Returns
+    ``(X, info)``; a non-Hermitian objective raises `ValidationError`, and
+    any status other than ``optimal`` raises `SolverFailure` with diagnostics.
     """
-    family = constraint_family(problem.equality_constraints)
-    # backend minimizes; negate for maximization
-    x, _, _, info = solve_real_sdp(family, -problem.objective)
-    sol = SdpSolution(
-        variable_values={problem.psd_variables[0][0]: x},
-        objective_value=-info.primal_objective,
-        duality_gap=info.gap,
-        status=info.status,
-        iterations=info.iterations,
-        primal_residual=info.primal_residual,
-        dual_residual=info.dual_residual,
-    )
-    if sol.status != "optimal":
-        raise SolverFailure(sol.status, f"SDP did not reach optimality: {info}")
-    return sol
+    objective = np.asarray(objective, dtype=complex)
+    if not la.is_hermitian(objective, 1e-9):
+        raise ValidationError("objective must be Hermitian (real-valued objective)")
+    x, _, _, info = solve_real_sdp(constraint_family(functionals), objective)
+    if info.status != "optimal":
+        raise SolverFailure(info.status, f"SDP did not reach optimality: {info}")
+    return x, info
 
 
 # ---------------------------------------------------------------------------
 # Families of programs sharing their constraints
 # ---------------------------------------------------------------------------
 
-def _solve_runs(family, objectives, groups=None, floors=None):
-    """Maximize ``tr(C_k X)`` over a family; returns ``(maximizers, infos)``.
+def solve_family(family, objectives, groups=None, floors=None):
+    """Maximize ``Re tr(C_k X)`` over a family for a stack of Hermitian C_k.
 
-    The programs go through consecutive `solve_stacked` runs of at most
-    ``MAX_STACK`` programs, so the memory of a run stays bounded whatever
-    the stack length.  With ``groups`` (one label per program, an index
-    into ``floors``, the best value known per group), programs that cannot
-    win their group are pruned, and a group's floor carries over from run
-    to run.  Raises `SolverFailure` when any program ends neither optimal
-    nor pruned, so no value of a failed stack is ever returned.
+    Returns ``(maximizers, infos)``, of shape (K, n, n) and one `IpmInfo`
+    per program.  The programs go through consecutive `solve_stacked` runs
+    of at most ``MAX_STACK`` programs, so the memory of a run stays bounded
+    whatever the stack length.  With ``groups`` (one label per program, an
+    index into ``floors``, the best value known per group), programs that
+    cannot win their group are pruned, and a group's floor carries over
+    from run to run.  Raises `SolverFailure` when any program ends neither
+    optimal nor pruned, so no value of a failed stack is ever returned.
     """
-    c = -np.asarray(objectives)  # the backend minimizes
-    # the least objective per group, in the backend's terms, updated by every run
-    incumbents = None if groups is None else -np.asarray(floors, dtype=float)
+    floors = None if groups is None else np.array(floors, dtype=float)
     xs, infos = [], []
-    for lo in range(0, len(c), MAX_STACK):
+    for lo in range(0, len(objectives), MAX_STACK):
         run = slice(lo, lo + MAX_STACK)
         x, _, _, run_infos = solve_stacked(
-            family, c[run], groups=None if groups is None else groups[run],
-            incumbents=incumbents)
+            family, objectives[run], groups=groups if groups is None else groups[run],
+            floors=floors)
         xs.append(x)
         infos.extend(run_infos)
-    failed = [(k, info) for k, info in enumerate(infos)
-              if info.status not in ("optimal", "pruned")]
+    failed = [k for k, info in enumerate(infos) if info.status not in ("optimal", "pruned")]
     if failed:
-        k, info = failed[0]
-        raise SolverFailure(
-            info.status,
-            f"{len(failed)} of {len(infos)} SDPs did not reach optimality, first #{k}: {info}",
-        )
-    return (np.concatenate(xs) if xs else np.empty_like(c)), infos
-
-
-def solve_family(family, objectives):
-    """Maximize ``tr(C_k X)`` over a family for a stack of Hermitian C_k.
-
-    Returns ``(values, maximizers)`` of shapes (K,) and (K, n, n) for K
-    objectives, through `_solve_runs`, without groups, so every program
-    runs to optimality; raises `SolverFailure` when any program stops short
-    of it.
-    """
-    x, infos = _solve_runs(family, objectives)
-    return np.array([-info.primal_objective for info in infos]), x
+        info = infos[failed[0]]
+        raise SolverFailure(info.status, f"{len(failed)} of {len(infos)} SDPs did not reach "
+                                         f"optimality, first #{failed[0]}: {info}")
+    return (np.concatenate(xs) if xs else np.empty_like(objectives)), infos
 
 
 # ---------------------------------------------------------------------------
@@ -333,16 +270,13 @@ def _sign_objectives(theta, cfg, signs):
 
 
 def build_sign_program(theta, cfg, signs):
-    """The SDP whose optimum is the best signed sum of output populations.
+    """``(functionals, objective)`` of the SDP whose optimum is the best signed
+    sum of output populations, for `solve_sdp`.
 
     ``signs`` is a +-1 vector of length ``theta.dim_out``.
     """
-    da, db = cfg.dim, theta.dim_in
-    return SdpProblem(
-        psd_variables=(("X_AB", da * db),),
-        equality_constraints=tuple(_sign_functionals(da, db)),
-        objective=_sign_objectives(theta, cfg, [signs])[0],
-    )
+    return (_sign_functionals(cfg.dim, theta.dim_in),
+            _sign_objectives(theta, cfg, [signs])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +396,14 @@ def evaluate_pairs(pairs):
             _sign_objectives(theta, cfg, [signs[k] for k in solved]) for theta, cfg in pairs
         ])
         groups = np.repeat(np.arange(len(pairs)), len(solved))
-        xs, infos = _solve_runs(sign_family(da, db), objectives, groups,
-                                [cfg.prior_gap for _, cfg in pairs])
+        xs, infos = solve_family(sign_family(da, db), objectives, groups,
+                                 [cfg.prior_gap for _, cfg in pairs])
         shape = (len(pairs), len(solved))
         status[:, solved] = np.array([info.status for info in infos], dtype=object).reshape(shape)
-        ceiling[:, solved] = -np.array([info.bound for info in infos]).reshape(shape)
+        ceiling[:, solved] = np.array([info.bound for info in infos]).reshape(shape)
         per_sign[:, solved] = np.where(
             status[:, solved] == "pruned", ceiling[:, solved],
-            -np.array([info.primal_objective for info in infos]).reshape(shape))
+            np.array([info.primal_objective for info in infos]).reshape(shape))
         xs = xs.reshape(len(pairs), len(solved), *xs.shape[1:])
 
     evaluations = []

@@ -242,12 +242,13 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     observable for the current output pair (Helstrom step) and an SDP over
     the Choi matrix of the free post-processing with the observable fixed
     (MIO step), until a round raises its value by no more than
-    ``CONVERGENCE_TOL``.  Every iterate is a feasible strategy, so the value
-    is a true lower bound, and each step is a restricted maximization, so a
-    chain's value never falls.  The chains advance in lockstep: a round's
-    Helstrom steps are one stacked eigendecomposition and the MIO steps of
-    the chains still improving one `solve_family` call, which raises
-    `SolverFailure` if any of them fails.  Exact evaluation is out of scope.
+    ``CONVERGENCE_TOL``, for at most ``budget.refinement_iterations`` rounds.
+    Every iterate is a feasible strategy, so the value is a true lower
+    bound, and each step is a restricted maximization, so a chain's value
+    never falls.  The chains advance in lockstep: a round's Helstrom steps
+    are one stacked eigendecomposition and the MIO steps of the chains still
+    improving one `solve_family` call, which raises `SolverFailure` if any
+    of them fails.  Exact evaluation is out of scope.
     """
     if not (theta.completely_positive and theta.trace_preserving):
         raise ValidationError("post-processed improvement requires a CPTP channel")
@@ -265,7 +266,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     choi = np.stack([post.choi for _ in inputs for post in starts])
     value = np.full(len(choi), -np.inf)
     active = np.arange(len(choi))
-    for _ in range(max(10, budget.refinement_iterations)):
+    for _ in range(budget.refinement_iterations):
         posts = choi[active].reshape(-1, dim_c, dim_b, dim_c, dim_b)
         tau = np.einsum("pkilj,pij->pkl", posts, sigma[active])
         diff = cfg.lam * tau - cfg.mu * np.einsum("kilj,pij->pkl", phase, tau)
@@ -281,7 +282,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         q = cfg.lam * p_obs - cfg.mu * np.einsum("kilj,pij->pkl", phase_adj, p_obs)
         # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)) over the Choi matrix J of Psi
         objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
-        _, new_choi = sdpmod.solve_family(
+        new_choi, _ = sdpmod.solve_family(
             family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])))
         for k, j in zip(active, new_choi):
             choi[k] = ch.channel_from_choi(j, dim_b, dim_c, atol=1e-6).choi

@@ -38,9 +38,9 @@ def full_sign_enumeration(theta, cfg):
     constant patterns of `sdp.evaluate_pairs` must reproduce.
     """
     signs = sdp.enumerate_sign_vectors(theta.dim_out, full=True)
-    values, _ = sdp.solve_family(sdp.sign_family(cfg.dim, theta.dim_in),
-                                 sdp._sign_objectives(theta, cfg, signs))
-    return signs, values.tolist()
+    _, infos = sdp.solve_family(sdp.sign_family(cfg.dim, theta.dim_in),
+                                sdp._sign_objectives(theta, cfg, signs))
+    return signs, [info.primal_objective for info in infos]
 
 
 def random_hermitian(rng, dim, scale=1.0):

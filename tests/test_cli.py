@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,7 +159,7 @@ def test_measure_pre_solver_fault_exit_code(fault, monkeypatch, capsys):
         if fault == "numerical_failure":
             infos[1] = dataclasses.replace(infos[1], status="numerical_failure")
         else:
-            infos = [dataclasses.replace(info, bound=info.bound - 1e-6) for info in infos]
+            infos = [dataclasses.replace(info, bound=info.bound + 1e-6) for info in infos]
         return x, y, s, infos
 
     monkeypatch.setattr(sd, "solve_stacked", faulty)
@@ -309,7 +313,8 @@ def test_dimension_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["kraus_not_a_list", "dim_not_a_number", "dim_is_infinite",
                                   "dim_is_fractional", "dim_is_a_bool",
-                                  "scalar_entry", "one_element_pair", "not_utf8",
+                                  "scalar_entry", "one_element_pair", "bool_pair",
+                                  "three_element_entry", "not_utf8",
                                   "channel_is_a_directory", "out_is_a_directory"])
 def test_bad_files_exit_code(case, tmp_path, capsys):
     good = ch.channel_to_dict(ch.hadamard())
@@ -323,6 +328,10 @@ def test_bad_files_exit_code(case, tmp_path, capsys):
                               dim_out=True),
         "scalar_entry": dict(good, kraus=[[[1.0, 0.0], [0.0, 1.0]]]),
         "one_element_pair": dict(good, kraus=[[[[1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+        # the identity channel, were [true, false] read as 1 and the 5 dropped
+        "bool_pair": dict(good, kraus=[[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+        "three_element_entry": dict(good, kraus=[[[[1.0, 0.0, 5.0], [0.0, 0.0]],
+                                                  [[0.0, 0.0], [1.0, 0.0]]]]),
     }
     path = tmp_path / "theta.json"
     args = ["classify", "--channel", str(path)]
@@ -335,6 +344,40 @@ def test_bad_files_exit_code(case, tmp_path, capsys):
     else:
         args = ["classify", "--channel", "hadamard", "--out", str(tmp_path)]
     code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == 2
+
+
+@pytest.mark.parametrize("entries", [
+    [[1e308, 0.0], [0.0, 0.0]],  # the completeness sum overflows to inf
+    [[1e308, 1e308], [1e308, -1e308]],  # and here to NaN
+])
+def test_overflowing_kraus_entry_prints_one_json_line(entries, tmp_path):
+    # numpy warnings would add lines to stderr; only the process's own
+    # stderr shows them, so the command runs in a subprocess
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim_in": 2, "dim_out": 2,
+                                "kraus": [[entries, [[0.0, 0.0], [1.0, 0.0]]]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(ch.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "dyncoh.cli", "classify", "--channel",
+                           str(path)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_game_refuses_trials_below_one_before_solving(trials, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the evaluation ran")
+
+    monkeypatch.setattr(sd, "preprocessed_improvement", no_solve)
+    code, out, err = run_cli(["game", "--channel", "hadamard", "--trials", trials], capsys)
     assert code == 2
     assert out == ""
     lines = err.splitlines()

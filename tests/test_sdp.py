@@ -21,26 +21,26 @@ def cfg_half():
 # ---------------------------------------------------------------------------
 
 def test_solver_rank_one_objective():
-    prob = sd.SdpProblem(
-        psd_variables=(("X", 2),),
-        equality_constraints=((np.eye(2, dtype=complex), 1.0),),
-        objective=np.diag([1.0, 0.0]).astype(complex),
-    )
-    sol = sd.solve_sdp(prob)
-    assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
+    _, info = sd.solve_sdp(((np.eye(2, dtype=complex), 1.0),),
+                           np.diag([1.0, 0.0]).astype(complex))
+    assert info.status == "optimal"
+    assert info.primal_objective == pytest.approx(1.0, abs=1e-7)
+
+
+def test_the_solver_maximizes_and_reports_no_ceiling_without_groups():
+    family = sd.constraint_family([(np.eye(2, dtype=complex), 1.0)])
+    x, _, _, info = ipm.solve_real_sdp(family, np.diag([1.0, 0.0]))
+    assert info.status == "optimal"
+    assert info.primal_objective == pytest.approx(1.0, abs=1e-7)
+    assert info.dual_objective == pytest.approx(1.0, abs=1e-7)
+    assert x[0, 0].real == pytest.approx(1.0, abs=1e-7)
+    assert info.bound == np.inf
 
 
 def test_solver_largest_eigenvalue():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    prob = sd.SdpProblem(
-        psd_variables=(("X", 2),),
-        equality_constraints=((np.eye(2, dtype=complex), 1.0),),
-        objective=sx,
-    )
-    sol = sd.solve_sdp(prob)
-    assert sol.objective_value == pytest.approx(1.0, abs=1e-7)
-    x = sol.variable_values["X"]
+    x, info = sd.solve_sdp(((np.eye(2, dtype=complex), 1.0),), sx)
+    assert info.primal_objective == pytest.approx(1.0, abs=1e-7)
     assert la.is_hermitian(x, 1e-9)
     assert np.trace(x).real == pytest.approx(1.0, abs=1e-7)
 
@@ -49,18 +49,13 @@ def test_solver_complex_entry_constraints():
     # pin an off-diagonal entry and maximize its contribution elsewhere
     f = np.zeros((2, 2), dtype=complex)
     f[0, 1] = 1.0
-    prob = sd.SdpProblem(
-        psd_variables=(("X", 2),),
-        equality_constraints=((np.eye(2, dtype=complex), 1.0), (f, 0.25 + 0.1j)),
-        objective=np.diag([1.0, -1.0]).astype(complex),
-    )
-    sol = sd.solve_sdp(prob)
-    x = sol.variable_values["X"]
+    x, info = sd.solve_sdp(((np.eye(2, dtype=complex), 1.0), (f, 0.25 + 0.1j)),
+                           np.diag([1.0, -1.0]).astype(complex))
     assert x[0, 1] == pytest.approx(0.25 + 0.1j, abs=1e-6)
     # max x00 - x11 subject to x00 x11 >= |x01|^2, x00 + x11 = 1
     r = abs(0.25 + 0.1j) ** 2
     expected = np.sqrt(1.0 - 4.0 * r)
-    assert sol.objective_value == pytest.approx(expected, abs=1e-6)
+    assert info.primal_objective == pytest.approx(expected, abs=1e-6)
 
 
 def test_solver_detects_inconsistent_redundancy():
@@ -69,15 +64,11 @@ def test_solver_detects_inconsistent_redundancy():
     g = np.zeros((2, 2), dtype=complex)
     g[1, 1] = 1.0
     with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp(sd.SdpProblem(
-            psd_variables=(("X", 2),),
-            equality_constraints=(
-                (np.eye(2, dtype=complex), 1.0),
-                (f, 0.7),
-                (g, 0.7),  # 0.7 + 0.7 != 1: contradicts the trace constraint
-            ),
-            objective=np.eye(2, dtype=complex),
-        ))
+        sd.solve_sdp((
+            (np.eye(2, dtype=complex), 1.0),
+            (f, 0.7),
+            (g, 0.7),  # 0.7 + 0.7 != 1: contradicts the trace constraint
+        ), np.eye(2, dtype=complex))
     assert err.value.status == "infeasible"
 
 
@@ -85,18 +76,14 @@ def test_solver_reports_unbounded_as_failure():
     # only X[0,0] is pinned; the objective grows along X[1,1]
     f = np.zeros((2, 2), dtype=complex)
     f[0, 0] = 1.0
-    prob = sd.SdpProblem(
-        psd_variables=(("X", 2),),
-        equality_constraints=((f, 1.0),),
-        objective=np.diag([0.0, 1.0]).astype(complex),
-    )
+    functionals, objective = ((f, 1.0),), np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp(prob)
+        sd.solve_sdp(functionals, objective)
     assert err.value.status == "unbounded"
     # the recession direction ends the run before its iteration budget, and
     # before the iterates diverge
-    family = sd.constraint_family(prob.equality_constraints)
-    _, _, _, info = ipm.solve_real_sdp(family, -prob.objective)
+    family = sd.constraint_family(functionals)
+    _, _, _, info = ipm.solve_real_sdp(family, objective)
     assert info.status == "unbounded"
     assert info.iterations < 60 and np.isfinite(info.primal_objective)
 
@@ -105,17 +92,13 @@ def test_solver_reports_infeasible_as_failure():
     # X[0,0] = -1 admits no PSD X: the dual climbs along the Farkas ray y < 0
     f = np.zeros((2, 2), dtype=complex)
     f[0, 0] = 1.0
-    prob = sd.SdpProblem(
-        psd_variables=(("X", 2),),
-        equality_constraints=((f, -1.0),),
-        objective=np.eye(2, dtype=complex),
-    )
+    functionals = ((f, -1.0),)
     with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp(prob)
+        sd.solve_sdp(functionals, np.eye(2, dtype=complex))
     assert err.value.status == "infeasible"
     # with a zero objective the iterates overflow first; the last finite
     # dual direction still certifies it
-    family = sd.constraint_family(prob.equality_constraints)
+    family = sd.constraint_family(functionals)
     _, _, _, info = ipm.solve_real_sdp(family, np.zeros((2, 2)))
     assert info.status == "infeasible" and not np.isfinite(info.gap)
 
@@ -125,39 +108,28 @@ def test_solver_accepts_redundant_consistent_rows():
     f[0, 0] = 1.0
     g = np.zeros((2, 2), dtype=complex)
     g[1, 1] = 1.0
-    sol = sd.solve_sdp(sd.SdpProblem(
-        psd_variables=(("X", 2),),
-        equality_constraints=(
-            (np.eye(2, dtype=complex), 1.0),
-            (np.eye(2, dtype=complex), 1.0),  # a repeat before an independent row
-            (f, 0.3),
-            (g, 0.7),
-        ),
-        objective=np.diag([1.0, 0.0]).astype(complex),
-    ))
-    assert sol.objective_value == pytest.approx(0.3, abs=1e-7)
+    _, info = sd.solve_sdp((
+        (np.eye(2, dtype=complex), 1.0),
+        (np.eye(2, dtype=complex), 1.0),  # a repeat before an independent row
+        (f, 0.3),
+        (g, 0.7),
+    ), np.diag([1.0, 0.0]).astype(complex))
+    assert info.primal_objective == pytest.approx(0.3, abs=1e-7)
 
 
 def test_problem_rejects_non_hermitian_objective():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValidationError):
-        sd.SdpProblem(psd_variables=(("X", 2),),
-                      equality_constraints=((np.eye(2, dtype=complex), 1.0),),
-                      objective=bad)
+        sd.solve_sdp(((np.eye(2, dtype=complex), 1.0),), bad)
 
 
 def test_solution_certificates_respect_tolerances():
-    prob = sd.SdpProblem(
-        psd_variables=(("X", 3),),
-        equality_constraints=((np.eye(3, dtype=complex), 1.0),),
-        objective=np.diag([1.0, 2.0, -1.0]).astype(complex),
-    )
-    sol = sd.solve_sdp(prob)
-    assert sol.status == "optimal"
-    assert sol.duality_gap <= 1e-8
-    assert sol.primal_residual <= 1e-9
-    assert sol.dual_residual <= 1e-9
-    x = sol.variable_values["X"]
+    x, info = sd.solve_sdp(((np.eye(3, dtype=complex), 1.0),),
+                           np.diag([1.0, 2.0, -1.0]).astype(complex))
+    assert info.status == "optimal"
+    assert info.gap <= 1e-8
+    assert info.primal_residual <= 1e-9
+    assert info.dual_residual <= 1e-9
     assert np.linalg.eigvalsh(x).min() >= -1e-9
 
 
@@ -166,13 +138,8 @@ def test_solver_random_diagonal_programs(rng):
     for _ in range(10):
         d = int(rng.integers(2, 6))
         c = rng.standard_normal(d)
-        prob = sd.SdpProblem(
-            psd_variables=(("X", d),),
-            equality_constraints=((np.eye(d, dtype=complex), 1.0),),
-            objective=np.diag(c).astype(complex),
-        )
-        sol = sd.solve_sdp(prob)
-        assert sol.objective_value == pytest.approx(c.max(), abs=1e-6)
+        _, info = sd.solve_sdp(((np.eye(d, dtype=complex), 1.0),), np.diag(c).astype(complex))
+        assert info.primal_objective == pytest.approx(c.max(), abs=1e-6)
 
 
 def test_solver_matches_largest_eigenvalue(rng):
@@ -182,13 +149,8 @@ def test_solver_matches_largest_eigenvalue(rng):
         d = int(rng.integers(2, 7))
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = 0.5 * (g + g.conj().T)
-        prob = sd.SdpProblem(
-            psd_variables=(("X", d),),
-            equality_constraints=((np.eye(d, dtype=complex), 1.0),),
-            objective=h,
-        )
-        sol = sd.solve_sdp(prob)
-        assert sol.objective_value == pytest.approx(
+        _, info = sd.solve_sdp(((np.eye(d, dtype=complex), 1.0),), h)
+        assert info.primal_objective == pytest.approx(
             np.linalg.eigvalsh(h).max(), abs=1e-6
         )
 
@@ -230,14 +192,14 @@ def feasible_point(pre, populations):
     return x
 
 
-def objective_value_at(problem, x):
-    return float(np.real(np.trace(problem.objective @ x)))
+def objective_value_at(objective, x):
+    return float(np.real(np.trace(objective @ x)))
 
 
 def test_program_shape_qubit():
     theta = ch.random_channel(2, 2, np.random.default_rng(0))
-    prob = sd.build_sign_program(theta, cfg_half(), (1, -1))
-    assert prob.block_dim == 4
+    _, objective = sd.build_sign_program(theta, cfg_half(), (1, -1))
+    assert objective.shape == (4, 4)
     assert len(sd.enumerate_sign_vectors(theta.dim_out, full=True)) == 4
     assert len(sd.enumerate_sign_vectors(theta.dim_out)) == 2
 
@@ -252,7 +214,7 @@ def test_program_objective_matches_game_pipeline(rng):
         theta = ch.random_channel(db, nout, rng)
         cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, da))
         signs = tuple(rng.choice([-1, 1], size=nout))
-        prob = sd.build_sign_program(theta, cfg, signs)
+        _, objective = sd.build_sign_program(theta, cfg, signs)
 
         pre = ch.random_di(da, db, rng)
         populations = rng.dirichlet(np.ones(da))
@@ -262,14 +224,14 @@ def test_program_objective_matches_game_pipeline(rng):
         rho = np.outer(amp, amp).astype(complex)
         out = ch.apply(theta, ch.apply(pre, ch.apply(ms.signal_map(cfg), rho)))
         direct = float(np.real(np.sum(np.asarray(signs) * np.diagonal(out))))
-        assert objective_value_at(prob, x) == pytest.approx(direct, abs=1e-10)
+        assert objective_value_at(objective, x) == pytest.approx(direct, abs=1e-10)
 
 
 def test_feasible_points_satisfy_constraints(rng):
     theta = ch.random_channel(2, 2, rng)
-    prob = sd.build_sign_program(theta, cfg_half(), (1, -1))
+    functionals, _ = sd.build_sign_program(theta, cfg_half(), (1, -1))
     x = feasible_point(ch.random_di(2, 2, rng), rng.dirichlet(np.ones(2)))
-    for f, target in prob.equality_constraints:
+    for f, target in functionals:
         got = complex(np.sum(np.conj(f) * x))
         assert got == pytest.approx(complex(target), abs=1e-10)
 
@@ -278,18 +240,18 @@ def test_all_ones_program_is_pinned_to_prior(rng):
     theta = ch.random_channel(2, 2, rng)
     for lam in (0.2, 0.5, 0.8):
         cfg = ms.GameConfig(lam, np.array([2.0 * np.pi / 3.0, 0.0]))
-        prob = sd.build_sign_program(theta, cfg, (1, 1))
+        _, objective = sd.build_sign_program(theta, cfg, (1, 1))
         for _ in range(5):
             x = feasible_point(ch.random_di(2, 2, rng), rng.dirichlet(np.ones(2)))
-            assert objective_value_at(prob, x) == pytest.approx(lam - (1 - lam), abs=1e-10)
+            assert objective_value_at(objective, x) == pytest.approx(lam - (1 - lam), abs=1e-10)
 
 
 def test_di_channel_programs_never_beat_prior(rng):
     cfg = ms.GameConfig(0.7, np.array([2.0 * np.pi / 3.0, 0.0]))
     theta = ch.random_di(2, 2, rng)
     for signs in sd.enumerate_sign_vectors(2, full=True):
-        sol = sd.solve_sdp(sd.build_sign_program(theta, cfg, signs))
-        assert sol.objective_value <= cfg.prior_gap + 1e-7
+        _, info = sd.solve_sdp(*sd.build_sign_program(theta, cfg, signs))
+        assert info.primal_objective <= cfg.prior_gap + 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +267,8 @@ def test_constant_patterns_are_pinned_to_the_prior(rng):
         theta = ch.random_channel(din, dout, rng)
         cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, da))
         objectives = sd._sign_objectives(theta, cfg, [(1,) * dout, (-1,) * dout])
-        values, _ = sd.solve_family(sd.sign_family(da, din), objectives)
-        assert values == pytest.approx([cfg.lam - cfg.mu, cfg.mu - cfg.lam], abs=1e-8)
+        _, infos = sd.solve_family(sd.sign_family(da, din), objectives)
+        assert [info.primal_objective for info in infos] == pytest.approx([cfg.lam - cfg.mu, cfg.mu - cfg.lam], abs=1e-8)
 
 
 def test_auto_equals_full(rng):
@@ -372,14 +334,14 @@ def test_stacked_solve_matches_solo_solves(rng, monkeypatch):
     solved = [k for k, s in enumerate(rep.sign_vectors) if len(set(s)) > 1]
     assert len(runs) == 1 and len(runs[0]) == len(solved) == 14
     for k, info in zip(solved, runs[0]):
-        solo = sd.solve_sdp(sd.build_sign_program(theta, cfg, rep.sign_vectors[k]))
+        _, solo = sd.solve_sdp(*sd.build_sign_program(theta, cfg, rep.sign_vectors[k]))
         assert info.status == rep.per_sign_status[k]
         if info.status == "pruned":  # a ceiling, below the winner
-            assert solo.objective_value <= rep.per_sign_values[k] < rep.trace_norm
+            assert solo.primal_objective <= rep.per_sign_values[k] < rep.trace_norm
             assert info.iterations < solo.iterations
         else:
             assert info.status == "optimal"
-            assert rep.per_sign_values[k] == pytest.approx(solo.objective_value, abs=1e-7)
+            assert rep.per_sign_values[k] == pytest.approx(solo.primal_objective, abs=1e-7)
             assert info.iterations == solo.iterations
 
 
@@ -393,16 +355,16 @@ def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
         for _ in range(18)
     ])
     assert len(objectives) > sd.MAX_STACK
-    values, xs = sd.solve_family(family, objectives[:0])
-    assert values.shape == (0,) and xs.shape == (0, 4, 4)
+    xs, infos = sd.solve_family(family, objectives[:0])
+    assert infos == [] and xs.shape == (0, 4, 4)
     runs = _capture_stacked(monkeypatch)
-    values, xs = sd.solve_family(family, objectives)
+    xs, got = sd.solve_family(family, objectives)
     assert [len(infos) for infos in runs] == [sd.MAX_STACK, len(objectives) - sd.MAX_STACK]
     assert xs.shape == objectives.shape
     for k, info in enumerate(info for infos in runs for info in infos):
-        _, _, _, solo = ipm.solve_real_sdp(family, -objectives[k])
+        _, _, _, solo = ipm.solve_real_sdp(family, objectives[k])
         assert solo.status == info.status == "optimal"
-        assert values[k] == pytest.approx(-solo.primal_objective, abs=1e-7)
+        assert got[k].primal_objective == pytest.approx(solo.primal_objective, abs=1e-7)
         assert info.iterations == solo.iterations
 
 
@@ -411,11 +373,30 @@ def test_single_objective_is_a_stack_of_one(rng):
     # solve_family agrees with it bit for bit
     family = sd.sign_family(2, 2)
     objectives = sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
-    values, xs = sd.solve_family(family, objectives)
-    x_solo, _, _, info = ipm.solve_real_sdp(family, -objectives[0])
-    assert values.shape == (1,) and xs.shape == (1, *x_solo.shape)
-    assert values[0] == -info.primal_objective
+    xs, infos = sd.solve_family(family, objectives)
+    x_solo, _, _, info = ipm.solve_real_sdp(family, objectives[0])
+    assert len(infos) == 1 and xs.shape == (1, *x_solo.shape)
+    assert infos[0].primal_objective == info.primal_objective
     assert np.array_equal(xs[0], x_solo)
+
+
+def test_group_floors_lie_between_the_values_and_the_ceilings(rng):
+    # a floor is the greatest objective attained in its group, so it is at
+    # least every optimal value there and at most the group's largest ceiling
+    pairs = [(ch.random_channel(2, 2, rng),
+              ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2)))
+             for _ in range(4)]
+    objectives = np.concatenate([sd._sign_objectives(theta, cfg, [(1, -1), (-1, 1)])
+                                 for theta, cfg in pairs])
+    groups = np.repeat(np.arange(len(pairs)), 2)
+    floors = np.full(len(pairs), -np.inf)
+    _, _, _, infos = ipm.solve_stacked(sd.sign_family(2, 2), objectives, groups, floors)
+    assert any(info.status == "pruned" for info in infos)
+    for g, floor in enumerate(floors):
+        group = [info for info, label in zip(infos, groups) if label == g]
+        assert all(info.status in ("optimal", "pruned") for info in group)
+        assert all(floor >= info.primal_objective for info in group if info.status == "optimal")
+        assert floor <= max(info.bound for info in group)
 
 
 def test_pruning_leaves_the_winner_bit_identical(rng, monkeypatch):
@@ -427,8 +408,9 @@ def test_pruning_leaves_the_winner_bit_identical(rng, monkeypatch):
     runs = _capture_stacked(monkeypatch)
     signs, (ev,) = sd.evaluate_pairs([(theta, cfg)])
     solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
-    values, xs = sd.solve_family(sd.sign_family(3, 2),
-                                 sd._sign_objectives(theta, cfg, [signs[k] for k in solved]))
+    xs, infos = sd.solve_family(sd.sign_family(3, 2),
+                                sd._sign_objectives(theta, cfg, [signs[k] for k in solved]))
+    values = [info.primal_objective for info in infos]
     grouped, ungrouped = runs
     assert ev.per_sign_status.count("pruned") > 0
     assert ev.per_sign_status[ev.winner] == "optimal"
@@ -461,7 +443,7 @@ def test_ceilings_bound_the_exact_values(rng, monkeypatch):
         for p, ((theta, cfg), ev) in enumerate(zip(group, evaluations)):
             _, exact = full_sign_enumeration(theta, cfg)
             for j, k in enumerate(solved):
-                assert -infos[p * len(solved) + j].bound >= exact[k]
+                assert infos[p * len(solved) + j].bound >= exact[k]
             assert ev.upper_bound >= max(exact)
             assert ev.upper_bound - ev.per_sign[ev.winner] <= sd.BRACKET_TOL
             pruned += ev.per_sign_status.count("pruned")
@@ -605,8 +587,8 @@ def test_each_stop_in_a_stack_matches_its_solo_solve():
     f = np.zeros((2, 2), dtype=complex)
     f[0, 0] = 1.0
     family = sd.constraint_family([(f, 1.0)])
-    c = np.array([np.diag([0.0, -1.0]), [[0, 1], [1, 2]], np.full((2, 2), np.nan),
-                  [[1, 0.5j], [-0.5j, 3]]], dtype=complex)
+    c = -np.array([np.diag([0.0, -1.0]), [[0, 1], [1, 2]], np.full((2, 2), np.nan),
+                   [[1, 0.5j], [-0.5j, 3]]], dtype=complex)
     x, y, _, infos = ipm.solve_stacked(family, c)
     assert [info.status for info in infos] == ["unbounded", "optimal", "numerical_failure",
                                                "optimal"]
@@ -619,8 +601,8 @@ def test_each_stop_in_a_stack_matches_its_solo_solve():
 
 def test_the_iteration_cap_fails_every_running_program(rng, monkeypatch):
     monkeypatch.setattr(ipm, "MAX_ITER", 3)
-    c = np.concatenate([-sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
-                                             [(1, -1), (-1, 1)]) for _ in range(3)])
+    c = np.concatenate([sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
+                                            [(1, -1), (-1, 1)]) for _ in range(3)])
     _, _, _, infos = ipm.solve_stacked(sd.sign_family(2, 2), c)
     assert len(infos) == 6
     for info in infos:

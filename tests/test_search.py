@@ -155,13 +155,16 @@ def test_counterexample_idle_side_is_exactly_blind(rng):
 # Post-processed lower bound
 # ---------------------------------------------------------------------------
 
-def test_postprocessed_is_monotone_in_iterations(rng):
-    theta = ch.random_channel(2, 2, rng)
-    cfg = cfg_half()
+def test_postprocessed_is_monotone_in_iterations():
+    # the round cap is honoured as given: on this 2 -> 3 channel with qutrit
+    # phases the chains still improve after one and after two rounds
+    rng = np.random.default_rng(2)
+    theta = ch.random_channel(2, 3, rng)
+    cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 3))
     budgets = [se.SearchBudget(refinement_iterations=k, rng_seed=3) for k in (1, 2, 30)]
     vals = [se.postprocessed_improvement_lower(theta, cfg, b, restarts=1) for b in budgets]
-    assert vals[0] <= vals[1] + 1e-9
-    assert vals[1] <= vals[2] + 1e-9
+    assert vals[0] + 1e-3 < vals[1]
+    assert vals[1] + 1e-3 < vals[2]
 
 
 def qutrit_embedding():
@@ -202,7 +205,7 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
         sigma = ch.apply(theta, la.basis_proj(theta.dim_in, i))
         for post in inits:
             value, n = -np.inf, 0
-            for _ in range(max(10, budget.refinement_iterations)):
+            for _ in range(budget.refinement_iterations):
                 tau = ch.apply(post, sigma)
                 new_value = ms.helstrom_norm(cfg, tau, ch.apply(phase, tau))
                 if new_value <= value + se.CONVERGENCE_TOL:
@@ -212,7 +215,7 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
                 w, v = la.eig_hermitian(cfg.lam * tau - cfg.mu * ch.apply(phase, tau), atol=1e-8)
                 p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
                 q = cfg.lam * p_obs - cfg.mu * ch.apply(phase_adj, p_obs)
-                _, choi = sd.solve_family(family,
+                choi, _ = sd.solve_family(family,
                                           la.hermitian_part(np.kron(q, np.conj(sigma)))[None])
                 post = ch.channel_from_choi(choi[0], dim_b, dim_c, atol=1e-6)
                 n += 1
@@ -262,7 +265,7 @@ def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
     # a round's run holds exactly the chains whose value rose in that round
     assert runs[0] == len(steps) == 18
     assert runs == [sum(n > r for n in steps) for r in range(max(steps))]
-    assert len(runs) <= max(10, se.SearchBudget().refinement_iterations)
+    assert len(runs) <= se.SearchBudget().refinement_iterations
 
 
 def test_postprocessed_failed_mio_step_raises(monkeypatch):

@@ -46,3 +46,8 @@ def test_the_solvers_take_no_settings():
         settings = {"gap_tol", "feas_tol", "max_iter", "x0"} & set(
             inspect.signature(solver).parameters)
         assert settings == set(), solver.__name__
+    # one calling convention: the objectives to maximize, and per group the
+    # greatest objective attained
+    assert list(inspect.signature(sdp.solve_sdp).parameters) == ["functionals", "objective"]
+    assert list(inspect.signature(ipm.solve_stacked).parameters) == ["family", "c", "groups",
+                                                                    "floors"]

@@ -12,7 +12,7 @@ class DimensionMismatch(ValidationError):
 class SolverFailure(RuntimeError):
     """The SDP backend could not produce a certified optimum.
 
-    ``status`` is ``"infeasible"``, ``"unbounded"`` or ``"numerical_failure"``.
+    ``status`` is ``"numerical_failure"``.
     """
 
     def __init__(self, status, message):

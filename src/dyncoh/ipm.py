@@ -12,10 +12,10 @@ on entry: the iteration runs on the pair
 to which the returned y and S belong, with Nesterov-Todd scaling and an
 adaptive centering parameter chosen from an affine predictor step (Todd,
 Toh & Tutuncu, SIAM J. Optim. 1998).  The block is handled natively, at
-its complex dimension n, as SDPT3 handles complex blocks.  The start is
-primal-feasible when the constraints admit a strictly feasible point, and
-every direction is corrected onto A(dX) = r_p, so the iterates stay
-primal-feasible to roundoff.
+its complex dimension n, as SDPT3 handles complex blocks.  Every program
+starts at its family's strictly feasible start, and every direction is
+corrected onto A(dX) = r_p, so the iterates stay primal-feasible to
+roundoff.
 
 Layout: each program has one state in arrays over the whole stack, from
 which every iteration gathers the programs still running along a leading
@@ -71,8 +71,8 @@ _STALL_LIMIT = 25
 class ConstraintFamily:
     """Independent Hermitian constraints ``A(X) = b`` on a Hermitian block.
 
-    ``start`` is the point every program over the family starts from,
-    strictly feasible when the family admits one (`initial_point`).
+    ``start`` is the positive definite X with A(X) = b that every program
+    over the family starts from (`sdp.constraint_family`).
     """
 
     constraints: SparseConstraints
@@ -82,8 +82,8 @@ class ConstraintFamily:
 
 @dataclass
 class IpmInfo:
-    # "optimal" | "pruned" | "unbounded" | "infeasible" | "numerical_failure";
-    # "pruned" only in a stack with groups (see `solve_stacked`)
+    # "optimal" | "pruned" | "numerical_failure"; "pruned" only in a stack
+    # with groups (see `solve_stacked`)
     status: str
     iterations: int
     gap: float
@@ -114,6 +114,23 @@ def _max_step(frame, dm):
     return np.where(lam >= -_TINY, np.inf, -1.0 / np.minimum(lam, -_TINY))
 
 
+def _svd(a):
+    """SVD of each matrix of a stack.  If LAPACK does not converge, each matrix
+    is redone alone, and one that fails again takes the SVD of its adjoint,
+    A^H = V Sigma U^H, so no matrix's factors depend on its stack."""
+    try:
+        return np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        parts = []
+        for one in a:
+            try:
+                parts.append(np.linalg.svd(one))
+            except np.linalg.LinAlgError:
+                v, sv, uh = np.linalg.svd(la.dagger(one))
+                parts.append((la.dagger(uh), sv, la.dagger(v)))
+        return tuple(np.stack(p) for p in zip(*parts))
+
+
 def _scaled_frame(x, s):
     """NT scaling and scaled frames of each X, S pair, with no inverse.
 
@@ -127,7 +144,7 @@ def _scaled_frame(x, s):
     k = x.shape[0]
     factors = np.linalg.cholesky(np.concatenate([x, s]))
     lx, ls = factors[:k], factors[k:]
-    u, sv, vh = np.linalg.svd(la.dagger(ls) @ lx)
+    u, sv, vh = _svd(la.dagger(ls) @ lx)
     lxv = lx @ la.dagger(vh)
     # P_x^H, P_s^H and G, each a matrix with scaled columns
     cols = np.concatenate([ls @ u, lxv, lxv]) / np.concatenate([sv, sv, np.sqrt(sv)])[:, None]
@@ -139,8 +156,8 @@ def _jittered(mat):
     """One Schur complement, with jitter on its diagonal if it is not
     positive definite.
 
-    Jitter guards against dependence sneaking past the presolve; after three
-    attempts the factorization failure propagates.
+    Jitter guards against roundoff near a singular Schur complement; after
+    three attempts the factorization failure propagates.
     """
     m = mat.shape[0]
     jitter = 0.0
@@ -175,41 +192,8 @@ def _schur_solve(constraints, w, s_inv, x, rp, rd):
     return np.linalg.solve(schur, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
-def _feasible_start(constraints, b, n):
-    """Strictly feasible interior point via a least-norm projection, if any.
-
-    Takes the min-norm correction that moves a multiple of the identity onto
-    A(X) = b, and keeps it only when safely positive definite.  Starting
-    primal-feasible, with every direction corrected onto A(dX) = r_p (see
-    `_step`), pins the primal residual at roundoff for the whole run,
-    which sidesteps the stall of infeasible iterations on degenerate
-    optimal faces.
-    """
-    eye = np.eye(n, dtype=complex)
-    a_of_eye = constraints.dot(eye)
-    best = None
-    for center in (1.0, 0.5, 0.1, 2.0):
-        cand = center * eye + constraints.least_norm(b - center * a_of_eye)
-        if np.max(np.abs(constraints.dot(cand) - b)) > 1e-10 * max(1.0, np.max(np.abs(b))):
-            continue
-        margin = np.linalg.eigvalsh(cand).min()
-        if margin > 1e-8 and (best is None or margin > best[0]):
-            best = (margin, cand)
-    return None if best is None else best[1]
-
-
-def initial_point(constraints, b):
-    """The strictly feasible start when there is one, else a scaled identity."""
-    b = np.asarray(b, dtype=float)
-    x = _feasible_start(constraints, b, constraints.n)
-    if x is None:
-        x = np.eye(constraints.n, dtype=complex) * max(1.0, float(np.max(np.abs(b))))
-    return x
-
-
 def _step(constraints, x, s, rp, rd, gap, centre):
-    """Predictor-corrector NT direction and step lengths for a stack, and
-    whether each primal step is unbounded (dX keeps X PSD at any length)."""
+    """Predictor-corrector NT direction and step lengths for a stack."""
     k, n = x.shape[0], x.shape[-1]
     w, frames, s_inv = _scaled_frame(x, s)
     # dy, dS and dX are affine in sigma mu: index 0 holds the predictor
@@ -226,14 +210,12 @@ def _step(constraints, x, s, rp, rd, gap, centre):
     dx += constraints.least_norm(r)
 
     def steps(dx, ds):
-        alpha = _max_step(frames, np.concatenate([dx, ds]))
-        ray = np.isinf(alpha[:k])
-        alpha = np.minimum(1.0, _STEP_FRACTION * alpha)
-        return alpha[:k], alpha[k:], ray
+        alpha = np.minimum(1.0, _STEP_FRACTION * _max_step(frames, np.concatenate([dx, ds])))
+        return alpha[:k], alpha[k:]
 
     mu = gap / n
     # Affine predictor fixes the centering parameter.
-    ap, ad, _ = steps(dx[0], ds[0])
+    ap, ad = steps(dx[0], ds[0])
     mu_aff = _inner(x + ap[:, None, None] * dx[0], s + ad[:, None, None] * ds[0]) / n
     sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.99)
     # keep centering up while infeasibility dominates the gap
@@ -255,10 +237,8 @@ def _step_each(constraints, *stacks):
         try:
             parts.append(_step(constraints, *one))
         except np.linalg.LinAlgError:
-            x = one[0]
-            zero = np.zeros(1)
-            parts.append((np.zeros_like(x), np.zeros((1, constraints.m)),
-                          np.zeros_like(x), zero, zero, np.zeros(1, dtype=bool)))
+            dx, zero = np.zeros_like(one[0]), np.zeros(1)
+            parts.append((dx, np.zeros((1, constraints.m)), dx, zero, zero))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
@@ -287,27 +267,8 @@ def _dual_bound(b, y, z, size):
     return -(y @ b + np.linalg.eigvalsh(z)[:, 0] - allowance)
 
 
-def _recedes(constraints, c, dx, tol):
-    """Whether each dX is a recession direction of its minimization: dX PSD,
-    A(dX) = 0 and Re tr(C dX) < 0, each to ``tol`` relative to the size of dX."""
-    size = np.linalg.norm(dx, axis=(-2, -1))
-    rows = np.linalg.norm(constraints.flat, axis=1)
-    return ((np.linalg.eigvalsh(dx)[:, 0] >= -tol * size)
-            & (np.abs(constraints.dot(dx)) <= tol * size[:, None] * rows).all(axis=1)
-            & (_inner(c, dx) < -tol * size * np.linalg.norm(c, axis=(-2, -1))))
-
-
-def _farkas(constraints, b, dy, tol):
-    """Whether each dy is a Farkas ray, a proof that no PSD X has A(X) = b:
-    b.dy > 0 and A*(dy) negative semidefinite, to ``tol`` relative to the size of dy."""
-    dy = dy / np.maximum(np.abs(dy).max(axis=1, keepdims=True), _TINY)  # no overflow
-    aty = constraints.combine(dy)
-    return ((dy @ b > tol * np.linalg.norm(dy, axis=1))
-            & (np.linalg.eigvalsh(aty)[:, -1] <= tol * np.linalg.norm(aty, axis=(-2, -1))))
-
-
-# A program that diverges along no recession direction overflows to inf and
-# NaN; the finiteness and stuck tests then end it.
+# A program that diverges overflows to inf and NaN; the finiteness and
+# stuck tests then end it.
 @np.errstate(over="ignore", invalid="ignore")
 def solve_stacked(family, c, groups=None, floors=None):
     """Run the interior-point iteration on K objectives over one family.
@@ -332,14 +293,12 @@ def solve_stacked(family, c, groups=None, floors=None):
     -------
     (X, y, S, infos) with X, S of shape (K, n, n), y of shape (K, m) and one
     `IpmInfo` per program.  A program stops as ``optimal`` at relative gap
-    ``GAP_TOL`` and residuals ``FEAS_TOL``; one whose direction from a
-    primal-feasible iterate is a recession direction (`_recedes`) as
-    ``unbounded``; one that fails after a dual step along a Farkas ray as
-    ``infeasible``; any other stall, overflow or ``MAX_ITER`` iterations as
-    ``numerical_failure``.  With ``groups``, each info carries the program's
-    ceiling at its last iterate, and a program stops as ``pruned`` once its
-    ceiling falls below its group's floor f by more than GAP_TOL (1 + |f|).
-    The other programs take the same steps, to the bit.
+    ``GAP_TOL`` and residuals ``FEAS_TOL``, and as ``numerical_failure`` on
+    a stall, an overflow or ``MAX_ITER`` iterations.  With ``groups``, each
+    info carries the program's ceiling at its last iterate, and a program
+    stops as ``pruned`` once its ceiling falls below its group's floor f by
+    more than GAP_TOL (1 + |f|).  The other programs take the same steps, to
+    the bit.
     """
     constraints, b = family.constraints, family.targets
     c = la.hermitian_part(-np.asarray(c, dtype=complex))  # the iteration minimizes
@@ -353,7 +312,6 @@ def solve_stacked(family, c, groups=None, floors=None):
     x = np.array(np.broadcast_to(family.start, c.shape))
     s = np.eye(n, dtype=complex) * (2.0 * scale_c[:, None, None])
     y = np.zeros((k_total, constraints.m))
-    last_dy = np.zeros_like(y)  # the last finite dual direction
     best_gap = np.full(k_total, np.inf)
     stall = np.zeros(k_total, dtype=int)
     status = np.empty(k_total, dtype=object)
@@ -362,18 +320,14 @@ def solve_stacked(family, c, groups=None, floors=None):
     run = np.arange(k_total)  # the programs still running
 
     def stop(mask, outcome, it, figures):
-        """End the running programs in ``mask`` with ``outcome``; None is a
-        failure, ``infeasible`` when the last finite dy is a Farkas ray."""
+        """End the running programs in ``mask`` with ``outcome``."""
         ended = run[mask]
         if not ended.size:
             return
         # A failure leaves its group with no floor, so the group prunes no
         # more and its other programs end as they would alone.
-        if groups is not None and outcome not in ("optimal", "pruned"):
+        if groups is not None and outcome == "numerical_failure":
             floors[groups[ended]] = np.nan
-        if outcome is None:
-            outcome = np.where(_farkas(constraints, b, last_dy[ended], FEAS_TOL),
-                               "infeasible", "numerical_failure")
         status[ended] = outcome
         stopped_at[ended] = it
         record[ended, :figures.shape[1]] = figures[mask]
@@ -420,33 +374,27 @@ def solve_stacked(family, c, groups=None, floors=None):
             stop(pruned, "pruned", it, figures)
         if done.any():
             stop(optimal, "optimal", it, figures)
-            stop(failed, None, it, figures)
-            run, xr, yr, sr, cr, rp, rd, gap, figures = (
-                a[~done] for a in (run, xr, yr, sr, cr, rp, rd, gap, figures))
+            stop(failed, "numerical_failure", it, figures)
+            run, xr, yr, sr, rp, rd, gap, figures = (
+                a[~done] for a in (run, xr, yr, sr, rp, rd, gap, figures))
             if not run.size:
                 break
 
         centre = np.maximum(figures[:, 1], figures[:, 2]) > figures[:, 0]
         try:
-            dx, dy, ds, ap, ad, ray = _step(constraints, xr, sr, rp, rd, gap, centre)
+            dx, dy, ds, ap, ad = _step(constraints, xr, sr, rp, rd, gap, centre)
         except np.linalg.LinAlgError:
-            dx, dy, ds, ap, ad, ray = _step_each(constraints, xr, sr, rp, rd, gap, centre)
-        last_dy[run] = np.where(np.isfinite(dy).all(axis=1)[:, None], dy, last_dy[run])
+            dx, dy, ds, ap, ad = _step_each(constraints, xr, sr, rp, rd, gap, centre)
         stuck = (ap < 1e-10) & (ad < 1e-10)
-        unbounded = ray & (figures[:, 1] <= FEAS_TOL)  # X feasible, X + t dX PSD for all t
-        if unbounded.any():
-            unbounded[unbounded] = _recedes(constraints, cr[unbounded], dx[unbounded], FEAS_TOL)
-        ended = stuck | unbounded
-        if ended.any():
-            stop(stuck, None, it, figures)
-            stop(unbounded, "unbounded", it, figures)
+        if stuck.any():
+            stop(stuck, "numerical_failure", it, figures)
             run, xr, yr, sr, figures, dx, dy, ds, ap, ad = (
-                a[~ended] for a in (run, xr, yr, sr, figures, dx, dy, ds, ap, ad))
+                a[~stuck] for a in (run, xr, yr, sr, figures, dx, dy, ds, ap, ad))
         x[run] = la.hermitian_part(xr + ap[:, None, None] * dx)
         y[run] = yr + ad[:, None] * dy
         s[run] = la.hermitian_part(sr + ad[:, None, None] * ds)
     else:
-        stop(np.ones(run.size, dtype=bool), None, MAX_ITER, figures)
+        stop(np.ones(run.size, dtype=bool), "numerical_failure", MAX_ITER, figures)
     infos = [IpmInfo(str(status[k]), int(stopped_at[k]), *(float(f) for f in record[k]))
              for k in range(k_total)]
     return x, y, s, infos

@@ -67,8 +67,8 @@ class SparseConstraints:
         reads[:, d] = 2 * n * n + np.arange(len(d))
         # `combine` writes each slot j of vec A*(y) as the sum of y_k flat[k,j]
         # over the rows k with flat[k,j] != 0, in row order, one term per row
-        # of `_columns` (rows may share a slot before presolve); a slot with
-        # fewer terms reads row 0 at weight 0 for the rest.
+        # of `_columns` (rows may share a slot); a slot with fewer terms reads
+        # row 0 at weight 0 for the rest.
         slot_of, row_of = np.nonzero(self.flat.T)
         count = np.bincount(slot_of, minlength=self.flat.shape[1])
         rank = np.arange(len(slot_of)) - (np.cumsum(count) - count)[slot_of]

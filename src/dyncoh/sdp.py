@@ -16,8 +16,8 @@ constructive recipe (`extract_optimal`).
 
 Complex functionals become Hermitian rows ``Re tr(H X) = t`` on the n x n
 block, over which the backend (`ipm`) maximizes natively.  Every program,
-one (`solve_sdp`) or a family (`solve_family`), goes through one presolve
-(`constraint_family`), which keeps the independent rows.  The sign programs
+one (`solve_sdp`) or a family (`solve_family`), takes its independent rows
+and positive definite start from `constraint_family`.  The sign programs
 share every constraint, so the constraints are built once per dims
 (`sign_family`), and the programs of one evaluation, or of many evaluations
 over the same dims (`evaluate_pairs`, which the mixture sweep uses), are
@@ -44,8 +44,7 @@ from . import channels as ch
 from . import linalg as la
 from . import measures as ms
 from .errors import DimensionMismatch, SolverFailure, ValidationError
-from .ipm import (ConstraintFamily, initial_point, rounding_allowance, solve_real_sdp,
-                  solve_stacked)
+from .ipm import ConstraintFamily, rounding_allowance, solve_real_sdp, solve_stacked
 from .kernels import SparseConstraints, real_vectors
 
 SUPPORT_THRESHOLD = 1e-9
@@ -103,19 +102,20 @@ class MeasureReport:
 
 
 # ---------------------------------------------------------------------------
-# Presolve and single programs
+# Constraint families and single programs
 # ---------------------------------------------------------------------------
 
 def constraint_family(functionals):
-    """The presolve: complex functionals ``(F, t)`` -> independent Hermitian rows.
+    """Complex functionals ``(F, t)`` -> independent Hermitian rows and a start.
 
     Each functional splits into its Hermitian part (target Re t) and its
-    anti-Hermitian part over 2i (target -Im t).  A vanishing part is
-    dropped, as is a row i whose residual against the rows kept before it,
-    |R_ii| of a QR factorization of their real vectorizations v, is at most
-    1e-10 max(1, |v_i|).  A dropped row whose target disagrees with what
-    the kept rows imply raises ``SolverFailure("infeasible")``.  The arrays
-    are read-only, since cached families are shared.
+    anti-Hermitian part over 2i (target -Im t); a vanishing part is dropped.
+    `ValidationError` is raised unless the rows are independent (each |R_ii|
+    of a QR factorization of their real vectorizations v exceeds
+    1e-10 max(1, |v_i|)) and the start, the projection I + A^+(b - A(I)) of
+    the identity onto A(X) = b, is positive definite, and for a vanishing
+    part with a nonzero target.  The arrays are read-only: cached families
+    are shared.
     """
     mats, targets = [], []
     for f, t in functionals:
@@ -126,33 +126,18 @@ def constraint_family(functionals):
                 mats.append(part)
                 targets.append(target)
             elif abs(target) > 1e-12:
-                raise SolverFailure("infeasible",
-                                    "constraint with zero functional, nonzero target")
+                raise ValidationError("constraint with zero functional, nonzero target")
     if not mats:
         raise ValidationError("problem has no effective constraints")
-    mats, targets = np.array(mats), np.array(targets)
-    v = real_vectors(mats)
-    tol = 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=1))
-    keep = np.arange(len(v))
-    while True:
-        # QR goes on past a dependent column along an arbitrary direction,
-        # which can hide a later independent row, so it restarts without it
-        r = np.abs(np.diagonal(np.linalg.qr(v[keep].T, mode="r")))
-        small = np.flatnonzero(r <= tol[keep[:r.size]])
-        if not small.size:
-            break
-        j = small[0]
-        coeff, *_ = np.linalg.lstsq(v[keep[:j]].T, v[keep[j]], rcond=None)
-        implied, target = targets[keep[:j]] @ coeff, targets[keep[j]]
-        if abs(implied - target) > 1e-9 * max(1.0, abs(target)):
-            raise SolverFailure(
-                "infeasible",
-                f"inconsistent dependent constraint: target {target}, implied {implied}",
-            )
-        keep = np.delete(keep, j)
-    constraints = SparseConstraints(mats[keep])
-    targets = targets[keep]
-    start = initial_point(constraints, targets)
+    v = real_vectors(np.array(mats))
+    r = np.abs(np.diagonal(np.linalg.qr(v.T, mode="r")))
+    if r.size < len(v) or (r <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=1))).any():
+        raise ValidationError("constraints are linearly dependent")
+    constraints, targets = SparseConstraints(mats), np.array(targets)
+    eye = np.eye(constraints.n, dtype=complex)
+    start = eye + constraints.least_norm(targets - constraints.dot(eye))
+    if not np.linalg.eigvalsh(start)[0] > 1e-8:
+        raise ValidationError("the projected identity is not positive definite")
     for shared in (constraints.dense, constraints.flat, constraints.gram_inv, targets, start):
         shared.flags.writeable = False
     return ConstraintFamily(constraints, targets, start)
@@ -162,7 +147,7 @@ def solve_sdp(functionals, objective):
     """Maximize ``Re tr(objective X)`` over PSD X on one Hermitian block,
     subject to complex functionals ``(F, t)``: ``sum_pq conj(F[p,q]) X[p,q] = t``.
 
-    One program through the presolve and `solve_real_sdp`.  Returns
+    One program through `constraint_family` and `solve_real_sdp`.  Returns
     ``(X, info)``; a non-Hermitian objective raises `ValidationError`, and
     any status other than ``optimal`` raises `SolverFailure` with diagnostics.
     """

@@ -199,8 +199,7 @@ def swap_monotonicity_counterexample():
 # Post-processed improvement (creation side): alternating lower bound
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _mio_family(dim_b, dim_c):
+def _mio_functionals(dim_b, dim_c):
     """Choi matrices of MIO channels: trace preservation plus, for each
     incoherent input, vanishing coherences of its output."""
     n = dim_c * dim_b
@@ -217,7 +216,13 @@ def _mio_family(dim_b, dim_c):
                 f = np.zeros((n, n), dtype=complex)
                 f[k * dim_b + j, l * dim_b + j] = 1.0
                 constraints.append((f, 0.0 + 0.0j))
-    return sdpmod.constraint_family(constraints)
+    return constraints
+
+
+@functools.lru_cache(maxsize=None)
+def _mio_family(dim_b, dim_c):
+    """The shared MIO-step constraints, which start at the Choi matrix I / dim_c."""
+    return sdpmod.constraint_family(_mio_functionals(dim_b, dim_c))
 
 
 @functools.lru_cache(maxsize=32)

@@ -128,7 +128,7 @@ def test_schur_mixes_unit_and_dense_rows(rng):
 
 
 def _repeated_rows(n=4):
-    """Unit rows that share their slots, as a set can hold before presolve."""
+    """Unit rows that share their slots, as a dependent set can hold."""
     re, im, diag = _single_entry(n, 1, 2, 1.5), _single_entry(n, 1, 2, -0.5j), \
         _single_entry(n, 3, 3, 2.0)
     return [re, im, re, diag, np.eye(n), diag, 2.0 * re]

@@ -6,6 +6,7 @@ from dyncoh import ipm
 from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh import sdp as sd
+from dyncoh import search
 from dyncoh.errors import SolverFailure, ValidationError
 from dyncoh.kernels import real_vectors
 
@@ -58,63 +59,44 @@ def test_solver_complex_entry_constraints():
     assert info.primal_objective == pytest.approx(expected, abs=1e-6)
 
 
-def test_solver_detects_inconsistent_redundancy():
+def _entry(p, q):
     f = np.zeros((2, 2), dtype=complex)
-    f[0, 0] = 1.0
-    g = np.zeros((2, 2), dtype=complex)
-    g[1, 1] = 1.0
-    with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp((
-            (np.eye(2, dtype=complex), 1.0),
-            (f, 0.7),
-            (g, 0.7),  # 0.7 + 0.7 != 1: contradicts the trace constraint
-        ), np.eye(2, dtype=complex))
-    assert err.value.status == "infeasible"
+    f[p, q] = 1.0
+    return f
 
 
-def test_solver_reports_unbounded_as_failure():
-    # only X[0,0] is pinned; the objective grows along X[1,1]
-    f = np.zeros((2, 2), dtype=complex)
-    f[0, 0] = 1.0
-    functionals, objective = ((f, 1.0),), np.diag([0.0, 1.0]).astype(complex)
-    with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp(functionals, objective)
-    assert err.value.status == "unbounded"
-    # the recession direction ends the run before its iteration budget, and
-    # before the iterates diverge
-    family = sd.constraint_family(functionals)
-    _, _, _, info = ipm.solve_real_sdp(family, objective)
-    assert info.status == "unbounded"
-    assert info.iterations < 60 and np.isfinite(info.primal_objective)
+@pytest.mark.parametrize("functionals", [
+    # a consistent repeat of the trace row
+    [(np.eye(2, dtype=complex), 1.0), (np.eye(2, dtype=complex), 1.0), (_entry(0, 0), 0.3)],
+    # 0.7 + 0.7 != 1 contradicts the trace row
+    [(np.eye(2, dtype=complex), 1.0), (_entry(0, 0), 0.7), (_entry(1, 1), 0.7)],
+    # X00 = -1: the projected identity diag(-1, 1) is not positive definite
+    [(_entry(0, 0), -1.0)],
+], ids=["consistent_dependent", "inconsistent_dependent", "no_positive_definite_start"])
+def test_constraint_family_takes_only_independent_rows_with_a_positive_start(functionals):
+    with pytest.raises(ValidationError):
+        sd.constraint_family(functionals)
+    with pytest.raises(ValidationError):
+        sd.solve_sdp(functionals, np.diag([1.0, 0.0]).astype(complex))
 
 
-def test_solver_reports_infeasible_as_failure():
-    # X[0,0] = -1 admits no PSD X: the dual climbs along the Farkas ray y < 0
-    f = np.zeros((2, 2), dtype=complex)
-    f[0, 0] = 1.0
-    functionals = ((f, -1.0),)
-    with pytest.raises(SolverFailure) as err:
-        sd.solve_sdp(functionals, np.eye(2, dtype=complex))
-    assert err.value.status == "infeasible"
-    # with a zero objective the iterates overflow first; the last finite
-    # dual direction still certifies it
-    family = sd.constraint_family(functionals)
-    _, _, _, info = ipm.solve_real_sdp(family, np.zeros((2, 2)))
-    assert info.status == "infeasible" and not np.isfinite(info.gap)
-
-
-def test_solver_accepts_redundant_consistent_rows():
-    f = np.zeros((2, 2), dtype=complex)
-    f[0, 0] = 1.0
-    g = np.zeros((2, 2), dtype=complex)
-    g[1, 1] = 1.0
-    _, info = sd.solve_sdp((
-        (np.eye(2, dtype=complex), 1.0),
-        (np.eye(2, dtype=complex), 1.0),  # a repeat before an independent row
-        (f, 0.3),
-        (g, 0.7),
-    ), np.diag([1.0, 0.0]).astype(complex))
-    assert info.primal_objective == pytest.approx(0.3, abs=1e-7)
+@pytest.mark.parametrize("family, dims", [
+    *[("sign", dims) for dims in [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (5, 2), (4, 4)]],
+    *[("mio", dims) for dims in [(1, 2), (2, 2), (2, 3), (3, 2), (3, 5), (4, 3)]],
+])
+def test_package_families_keep_every_row_and_start_at_the_maximally_mixed_point(family, dims):
+    # sign programs start at I / n, MIO steps at the Choi matrix I / d_C
+    if family == "sign":
+        functionals, built = sd._sign_functionals(*dims), sd.sign_family(*dims)
+        weight = dims[0] * dims[1]
+    else:
+        functionals, built = search._mio_functionals(*dims), search._mio_family(*dims)
+        weight = dims[1]
+    parts = sum(la.max_abs(part) > 1e-14 for f, _ in functionals
+                for part in (0.5 * (f + la.dagger(f)), (f - la.dagger(f)) / 2j))
+    assert built.constraints.m == parts
+    assert np.abs(built.start - np.eye(dims[0] * dims[1]) / weight).max() <= 1e-15
+    assert np.linalg.eigvalsh(built.start)[0] > 0.0
 
 
 def test_problem_rejects_non_hermitian_objective():
@@ -510,6 +492,39 @@ def test_scaled_frame_maps_x_and_s_to_the_identity(rng, n):
     _assert_close(s_inv @ s, eye)
 
 
+def test_scaled_frame_survives_an_svd_that_does_not_converge(rng, monkeypatch):
+    # LAPACK's SVD can fail to converge on a benign matrix.  The frame then
+    # redoes each matrix alone, and takes the SVD of the adjoint of one that
+    # fails again, so each program keeps the bits it gets alone.
+    k, n, bad = 3, 6, 1
+    x, s = _random_pd(rng, k, n), _random_pd(rng, k, n)
+    unpatched = ipm._scaled_frame(x, s)
+    product = la.dagger(np.linalg.cholesky(s[bad])) @ np.linalg.cholesky(x[bad])
+    svd = np.linalg.svd
+
+    def failing(a, *args, **kwargs):
+        if a.ndim == 3 or np.allclose(a, product):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    w, frames, s_inv = ipm._scaled_frame(x, s)
+    p_x, p_s = frames[:k], frames[k:]
+    eye = np.broadcast_to(np.eye(n), x.shape)
+    _assert_close(p_x @ x @ la.dagger(p_x), eye)
+    _assert_close(p_s @ s @ la.dagger(p_s), eye)
+    _assert_close(w @ s @ w, x)
+    _assert_close(s_inv @ s, eye)
+    parts = (w, p_x, p_s, s_inv)
+    full = (unpatched[0], unpatched[1][:k], unpatched[1][k:], unpatched[2])
+    for j in range(k):
+        w1, frames1, s_inv1 = ipm._scaled_frame(x[j:j + 1], s[j:j + 1])
+        for part, solo in zip(parts, (w1, frames1[:1], frames1[1:], s_inv1)):
+            assert part[j].tobytes() == solo[0].tobytes()
+        for part, before in zip(parts, full):
+            assert (part[j].tobytes() == before[j].tobytes()) == (j != bad)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
 def test_two_column_schur_solve_gives_the_corrector_of_a_direct_solve(rng, dims):
     family = sd.sign_family(*dims)
@@ -543,7 +558,6 @@ def test_two_column_schur_solve_gives_the_corrector_of_a_direct_solve(rng, dims)
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 4)])
 def test_sign_family_is_the_presolved_constraint_span(dims):
     da, db = dims
-    n = da * db
     family = sd.sign_family(da, db)
     # independence is over the reals: rank of the vectorizations [Re, Im]
     rows = real_vectors(family.constraints.dense)
@@ -551,21 +565,6 @@ def test_sign_family_is_the_presolved_constraint_span(dims):
     assert np.linalg.matrix_rank(rows) == family.constraints.m
     assert family.constraints.dot(family.start) == pytest.approx(family.targets, abs=1e-12)
     assert np.linalg.eigvalsh(family.start).min() > 0.0
-    # the original program also pinned the off-diagonals of tr_B X
-    partial = []
-    for i in range(da):
-        for j in range(i + 1, da):
-            f = np.zeros((n, n), dtype=complex)
-            for b in range(db):
-                f[i * db + b, j * db + b] = 1.0
-            partial.append((f, 0.0 + 0.0j))
-    functionals = sd._sign_functionals(da, db)
-    presolved = sd.constraint_family(functionals[:1] + partial + functionals[1:])
-    presolved_rows = real_vectors(presolved.constraints.dense)
-    assert presolved.constraints.m == family.constraints.m
-    assert np.linalg.matrix_rank(np.vstack([rows, presolved_rows])) == family.constraints.m
-    assert np.linalg.lstsq(rows.T, presolved_rows.T, rcond=None)[0].T @ family.targets \
-        == pytest.approx(presolved.targets, abs=1e-12)
 
 
 def test_failure_in_a_stack_stays_with_its_program(rng, monkeypatch):
@@ -581,18 +580,19 @@ def test_failure_in_a_stack_stays_with_its_program(rng, monkeypatch):
 
 
 def test_each_stop_in_a_stack_matches_its_solo_solve():
-    # over X00 = 1 on 2 x 2 the programs stop in turn: unbounded after the
-    # step of iteration 1, on NaN at the first test, and optimal; each keeps
-    # the status, iteration count, X and y it reaches alone, to the bit
+    # over X00 = 1 on 2 x 2 the programs stop in turn: on NaN at the first
+    # test, optimal, and on the overflow of the program whose objective grows
+    # along X11 without bound; each keeps the status, iteration count, X and
+    # y it reaches alone, to the bit
     f = np.zeros((2, 2), dtype=complex)
     f[0, 0] = 1.0
     family = sd.constraint_family([(f, 1.0)])
     c = -np.array([np.diag([0.0, -1.0]), [[0, 1], [1, 2]], np.full((2, 2), np.nan),
                    [[1, 0.5j], [-0.5j, 3]]], dtype=complex)
     x, y, _, infos = ipm.solve_stacked(family, c)
-    assert [info.status for info in infos] == ["unbounded", "optimal", "numerical_failure",
-                                               "optimal"]
-    assert infos[0].iterations == infos[2].iterations == 1
+    assert [info.status for info in infos] == ["numerical_failure", "optimal",
+                                               "numerical_failure", "optimal"]
+    assert infos[2].iterations == 1 < infos[1].iterations < infos[0].iterations
     for k, info in enumerate(infos):
         x_solo, y_solo, _, solo = ipm.solve_real_sdp(family, c[k])
         assert (info.status, info.iterations) == (solo.status, solo.iterations)

@@ -9,32 +9,34 @@ on entry: the iteration runs on the pair
     (P_k)  min Re tr(-C_k X)   s.t.  Re tr(H_i X) = b_i,  X PSD
     (D_k)  max b.y             s.t.  sum_i y_i H_i + S = -C_k,  S PSD,
 
-to which the returned y and S belong, with Nesterov-Todd scaling and an
-adaptive centering parameter chosen from an affine predictor step (Todd,
-Toh & Tutuncu, SIAM J. Optim. 1998).  The block is handled natively, at
-its complex dimension n, as SDPT3 handles complex blocks.  Every program
-starts at its family's strictly feasible start, and every direction is
-corrected onto A(dX) = r_p, so the iterates stay primal-feasible to
-roundoff.
+to which the returned y and S belong, with Nesterov-Todd scaling (Todd,
+Toh & Tutuncu, SIAM J. Optim. 1998) and Mehrotra's predictor-corrector
+(SIAM J. Optim. 2, 1992), as SDPT3 runs it in the same frame: an affine
+predictor step fixes the centering parameter and the corrector's
+second-order term.  The block is handled natively, at its complex dimension
+n, as SDPT3 handles complex blocks.  Every program starts at its family's
+strictly feasible start, and every direction is corrected onto
+A(dX) = r_p, so the iterates stay primal-feasible to roundoff.
 
 Layout: each program has one state in arrays over the whole stack, from
 which every iteration gathers the programs still running along a leading
 axis, so each dense factorization (Cholesky, SVD, Hermitian eigenvalues,
-the Schur solve) is one stacked numpy call, and to which it writes their
+the Schur solves) is one stacked numpy call, and to which it writes their
 step back.  Every program keeps its own stopping tests, stall counter, Schur
-jitter retries and failure status, so a program takes the same steps in a
-stack as alone, and it leaves the running set once it stops.  A single program
-is the stack with K = 1 (`solve_real_sdp`).
+jitter and failure status, so a program takes the same steps in a stack as
+alone, and it leaves the running set once it stops.  A single program is
+the stack with K = 1 (`solve_real_sdp`).
 
 No inverse: the scaled frame of Todd, Toh & Tutuncu, as in SDPT3, gives the
-step from the Cholesky factors of X and S and one SVD (`_scaled_frame`):
-frames P_x, P_s with P X P^H = I turn each step-length test into the least
-eigenvalue of P dM P^H, and S^-1 = P_s^H P_s.  The corrector has no
-second-order term, so its direction is affine in the centring term sigma mu:
-one solve of the Schur system with two right-hand sides gives the dual
-direction of the predictor and its slope in sigma mu (`_schur_solve`), and
-dS and dX of both come out of one stacked pass, so the corrector only
-combines them.
+step from the Cholesky factors of X and S and one SVD (`_scaled_frame`).
+Frames P_x, P_s with P X P^H = I turn each step-length test into the least
+eigenvalue of a congruence P dM P^H, and in the frame of G, with W = G G^H,
+X and S are both the diagonal Sigma of singular values.  The predictor and
+the corrector each solve the same Schur matrix M by LU (`_solve`): the
+predictor's congruences, taken once for its step lengths, also give its
+directions in the frame of G, from which the corrector's second-order term
+is one Lyapunov equation with a diagonal coefficient.  Only a singular M
+takes jitter, in the program whose matrix needs it (`_jittered`).
 
 The Schur matrices of the whole stack come from one
 ``kernels.SparseConstraints.schur`` call, which gathers most entries from W.
@@ -106,11 +108,12 @@ def _entry_size(m):
     return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
 
 
-def _max_step(frame, dm):
-    """Largest alpha with M + alpha*dM PSD, per matrix, from a frame P with
-    P M P^H = I: the congruence takes M + alpha*dM to I + alpha*P dM P^H, so
-    alpha is -1 / lambda_min(P dM P^H), and unbounded when that is >= 0."""
-    lam = np.linalg.eigvalsh(la.hermitian_part(frame @ dm @ la.dagger(frame)))[..., 0]
+def _max_step(cong):
+    """Largest alpha with M + alpha*dM PSD, per matrix, from the congruence
+    C = P dM P^H by a frame P with P M P^H = I: the congruence takes
+    M + alpha*dM to I + alpha*C, so alpha is -1 / lambda_min(C), and
+    unbounded when that is >= 0."""
+    lam = np.linalg.eigvalsh(cong)[..., 0]
     return np.where(lam >= -_TINY, np.inf, -1.0 / np.minimum(lam, -_TINY))
 
 
@@ -135,11 +138,12 @@ def _scaled_frame(x, s):
     """NT scaling and scaled frames of each X, S pair, with no inverse.
 
     With L_s^H L_x = U Sigma V^H (Cholesky factors X = L_x L_x^H, S = L_s L_s^H
-    and one SVD), G = L_x V Sigma^-1/2 gives W = G G^H with W S W = X, and
-    P_x = Sigma^-1 U^H L_s^H, P_s = Sigma^-1 V^H L_x^H = Sigma^-1/2 G^H map X
-    and S to the identity, P X P^H = I.  Returns ``(W, frames, S^-1)``, where
-    ``frames`` stacks P_x of every program over P_s of every program and
-    S^-1 = G Sigma^-1 G^H = P_s^H P_s.
+    and one SVD), G = L_x V Sigma^-1/2 gives W = G G^H with W S W = X and
+    G^-1 X G^-H = G^H S G = Sigma.  P_x = Sigma^-1 U^H L_s^H = Sigma^-1/2 G^-1
+    and P_s = Sigma^-1 V^H L_x^H = Sigma^-1/2 G^H map X and S to the identity,
+    P X P^H = I.  Returns ``(W, frames, Sigma, G)``, where ``frames`` stacks
+    P_x of every program over P_s of every program and Sigma holds the
+    singular values.
     """
     k = x.shape[0]
     factors = np.linalg.cholesky(np.concatenate([x, s]))
@@ -148,81 +152,81 @@ def _scaled_frame(x, s):
     lxv = lx @ la.dagger(vh)
     # P_x^H, P_s^H and G, each a matrix with scaled columns
     cols = np.concatenate([ls @ u, lxv, lxv]) / np.concatenate([sv, sv, np.sqrt(sv)])[:, None]
-    products = cols[k:] @ la.dagger(cols[k:])
-    return products[k:], la.dagger(cols[:2 * k]), la.hermitian_part(products[:k])
+    g = cols[2 * k:]
+    return g @ la.dagger(g), la.dagger(cols[:2 * k]), sv, g
 
 
-def _jittered(mat):
-    """One Schur complement, with jitter on its diagonal if it is not
-    positive definite.
+def _jittered(mat, rhs):
+    """The solution of one Schur system M dy = rhs, with jitter on the
+    diagonal of M if it is singular.
 
-    Jitter guards against roundoff near a singular Schur complement; after
-    three attempts the factorization failure propagates.
+    Jitter guards against roundoff near a singular Schur complement; the
+    first attempt takes M as it is, and after three attempts the
+    factorization failure propagates.
     """
     m = mat.shape[0]
     jitter = 0.0
     for _ in range(3):
-        candidate = mat + jitter * np.eye(m)
         try:
-            np.linalg.cholesky(candidate)
-            return candidate
+            return np.linalg.solve(mat + jitter * np.eye(m), rhs[:, None])[:, 0]
         except np.linalg.LinAlgError:
             jitter = max(10.0 * jitter, 1e-13 * (1.0 + np.trace(mat) / m))
-    raise np.linalg.LinAlgError("Schur complement is not positive definite")
+    raise np.linalg.LinAlgError("Schur complement is singular")
 
 
-def _schur_solve(constraints, w, s_inv, x, rp, rd):
-    """``[u, v]`` of shape (2, K, m), with the dual direction dy = u - sigma mu v.
+def _solve(schur, rhs):
+    """dy with M dy = rhs for each program of a stack, by one stacked LU solve.
 
-    The right-hand side of the Schur system, r_p + A(W r_d W) - A(r_c), is
-    affine in sigma mu, as r_c = sigma mu S^-1 - X, so one solve of
-    M [u, v] = [r_p + A(W r_d W + X), A(S^-1)] serves the predictor
-    (sigma mu = 0) and the corrector.  A stacked Cholesky call only tests M
-    for positive definiteness; when it fails, jitter retries stay with the
-    program whose matrix needs them.
+    If a matrix of the stack is singular, the solve raises, and each program
+    is solved alone (`_jittered`), so the jitter stays with the program
+    whose matrix needs it.
     """
-    schur = constraints.schur(w)
     try:
-        np.linalg.cholesky(schur)
+        return np.linalg.solve(schur, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        schur = np.stack([_jittered(mk) for mk in schur])
-    k = x.shape[0]
-    rhs = constraints.dot(np.concatenate([w @ rd @ w + x, s_inv])).reshape(2, k, -1)
-    rhs[0] += rp
-    return np.linalg.solve(schur, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
+        return np.stack([_jittered(mk, rk) for mk, rk in zip(schur, rhs)])
 
 
 def _step(constraints, x, s, rp, rd, gap, centre):
-    """Predictor-corrector NT direction and step lengths for a stack."""
+    """Mehrotra predictor-corrector NT direction and step lengths for a stack."""
     k, n = x.shape[0], x.shape[-1]
-    w, frames, s_inv = _scaled_frame(x, s)
-    # dy, dS and dX are affine in sigma mu: index 0 holds the predictor
-    # (sigma mu = 0) and index 1 minus the slope, so both take one stacked pass.
-    dy = _schur_solve(constraints, w, s_inv, x, rp, rd)
-    ds = -constraints.combine(dy)
-    ds[0] += rd
-    dx = -la.hermitian_part(np.concatenate([x, s_inv]).reshape(ds.shape) + w @ ds @ w)
-    # Least-norm correction so that A(dX) = r_p holds to roundoff: the
-    # ill-conditioned Schur solve leaves an error there that otherwise
-    # builds up near degenerate optimal faces and stalls the run.
-    r = -constraints.dot(dx)
-    r[0] += rp
-    dx += constraints.least_norm(r)
+    w, frames, sv, g = _scaled_frame(x, s)
+    schur = constraints.schur(w)
+    wrw = w @ rd @ w
 
-    def steps(dx, ds):
-        alpha = np.minimum(1.0, _STEP_FRACTION * _max_step(frames, np.concatenate([dx, ds])))
-        return alpha[:k], alpha[k:]
+    def direction(rc):
+        """dX, dy, dS with A(dX) = r_p, A*(dy) + dS = r_d and dX + W dS W = r_c,
+        the congruences P_x dX P_x^H over P_s dS P_s^H, and the step lengths."""
+        dy = _solve(schur, rp + constraints.dot(wrw - rc))
+        ds = rd - constraints.combine(dy)
+        dx = la.hermitian_part(rc - w @ ds @ w)
+        # Least-norm correction so that A(dX) = r_p holds to roundoff: the
+        # ill-conditioned Schur solve leaves an error there that otherwise
+        # builds up near degenerate optimal faces and stalls the run.
+        dx += constraints.least_norm(rp - constraints.dot(dx))
+        cong = la.hermitian_part(frames @ np.concatenate([dx, ds]) @ la.dagger(frames))
+        alpha = np.minimum(1.0, _STEP_FRACTION * _max_step(cong))
+        return dx, dy, ds, cong, alpha[:k], alpha[k:]
 
     mu = gap / n
-    # Affine predictor fixes the centering parameter.
-    ap, ad = steps(dx[0], ds[0])
-    mu_aff = _inner(x + ap[:, None, None] * dx[0], s + ad[:, None, None] * ds[0]) / n
+    # The affine predictor, r_c = -X, fixes the centering parameter ...
+    dx, _, ds, cong, ap, ad = direction(-x)
+    mu_aff = _inner(x + ap[:, None, None] * dx, s + ad[:, None, None] * ds) / n
     sigma = np.clip((np.maximum(mu_aff, 0.0) / mu) ** 3, 1e-10, 0.99)
     # keep centering up while infeasibility dominates the gap
     sigma_mu = np.where(centre, np.maximum(sigma, 0.5), sigma) * mu
-    t = sigma_mu[:, None, None]
-    dx, ds = dx[0] - t * dx[1], ds[0] - t * ds[1]
-    return (dx, dy[0] - sigma_mu[:, None] * dy[1], ds, *steps(dx, ds))
+    # ... and the second-order term.  In the frame of G, where X and S are
+    # both Sigma, the predictor's directions are Sigma^1/2 C Sigma^1/2, and E
+    # solves Sigma E + E Sigma = Q + Q^H for their product Q.  The corrector
+    # takes r_c = sigma mu S^-1 - X - G E G^H = G (sigma mu Sigma^-1 - E) G^H - X.
+    root = np.sqrt(np.concatenate([sv, sv]))
+    scaled = root[:, :, None] * cong * root[:, None, :]
+    q = scaled[:k] @ scaled[k:]
+    inner = -(q + la.dagger(q)) / (sv[:, :, None] + sv[:, None, :])
+    diag = np.arange(n)
+    inner[:, diag, diag] += sigma_mu[:, None] / sv
+    dx, dy, ds, _, ap, ad = direction(g @ inner @ la.dagger(g) - x)
+    return dx, dy, ds, ap, ad
 
 
 def _step_each(constraints, *stacks):

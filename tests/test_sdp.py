@@ -432,6 +432,30 @@ def test_ceilings_bound_the_exact_values(rng, monkeypatch):
     assert pruned > 0
 
 
+def test_the_corrector_brings_a_slow_winner_home_in_few_iterations(monkeypatch):
+    # a 4-level random channel whose winner took 20 iterations with a
+    # first-order corrector; the second-order term brings it home in 10
+    theta = ch.random_channel(4, 4, np.random.default_rng(26))
+    cfg = ms.GameConfig(0.5, 2.0 * np.pi * np.arange(4) / 4)
+    runs = _capture_stacked(monkeypatch)
+    rep = sd.preprocessed_improvement(theta, cfg)
+    solved = [k for k, s in enumerate(rep.sign_vectors) if len(set(s)) > 1]
+    winner = runs[0][solved.index(int(np.argmax(rep.per_sign_values)))]
+    assert winner.status == "optimal"
+    assert winner.iterations <= 15
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("key", range(4))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_channels_evaluate_within_the_bracket(d, key, lam):
+    # robustness census: every evaluation of a random d-level channel
+    # returns a certified bracket
+    theta = ch.random_channel(d, d, np.random.default_rng(key))
+    rep = sd.preprocessed_improvement(theta, ms.GameConfig(lam, 2.0 * np.pi * np.arange(d) / d))
+    assert 0.0 <= rep.upper_bound - rep.lower_bound <= sd.BRACKET_TOL
+
+
 def test_ties_prune_nothing():
     # on qft:3 every non-constant sign program has the same value, so no
     # ceiling falls below the best floor
@@ -483,13 +507,16 @@ def _assert_close(got, expected, rtol=1e-10):
 @pytest.mark.parametrize("n", [2, 5, 16])
 def test_scaled_frame_maps_x_and_s_to_the_identity(rng, n):
     x, s = _random_pd(rng, 4, n), _random_pd(rng, 4, n)
-    w, frames, s_inv = ipm._scaled_frame(x, s)
+    w, frames, sv, g = ipm._scaled_frame(x, s)
     p_x, p_s = frames[:4], frames[4:]
     eye = np.broadcast_to(np.eye(n), x.shape)
     _assert_close(p_x @ x @ la.dagger(p_x), eye)
     _assert_close(p_s @ s @ la.dagger(p_s), eye)
     _assert_close(w @ s @ w, x)
-    _assert_close(s_inv @ s, eye)
+    _assert_close(w, g @ la.dagger(g))
+    # in the frame of G, X and S are both diag(Sigma)
+    _assert_close(la.dagger(g) @ s @ g, sv[:, None] * eye)
+    _assert_close(g @ (sv[:, :, None] * la.dagger(g)), x)
 
 
 def test_scaled_frame_survives_an_svd_that_does_not_converge(rng, monkeypatch):
@@ -508,51 +535,80 @@ def test_scaled_frame_survives_an_svd_that_does_not_converge(rng, monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", failing)
-    w, frames, s_inv = ipm._scaled_frame(x, s)
+    w, frames, sv, g = ipm._scaled_frame(x, s)
     p_x, p_s = frames[:k], frames[k:]
     eye = np.broadcast_to(np.eye(n), x.shape)
     _assert_close(p_x @ x @ la.dagger(p_x), eye)
     _assert_close(p_s @ s @ la.dagger(p_s), eye)
     _assert_close(w @ s @ w, x)
-    _assert_close(s_inv @ s, eye)
-    parts = (w, p_x, p_s, s_inv)
-    full = (unpatched[0], unpatched[1][:k], unpatched[1][k:], unpatched[2])
+    _assert_close(la.dagger(g) @ s @ g, sv[:, None] * eye)
+    parts = (w, p_x, p_s, sv, g)
+    full = (unpatched[0], unpatched[1][:k], unpatched[1][k:], *unpatched[2:])
     for j in range(k):
-        w1, frames1, s_inv1 = ipm._scaled_frame(x[j:j + 1], s[j:j + 1])
-        for part, solo in zip(parts, (w1, frames1[:1], frames1[1:], s_inv1)):
+        w1, frames1, sv1, g1 = ipm._scaled_frame(x[j:j + 1], s[j:j + 1])
+        for part, solo in zip(parts, (w1, frames1[:1], frames1[1:], sv1, g1)):
             assert part[j].tobytes() == solo[0].tobytes()
         for part, before in zip(parts, full):
             assert (part[j].tobytes() == before[j].tobytes()) == (j != bad)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
-def test_two_column_schur_solve_gives_the_corrector_of_a_direct_solve(rng, dims):
+def test_step_takes_the_mehrotra_corrector_of_direct_solves(rng, dims, monkeypatch):
+    # Each direction solves A(dX) = r_p, A*(dy) + dS = r_d, dX + W dS W = r_c
+    # by a dense solve of the Schur system: the predictor at r_c = -X, the
+    # corrector at r_c = sigma mu S^-1 - X - G E G^H, where E is the
+    # second-order term of the predictor's directions in the frame of G
     family = sd.sign_family(*dims)
     constraints, n, k = family.constraints, family.constraints.n, 3
     x, s = _random_pd(rng, k, n), _random_pd(rng, k, n)
     rp = rng.standard_normal((k, constraints.m))
     rd = la.hermitian_part(rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)))
-    w, frames, s_inv = ipm._scaled_frame(x, s)
-    u, v = ipm._schur_solve(constraints, w, s_inv, x, rp, rd)
+    w, _, sv, g = ipm._scaled_frame(x, s)
     schur = constraints.schur(w)
 
-    def direct(sigma_mu):
-        rc = sigma_mu[:, None, None] * s_inv - x
-        rhs = rp + constraints.dot(w @ rd @ w) - constraints.dot(rc)
-        return rc, np.linalg.solve(schur, rhs[..., None])[..., 0]
+    def direct(rc):
+        rhs = rp + constraints.dot(w @ rd @ w - rc)
+        dy = np.linalg.solve(schur, rhs[..., None])[..., 0]
+        ds = rd - constraints.combine(dy)
+        dx = la.hermitian_part(rc - w @ ds @ w)
+        dx += constraints.least_norm(rp - constraints.dot(dx))
+        return dx, dy, ds
 
-    for sigma_mu in (np.zeros(k), np.array([1e-6, 0.3, 2.0])):
-        _assert_close(u - sigma_mu[:, None] * v, direct(sigma_mu)[1])
-    # the corrector of a step is the direction of a direct solve at its sigma mu
+    def step_length(m, dm):
+        # largest alpha with M + alpha dM PSD, from the least eigenvalue of M^-1 dM
+        lam = np.linalg.eigvals(np.linalg.solve(m, dm)).real.min(axis=-1)
+        return np.minimum(1.0, ipm._STEP_FRACTION * np.where(lam < 0.0, -1.0 / lam, np.inf))
+
+    solves = []
+    solve = ipm._solve
+
+    def recording(schur, rhs):
+        solves.append(solve(schur, rhs))
+        return solves[-1]
+
+    monkeypatch.setattr(ipm, "_solve", recording)
     gap = ipm._inner(x, s)
-    dx, dy, ds, *_ = ipm._step(constraints, x, s, rp, rd, gap, np.zeros(k, dtype=bool))
-    sigma_mu = np.einsum("ki,ki->k", u - dy, v) / np.einsum("ki,ki->k", v, v)
-    rc, dy_direct = direct(sigma_mu)
-    ds_direct = rd - constraints.combine(dy_direct)
-    dx_direct = la.hermitian_part(rc - w @ ds_direct @ w)
-    dx_direct += constraints.least_norm(rp - constraints.dot(dx_direct))
-    for got, expected in ((dy, dy_direct), (ds, ds_direct), (dx, dx_direct)):
+    dx, dy, ds, ap, ad = ipm._step(constraints, x, s, rp, rd, gap, np.zeros(k, dtype=bool))
+    assert len(solves) == 2
+
+    dx_a, dy_a, ds_a = direct(-x)
+    _assert_close(solves[0], dy_a)
+    mu = gap / n
+    mu_aff = ipm._inner(x + step_length(x, dx_a)[:, None, None] * dx_a,
+                        s + step_length(s, ds_a)[:, None, None] * ds_a) / n
+    sigma_mu = np.clip((mu_aff / mu) ** 3, 1e-10, 0.99) * mu
+    # E solves Sigma E + E Sigma = Q + Q^H, Q = (G^-1 dX G^-H)(G^H dS G)
+    q = np.linalg.solve(g, la.dagger(np.linalg.solve(g, dx_a))) @ la.dagger(g) @ ds_a @ g
+    second = g @ ((q + la.dagger(q)) / (sv[:, :, None] + sv[:, None, :])) @ la.dagger(g)
+    s_inv = np.linalg.solve(s, np.broadcast_to(np.eye(n), s.shape))
+    first = sigma_mu[:, None, None] * s_inv - x
+    dx_c, dy_c, ds_c = direct(first - second)
+    for got, expected in ((dy, dy_c), (ds, ds_c), (dx, dx_c)):
         _assert_close(got, expected)
+    np.testing.assert_allclose(ap, step_length(x, dx_c), rtol=1e-10)
+    np.testing.assert_allclose(ad, step_length(s, ds_c), rtol=1e-10)
+    # the second-order term moves the direction well beyond the tolerance
+    assert np.abs(direct(first)[1] - dy_c).max() > 1e-4 * np.abs(dy_c).max()
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (4, 4)])

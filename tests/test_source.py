@@ -23,7 +23,7 @@ def _inverse_uses(tree):
 
 def test_no_module_inverts_a_matrix():
     # the interior point takes every step from factorizations and solves
-    # (`ipm._scaled_frame`, `ipm._schur_solve`); an explicit inverse costs more
+    # (`ipm._scaled_frame`, `ipm._solve`); an explicit inverse costs more
     # and loses accuracy on the ill-conditioned matrices near the optimum
     assert SOURCES
     found = [f"{path.name}:{line}" for path in SOURCES

@@ -18,14 +18,14 @@ n, as SDPT3 handles complex blocks.  Every program starts at its family's
 strictly feasible start, and every direction is corrected onto
 A(dX) = r_p, so the iterates stay primal-feasible to roundoff.
 
-Layout: each program has one state in arrays over the whole stack, from
-which every iteration gathers the programs still running along a leading
-axis, so each dense factorization (Cholesky, SVD, Hermitian eigenvalues,
-the Schur solves) is one stacked numpy call, and to which it writes their
-step back.  Every program keeps its own stopping tests, stall counter, Schur
-jitter and failure status, so a program takes the same steps in a stack as
-alone, and it leaves the running set once it stops.  A single program is
-the stack with K = 1 (`solve_real_sdp`).
+Layout: the programs still running hold their state in arrays along a
+leading axis, so each dense factorization (Cholesky, SVD, Hermitian
+eigenvalues, the Schur solves) is one stacked numpy call.  Every program
+keeps its own stopping tests, stall counter, Schur jitter and failure
+status, so a program takes the same steps in a stack as alone.  When
+programs stop, their X, y and S are written to the returned arrays and the
+running arrays are compacted to the rest.  A single program is the stack
+with K = 1 (`solve_real_sdp`).
 
 No inverse: the scaled frame of Todd, Toh & Tutuncu, as in SDPT3, gives the
 step from the Cholesky factors of X and S and one SVD (`_scaled_frame`).
@@ -313,9 +313,13 @@ def solve_stacked(family, c, groups=None, floors=None):
     # [Im X, Re X]] and C' the same form of C / 2, whose dual slack is S / 2.
     scale_b = max(1.0, float(np.max(np.abs(b))))
     scale_c = np.maximum(1.0, 0.5 * _entry_size(c))
-    x = np.array(np.broadcast_to(family.start, c.shape))
-    s = np.eye(n, dtype=complex) * (2.0 * scale_c[:, None, None])
-    y = np.zeros((k_total, constraints.m))
+    # The running programs' state, compacted when programs stop; a program's
+    # X, y and S are written to the returned arrays when it stops.
+    xr = np.array(np.broadcast_to(family.start, c.shape))
+    sr = np.eye(n, dtype=complex) * (2.0 * scale_c[:, None, None])
+    yr = np.zeros((k_total, constraints.m))
+    x, y, s = np.empty_like(xr), np.empty_like(yr), np.empty_like(sr)
+    cr, scale_cr = c, scale_c
     best_gap = np.full(k_total, np.inf)
     stall = np.zeros(k_total, dtype=int)
     status = np.empty(k_total, dtype=object)
@@ -335,11 +339,11 @@ def solve_stacked(family, c, groups=None, floors=None):
         status[ended] = outcome
         stopped_at[ended] = it
         record[ended, :figures.shape[1]] = figures[mask]
+        x[ended], y[ended], s[ended] = xr[mask], yr[mask], sr[mask]
 
     for it in range(1, MAX_ITER + 1):
         if not run.size:
             break
-        xr, yr, sr, cr = x[run], y[run], s[run], c[run]
         rp = b - constraints.dot(xr)
         rd = cr - sr - constraints.combine(yr)
         gap = _inner(xr, sr)
@@ -347,18 +351,17 @@ def solve_stacked(family, c, groups=None, floors=None):
         dobj = -(yr @ b)
         prim_res = np.abs(rp).max(axis=1) / scale_b
         rd_size = _entry_size(rd)
-        dual_res = 0.5 * rd_size / (1.0 + scale_c[run])
+        dual_res = 0.5 * rd_size / (1.0 + scale_cr)
         rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
         # one row per program, in the order of the IpmInfo fields
         figures = np.stack([rel_gap, prim_res, dual_res, pobj, dobj], axis=1)
 
         optimal = (rel_gap <= GAP_TOL) & (prim_res <= FEAS_TOL) & (dual_res <= FEAS_TOL)
-        closest = best_gap[run]
-        improved = gap < closest * (1.0 - 1e-4)
-        best_gap[run] = np.where(improved, gap, closest)
-        stall[run] = stalled = np.where(improved, 0, stall[run] + 1)
+        improved = gap < best_gap * (1.0 - 1e-4)
+        best_gap = np.where(improved, gap, best_gap)
+        stall = np.where(improved, 0, stall + 1)
         finite = np.isfinite(figures[:, :3]).all(axis=1)
-        failed = ~optimal & (~finite | (stalled > _STALL_LIMIT))
+        failed = ~optimal & (~finite | (stall > _STALL_LIMIT))
         done = optimal | failed
         if groups is not None:
             # A finite dual residual makes C, S and r_d finite, so no
@@ -366,7 +369,7 @@ def solve_stacked(family, c, groups=None, floors=None):
             bound = np.full(run.size, np.inf)
             bound[finite] = _dual_bound(
                 b, yr[finite], sr[finite] + rd[finite],
-                2.0 * scale_c[run][finite] + _entry_size(sr[finite]) + rd_size[finite])
+                2.0 * scale_cr[finite] + _entry_size(sr[finite]) + rd_size[finite])
             group = groups[run]
             feasible = finite & (prim_res <= FEAS_TOL)
             np.maximum.at(floors, group[feasible], pobj[feasible])
@@ -379,8 +382,9 @@ def solve_stacked(family, c, groups=None, floors=None):
         if done.any():
             stop(optimal, "optimal", it, figures)
             stop(failed, "numerical_failure", it, figures)
-            run, xr, yr, sr, rp, rd, gap, figures = (
-                a[~done] for a in (run, xr, yr, sr, rp, rd, gap, figures))
+            run, xr, yr, sr, cr, scale_cr, best_gap, stall, rp, rd, gap, figures = (
+                a[~done] for a in (run, xr, yr, sr, cr, scale_cr, best_gap, stall,
+                                   rp, rd, gap, figures))
             if not run.size:
                 break
 
@@ -392,11 +396,12 @@ def solve_stacked(family, c, groups=None, floors=None):
         stuck = (ap < 1e-10) & (ad < 1e-10)
         if stuck.any():
             stop(stuck, "numerical_failure", it, figures)
-            run, xr, yr, sr, figures, dx, dy, ds, ap, ad = (
-                a[~stuck] for a in (run, xr, yr, sr, figures, dx, dy, ds, ap, ad))
-        x[run] = la.hermitian_part(xr + ap[:, None, None] * dx)
-        y[run] = yr + ad[:, None] * dy
-        s[run] = la.hermitian_part(sr + ad[:, None, None] * ds)
+            run, xr, yr, sr, cr, scale_cr, best_gap, stall, figures, dx, dy, ds, ap, ad = (
+                a[~stuck] for a in (run, xr, yr, sr, cr, scale_cr, best_gap, stall,
+                                    figures, dx, dy, ds, ap, ad))
+        xr = la.hermitian_part(xr + ap[:, None, None] * dx)
+        yr = yr + ad[:, None] * dy
+        sr = la.hermitian_part(sr + ad[:, None, None] * ds)
     else:
         stop(np.ones(run.size, dtype=bool), "numerical_failure", MAX_ITER, figures)
     infos = [IpmInfo(str(status[k]), int(stopped_at[k]), *(float(f) for f in record[k]))

@@ -14,8 +14,17 @@ Free classes:
   coherences, equivalently ``coeff[i,j,k,k] == 0`` for all ``i != j``.
 * maximally incoherent (MIO): incoherent states map to incoherent states,
   equivalently ``coeff[i,i,k,l] == 0`` for all ``k != l``.
+
+Construction and checks are stacked numpy: `from_kraus` forms the
+completeness sum and the Choi matrix of a whole Kraus set in one product
+each, `_cptp_flags` tests one Choi matrix or a stack of them, and each
+membership test takes one masked maximum over the coefficients.  The
+constant maps `identity_channel`, `dephasing` and `hadamard` are built once
+per dimension and shared: a `Channel` is frozen and its Choi matrix
+read-only.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -74,12 +83,24 @@ class Channel(LinearMap):
 
 
 def _cptp_flags(choi, dim_in, dim_out, atol):
-    """(Hermitian, PSD, output-trace reduction equal to identity) within atol."""
-    if not la.is_hermitian(choi, atol):
+    """(Hermitian, PSD, output-trace reduction equal to identity) within atol:
+    three bools for one Choi matrix, three (K,) bool arrays for a stack of K.
+
+    A matrix that is not square and Hermitian fails all three tests.
+    """
+    choi = np.asarray(choi)
+    if choi.ndim < 2 or choi.shape[-1] != choi.shape[-2]:
         return False, False, False
-    cp = bool(np.linalg.eigvalsh(la.hermitian_part(choi)).min() >= -atol)
-    red = la.partial_trace(choi, (dim_out, dim_in), keep=1)
-    return True, cp, la.max_abs(red - np.eye(dim_in)) <= atol
+    stack = choi.reshape(-1, *choi.shape[-2:])
+    herm = np.abs(stack - la.dagger(stack)).max(axis=(1, 2), initial=0.0) <= atol
+    h = stack[herm]  # only these are decomposed: NaN never reaches eigvalsh
+    cp, tp = herm.copy(), herm.copy()
+    cp[herm] = np.linalg.eigvalsh(la.hermitian_part(h)).min(axis=1) >= -atol
+    red = la.partial_trace(h, (dim_out, dim_in), keep=1)
+    tp[herm] = np.abs(red - np.eye(dim_in)).max(axis=(1, 2)) <= atol
+    if choi.ndim == 2:
+        return bool(herm[0]), bool(cp[0]), bool(tp[0])
+    return herm, cp, tp
 
 
 def linear_map_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
@@ -102,7 +123,8 @@ def channel_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
 def from_kraus(kraus_ops, atol=FLAG_ATOL):
     """Build a Channel from a complete Kraus set.
 
-    Completeness sum_n K_n^dag K_n = 1 is enforced within ``atol``.
+    Completeness sum_n K_n^dag K_n = 1 is enforced within ``atol``.  The
+    Choi matrix is V^T conj(V), with row n of V the vectorized K_n.
     """
     ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
     if not ops:
@@ -111,17 +133,15 @@ def from_kraus(kraus_ops, atol=FLAG_ATOL):
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise DimensionMismatch("Kraus operators must share one shape")
+    ks = np.stack(ops)
     # huge entries overflow the sum to inf or NaN, which the check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        comp = sum(la.dagger(k) @ k for k in ops)
+        comp = np.einsum("nki,nkj->ij", ks.conj(), ks)
         dev = la.max_abs(comp - np.eye(dim_in))
     if not dev <= max(atol, 1e-9):
         raise ValidationError(f"incomplete Kraus set: ||sum K^dag K - 1||_max = {dev:.3e}")
-    choi = np.zeros((dim_out * dim_in,) * 2, dtype=complex)
-    for k in ops:
-        v = k.reshape(-1)
-        choi += np.outer(v, v.conj())
-    return Channel(dim_in, dim_out, choi, True, True, True)
+    v = ks.reshape(len(ops), -1)
+    return Channel(dim_in, dim_out, v.T @ v.conj(), True, True, True)
 
 
 def to_kraus(m, truncation=KRAUS_TRUNCATION):
@@ -218,10 +238,12 @@ def tensor(a, b):
 # Standard maps
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def identity_channel(dim):
     return from_kraus([np.eye(dim)])
 
 
+@functools.lru_cache(maxsize=None)
 def dephasing(dim):
     """Total dephasing: deletes all off-diagonal entries."""
     if dim < 1:
@@ -252,6 +274,7 @@ def phase_channel(phi):
     return unitary_channel(np.diag(np.exp(1j * phi)))
 
 
+@functools.lru_cache(maxsize=None)
 def hadamard():
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
     return unitary_channel(h)
@@ -310,29 +333,25 @@ def _require_cptp(m, atol):
         raise ValidationError("membership test requires a CPTP input")
 
 
+def _choi_tensor(m):
+    """``r[k, i, l, j] = <k| m(|i><j|) |l>``, a view of the Choi matrix."""
+    return m.choi.reshape(m.dim_out, m.dim_in, m.dim_out, m.dim_in)
+
+
 def is_detection_incoherent(m, atol=MEMBERSHIP_ATOL):
-    """True iff output populations are insensitive to input coherences."""
+    """True iff output populations are insensitive to input coherences:
+    ``coeff[i,j,k,k]``, stacked as ``pops[i,j,k]``, vanishes for ``i != j``."""
     _require_cptp(m, atol)
-    c = index_coeffs(m)
-    din = m.dim_in
-    viol = 0.0
-    for i in range(din):
-        for j in range(din):
-            if i != j:
-                viol = max(viol, la.max_abs(np.diagonal(c[i, j])))
-    return viol <= atol
+    pops = np.einsum("kikj->ijk", _choi_tensor(m))
+    return la.max_abs(pops[~np.eye(m.dim_in, dtype=bool)]) <= atol
 
 
 def is_mio(m, atol=MEMBERSHIP_ATOL):
-    """True iff incoherent inputs produce incoherent outputs."""
+    """True iff incoherent inputs produce incoherent outputs:
+    ``coeff[i,i,k,l]``, stacked as ``outs[i,k,l]``, vanishes for ``k != l``."""
     _require_cptp(m, atol)
-    c = index_coeffs(m)
-    viol = 0.0
-    for i in range(m.dim_in):
-        block = c[i, i].copy()
-        np.fill_diagonal(block, 0.0)
-        viol = max(viol, la.max_abs(block))
-    return viol <= atol
+    outs = np.einsum("kili->ikl", _choi_tensor(m))
+    return la.max_abs(outs[:, ~np.eye(m.dim_out, dtype=bool)]) <= atol
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +380,7 @@ def permutation_phase_channel(dim, rng):
     perm = rng.permutation(dim)
     u = np.zeros((dim, dim), dtype=complex)
     phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
-    for col in range(dim):
-        u[perm[col], col] = phases[col]
+    u[perm, np.arange(dim)] = phases
     return unitary_channel(u)
 
 

@@ -60,12 +60,12 @@ def kron(a, b):
 
 
 def partial_trace(m, dims, keep):
-    """Trace out one factor of a bipartite operator.
+    """Trace out one factor of a bipartite operator, or of each of a stack.
 
     Parameters
     ----------
-    m : array, shape (dA*dB, dA*dB)
-        Operator on the tensor product A (x) B.
+    m : array, shape (..., dA*dB, dA*dB)
+        Operator on the tensor product A (x) B, or a stack of them.
     dims : (int, int)
         Dimensions (dA, dB).
     keep : int
@@ -75,15 +75,15 @@ def partial_trace(m, dims, keep):
     """
     da, db = dims
     m = np.asarray(m, dtype=complex)
-    if m.shape != (da * db, da * db):
+    if m.ndim < 2 or m.shape[-2:] != (da * db, da * db):
         raise DimensionMismatch(
             f"operator shape {m.shape} incompatible with subsystem dims ({da},{db})"
         )
-    r = m.reshape(da, db, da, db)
+    r = m.reshape(*m.shape[:-2], da, db, da, db)
     if keep == 0:
-        return np.einsum("abcb->ac", r)
+        return np.einsum("...abcb->...ac", r)
     if keep == 1:
-        return np.einsum("abad->bd", r)
+        return np.einsum("...abad->...bd", r)
     raise ValidationError(f"keep must be 0 or 1, got {keep!r}")
 
 

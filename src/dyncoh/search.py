@@ -5,15 +5,20 @@ fixed pre-processing the best input state is found exactly, from the
 eigenvalues of signed sums of the pipeline's response tensors
 (`sign_eigen_maximum`); pre-processings are sampled.  That is what makes
 these values usable as oracles against the exact SDP path (lower bounds
-can never exceed it).
+can never exceed it).  The response tensors of all sampled pre-processings
+come from their stacked Choi matrices in two contractions
+(`_response_stacks`), and each permutation's unitary channel is built once
+and shared (`_permutation_channel`).
 
 The creation side (`postprocessed_improvement_lower`) is an alternating
 lower bound: independent chains of Helstrom and MIO-step SDP rounds, which
 advance in lockstep so that each round's MIO steps are solved in one
-stacked interior-point run over the shared `_mio_family` constraints.
+stacked interior-point run over the shared `_mio_family` constraints, and
+their solutions pass one stacked CPTP test.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +27,7 @@ from . import channels as ch
 from . import linalg as la
 from . import measures as ms
 from . import sdp as sdpmod
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, SolverFailure, ValidationError
 
 # A chain stops once a round raises its value by no more than this.
 CONVERGENCE_TOL = 1e-9
@@ -59,15 +64,26 @@ def _response_stacks(theta, pres, cfg):
     rho = |v><v|.
 
     f_n is the n-th output population of theta o pre o (lam - mu Lambda_phi);
-    the game value for the input is sum_n |f_n|.
+    the game value for the input is sum_n |f_n|.  Every pre-processing must
+    take the game's dimension to the channel's input.  With Choi tensors
+    r[k, i, l, j] = <k| map(|i><j|) |l>, only the diagonal r[n, :, n, :] of
+    theta enters, and the whole stack is two contractions:
+    R[p, n, j, i] = sum r_theta[n, c, n, e] r_pre[p][c, a, e, b] r_signal[a, i, b, j].
     """
-    signal = ms.signal_map(cfg)
-    idx = np.arange(theta.dim_out)
-    stacks = []
     for pre in pres:
-        coeffs = ch.index_coeffs(ch.compose(theta, ch.compose(pre, signal)))
-        stacks.append(coeffs[:, :, idx, idx].transpose(2, 1, 0))  # R_n = K_n^T
-    return np.stack(stacks)
+        if pre.dim_in != cfg.dim:
+            raise DimensionMismatch(
+                f"cannot compose: first outputs dim {cfg.dim}, second expects dim {pre.dim_in}")
+        if pre.dim_out != theta.dim_in:
+            raise DimensionMismatch(
+                f"cannot compose: first outputs dim {pre.dim_out}, "
+                f"second expects dim {theta.dim_in}")
+    d, dim_b = cfg.dim, theta.dim_in
+    r_pre = np.stack([pre.choi for pre in pres]).reshape(len(pres), dim_b, d, dim_b, d)
+    r_theta = theta.choi.reshape(theta.dim_out, dim_b, theta.dim_out, dim_b)
+    r_signal = ms.signal_map(cfg).choi.reshape(d, d, d, d)
+    pulled = np.einsum("ncne,pcaeb->pnab", r_theta, r_pre)
+    return np.einsum("pnab,aibj->pnji", pulled, r_signal)
 
 
 def sign_eigen_maximum(r_stacks):
@@ -106,22 +122,24 @@ def _isometric_embed(dim_in, dim_out):
     return ch.from_kraus([v])
 
 
-def _permutation_channels(dim, rng, max_count=8):
-    from itertools import permutations
+@functools.lru_cache(maxsize=256)
+def _permutation_channel(perm):
+    """The unitary channel |col> -> |perm[col]>; cached and shared, since the
+    channel is frozen and its Choi matrix read-only."""
+    dim = len(perm)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[list(perm), np.arange(dim)] = 1.0
+    return ch.unitary_channel(u)
 
-    perms = list(permutations(range(dim)))
+
+def _permutation_channels(dim, rng, max_count=8):
+    perms = list(itertools.permutations(range(dim)))
     if len(perms) > max_count:
         chosen = [perms[0]] + [perms[i] for i in rng.choice(len(perms) - 1, max_count - 1,
                                                             replace=False) + 1]
     else:
         chosen = perms
-    out = []
-    for perm in chosen:
-        u = np.zeros((dim, dim), dtype=complex)
-        for col, row in enumerate(perm):
-            u[row, col] = 1.0
-        out.append(ch.unitary_channel(u))
-    return out
+    return [_permutation_channel(perm) for perm in chosen]
 
 
 def _pre_candidates(dim_a, dim_b, rng, n_random):
@@ -253,7 +271,9 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     never falls.  The chains advance in lockstep: a round's Helstrom steps
     are one stacked eigendecomposition and the MIO steps of the chains still
     improving one `solve_family` call, which raises `SolverFailure` if any
-    of them fails.  Exact evaluation is out of scope.
+    of them fails.  A solved Choi matrix that is not CPTP within 1e-6 is
+    solver trouble too, and raises `SolverFailure` ("numerical_failure").
+    Exact evaluation is out of scope.
     """
     if not (theta.completely_positive and theta.trace_preserving):
         raise ValidationError("post-processed improvement requires a CPTP channel")
@@ -289,8 +309,12 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
         new_choi, _ = sdpmod.solve_family(
             family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])))
-        for k, j in zip(active, new_choi):
-            choi[k] = ch.channel_from_choi(j, dim_b, dim_c, atol=1e-6).choi
+        _, cp, tp = ch._cptp_flags(new_choi, dim_b, dim_c, atol=1e-6)
+        if not (cp & tp).all():
+            raise SolverFailure("numerical_failure", f"{np.count_nonzero(~(cp & tp))} of "
+                                f"{len(new_choi)} MIO steps returned a Choi matrix that is "
+                                "not CPTP within 1e-6")
+        choi[active] = new_choi
     return float(value.max() - cfg.prior_gap)
 
 

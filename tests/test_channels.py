@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from dyncoh import channels as ch
 from dyncoh import linalg as la
+from dyncoh import verify
 from dyncoh.errors import ValidationError
 
 from conftest import random_hermitian
@@ -36,6 +38,65 @@ def test_from_kraus_hadamard_action(rng):
 def test_from_kraus_rejects_incomplete_set():
     with pytest.raises(ValidationError):
         ch.from_kraus([0.5 * np.eye(2)])
+
+
+def _from_kraus_loop(ops):
+    """Completeness sum and Choi matrix, one Kraus operator at a time."""
+    dim_out, dim_in = ops[0].shape
+    comp = sum(k.conj().T @ k for k in ops)
+    choi = np.zeros((dim_out * dim_in,) * 2, dtype=complex)
+    for k in ops:
+        v = k.reshape(-1)
+        choi += np.outer(v, v.conj())
+    return comp, choi
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_from_kraus_matches_the_loop_reference(dims, rng):
+    din, dout = dims
+    for _ in range(10):
+        ops = ch.to_kraus(ch.random_channel(din, dout, rng))
+        ops = [np.asarray(k) for k in ops] + [np.zeros((dout, din))]  # a null operator too
+        comp, choi = _from_kraus_loop(ops)
+        assert la.max_abs(comp - np.eye(din)) <= 1e-9
+        assert la.max_abs(ch.from_kraus(ops).choi - choi) <= 1e-15
+
+
+@pytest.mark.parametrize("ops", [
+    [0.5 * np.eye(2)],
+    [np.array([[1e308, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])],  # sum is inf
+    [np.array([[1e308, 1e308j], [1e308, -1e308]]), np.eye(2)],  # and NaN
+])
+def test_from_kraus_rejects_incomplete_and_overflowing_sets_without_warnings(ops):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="incomplete Kraus set"):
+            ch.from_kraus(ops)
+
+
+def test_constant_channels_are_cached_and_read_only():
+    for make, args in ((ch.identity_channel, (3,)), (ch.dephasing, (2,)), (ch.hadamard, ())):
+        first = make(*args)
+        assert make(*args) is first
+        assert not first.choi.flags.writeable
+        with pytest.raises(ValueError):
+            first.choi[0, 0] = 0.0
+    assert ch.identity_channel(2) is not ch.identity_channel(3)
+
+
+def test_cptp_flags_of_a_stack_match_each_matrix(rng):
+    base = ch.random_channel(2, 3, rng).choi
+    skew = base.copy()
+    skew[0, 1] += 1e-3
+    nan = base.copy()
+    nan[2, 2] = np.nan
+    shifted = base - (np.linalg.eigvalsh(base)[0] + 2e-6) * np.eye(6)  # not CP, not TP
+    stack = np.stack([base, 0.5 * base, shifted, skew, nan])
+    herm, cp, tp = ch._cptp_flags(stack, 2, 3, 1e-6)
+    singles = [ch._cptp_flags(m, 2, 3, 1e-6) for m in stack]
+    assert [tuple(map(bool, f)) for f in zip(herm, cp, tp)] == singles
+    assert singles == [(True, True, True), (True, True, False), (True, False, False),
+                       (False, False, False), (False, False, False)]
 
 
 def test_apply_dephasing_keeps_diagonal(rng):
@@ -177,6 +238,40 @@ def test_mio_examples(rng):
     for _ in range(10):
         xi = ch.random_channel(2, 3, rng)
         assert ch.is_mio(ch.compose(ch.dephasing(3), xi))
+
+
+def _violating_dephasing(kind, size):
+    """The qubit dephasing Choi matrix with a DI (``kind`` "di") or MIO
+    violation of exactly ``size``, kept Hermitian and trace preserving; CP
+    within ``size ** 2``."""
+    j = np.array(ch.dephasing(2).choi)
+    if kind == "di":  # coeff[0,1,0,0] = size = -coeff[0,1,1,1], and their adjoints
+        j[0, 1] = j[1, 0] = size
+        j[2, 3] = j[3, 2] = -size
+    else:  # coeff[0,0,0,1] = size, and its adjoint
+        j[0, 2] = j[2, 0] = size
+    return ch.linear_map_from_choi(j, 2, 2)
+
+
+def test_membership_agrees_with_the_composition_identities(rng):
+    maps = []
+    for din, dout in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        maps += [ch.random_channel(din, dout, rng), ch.random_di(din, dout, rng),
+                 ch.random_mio(din, dout, rng)]
+    maps += [ch.mixture([ch.hadamard(), ch.identity_channel(2)], [w, 1.0 - w])
+             for w in (0.0, 1e-9, 1e-3)]
+    maps += [ch.swap_channel(2, 2), ch.qft(3)]
+    atol = ch.MEMBERSHIP_ATOL
+    past = np.nextafter(atol, 1.0)
+    for kind, at, beyond in (("di", (True, True), (False, True)),
+                             ("mio", (True, True), (True, False))):
+        for size, expected in ((atol, at), (past, beyond)):
+            m = _violating_dephasing(kind, size)
+            assert ch.is_cptp(m)
+            assert (ch.is_detection_incoherent(m), ch.is_mio(m)) == expected
+            maps.append(m)
+    for m in maps:
+        assert (ch.is_detection_incoherent(m), ch.is_mio(m)) == verify._direct_membership(m)
 
 
 def test_membership_requires_cptp():

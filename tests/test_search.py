@@ -1,7 +1,11 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 
 from dyncoh import channels as ch
+from dyncoh import cli
 from dyncoh import kernels
 from dyncoh import linalg as la
 from dyncoh import measures as ms
@@ -80,6 +84,87 @@ def test_brute_force_never_falls_with_more_samples(rng):
                                                                         rng_seed=4))
                   for n in (400, 800, 1600, 3200)]
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+
+
+def _response_reference(theta, pres, cfg):
+    """The response stacks by two `compose` calls per candidate."""
+    signal = ms.signal_map(cfg)
+    idx = np.arange(theta.dim_out)
+    return np.stack([
+        ch.index_coeffs(ch.compose(theta, ch.compose(pre, signal)))[:, :, idx, idx]
+        .transpose(2, 1, 0) for pre in pres])
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3), (4, 4, 2)])
+def test_response_stacks_match_the_compose_reference(dims, rng):
+    dim_a, dim_b, dim_out = dims
+    theta = ch.random_channel(dim_b, dim_out, rng)
+    cfg = ms.GameConfig(float(rng.uniform(0.2, 0.8)), rng.uniform(0, 2 * np.pi, dim_a))
+    pres = se._pre_candidates(dim_a, dim_b, rng, 3)
+    got = se._response_stacks(theta, pres, cfg)
+    assert got.shape == (len(pres), dim_out, dim_a, dim_a)
+    assert la.max_abs(got - _response_reference(theta, pres, cfg)) <= 1e-14
+
+
+def test_response_stacks_check_every_candidate_dimension(rng):
+    theta, cfg = ch.random_channel(2, 2, rng), cfg_half()
+    for bad in (ch.random_channel(3, 2, rng), ch.random_channel(2, 3, rng)):
+        with pytest.raises(DimensionMismatch, match="cannot compose"):
+            se._response_stacks(theta, [ch.identity_channel(2), bad], cfg)
+
+
+def _brute_force_reference(theta, cfg, budget=se.SearchBudget()):
+    """`brute_force_game_value` with candidates drawn one at a time in the
+    generator order and responses from `_response_reference`."""
+    rng = np.random.default_rng(budget.rng_seed)
+    dim_a, dim_b = cfg.dim, theta.dim_in
+    if dim_a == dim_b:
+        perms = list(itertools.permutations(range(dim_a)))
+        if len(perms) > 8:
+            perms = [perms[0]] + [perms[i] for i in rng.choice(len(perms) - 1, 7,
+                                                               replace=False) + 1]
+        pres = [ch.identity_channel(dim_a)]
+        for perm in perms:
+            u = np.zeros((dim_a, dim_a), dtype=complex)
+            for col, row in enumerate(perm):
+                u[row, col] = 1.0
+            pres.append(ch.unitary_channel(u))
+        pres.append(ch.permutation_phase_channel(dim_a, rng))
+    else:
+        pres = [se._classical_embed(dim_a, dim_b)]
+        if dim_a < dim_b:
+            pres.insert(0, ch.from_kraus([np.eye(dim_b, dim_a)]))
+    pres += [ch.random_di(dim_a, dim_b, rng)
+             for _ in range(max(2, budget.random_samples // 400))]
+    return float(se.sign_eigen_maximum(_response_reference(theta, pres, cfg)).max())
+
+
+# (seed, dim_in, dim_out, game dim) -> the value with candidates built one
+# Kraus operator at a time and responses by `compose`
+BRUTE_FORCE_PINS = {
+    (11, 2, 2, 2): 0.5002596027177093,  # two permutations
+    (13, 3, 2, 2): 0.28613349412218253,  # embeddings into a larger input
+    (14, 4, 2, 4): 0.6039367415249643,  # 8 of the 24 permutations drawn
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRUTE_FORCE_PINS))
+def test_brute_force_matches_the_reference_path_and_its_draws(case):
+    seed, dim_in, dim_out, dim = case
+    rng = np.random.default_rng(seed)
+    theta = ch.random_channel(dim_in, dim_out, rng)
+    cfg = ms.GameConfig(float(rng.uniform(0.2, 0.8)), rng.uniform(0, 2 * np.pi, dim))
+    value = se.brute_force_game_value(theta, cfg)
+    assert value == pytest.approx(_brute_force_reference(theta, cfg), abs=1e-13)
+    assert value == pytest.approx(BRUTE_FORCE_PINS[case], abs=1e-13)
+
+
+def test_permutation_channels_are_cached_by_permutation():
+    first = se._permutation_channels(4, np.random.default_rng(3))
+    again = se._permutation_channels(4, np.random.default_rng(3))
+    assert len(first) == 8
+    assert all(a is b for a, b in zip(first, again))
+    assert all(not p.choi.flags.writeable for p in first)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +359,26 @@ def test_postprocessed_failed_mio_step_raises(monkeypatch):
         se.postprocessed_improvement_lower(ch.hadamard(), cfg_half())
     assert err.value.status == "numerical_failure"
     assert runs == [18]
+
+
+def test_postprocessed_non_cptp_mio_step_is_a_solver_failure(monkeypatch, capsys):
+    # a solved Choi matrix that fails the CPTP test is solver trouble (exit
+    # 3), not bad input (exit 2)
+    original = sd.solve_family
+
+    def scaled(family, objectives, *args, **kwargs):
+        maximizers, infos = original(family, objectives, *args, **kwargs)
+        return 1.01 * maximizers, infos  # trace 1.01 on every input
+
+    monkeypatch.setattr(sd, "solve_family", scaled)
+    with pytest.raises(SolverFailure, match="not CPTP") as err:
+        se.postprocessed_improvement_lower(ch.hadamard(), cfg_half())
+    assert err.value.status == "numerical_failure"
+    assert cli.main(["measure-post", "--channel", "hadamard"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["exit_code"] == 3
 
 
 def test_postprocessed_never_falls_with_more_restarts(rng):

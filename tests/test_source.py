@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -51,3 +52,15 @@ def test_the_solvers_take_no_settings():
     assert list(inspect.signature(sdp.solve_sdp).parameters) == ["functionals", "objective"]
     assert list(inspect.signature(ipm.solve_stacked).parameters) == ["family", "c", "groups",
                                                                     "floors"]
+
+
+def test_every_benchmark_entry_point_resolves():
+    # the benchmark wraps these names in spans, and a traced run exits 1
+    # when one is missing; the span table is read, not changed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    found = spans._resolve(spans.ENTRY_POINTS)  # raises MissingEntryPoints by name
+    assert sorted(found) == sorted(spans.ENTRY_POINTS)
+    assert all(callable(original) for _, _, original in found.values())

@@ -17,11 +17,13 @@ Free classes:
 
 Construction and checks are stacked numpy: `from_kraus` forms the
 completeness sum and the Choi matrix of a whole Kraus set in one product
-each, `_cptp_flags` tests one Choi matrix or a stack of them, and each
-membership test takes one masked maximum over the coefficients.  The
-constant maps `identity_channel`, `dephasing` and `hadamard` are built once
-per dimension and shared: a `Channel` is frozen and its Choi matrix
-read-only.
+each (`_kraus_chois`, which takes stacks of sets too), `_cptp_flags` tests
+one Choi matrix or a stack of them, and each membership test takes one
+masked maximum over the coefficients.  `random_free_channels` draws a whole
+stack of free channels this way, in the draw order of successive
+`random_di` or `random_mio` calls.  The constant maps `identity_channel`,
+`dephasing` and `hadamard` are built once per dimension and shared: a
+`Channel` is frozen and its Choi matrix read-only.
 """
 
 import functools
@@ -123,8 +125,7 @@ def channel_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
 def from_kraus(kraus_ops, atol=FLAG_ATOL):
     """Build a Channel from a complete Kraus set.
 
-    Completeness sum_n K_n^dag K_n = 1 is enforced within ``atol``.  The
-    Choi matrix is V^T conj(V), with row n of V the vectorized K_n.
+    Completeness sum_n K_n^dag K_n = 1 is enforced within ``atol``.
     """
     ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
     if not ops:
@@ -133,15 +134,21 @@ def from_kraus(kraus_ops, atol=FLAG_ATOL):
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise DimensionMismatch("Kraus operators must share one shape")
-    ks = np.stack(ops)
+    return Channel(dim_in, dim_out, _kraus_chois(np.stack(ops), atol), True, True, True)
+
+
+def _kraus_chois(ks, atol=FLAG_ATOL):
+    """Choi matrices V^T conj(V) of Kraus sets ``ks[..., n, out, in]``, with
+    row n of V the vectorized K_n; every set must be complete within
+    max(atol, 1e-9)."""
     # huge entries overflow the sum to inf or NaN, which the check rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        comp = np.einsum("nki,nkj->ij", ks.conj(), ks)
-        dev = la.max_abs(comp - np.eye(dim_in))
+        comp = np.einsum("...nki,...nkj->...ij", ks.conj(), ks)
+        dev = la.max_abs(comp - np.eye(ks.shape[-1]))
     if not dev <= max(atol, 1e-9):
         raise ValidationError(f"incomplete Kraus set: ||sum K^dag K - 1||_max = {dev:.3e}")
-    v = ks.reshape(len(ops), -1)
-    return Channel(dim_in, dim_out, v.T @ v.conj(), True, True, True)
+    v = ks.reshape(*ks.shape[:-2], -1)
+    return np.swapaxes(v, -1, -2) @ v.conj()
 
 
 def to_kraus(m, truncation=KRAUS_TRUNCATION):
@@ -328,90 +335,142 @@ def is_cptp(m, atol=MEMBERSHIP_ATOL):
     return all(_cptp_flags(m.choi, m.dim_in, m.dim_out, atol))
 
 
-def _require_cptp(m, atol):
-    if not is_cptp(m, max(atol, MEMBERSHIP_ATOL)):
+def _require_cptp(choi, dim_in, dim_out, atol):
+    """Raise unless the Choi matrix, or every matrix of a stack, is CPTP."""
+    _, cp, tp = _cptp_flags(choi, dim_in, dim_out, max(atol, MEMBERSHIP_ATOL))
+    if not np.all(cp & tp):
         raise ValidationError("membership test requires a CPTP input")
 
 
-def _choi_tensor(m):
-    """``r[k, i, l, j] = <k| m(|i><j|) |l>``, a view of the Choi matrix."""
-    return m.choi.reshape(m.dim_out, m.dim_in, m.dim_out, m.dim_in)
+def _choi_tensors(choi, dim_in, dim_out):
+    """``r[p, k, i, l, j] = <k| map_p(|i><j|) |l>`` of one Choi matrix (p = 0)
+    or of each of a stack."""
+    return np.reshape(choi, (-1, dim_out, dim_in, dim_out, dim_in))
+
+
+def _di_violations(choi, dim_in, dim_out):
+    """Per Choi matrix (one, or each of a stack): the largest
+    ``|coeff[i,j,k,k]|`` with ``i != j``, an output population an input
+    coherence writes."""
+    pops = np.einsum("pkikj->pijk", _choi_tensors(choi, dim_in, dim_out))
+    return np.abs(pops[:, ~np.eye(dim_in, dtype=bool)]).max(axis=(1, 2), initial=0.0)
+
+
+def _mio_violations(choi, dim_in, dim_out):
+    """Per Choi matrix: the largest ``|coeff[i,i,k,l]|`` with ``k != l``, an
+    output coherence an incoherent input writes."""
+    outs = np.einsum("pkili->pikl", _choi_tensors(choi, dim_in, dim_out))
+    return np.abs(outs[:, :, ~np.eye(dim_out, dtype=bool)]).max(axis=(1, 2), initial=0.0)
 
 
 def is_detection_incoherent(m, atol=MEMBERSHIP_ATOL):
-    """True iff output populations are insensitive to input coherences:
-    ``coeff[i,j,k,k]``, stacked as ``pops[i,j,k]``, vanishes for ``i != j``."""
-    _require_cptp(m, atol)
-    pops = np.einsum("kikj->ijk", _choi_tensor(m))
-    return la.max_abs(pops[~np.eye(m.dim_in, dtype=bool)]) <= atol
+    """True iff output populations are insensitive to input coherences."""
+    _require_cptp(m.choi, m.dim_in, m.dim_out, atol)
+    return bool(_di_violations(m.choi, m.dim_in, m.dim_out)[0] <= atol)
 
 
 def is_mio(m, atol=MEMBERSHIP_ATOL):
-    """True iff incoherent inputs produce incoherent outputs:
-    ``coeff[i,i,k,l]``, stacked as ``outs[i,k,l]``, vanishes for ``k != l``."""
-    _require_cptp(m, atol)
-    outs = np.einsum("kili->ikl", _choi_tensor(m))
-    return la.max_abs(outs[:, ~np.eye(m.dim_out, dtype=bool)]) <= atol
+    """True iff incoherent inputs produce incoherent outputs."""
+    _require_cptp(m.choi, m.dim_in, m.dim_out, atol)
+    return bool(_mio_violations(m.choi, m.dim_in, m.dim_out)[0] <= atol)
 
 
 # ---------------------------------------------------------------------------
 # Random generators
 # ---------------------------------------------------------------------------
 
-def _haar_isometry(rows, cols, rng):
-    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+def _ginibre(rows, cols, rng):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _haar_isometries(g):
+    """Haar isometries from complex Ginibre matrices (one, or a stack): the Q
+    of each QR decomposition, its columns rephased so that diag(R) > 0."""
     q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _dilation_kraus(v, dim_in, dim_out):
+    """The Kraus sets ``[..., e, out, in]`` of isometries V from dim_in to
+    dim_out x environment: trace out the environment index e."""
+    rank = v.shape[-2] // dim_out
+    return np.swapaxes(v.reshape(*v.shape[:-2], dim_out, rank, dim_in), -3, -2)
 
 
 def random_channel(dim_in, dim_out, rng):
     """Random CPTP map via isometric dilation and environment trace-out."""
     if dim_in < 1 or dim_out < 1:
         raise ValidationError("dimensions must be positive")
-    rank = dim_in * dim_out
-    v = _haar_isometry(dim_out * rank, dim_in, rng)
-    ops = [v.reshape(dim_out, rank, dim_in)[:, e, :] for e in range(rank)]
-    return from_kraus(ops)
+    v = _haar_isometries(_ginibre(dim_out * dim_in * dim_out, dim_in, rng))
+    return from_kraus(_dilation_kraus(v, dim_in, dim_out))
+
+
+def _permutation_phase_unitary(dim, rng):
+    """P diag(e^{i a}) from one permutation draw and then one phase draw."""
+    perm = rng.permutation(dim)
+    u = np.zeros((dim, dim), dtype=complex)
+    u[perm, np.arange(dim)] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
+    return u
 
 
 def permutation_phase_channel(dim, rng):
     """Unitary channel P diag(e^{i a}); free in both DI and MIO classes."""
-    perm = rng.permutation(dim)
-    u = np.zeros((dim, dim), dtype=complex)
-    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
-    u[perm, np.arange(dim)] = phases
-    return unitary_channel(u)
+    return unitary_channel(_permutation_phase_unitary(dim, rng))
 
 
-def _mix_free_unitaries(base, rng):
-    """Mix ``base`` with two permutation-phase channels when it is square."""
-    if base.dim_in != base.dim_out:
-        return base
-    extra = [permutation_phase_channel(base.dim_in, rng) for _ in range(2)]
-    return mixture([base] + extra, rng.dirichlet(np.ones(3)))
+def random_free_channels(free_class, dim_in, dim_out, rng, count):
+    """``count`` random channels of the free class ``"di"`` or ``"mio"``.
+
+    A DI channel is (random channel) o dephasing, an MIO channel dephasing o
+    (random channel); when the map is square, each is mixed with two
+    permutation-phase unitary channels by Dirichlet weights.  Draw k takes
+    its random numbers in the order of one `random_di` or `random_mio` call
+    (the random channel's Ginibre matrix, the two permutation-phase pairs,
+    the weights), so a stack of ``count`` equals ``count`` successive calls.
+    The channels are built as one stack, and their membership is asserted
+    at construction.
+    """
+    if free_class not in ("di", "mio"):
+        raise ValidationError(f"free class must be 'di' or 'mio', got {free_class!r}")
+    if dim_in < 1 or dim_out < 1:
+        raise ValidationError("dimensions must be positive")
+    if count < 1:
+        return []
+    square = dim_in == dim_out
+    ginibre, unitaries, weights = [], [], []
+    for _ in range(count):
+        ginibre.append(_ginibre(dim_out * dim_in * dim_out, dim_in, rng))
+        if square:
+            unitaries += [[_permutation_phase_unitary(dim_in, rng)] for _ in range(2)]
+            weights.append(rng.dirichlet(np.ones(3)))
+    kraus = _dilation_kraus(_haar_isometries(np.stack(ginibre)), dim_in, dim_out)
+    r = _choi_tensors(_kraus_chois(kraus), dim_in, dim_out)
+    if free_class == "di":  # after dephasing, only incoherent inputs remain
+        r = r * np.eye(dim_in)[:, None, :]
+    else:  # and here only incoherent outputs
+        r = r * np.eye(dim_out)[:, None, :, None]
+    choi = r.reshape(count, dim_out * dim_in, -1)
+    if square:
+        # each unitary is a Kraus set of one operator
+        extra = _kraus_chois(np.array(unitaries)).reshape(count, 2, *choi.shape[1:])
+        w = np.array(weights)[:, :, None, None]
+        choi = w[:, 0] * choi + w[:, 1] * extra[:, 0] + w[:, 2] * extra[:, 1]
+    _require_cptp(choi, dim_in, dim_out, MEMBERSHIP_ATOL)
+    violations = _di_violations if free_class == "di" else _mio_violations
+    assert np.all(violations(choi, dim_in, dim_out) <= MEMBERSHIP_ATOL), \
+        f"generator produced a non-{free_class.upper()} channel"
+    return [Channel(dim_in, dim_out, c, True, True, True) for c in choi]
 
 
 def random_di(dim_in, dim_out, rng):
-    """Random detection-incoherent channel.
-
-    The generating family is (random channel) o dephasing, mixed with
-    permutation-phase unitary channels when dimensions allow.  Membership is
-    asserted at construction.
-    """
-    base = compose(random_channel(dim_in, dim_out, rng), dephasing(dim_in))
-    ch = _mix_free_unitaries(base, rng)
-    assert is_detection_incoherent(ch), "generator produced a non-DI channel"
-    return ch
+    """Random detection-incoherent channel (`random_free_channels`)."""
+    return random_free_channels("di", dim_in, dim_out, rng, 1)[0]
 
 
 def random_mio(dim_in, dim_out, rng):
-    """Random maximally-incoherent channel: dephasing o (random channel),
-    mixed like `random_di`."""
-    base = compose(dephasing(dim_out), random_channel(dim_in, dim_out, rng))
-    ch = _mix_free_unitaries(base, rng)
-    assert is_mio(ch), "generator produced a non-MIO channel"
-    return ch
+    """Random maximally-incoherent channel (`random_free_channels`)."""
+    return random_free_channels("mio", dim_in, dim_out, rng, 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ their solutions pass one stacked CPTP test.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +132,9 @@ def _permutation_channel(perm):
 
 
 def _permutation_channels(dim, rng, max_count=8):
-    perms = list(itertools.permutations(range(dim)))
+    from itertools import permutations
+
+    perms = list(permutations(range(dim)))
     if len(perms) > max_count:
         chosen = [perms[0]] + [perms[i] for i in rng.choice(len(perms) - 1, max_count - 1,
                                                             replace=False) + 1]
@@ -154,9 +155,7 @@ def _pre_candidates(dim_a, dim_b, rng, n_random):
         cands.append(_classical_embed(dim_a, dim_b))
     else:
         cands.append(_classical_embed(dim_a, dim_b))
-    for _ in range(n_random):
-        cands.append(ch.random_di(dim_a, dim_b, rng))
-    return cands
+    return cands + ch.random_free_channels("di", dim_a, dim_b, rng, n_random)
 
 
 def brute_force_game_value(theta, cfg, budget=SearchBudget()):
@@ -254,7 +253,7 @@ def _mio_starts(dim_b, dim_c, rng_seed, restarts):
     """
     rng = np.random.default_rng(rng_seed)
     first = ch.identity_channel(dim_b) if dim_b == dim_c else _classical_embed(dim_b, dim_c)
-    return (first,) + tuple(ch.random_mio(dim_b, dim_c, rng) for _ in range(restarts))
+    return (first,) + tuple(ch.random_free_channels("mio", dim_b, dim_c, rng, restarts))
 
 
 def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8):

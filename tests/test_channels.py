@@ -323,6 +323,38 @@ def test_random_generators_pass_membership(rng):
         assert ch.is_cptp(ch.random_channel(din, dout, rng), 1e-8)
 
 
+def _random_free_reference(free_class, dim_in, dim_out, rng):
+    """One draw of a random free channel, composed from the public maps."""
+    xi = ch.random_channel(dim_in, dim_out, rng)
+    if free_class == "di":
+        base = ch.compose(xi, ch.dephasing(dim_in))
+    else:
+        base = ch.compose(ch.dephasing(dim_out), xi)
+    if dim_in != dim_out:
+        return base
+    extra = [ch.permutation_phase_channel(dim_in, rng) for _ in range(2)]
+    return ch.mixture([base] + extra, rng.dirichlet(np.ones(3)))
+
+
+@pytest.mark.parametrize("free_class", ["di", "mio"])
+@pytest.mark.parametrize("dims", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_random_free_channels_match_successive_composed_draws(free_class, dims):
+    stack = ch.random_free_channels(free_class, *dims, np.random.default_rng(8), 4)
+    rng = np.random.default_rng(8)
+    for got in stack:
+        want = _random_free_reference(free_class, *dims, rng)
+        assert (got.dim_in, got.dim_out) == dims
+        assert la.max_abs(got.choi - want.choi) <= 1e-15
+    # one generator call is a stack of one, in the same draw order
+    single = ch.random_di if free_class == "di" else ch.random_mio
+    rng = np.random.default_rng(8)
+    for got in stack:
+        assert np.array_equal(single(*dims, rng).choi, got.choi)
+    assert ch.random_free_channels(free_class, *dims, rng, 0) == []
+    with pytest.raises(ValidationError, match="free class"):
+        ch.random_free_channels(free_class.upper(), *dims, rng, 1)
+
+
 def test_json_roundtrip(tmp_path, rng):
     theta = ch.random_channel(3, 2, rng)
     path = tmp_path / "channel.json"

@@ -8,6 +8,14 @@ so ``J[(k,i),(l,j)] = <k| Theta(|i><j|) |l>``.  Kraus sets and the 4-index
 coefficient view are derived from it.  The computational basis is the
 incoherent basis throughout.
 
+`Channel` is the one map type: a frozen CPTP map with a read-only Choi
+matrix.  Its constructors test CPTP (`from_kraus`, `channel_from_choi`) or
+keep it by construction (`compose`, `tensor`, `mixture`, the generators), so
+a caller that needs a channel checks ``isinstance(theta, Channel)``.  Linear
+maps that are not channels are never built: the game's hypothesis
+difference lam id - mu Lambda_phi multiplies entry (i, j) by a weight, and
+`measures.GameConfig` holds those weights as one matrix.
+
 Free classes:
 
 * detection-incoherent (DI): output populations never depend on input
@@ -35,7 +43,7 @@ import numpy as np
 from . import linalg as la
 from .errors import DimensionMismatch, ValidationError
 
-# Flag / membership default tolerances.  Membership must exceed solver and
+# CPTP-test / membership default tolerances.  Membership must exceed solver and
 # eigensolver noise but still catch weakly resourceful mixtures.
 FLAG_ATOL = 1e-9
 MEMBERSHIP_ATOL = 1e-8
@@ -43,20 +51,13 @@ KRAUS_TRUNCATION = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class LinearMap:
-    """A linear map between operator spaces in Choi form.
-
-    The three flags are guarantees, not exhaustive tests: a ``True`` flag
-    asserts the property holds (within construction tolerance); ``False``
-    means it is not guaranteed.
-    """
+class Channel:
+    """A completely positive, trace-preserving map in Choi form, frozen and
+    with a read-only Choi matrix; its constructors ensure CPTP."""
 
     dim_in: int
     dim_out: int
     choi: np.ndarray
-    hermiticity_preserving: bool
-    completely_positive: bool
-    trace_preserving: bool
 
     def __post_init__(self):
         d = self.dim_in * self.dim_out
@@ -68,20 +69,6 @@ class LinearMap:
                 f"in={self.dim_in} out={self.dim_out}"
             )
         self.choi.flags.writeable = False
-
-
-@dataclass(frozen=True, eq=False)
-class Channel(LinearMap):
-    """A LinearMap with all three CPTP flags true."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (
-            self.hermiticity_preserving
-            and self.completely_positive
-            and self.trace_preserving
-        ):
-            raise ValidationError("Channel requires all CPTP flags true")
 
 
 def _cptp_flags(choi, dim_in, dim_out, atol):
@@ -105,17 +92,13 @@ def _cptp_flags(choi, dim_in, dim_out, atol):
     return herm, cp, tp
 
 
-def linear_map_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
-    """Wrap a Choi matrix, computing the property flags numerically."""
-    choi = np.ascontiguousarray(choi, dtype=complex)
-    return LinearMap(dim_in, dim_out, choi, *_cptp_flags(choi, dim_in, dim_out, atol))
-
-
 def channel_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
-    m = linear_map_from_choi(choi, dim_in, dim_out, atol)
-    if not (m.completely_positive and m.trace_preserving):
+    """The Channel of a Choi matrix that is CPTP within ``atol``."""
+    choi = np.ascontiguousarray(choi, dtype=complex)
+    _, cp, tp = _cptp_flags(choi, dim_in, dim_out, atol)
+    if not (cp and tp):
         raise ValidationError("Choi matrix is not CPTP within tolerance")
-    return Channel(dim_in, dim_out, m.choi, True, True, True)
+    return Channel(dim_in, dim_out, choi)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +117,7 @@ def from_kraus(kraus_ops, atol=FLAG_ATOL):
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise DimensionMismatch("Kraus operators must share one shape")
-    return Channel(dim_in, dim_out, _kraus_chois(np.stack(ops), atol), True, True, True)
+    return Channel(dim_in, dim_out, _kraus_chois(np.stack(ops), atol))
 
 
 def _kraus_chois(ks, atol=FLAG_ATOL):
@@ -205,7 +188,7 @@ def apply(m, op):
 
 
 def compose(second, first):
-    """Choi of ``second o first`` (first acts first).  Flags AND-combine."""
+    """Choi of ``second o first`` (first acts first)."""
     if first.dim_out != second.dim_in:
         raise DimensionMismatch(
             f"cannot compose: first outputs dim {first.dim_out}, "
@@ -215,13 +198,7 @@ def compose(second, first):
     r1 = first.choi.reshape(first.dim_out, first.dim_in, first.dim_out, first.dim_in)
     out = np.einsum("kalb,aibj->kilj", r2, r1)
     choi = out.reshape(second.dim_out * first.dim_in, second.dim_out * first.dim_in)
-    flags = (
-        first.hermiticity_preserving and second.hermiticity_preserving,
-        first.completely_positive and second.completely_positive,
-        first.trace_preserving and second.trace_preserving,
-    )
-    cls = Channel if all(flags) else LinearMap
-    return cls(first.dim_in, second.dim_out, choi, *flags)
+    return Channel(first.dim_in, second.dim_out, choi)
 
 
 def tensor(a, b):
@@ -231,14 +208,7 @@ def tensor(a, b):
     out = np.einsum("KILJ,kilj->KkIiLlJj", ra, rb)
     dim_in = a.dim_in * b.dim_in
     dim_out = a.dim_out * b.dim_out
-    choi = out.reshape(dim_out * dim_in, dim_out * dim_in)
-    flags = (
-        a.hermiticity_preserving and b.hermiticity_preserving,
-        a.completely_positive and b.completely_positive,
-        a.trace_preserving and b.trace_preserving,
-    )
-    cls = Channel if all(flags) else LinearMap
-    return cls(dim_in, dim_out, choi, *flags)
+    return Channel(dim_in, dim_out, out.reshape(dim_out * dim_in, dim_out * dim_in))
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +226,6 @@ def dephasing(dim):
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     return from_kraus([la.basis_proj(dim, i) for i in range(dim)])
-
-
-def complementary_dephasing(dim):
-    """id - dephasing; keeps only off-diagonal entries.  Not CP for dim > 1."""
-    choi = identity_channel(dim).choi - dephasing(dim).choi
-    return linear_map_from_choi(choi, dim, dim)
 
 
 def unitary_channel(u, atol=1e-10):
@@ -318,7 +282,7 @@ def mixture(channels, probs):
         if (c.dim_in, c.dim_out) != (dim_in, dim_out):
             raise DimensionMismatch("mixture components must share dimensions")
     choi = sum(p * c.choi for p, c in zip(probs, channels))
-    return Channel(dim_in, dim_out, choi, True, True, True)
+    return Channel(dim_in, dim_out, choi)
 
 
 def hadamard_mixture(p1):
@@ -460,7 +424,7 @@ def random_free_channels(free_class, dim_in, dim_out, rng, count):
     violations = _di_violations if free_class == "di" else _mio_violations
     assert np.all(violations(choi, dim_in, dim_out) <= MEMBERSHIP_ATOL), \
         f"generator produced a non-{free_class.upper()} channel"
-    return [Channel(dim_in, dim_out, c, True, True, True) for c in choi]
+    return [Channel(dim_in, dim_out, c) for c in choi]
 
 
 def random_di(dim_in, dim_out, rng):

@@ -1,12 +1,16 @@
 """Game functionals and discrimination quantities.
 
 The binary guessing game: with probability ``lam`` the probe state passes
-unchanged, with probability ``mu = 1 - lam`` it picks up relative phases from
-the diagonal unitary ``phase_channel(phi)``.  All quantities here are built
-from the hypothesis-difference map ``lam * id - mu * phase_channel(phi)``.
+unchanged, with probability ``mu = 1 - lam`` it picks up relative phases
+from the diagonal unitary diag(e^{i phi}), whose channel Lambda_phi
+multiplies entry (i, j) of a state by P_ij = e^{i(phi_i - phi_j)}.  So the
+hypothesis-difference map lam id - mu Lambda_phi is the entrywise product
+with the weight matrix W = lam - mu P.  `GameConfig` forms P
+(``phase_factors``) and W (``signal_weights``) once, read-only, and every
+game quantity of the package reads them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,10 +21,17 @@ from .errors import DimensionMismatch, ValidationError
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Game parameters: prior ``lam`` (and ``mu = 1 - lam``) plus the phase vector."""
+    """Game parameters: prior ``lam`` (and ``mu = 1 - lam``) plus the phase vector.
+
+    ``phase_factors`` is P = e^{i(phi_i - phi_j)}, the multiplier of the
+    phases, and ``signal_weights`` is W = lam - mu P, the multiplier of the
+    hypothesis difference lam id - mu Lambda_phi; both are read-only.
+    """
 
     lam: float
     phi: np.ndarray
+    phase_factors: np.ndarray = field(init=False, repr=False, compare=False)
+    signal_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -30,8 +41,12 @@ class GameConfig:
             raise ValidationError("phi must be a nonempty 1-d real vector")
         if not np.all(np.isfinite(phi)):
             raise ValidationError("phi contains NaN or Inf entries")
-        object.__setattr__(self, "phi", phi)
-        self.phi.flags.writeable = False
+        phases = np.exp(1j * (phi[:, None] - phi[None, :]))
+        weights = self.lam * np.ones(phases.shape) - self.mu * phases
+        for name, value in (("phi", phi), ("phase_factors", phases),
+                            ("signal_weights", weights)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def mu(self):
@@ -81,25 +96,14 @@ class IncoherentPovm:
         return self.elements[0].shape[0]
 
 
-def signal_map(cfg):
-    """Hypothesis-difference map ``lam * id - mu * phase_channel(phi)``.
-
-    Hermiticity-preserving; completely positive or trace preserving only in
-    the degenerate endpoints (flags are computed from the Choi matrix).
-    """
-    ident = ch.identity_channel(cfg.dim)
-    phase = ch.phase_channel(cfg.phi)
-    choi = cfg.lam * ident.choi - cfg.mu * phase.choi
-    return ch.linear_map_from_choi(choi, cfg.dim, cfg.dim)
-
-
 def game_value(theta, pre, rho, cfg):
     """Trace norm of the dephased pipeline output for fixed inputs.
 
     Computes ``|| dephasing o theta o pre o (lam - mu * Lambda_phi) (rho) ||_1``,
     twice the bias Bob achieves with the optimal incoherent readout when he
     prepares ``rho`` and pre-processes with ``pre`` before the fixed channel
-    ``theta``.
+    ``theta``.  The first map is the entrywise product with W
+    (``cfg.signal_weights``).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (cfg.dim, cfg.dim):
@@ -108,9 +112,7 @@ def game_value(theta, pre, rho, cfg):
         raise DimensionMismatch("pre-processing input must match the phase system")
     if pre.dim_out != theta.dim_in:
         raise DimensionMismatch("pre-processing output must match the channel input")
-    x = ch.apply(signal_map(cfg), rho)
-    x = ch.apply(pre, x)
-    x = ch.apply(theta, x)
+    x = ch.apply(theta, ch.apply(pre, cfg.signal_weights * rho))
     dephased = np.diag(np.diagonal(x))
     return la.trace_norm_hermitian(dephased, atol=1e-8)
 

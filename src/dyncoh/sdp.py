@@ -238,7 +238,8 @@ def sign_family(da, db):
 
 
 def _sign_objectives(theta, cfg, signs):
-    """Stack of the Hermitian objectives of the programs for ``signs``."""
+    """Stack of the Hermitian objectives of the programs for ``signs``: the
+    signed output populations, weighted by the game's W."""
     da, db = cfg.dim, theta.dim_in
     signs = np.asarray(signs, dtype=float)
     if signs.shape[-1] != theta.dim_out:
@@ -246,11 +247,8 @@ def _sign_objectives(theta, cfg, signs):
     coeffs = ch.index_coeffs(theta)
     idx = np.arange(theta.dim_out)
     t_mats = np.moveaxis(coeffs[:, :, idx, idx] @ signs.T, -1, 0)
-    w_mat = cfg.lam * np.ones((da, da)) - cfg.mu * np.exp(
-        1j * (cfg.phi[:, None] - cfg.phi[None, :])
-    )
     n = da * db
-    objectives = np.conj(np.einsum("ij,kab->kiajb", w_mat, t_mats)).reshape(-1, n, n)
+    objectives = np.conj(np.einsum("ij,kab->kiajb", cfg.signal_weights, t_mats)).reshape(-1, n, n)
     return la.hermitian_part(objectives)
 
 
@@ -362,7 +360,7 @@ def evaluate_pairs(pairs):
     is negative, so no value of such a batch is returned.
     """
     for theta, _ in pairs:
-        if not (theta.completely_positive and theta.trace_preserving):
+        if not isinstance(theta, ch.Channel):
             raise ValidationError("pre-processed improvement requires a CPTP channel")
     dims = {(cfg.dim, theta.dim_in, theta.dim_out) for theta, cfg in pairs}
     if not dims:

@@ -6,18 +6,24 @@ eigenvalues of signed sums of the pipeline's response tensors
 (`sign_eigen_maximum`); pre-processings are sampled.  That is what makes
 these values usable as oracles against the exact SDP path (lower bounds
 can never exceed it).  The response tensors of all sampled pre-processings
-come from their stacked Choi matrices in two contractions
-(`_response_stacks`), and each permutation's unitary channel is built once
+come from their stacked Choi matrices in one contraction and one product
+with the game's weight matrix W = lam - mu e^{i(phi_i - phi_j)}
+(`_response_stacks`).  The sampled permutations are drawn by lexicographic
+index (`_nth_permutation`), and each one's unitary channel is built once
 and shared (`_permutation_channel`).
 
 The creation side (`postprocessed_improvement_lower`) is an alternating
 lower bound: independent chains of Helstrom and MIO-step SDP rounds, which
 advance in lockstep so that each round's MIO steps are solved in one
 stacked interior-point run over the shared `_mio_family` constraints, and
-their solutions pass one stacked CPTP test.
+their solutions pass one stacked CPTP test.  A Helstrom step weights the
+output pair's difference by W, and its observable enters the MIO step
+weighted by conj(W), the adjoint.  The game simulation applies the phases
+as the multiplier e^{i(phi_i - phi_j)} (`_game_outputs`).
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +36,8 @@ from .errors import DimensionMismatch, SolverFailure, ValidationError
 
 # A chain stops once a round raises its value by no more than this.
 CONVERGENCE_TOL = 1e-9
+# Permutation channels among the candidate pre-processings of a square pair.
+PERMUTATION_DRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,10 @@ def _response_stacks(theta, pres, cfg):
     the game value for the input is sum_n |f_n|.  Every pre-processing must
     take the game's dimension to the channel's input.  With Choi tensors
     r[k, i, l, j] = <k| map(|i><j|) |l>, only the diagonal r[n, :, n, :] of
-    theta enters, and the whole stack is two contractions:
-    R[p, n, j, i] = sum r_theta[n, c, n, e] r_pre[p][c, a, e, b] r_signal[a, i, b, j].
+    theta enters, and lam id - mu Lambda_phi weights entry (i, j) by
+    W[i, j] (``cfg.signal_weights``), so the whole stack is one contraction
+    and one product:
+    R[p, n, j, i] = W[i, j] sum r_theta[n, c, n, e] r_pre[p][c, i, e, j].
     """
     for pre in pres:
         if pre.dim_in != cfg.dim:
@@ -80,9 +90,8 @@ def _response_stacks(theta, pres, cfg):
     d, dim_b = cfg.dim, theta.dim_in
     r_pre = np.stack([pre.choi for pre in pres]).reshape(len(pres), dim_b, d, dim_b, d)
     r_theta = theta.choi.reshape(theta.dim_out, dim_b, theta.dim_out, dim_b)
-    r_signal = ms.signal_map(cfg).choi.reshape(d, d, d, d)
     pulled = np.einsum("ncne,pcaeb->pnab", r_theta, r_pre)
-    return np.einsum("pnab,aibj->pnji", pulled, r_signal)
+    return np.swapaxes(pulled * cfg.signal_weights, -1, -2)
 
 
 def sign_eigen_maximum(r_stacks):
@@ -131,16 +140,28 @@ def _permutation_channel(perm):
     return ch.unitary_channel(u)
 
 
-def _permutation_channels(dim, rng, max_count=8):
-    from itertools import permutations
+def _nth_permutation(dim, index):
+    """Permutation ``index`` of range(dim) in the lexicographic order of
+    `itertools.permutations`."""
+    rest, perm = list(range(dim)), []
+    for k in range(dim - 1, -1, -1):
+        digit, index = divmod(index, math.factorial(k))
+        perm.append(rest.pop(digit))
+    return tuple(perm)
 
-    perms = list(permutations(range(dim)))
-    if len(perms) > max_count:
-        chosen = [perms[0]] + [perms[i] for i in rng.choice(len(perms) - 1, max_count - 1,
-                                                            replace=False) + 1]
+
+def _permutation_channels(dim, rng):
+    """Every permutation channel on dim levels when there are at most
+    ``PERMUTATION_DRAWS``; else the identity and ``PERMUTATION_DRAWS - 1``
+    others, drawn by lexicographic index without replacement.  The dim!
+    permutations are never listed."""
+    count = math.factorial(dim)
+    if count > PERMUTATION_DRAWS:
+        drawn = rng.choice(count - 1, PERMUTATION_DRAWS - 1, replace=False) + 1
+        indices = [0] + [int(i) for i in drawn]
     else:
-        chosen = perms
-    return [_permutation_channel(perm) for perm in chosen]
+        indices = range(count)
+    return [_permutation_channel(_nth_permutation(dim, i)) for i in indices]
 
 
 def _pre_candidates(dim_a, dim_b, rng, n_random):
@@ -169,7 +190,7 @@ def brute_force_game_value(theta, cfg, budget=SearchBudget()):
     result never exceeds the exact optimum.  For a fixed ``rng_seed`` more
     samples extend the candidate list, so the value never falls.
     """
-    if not (theta.completely_positive and theta.trace_preserving):
+    if not isinstance(theta, ch.Channel):
         raise ValidationError("brute force requires a CPTP channel")
     rng = np.random.default_rng(budget.rng_seed)
     n_random_pre = max(2, budget.random_samples // 400)
@@ -274,14 +295,11 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     solver trouble too, and raises `SolverFailure` ("numerical_failure").
     Exact evaluation is out of scope.
     """
-    if not (theta.completely_positive and theta.trace_preserving):
+    if not isinstance(theta, ch.Channel):
         raise ValidationError("post-processed improvement requires a CPTP channel")
     dim_b = theta.dim_out
     dim_c = cfg.dim
     family = _mio_family(dim_b, dim_c)
-    # Choi tensors r[k, i, l, j]; a map acts as t -> sum_ij r[:, i, :, j] t_ij
-    phase, phase_adj = (ch.phase_channel(phi).choi.reshape((dim_c,) * 4)
-                        for phi in (cfg.phi, -cfg.phi))
     starts = _mio_starts(dim_b, dim_c, budget.rng_seed, restarts)
 
     # one chain per (incoherent input, start): its input and current Choi matrix
@@ -293,7 +311,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     for _ in range(budget.refinement_iterations):
         posts = choi[active].reshape(-1, dim_c, dim_b, dim_c, dim_b)
         tau = np.einsum("pkilj,pij->pkl", posts, sigma[active])
-        diff = cfg.lam * tau - cfg.mu * np.einsum("kilj,pij->pkl", phase, tau)
+        diff = cfg.signal_weights * tau
         w, v = la.eig_hermitian(diff, atol=1e-8)
         new_value = np.abs(w).sum(axis=-1)
         improved = new_value > value[active] + CONVERGENCE_TOL
@@ -303,7 +321,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
             break
         # sign observable: +1 on the nonnegative eigenspace, -1 on the rest
         p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ la.dagger(v)
-        q = cfg.lam * p_obs - cfg.mu * np.einsum("kilj,pij->pkl", phase_adj, p_obs)
+        q = np.conj(cfg.signal_weights) * p_obs  # the adjoint of the difference map
         # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)) over the Choi matrix J of Psi
         objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
         new_choi, _ = sdpmod.solve_family(
@@ -321,6 +339,16 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
 # Monte-Carlo game simulation
 # ---------------------------------------------------------------------------
 
+def _game_outputs(theta, pre, rho, cfg):
+    """The channel's outputs ``(omega0, omega1)`` for input ``rho`` and
+    pre-processing ``pre``, without and with the game's phases."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (cfg.dim, cfg.dim):
+        raise DimensionMismatch(f"rho shape {rho.shape}, game expects dim {cfg.dim}")
+    return tuple(ch.apply(theta, ch.apply(pre, state))
+                 for state in (rho, cfg.phase_factors * rho))
+
+
 def optimal_game_instance(theta, report):
     """The game a pre-processed `sdp.MeasureReport` of ``theta`` plays best.
 
@@ -328,9 +356,8 @@ def optimal_game_instance(theta, report):
     report's optimal input and pre-processing, without and with the phases
     of its game, and the optimal incoherent POVM between them.
     """
-    cfg, pre, rho = report.config, report.phi_opt, report.rho_opt
-    omega0 = ch.apply(theta, ch.apply(pre, rho))
-    omega1 = ch.apply(theta, ch.apply(pre, ch.apply(ch.phase_channel(cfg.phi), rho)))
+    cfg = report.config
+    omega0, omega1 = _game_outputs(theta, report.phi_opt, report.rho_opt, cfg)
     return omega0, omega1, ms.optimal_incoherent_povm(cfg, omega0, omega1)
 
 
@@ -349,8 +376,7 @@ def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
         raise ValidationError("the game uses a two-outcome POVM")
     if povm.dim != theta.dim_out:
         raise DimensionMismatch("POVM dimension must match the channel output")
-    omega0 = ch.apply(theta, ch.apply(phi_pre, rho))
-    omega1 = ch.apply(theta, ch.apply(phi_pre, ch.apply(ch.phase_channel(cfg.phi), rho)))
+    omega0, omega1 = _game_outputs(theta, phi_pre, rho, cfg)
 
     def _outcome_prob(state):
         p0 = float(np.real(np.trace(povm.elements[0] @ state)))

@@ -201,27 +201,26 @@ def test_index_coeffs_hadamard_entry():
     assert c[0, 1, 0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_dephasing_plus_complement_is_identity():
-    deph = ch.dephasing(3)
-    comp = ch.complementary_dephasing(3)
-    assert la.max_abs(deph.choi + comp.choi - ch.identity_channel(3).choi) <= 1e-12
-    assert comp.hermiticity_preserving
-    assert not comp.completely_positive
-    assert not comp.trace_preserving
-
-
-def test_complementary_dephasing_zero_diagonal(rng):
-    comp = ch.complementary_dephasing(3)
-    rho = la.random_density_matrix(3, rng)
-    out = ch.apply(comp, rho)
-    assert la.max_abs(np.diagonal(out)) <= 1e-12
+def _loosely_cp_dephasing():
+    """A qubit Channel that is CP only within 1e-6: the dephasing Choi
+    matrix with a coherence between two of its zero diagonal slots, which
+    keeps it Hermitian and trace preserving but gives it the eigenvalue
+    -1e-7."""
+    j = np.array(ch.dephasing(2).choi)
+    j[1, 2] = j[2, 1] = 1e-7
+    return ch.channel_from_choi(j, 2, 2, atol=1e-6)
 
 
 def test_is_cptp_examples():
     assert ch.is_cptp(ch.dephasing(2))
-    assert not ch.is_cptp(ch.complementary_dephasing(2))
-    halved = ch.linear_map_from_choi(0.5 * ch.dephasing(2).choi, 2, 2)
-    assert not ch.is_cptp(halved)
+    loose = _loosely_cp_dephasing()
+    assert isinstance(loose, ch.Channel)
+    assert ch.is_cptp(loose, atol=1e-6)
+    assert not ch.is_cptp(loose)
+    for not_cptp in (0.5 * ch.dephasing(2).choi,  # not trace preserving
+                     ch.identity_channel(2).choi - ch.dephasing(2).choi):  # not CP
+        with pytest.raises(ValidationError, match="not CPTP"):
+            ch.channel_from_choi(not_cptp, 2, 2)
 
 
 def test_detection_incoherent_examples(rng):
@@ -250,7 +249,7 @@ def _violating_dephasing(kind, size):
         j[2, 3] = j[3, 2] = -size
     else:  # coeff[0,0,0,1] = size, and its adjoint
         j[0, 2] = j[2, 0] = size
-    return ch.linear_map_from_choi(j, 2, 2)
+    return ch.channel_from_choi(j, 2, 2)
 
 
 def test_membership_agrees_with_the_composition_identities(rng):
@@ -275,10 +274,11 @@ def test_membership_agrees_with_the_composition_identities(rng):
 
 
 def test_membership_requires_cptp():
-    with pytest.raises(ValidationError):
-        ch.is_detection_incoherent(ch.complementary_dephasing(2))
-    with pytest.raises(ValidationError):
-        ch.is_mio(ch.complementary_dephasing(2))
+    # a Channel that is CP only within 1e-6 fails the membership tolerance
+    with pytest.raises(ValidationError, match="requires a CPTP input"):
+        ch.is_detection_incoherent(_loosely_cp_dephasing())
+    with pytest.raises(ValidationError, match="requires a CPTP input"):
+        ch.is_mio(_loosely_cp_dephasing())
 
 
 def test_small_resourceful_mixture_is_caught():

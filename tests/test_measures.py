@@ -31,27 +31,37 @@ def test_game_config_rejects_non_finite_inputs(bad):
         ms.GameConfig(bad, np.array([1.0, 0.0]))
 
 
-def test_signal_map_endpoint_is_identity():
-    cfg = ms.GameConfig(1.0, np.array([0.3, 0.9]))
-    sig = ms.signal_map(cfg)
-    assert la.max_abs(sig.choi - ch.identity_channel(2).choi) <= 1e-12
-    assert sig.completely_positive and sig.trace_preserving
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+def test_multipliers_match_the_channel_algebra(dim, lam, rng):
+    # P multiplies like the phase channel, and W like lam id - mu Lambda_phi
+    cfg = ms.GameConfig(lam, rng.uniform(0, 2 * np.pi, dim))
+    phase = ch.phase_channel(cfg.phi)
+    for _ in range(5):
+        rho = la.random_density_matrix(dim, rng)
+        assert la.max_abs(cfg.phase_factors * rho - ch.apply(phase, rho)) <= 1e-14
+        reference = lam * ch.apply(ch.identity_channel(dim), rho) - cfg.mu * ch.apply(phase, rho)
+        assert la.max_abs(cfg.signal_weights * rho - reference) <= 1e-14
 
 
-def test_signal_map_on_incoherent_states(rng):
+def test_multipliers_are_read_only():
+    cfg = cfg_half()
+    for arr in (cfg.phi, cfg.phase_factors, cfg.signal_weights):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        cfg.signal_weights[0, 0] = 0.0
+
+
+def test_signal_weights_scale_incoherent_states(rng):
     cfg = ms.GameConfig(0.3, np.array([0.1, 2.2, 0.7]))
-    sig = ms.signal_map(cfg)
-    assert sig.hermiticity_preserving
-    assert not sig.completely_positive
     sigma = np.diag(rng.dirichlet(np.ones(3))).astype(complex)
-    out = ch.apply(sig, sigma)
-    assert np.allclose(out, (cfg.lam - cfg.mu) * sigma, atol=1e-12)
+    assert np.allclose(cfg.signal_weights * sigma, (cfg.lam - cfg.mu) * sigma, atol=1e-12)
 
 
-def test_signal_map_trace_norm_on_plus_state():
+def test_signal_weights_trace_norm_on_plus_state():
     cfg = cfg_half()
     plus = np.full((2, 2), 0.5, dtype=complex)
-    out = ch.apply(ms.signal_map(cfg), plus)
+    out = cfg.signal_weights * plus
     assert la.trace_norm_hermitian(out) == pytest.approx(SQRT3_HALF, abs=1e-12)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,9 @@ def test_program_objective_matches_game_pipeline(rng):
 
         amp = np.sqrt(populations)
         rho = np.outer(amp, amp).astype(complex)
-        out = ch.apply(theta, ch.apply(pre, ch.apply(ms.signal_map(cfg), rho)))
+        # lam id - mu Lambda_phi by linearity, with the phases as a channel
+        out = (cfg.lam * ch.apply(theta, ch.apply(pre, rho))
+               - cfg.mu * ch.apply(theta, ch.apply(pre, ch.apply(ch.phase_channel(cfg.phi), rho))))
         direct = float(np.real(np.sum(np.asarray(signs) * np.diagonal(out))))
         assert objective_value_at(objective, x) == pytest.approx(direct, abs=1e-10)
 
@@ -690,8 +694,11 @@ def test_prior_reflection_identity(rng):
 
 
 def test_rejects_non_cptp_input():
-    with pytest.raises(ValidationError):
-        sd.preprocessed_improvement(ch.complementary_dephasing(2), cfg_half())
+    # id - dephasing, which is not CP, in a record that is not a Channel
+    not_cp = SimpleNamespace(dim_in=2, dim_out=2,
+                             choi=ch.identity_channel(2).choi - ch.dephasing(2).choi)
+    with pytest.raises(ValidationError, match="requires a CPTP channel"):
+        sd.preprocessed_improvement(not_cp, cfg_half())
 
 
 def test_trace_channel_single_output(rng):

@@ -87,12 +87,17 @@ def test_brute_force_never_falls_with_more_samples(rng):
 
 
 def _response_reference(theta, pres, cfg):
-    """The response stacks by two `compose` calls per candidate."""
-    signal = ms.signal_map(cfg)
+    """The response stacks by `compose` calls per candidate, with lam id -
+    mu Lambda_phi taken by linearity over the phase channel."""
+    phase = ch.phase_channel(cfg.phi)
     idx = np.arange(theta.dim_out)
+
+    def populations(m):
+        return ch.index_coeffs(m)[:, :, idx, idx].transpose(2, 1, 0)
+
     return np.stack([
-        ch.index_coeffs(ch.compose(theta, ch.compose(pre, signal)))[:, :, idx, idx]
-        .transpose(2, 1, 0) for pre in pres])
+        cfg.lam * populations(ch.compose(theta, pre))
+        - cfg.mu * populations(ch.compose(theta, ch.compose(pre, phase))) for pre in pres])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3), (4, 4, 2)])
@@ -159,6 +164,42 @@ def test_brute_force_matches_the_reference_path_and_its_draws(case):
     assert value == pytest.approx(BRUTE_FORCE_PINS[case], abs=1e-13)
 
 
+def _permutation_reference(dim, rng):
+    """The sampled permutations drawn from the list of all dim! of them."""
+    perms = list(itertools.permutations(range(dim)))
+    if len(perms) <= se.PERMUTATION_DRAWS:
+        return perms
+    drawn = rng.choice(len(perms) - 1, se.PERMUTATION_DRAWS - 1, replace=False) + 1
+    return [perms[0]] + [perms[i] for i in drawn]
+
+
+def _permutation_of(channel):
+    """The permutation a permutation channel's unitary applies to each column."""
+    (u,) = ch.to_kraus(channel)
+    return tuple(int(np.argmax(np.abs(col))) for col in u.T)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_permutation_draw_matches_the_listing_reference(dim):
+    rng, ref_rng = np.random.default_rng(dim), np.random.default_rng(dim)
+    got = se._permutation_channels(dim, rng)
+    assert [_permutation_of(p) for p in got] == _permutation_reference(dim, ref_rng)
+    assert rng.random() == ref_rng.random()  # the same draws, so the same stream after
+    if dim <= 5:
+        listed = list(itertools.permutations(range(dim)))
+        assert [se._nth_permutation(dim, k) for k in range(len(listed))] == listed
+
+
+def test_permutation_draw_lists_no_permutations(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("itertools.permutations called")
+
+    monkeypatch.setattr(itertools, "permutations", refuse)
+    chosen = se._permutation_channels(9, np.random.default_rng(5))
+    assert len(chosen) == se.PERMUTATION_DRAWS
+    assert len({_permutation_of(p) for p in chosen}) == se.PERMUTATION_DRAWS
+
+
 def test_permutation_channels_are_cached_by_permutation():
     first = se._permutation_channels(4, np.random.default_rng(3))
     again = se._permutation_channels(4, np.random.default_rng(3))
@@ -192,7 +233,8 @@ def test_no_preprocessing_is_attained_and_not_beaten(dim, rng):
         w, v = max(tops, key=lambda wv: wv[0][-1])
         assert w[-1] == pytest.approx(value, abs=1e-12)
         rho = np.outer(v[:, -1], v[:, -1].conj())
-        out = ch.apply(theta, ch.apply(ms.signal_map(cfg), rho))
+        phased = ch.apply(ch.phase_channel(cfg.phi), rho)
+        out = cfg.lam * ch.apply(theta, rho) - cfg.mu * ch.apply(theta, phased)
         assert np.abs(np.diag(out).real).sum() == pytest.approx(value, abs=1e-12)
 
         # no coordinate ascent from a Haar start beats it
@@ -232,7 +274,9 @@ def test_counterexample_idle_side_is_exactly_blind(rng):
     deph = ch.dephasing(4)
     for _ in range(20):
         rho = la.random_density_matrix(4, rng)
-        out = ch.apply(deph, ch.apply(detector, ch.apply(ms.signal_map(cfg), rho)))
+        phased = ch.apply(ch.phase_channel(cfg.phi), rho)
+        out = ch.apply(deph, cfg.lam * ch.apply(detector, rho)
+                       - cfg.mu * ch.apply(detector, phased))
         assert la.trace_norm_hermitian(out) <= 1e-12
 
 
@@ -292,14 +336,23 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
             value, n = -np.inf, 0
             for _ in range(budget.refinement_iterations):
                 tau = ch.apply(post, sigma)
-                new_value = ms.helstrom_norm(cfg, tau, ch.apply(phase, tau))
+                # the rounds weight by W and conj(W) as the package does: the
+                # last rounds' gains, near CONVERGENCE_TOL, follow the MIO
+                # steps' 1e-8 solver tolerance, so a rounding difference in
+                # an objective can change a chain's number of steps; the
+                # channel algebra checks each weighted step
+                w, v = la.eig_hermitian(cfg.signal_weights * tau, atol=1e-8)
+                new_value = np.abs(w).sum()
+                assert new_value == pytest.approx(
+                    ms.helstrom_norm(cfg, tau, ch.apply(phase, tau)), abs=1e-12)
                 if new_value <= value + se.CONVERGENCE_TOL:
                     value = max(value, new_value)
                     break
                 value = new_value
-                w, v = la.eig_hermitian(cfg.lam * tau - cfg.mu * ch.apply(phase, tau), atol=1e-8)
                 p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
-                q = cfg.lam * p_obs - cfg.mu * ch.apply(phase_adj, p_obs)
+                q = np.conj(cfg.signal_weights) * p_obs
+                assert la.max_abs(q - cfg.lam * p_obs
+                                  + cfg.mu * ch.apply(phase_adj, p_obs)) <= 1e-14
                 choi, _ = sd.solve_family(family,
                                           la.hermitian_part(np.kron(q, np.conj(sigma)))[None])
                 post = ch.channel_from_choi(choi[0], dim_b, dim_c, atol=1e-6)
@@ -456,6 +509,9 @@ def test_game_validation(rng):
     povm = ms.optimal_incoherent_povm(cfg, rho, rho)
     with pytest.raises(ValidationError):
         se.monte_carlo_game(theta, ch.identity_channel(2), rho, povm, cfg, 0, 1)
+    qutrit_phases = ms.GameConfig(0.5, np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(DimensionMismatch, match="game expects dim 3"):
+        se.monte_carlo_game(theta, ch.identity_channel(2), rho, povm, qutrit_phases, 10, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import dyncoh
@@ -64,3 +65,19 @@ def test_every_benchmark_entry_point_resolves():
     found = spans._resolve(spans.ENTRY_POINTS)  # raises MissingEntryPoints by name
     assert sorted(found) == sorted(spans.ENTRY_POINTS)
     assert all(callable(original) for _, _, original in found.values())
+
+
+def test_one_map_type_and_one_game_multiplier():
+    # `Channel` is the only map type, and the game's hypothesis difference is
+    # the weight matrix of `GameConfig`: the phase channel is built only where
+    # it is defined and by the freeness check of `verify`
+    removed = re.compile(r"\b(LinearMap|linear_map_from_choi|signal_map)\b")
+    phase_channel = re.compile(r"\bphase_channel\b")
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    found = []
+    for path in SOURCES + [readme]:
+        text = path.read_text(encoding="utf-8")
+        found += [f"{path.name}: {name}" for name in removed.findall(text)]
+        if path in SOURCES and path.stem not in ("channels", "verify"):
+            found += [f"{path.name}: {name}" for name in phase_channel.findall(text)]
+    assert found == []

@@ -106,6 +106,7 @@ def _cmd_measure_pre(cfg):
         "success_probability": ms.success_probability(rep.value, game),
         "per_sign_values": rep.per_sign_values,
         "per_sign_status": rep.per_sign_status,
+        "per_sign_orbit": rep.per_sign_orbit,
         "pruned": rep.pruned,
         "sign_vectors": [list(s) for s in rep.sign_vectors],
         "verification_residual": rep.verification_residual,

@@ -25,7 +25,9 @@ class GameConfig:
 
     ``phase_factors`` is P = e^{i(phi_i - phi_j)}, the multiplier of the
     phases, and ``signal_weights`` is W = lam - mu P, the multiplier of the
-    hypothesis difference lam id - mu Lambda_phi; both are read-only.
+    hypothesis difference lam id - mu Lambda_phi; both are read-only.  Two
+    configs are equal when their ``lam`` and the bytes of their ``phi``
+    are, and hash alike then.
     """
 
     lam: float
@@ -47,6 +49,14 @@ class GameConfig:
                             ("signal_weights", weights)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, GameConfig):
+            return NotImplemented
+        return self.lam == other.lam and self.phi.tobytes() == other.phi.tobytes()
+
+    def __hash__(self):
+        return hash((self.lam, self.phi.tobytes()))
 
     @property
     def mu(self):

@@ -25,13 +25,24 @@ solved together in stacked interior-point runs of at most ``MAX_STACK``
 programs.  The two constant sign patterns are never solved: trace
 preservation pins their value to +-(lam - mu).
 
+Programs related by a symmetry of the channel's outputs are solved once.
+If T_{pi(n)} = V^dag T_n V, with T_n[a, b] = <n| theta(|a><b|) |n>, for an
+output permutation pi and a diagonal unitary V, the programs of s and pi s
+have objectives conjugate under I_A (x) V, which keeps every constraint,
+and so one value.  `evaluate_pairs` finds such symmetries (a stacked
+magnitude test over all pairs, then a stabilizer-chain search, each
+candidate accepted only to ``SYMMETRY_TOL``), solves the lowest pattern of
+each orbit, and transfers its value and status to the rest of the orbit.
+
 Each sign program carries a certified ceiling, its dual bound
 (`ipm._dual_bound`), and the programs of one pair form a group whose floor
 starts at the exact constant-pattern value |lam - mu| and rises with the
 objective of every primal-feasible iterate.  A program stops at the
 relative gap ``ipm.GAP_TOL``, or as ``pruned`` once its ceiling falls
 below its pair's floor by more than that gap: it cannot win, and its
-ceiling stands in for its value.
+ceiling stands in for its value.  A transferred pattern's ceiling is its
+representative's plus the transfer defect, the Frobenius norm of the
+difference between its objective and the conjugated one.
 """
 
 import functools
@@ -56,6 +67,11 @@ MAX_SIGN_DIMENSION = 20
 MAX_STACK = 64
 # Widest bracket [lower_bound, upper_bound] a report may carry
 BRACKET_TOL = 1e-7
+# An output symmetry is accepted within this deviation, relative to the
+# largest population coefficient |T_n[a, b]| of its channel ...
+SYMMETRY_TOL = 1e-12
+# ... and the search for one is steered among candidate images within this
+_STEER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,7 +98,11 @@ class MeasureReport:
     says what each of ``per_sign_values`` is: ``exact`` (a constant
     pattern), ``optimal`` (a solved program's value) or ``pruned`` (the
     ceiling of a program stopped because it cannot win); ``pruned`` counts
-    the last.
+    the last.  ``per_sign_orbit`` gives each pattern's orbit representative
+    under the channel's output symmetries: a pattern k with
+    ``per_sign_orbit[k] != k`` was not solved but transferred from its
+    representative, whose status it carries.  The winner, and with it
+    ``x_opt`` and the extracted pair, is always a solved program.
     """
 
     value: float
@@ -91,6 +111,7 @@ class MeasureReport:
     upper_bound: float
     per_sign_values: list
     per_sign_status: list
+    per_sign_orbit: list
     pruned: int
     sign_vectors: list
     x_opt: np.ndarray
@@ -237,6 +258,16 @@ def sign_family(da, db):
     return constraint_family(_sign_functionals(da, db))
 
 
+def _populations(thetas):
+    """T[p, n, a, b] = <n| theta_p(|a><b|) |n>: each output population of
+    each channel as a form on its input, one C-contiguous stack for
+    channels of one shape."""
+    dim_out, dim_in = thetas[0].dim_out, thetas[0].dim_in
+    idx = np.arange(dim_out)
+    chois = np.stack([theta.choi for theta in thetas]).reshape(-1, dim_out, dim_in, dim_out, dim_in)
+    return np.ascontiguousarray(np.swapaxes(chois[:, idx, :, idx, :], 0, 1))
+
+
 def _sign_objectives(theta, cfg, signs):
     """Stack of the Hermitian objectives of the programs for ``signs``: the
     signed output populations, weighted by the game's W."""
@@ -244,12 +275,143 @@ def _sign_objectives(theta, cfg, signs):
     signs = np.asarray(signs, dtype=float)
     if signs.shape[-1] != theta.dim_out:
         raise DimensionMismatch("sign vector length must equal the output dimension")
-    coeffs = ch.index_coeffs(theta)
-    idx = np.arange(theta.dim_out)
-    t_mats = np.moveaxis(coeffs[:, :, idx, idx] @ signs.T, -1, 0)
+    t_mats = np.moveaxis(np.moveaxis(_populations([theta])[0], 0, -1) @ signs.T, -1, 0)
     n = da * db
     objectives = np.conj(np.einsum("ij,kab->kiajb", cfg.signal_weights, t_mats)).reshape(-1, n, n)
     return la.hermitian_part(objectives)
+
+
+# ---------------------------------------------------------------------------
+# Output symmetries: one sign program per orbit
+# ---------------------------------------------------------------------------
+#
+# Suppose T_{pi(n)} = V^dag T_n V for a permutation pi of the outputs and a
+# diagonal unitary V = diag(v) on the channel input.  The pattern pi s, with
+# (pi s)_{pi(n)} = s_n, then has the objective U O_s U^dag, U = I_A (x) V,
+# and conjugation by U keeps every constraint (a pinned entry (i b, j b)
+# picks up |v_b|^2 = 1), so the programs of s and pi s have one value for
+# every game.  This is the symmetry reduction of an SDP family (Gatermann &
+# Parrilo, J. Pure Appl. Algebra 192, 2004), with the group acting on the
+# family rather than inside one program.
+
+def _candidate_images(pops):
+    """``match[p, n, m]``: |T_m| = |T_n| entrywise for pair p of the
+    `_populations` stack, within ``SYMMETRY_TOL`` of the pair's largest
+    entry.  Only such an m can be pi(n)."""
+    mag = np.abs(pops)
+    scale = mag.max(axis=(1, 2, 3))
+    dev = np.abs(mag[:, :, None] - mag[:, None, :]).max(axis=(3, 4))
+    return dev <= SYMMETRY_TOL * scale[:, None, None]
+
+
+def _link(tn, tm, root, rel):
+    """Join T_{pi(n)} = tm with T_n = tn into partial phases, or None.
+
+    ``rel`` gives each input's phase relative to the root of its component,
+    v_a = rel[a] v_{root[a]}.  Each entry of T_n above ``SYMMETRY_TOL`` of
+    its largest fixes v_b / v_a = tm[a, b] / tn[a, b]; the largest entries
+    join components first, and the rest must agree within ``_STEER_TOL``.
+    """
+    mag = np.abs(tn)
+    size = mag.max()
+    a, b = np.nonzero(np.triu(mag > SYMMETRY_TOL * size, 1))
+    order = np.argsort(-mag[a, b], kind="stable")
+    a, b = a[order], b[order]
+    ratio = np.exp(1j * np.angle(tm[a, b] / tn[a, b]))
+    root, rel = root.copy(), rel.copy()
+    for i, j, r in zip(a, b, ratio):
+        if root[i] != root[j]:
+            joined = root == root[j]
+            rel[joined] *= r * rel[i] / rel[j]
+            root[joined] = root[i]
+    if not (np.abs(np.conj(rel[a]) * rel[b] * tn[a, b] - tm[a, b]) <= _STEER_TOL * size).all():
+        return None
+    return root, rel
+
+
+def _completion(t, match, pinned):
+    """One output symmetry ``(perm, v)`` with ``perm[n] = pinned[n]`` for
+    the first ``len(pinned)`` outputs, or None.
+
+    The other outputs take, in index order, the first free candidate image
+    whose T agrees with the phases fixed so far; a component of inputs that
+    no T_n links gets phase 1.  The pair is accepted only if
+    max |T_{perm(n)} - V^dag T_n V| <= ``SYMMETRY_TOL`` max |T|.  A symmetry
+    that this greedy choice misses only leaves more programs to solve.
+    """
+    n_out, db = t.shape[:2]
+    root, rel = np.arange(db), np.ones(db, dtype=complex)
+    perm, free = np.full(n_out, -1), np.ones(n_out, dtype=bool)
+    for n in range(n_out):
+        options = [pinned[n]] if n < len(pinned) else np.flatnonzero(match[n] & free)
+        for m in options:
+            linked = _link(t[n], t[m], root, rel)
+            if linked is not None:
+                break
+        else:
+            return None
+        (root, rel), perm[n], free[m] = linked, m, False
+    conjugated = np.conj(rel)[:, None] * t * rel[None, :]
+    if not la.max_abs(t[perm] - conjugated) <= SYMMETRY_TOL * np.abs(t).max():
+        return None
+    return perm, rel
+
+
+def _output_symmetries(t, match):
+    """Generators ``(perm, v)`` of the output symmetries of one pair.
+
+    ``t`` stacks T_n along its first axis, and ``match`` is the pair's
+    `_candidate_images`.  Stabilizer-chain style: at level i, for each
+    candidate image m > i of output i not yet in the orbit of i under the
+    symmetries found at that level, one `_completion` looks for a symmetry
+    that fixes outputs 0..i-1 and takes i to m, a coset representative.  So
+    at most N (N - 1) / 2 completions run, and no list of the N!
+    permutations is formed.
+    """
+    gens = []
+    for i in range(len(t) - 1):
+        orbit, level = {i}, []
+        for m in np.flatnonzero(match[i, i + 1:]) + i + 1:
+            if m in orbit:
+                continue
+            found = _completion(t, match, list(range(i)) + [m])
+            if found is None:
+                continue
+            gens.append(found)
+            level.append(found[0])
+            frontier = [i]
+            for j in frontier:
+                for perm in level:
+                    if perm[j] not in orbit:
+                        orbit.add(perm[j])
+                        frontier.append(perm[j])
+    return gens
+
+
+def _sign_orbits(n_out, db, gens):
+    """The orbit of each sign pattern under the generators.
+
+    Returns ``(rep, v)``: the lowest pattern index of each pattern's orbit,
+    its representative, and per pattern k the phases with
+    O_k = U O_rep U^dag, U = I (x) diag(v[k]).  Pattern k has s_n = -1
+    where bit N-1-n of k is set, as in `enumerate_sign_vectors`.
+    """
+    size = 2 ** n_out
+    shift = n_out - 1 - np.arange(n_out)
+    bits = (np.arange(size)[:, None] >> shift) & 1
+    # (pi s)_m = s_{pi^-1(m)}
+    images = [(bits[:, np.argsort(perm)] << shift).sum(axis=1) for perm, _ in gens]
+    rep, v = np.full(size, -1), np.ones((size, db), dtype=complex)
+    for k in range(size):
+        if rep[k] >= 0:
+            continue
+        rep[k], frontier = k, [k]
+        for j in frontier:
+            for image, (_, phases) in zip(images, gens):
+                if rep[image[j]] < 0:
+                    rep[image[j]], v[image[j]] = k, v[j] * phases
+                    frontier.append(image[j])
+    return rep, v
 
 
 def build_sign_program(theta, cfg, signs):
@@ -334,30 +496,63 @@ class SignEvaluation:
     """The sign programs of one (channel, game) pair, solved.
 
     ``per_sign`` holds each pattern's value, or its ceiling where
-    ``per_sign_status`` says ``pruned``.  ``upper_bound`` is the largest
-    ceiling, the constant patterns counting as exact, plus the rounding
-    allowance of the n x n game arithmetic (`ipm.rounding_allowance`), so
-    that a value computed for a strategy never exceeds it by rounding alone.
+    ``per_sign_status`` says ``pruned``.  ``per_sign_orbit`` gives each
+    pattern's orbit representative under the channel's output symmetries;
+    only representatives are solved, and a pattern k with
+    ``per_sign_orbit[k] != k`` is transferred: it takes its
+    representative's value and status, and the representative's ceiling
+    plus the transfer defect ||O_k - U O_rep U^dag||_F, which bounds
+    |tr((O_k - U O_rep U^dag) X)| for every X >= 0 with tr X = 1.
+    ``upper_bound`` is the largest ceiling, the constant patterns counting
+    as exact, plus the rounding allowance of the n x n game arithmetic
+    (`ipm.rounding_allowance`), so that a value computed for a strategy
+    never exceeds it by rounding alone.
     """
 
     per_sign: list
     per_sign_status: list
+    per_sign_orbit: list
     winner: int
     improvement: float
     upper_bound: float
     x_opt: np.ndarray  # the winning program's maximizer
 
 
+def _pair_orbits(pairs, n_signs):
+    """Orbit representatives (P, 2^N) of the sign patterns of each pair, and
+    for each pair with a symmetry the phases of `_sign_orbits`.
+
+    One stacked `_candidate_images` test covers every pair; a pair whose
+    outputs each match only themselves keeps the trivial group without
+    further work.
+    """
+    pops = _populations([theta for theta, _ in pairs])
+    match = _candidate_images(pops)
+    orbit = np.tile(np.arange(n_signs), (len(pairs), 1))
+    phases = {}
+    for p in np.flatnonzero((match & ~np.eye(match.shape[-1], dtype=bool)).any(axis=(1, 2))):
+        gens = _output_symmetries(pops[p], match[p])
+        if gens:
+            orbit[p], phases[int(p)] = _sign_orbits(pops.shape[1], pops.shape[-1], gens)
+    return orbit, phases
+
+
 def evaluate_pairs(pairs):
     """Solve the sign programs of many (theta, cfg) pairs with the same dims.
 
-    The non-constant patterns of every pair go into stacked runs over the
-    shared `sign_family`, one group per pair, whose floor starts at the
-    exact constant-pattern value |lam - mu|; the two constant patterns are
-    pinned to +-(lam - mu) by trace preservation.  Returns ``(signs,
-    evaluations)``, all 2^N patterns and one `SignEvaluation` per pair.
-    Raises `SolverFailure` when any program fails or any pair's improvement
-    is negative, so no value of such a batch is returned.
+    Each pair's output symmetries split its sign patterns into orbits
+    (`_pair_orbits`), and only each orbit's lowest pattern is solved; a
+    channel without symmetries solves every pattern.  The non-constant
+    representatives of every pair go into stacked runs over the shared
+    `sign_family`, one group per pair, whose floor starts at the exact
+    constant-pattern value |lam - mu|; the two constant patterns are pinned
+    to +-(lam - mu) by trace preservation.  The other patterns are
+    transferred (`SignEvaluation`); a representative precedes its orbit and
+    ties go to the lowest pattern, so the winner is always a solved program.
+    Returns ``(signs, evaluations)``, all 2^N patterns and one
+    `SignEvaluation` per pair.  Raises `SolverFailure` when any program
+    fails or any pair's improvement is negative, so no value of such a
+    batch is returned.
     """
     for theta, _ in pairs:
         if not isinstance(theta, ch.Channel):
@@ -373,25 +568,43 @@ def evaluate_pairs(pairs):
     per_sign = np.array([[(cfg.lam - cfg.mu) * s[0] for s in signs] for _, cfg in pairs])
     ceiling = per_sign.copy()
     status = np.full(per_sign.shape, "exact", dtype=object)
-    solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
-    if solved:
-        objectives = np.concatenate([
-            _sign_objectives(theta, cfg, [signs[k] for k in solved]) for theta, cfg in pairs
-        ])
-        groups = np.repeat(np.arange(len(pairs)), len(solved))
-        xs, infos = solve_family(sign_family(da, db), objectives, groups,
-                                 [cfg.prior_gap for _, cfg in pairs])
-        shape = (len(pairs), len(solved))
-        status[:, solved] = np.array([info.status for info in infos], dtype=object).reshape(shape)
-        ceiling[:, solved] = np.array([info.bound for info in infos]).reshape(shape)
-        per_sign[:, solved] = np.where(
-            status[:, solved] == "pruned", ceiling[:, solved],
-            np.array([info.primal_objective for info in infos]).reshape(shape))
-        xs = xs.reshape(len(pairs), len(solved), *xs.shape[1:])
+    orbit, phases = _pair_orbits(pairs, len(signs))
+    # patterns 0 and 2^N - 1 are the constant ones
+    non_constant = np.arange(1, len(signs) - 1)
+    sign_rows = np.array(signs, dtype=float)[non_constant]
+    objectives = [_sign_objectives(theta, cfg, sign_rows) for theta, cfg in pairs]
+    is_rep = orbit[:, non_constant] == non_constant
+    # per pair with a symmetry: its transferred patterns and their defects
+    transfers = {}
+    for p, v in phases.items():
+        moved = non_constant[~is_rep[p]]
+        rep_objectives = objectives[p][orbit[p, moved] - 1]
+        # U O_rep U^dag, U = I_A (x) diag(v), has entry (i a, j b) times v_a conj(v_b)
+        u = np.tile(v[moved], da)
+        transported = u[:, :, None] * rep_objectives * np.conj(u[:, None, :])
+        transfers[p] = moved, np.linalg.norm(objectives[p][moved - 1] - transported, axis=(1, 2))
+        objectives[p] = objectives[p][is_rep[p]]
+    rows, cols = np.nonzero(is_rep)
+    solved = non_constant[cols]
+    xs, infos = solve_family(sign_family(da, db), np.concatenate(objectives), rows,
+                             [cfg.prior_gap for _, cfg in pairs])
+    status[rows, solved] = [info.status for info in infos]
+    ceiling[rows, solved] = [info.bound for info in infos]
+    per_sign[rows, solved] = [info.bound if info.status == "pruned" else info.primal_objective
+                              for info in infos]
+    for p, (moved, defects) in transfers.items():
+        reps = orbit[p, moved]
+        status[p, moved] = status[p, reps]
+        ceiling[p, moved] = ceiling[p, reps] + defects
+        per_sign[p, moved] = np.where(status[p, reps] == "pruned", ceiling[p, moved],
+                                      per_sign[p, reps])
+    position = np.full(per_sign.shape, -1)
+    position[rows, solved] = np.arange(len(rows))
 
     evaluations = []
     for p, (_, cfg) in enumerate(pairs):
-        # a pruned entry is a ceiling, which no X attains, so it never wins
+        # a pruned entry is a ceiling, which no X attains, so it never wins;
+        # ties go to the lowest pattern, a solved one
         winner = int(np.argmax(np.where(status[p] == "pruned", -np.inf, per_sign[p])))
         improvement = float(per_sign[p, winner] - cfg.prior_gap)
         if improvement < -1e-7:
@@ -400,20 +613,20 @@ def evaluate_pairs(pairs):
                 f"non-negativity violated: improvement {improvement:.3e}",
             )
         # a constant pattern wins at the maximally mixed X, feasible for all
-        x_opt = (xs[p, solved.index(winner)] if winner in solved
+        x_opt = (xs[position[p, winner]] if position[p, winner] >= 0
                  else np.eye(da * db, dtype=complex) / (da * db))
         top = ceiling[p].max()
         upper = float(top + rounding_allowance(da * db, 1.0 + abs(top)))
-        evaluations.append(SignEvaluation(per_sign[p].tolist(), status[p].tolist(), winner,
-                                          improvement, upper, x_opt))
+        evaluations.append(SignEvaluation(per_sign[p].tolist(), status[p].tolist(),
+                                          orbit[p].tolist(), winner, improvement, upper, x_opt))
     return signs, evaluations
 
 
 def preprocessed_improvement(theta, cfg):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
-    Solves one SDP per non-constant sign vector through `evaluate_pairs`,
-    stacked over the shared `sign_family`, and reports the maximum, the
+    Solves one SDP per orbit of non-constant sign vectors through
+    `evaluate_pairs`, stacked over the shared `sign_family`, and reports the maximum, the
     winning X, and the optimal input state and pre-processing extracted from
     it, with the residual of their round trip through the game arithmetic,
     and the bracket of the direct game value of that pair and the largest
@@ -450,6 +663,7 @@ def preprocessed_improvement(theta, cfg):
         upper_bound=evaluation.upper_bound,
         per_sign_values=evaluation.per_sign,
         per_sign_status=evaluation.per_sign_status,
+        per_sign_orbit=evaluation.per_sign_orbit,
         pruned=evaluation.per_sign_status.count("pruned"),
         sign_vectors=signs,
         x_opt=evaluation.x_opt,

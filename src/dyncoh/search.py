@@ -33,9 +33,13 @@ from . import linalg as la
 from . import measures as ms
 from . import sdp as sdpmod
 from .errors import DimensionMismatch, SolverFailure, ValidationError
+from .ipm import GAP_TOL
 
-# A chain stops once a round raises its value by no more than this.
-CONVERGENCE_TOL = 1e-9
+# A chain stops once a round raises its value v by at most STOP_GAIN (1 + |v|).
+# Each MIO step is solved to the relative gap ipm.GAP_TOL, and a last-bit
+# change of its objective moves the next round's value by up to several
+# GAP_TOL, so a smaller gain is solver noise.
+STOP_GAIN = 10 * GAP_TOL
 # Permutation channels among the candidate pre-processings of a square pair.
 PERMUTATION_DRAWS = 8
 
@@ -284,8 +288,9 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     (`_mio_starts`).  Its rounds alternate between the optimal sign
     observable for the current output pair (Helstrom step) and an SDP over
     the Choi matrix of the free post-processing with the observable fixed
-    (MIO step), until a round raises its value by no more than
-    ``CONVERGENCE_TOL``, for at most ``budget.refinement_iterations`` rounds.
+    (MIO step), until a round raises its value v by no more than
+    ``STOP_GAIN`` (1 + |v|), above the noise of the MIO steps' solver
+    tolerance, for at most ``budget.refinement_iterations`` rounds.
     Every iterate is a feasible strategy, so the value is a true lower
     bound, and each step is a restricted maximization, so a chain's value
     never falls.  The chains advance in lockstep: a round's Helstrom steps
@@ -314,7 +319,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         diff = cfg.signal_weights * tau
         w, v = la.eig_hermitian(diff, atol=1e-8)
         new_value = np.abs(w).sum(axis=-1)
-        improved = new_value > value[active] + CONVERGENCE_TOL
+        improved = new_value - value[active] > STOP_GAIN * (1.0 + np.abs(new_value))
         value[active] = np.maximum(value[active], new_value)
         active, w, v = active[improved], w[improved], v[improved]
         if not active.size:

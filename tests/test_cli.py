@@ -34,6 +34,8 @@ def test_measure_pre_hadamard(capsys):
     result = data["result"]
     assert len(result["per_sign_status"]) == 4
     assert result["pruned"] == result["per_sign_status"].count("pruned")
+    # the output swap with V = Z maps (+, -) onto (-, +): one program is solved
+    assert result["per_sign_orbit"] == [0, 1, 1, 3]
     assert result["trace_norm"] <= result["upper_bound"]
     assert 0.0 <= result["upper_bound"] - result["lower_bound"] <= 1e-7
 
@@ -151,13 +153,14 @@ def test_sweep_solver_failure_exit_code(nan_at_fifth_pair, capsys):
 @pytest.mark.parametrize("fault", ["numerical_failure", "wide_bracket"])
 def test_measure_pre_solver_fault_exit_code(fault, monkeypatch, capsys):
     # one program of the stack forced to fail, or every ceiling lifted by
-    # 1e-6 so that the bracket is too wide: either way exit 3, one JSON line
+    # 1e-6 so that the bracket is too wide: either way exit 3, one JSON line.
+    # The Hadamard channel's output swap leaves one program to solve.
     original = sd.solve_stacked
 
     def faulty(*args, **kwargs):
         x, y, s, infos = original(*args, **kwargs)
         if fault == "numerical_failure":
-            infos[1] = dataclasses.replace(infos[1], status="numerical_failure")
+            infos[-1] = dataclasses.replace(infos[-1], status="numerical_failure")
         else:
             infos = [dataclasses.replace(info, bound=info.bound + 1e-6) for info in infos]
         return x, y, s, infos

@@ -52,6 +52,17 @@ def test_multipliers_are_read_only():
         cfg.signal_weights[0, 0] = 0.0
 
 
+def test_configs_compare_and_hash_by_value():
+    # lam and the bytes of phi decide; the derived multipliers follow them
+    cfg = ms.GameConfig(0.5, np.array([2.0, 0.0, 1.0]))
+    same = ms.GameConfig(0.5, [2.0, 0.0, 1.0])
+    assert cfg == same and hash(cfg) == hash(same)
+    assert {cfg: "cached"}[same] == "cached"
+    assert cfg != ms.GameConfig(0.5, np.array([2.0, 0.0, 1.5]))
+    assert cfg != ms.GameConfig(0.6, np.array([2.0, 0.0, 1.0]))
+    assert cfg != (0.5, [2.0, 0.0, 1.0])
+
+
 def test_signal_weights_scale_incoherent_states(rng):
     cfg = ms.GameConfig(0.3, np.array([0.1, 2.2, 0.7]))
     sigma = np.diag(rng.dirichlet(np.ones(3))).astype(complex)

@@ -462,11 +462,281 @@ def test_random_channels_evaluate_within_the_bracket(d, key, lam):
 
 def test_ties_prune_nothing():
     # on qft:3 every non-constant sign program has the same value, so no
-    # ceiling falls below the best floor
+    # ceiling falls below the best floor; the cyclic shift leaves two
+    # programs to solve, and the other four are transferred from them
     rep = sd.preprocessed_improvement(ch.qft(3), ms.GameConfig(0.7, np.array([2.0, 0.0, 1.0])))
     assert rep.pruned == 0
     assert set(rep.per_sign_status) == {"exact", "optimal"}
+    transferred = [k for k, r in enumerate(rep.per_sign_orbit) if r != k]
+    assert len(transferred) == 4
+    for k in transferred:
+        assert rep.per_sign_values[k] == rep.per_sign_values[rep.per_sign_orbit[k]]
     assert rep.lower_bound <= rep.upper_bound <= rep.lower_bound + sd.BRACKET_TOL
+
+
+# ---------------------------------------------------------------------------
+# Output symmetries: one program per orbit
+# ---------------------------------------------------------------------------
+
+def h_x_id():
+    return ch.tensor(ch.hadamard(), ch.identity_channel(2))
+
+
+def completely_depolarizing(d):
+    return ch.channel_from_choi(np.eye(d * d) / d, d, d)
+
+
+def _populations_stack(theta):
+    """T_n[a, b] = <n| theta(|a><b|) |n>, stacked over n."""
+    return sd._populations([theta])[0]
+
+
+def _orbits(theta):
+    """Each sign pattern's orbit representative, and the phases that carry
+    the representative's objective onto it (None without a symmetry)."""
+    orbit, phases = sd._pair_orbits([(theta, ms.GameConfig(0.5, np.zeros(theta.dim_in)))],
+                                    2 ** theta.dim_out)
+    return orbit[0], phases.get(0)
+
+
+def _orbit_count(theta):
+    # the two constant patterns are their own orbits
+    return len(set(_orbits(theta)[0].tolist())) - 2
+
+
+@pytest.mark.parametrize("theta, programs", [
+    (ch.qft(3), 2), (ch.qft(4), 4), (h_x_id(), 7), (ch.qft(5), 6),
+], ids=["qft3", "qft4", "h_x_id", "qft5"])
+def test_one_program_is_solved_per_orbit(theta, programs, monkeypatch):
+    # necklaces of length d for qft:d; for H (x) id the group is Z2 x Z2,
+    # the flip of the first output bit and the swap of outputs 1 and 3 alone
+    runs = _capture_stacked(monkeypatch)
+    d = theta.dim_in
+    rep = sd.preprocessed_improvement(theta, ms.GameConfig(0.5, 2.0 * np.pi * np.arange(d) / d))
+    solved = [k for k, s in enumerate(rep.sign_vectors)
+              if len(set(s)) > 1 and rep.per_sign_orbit[k] == k]
+    assert len(runs) == 1 and len(runs[0]) == len(solved) == programs
+    assert all(rep.per_sign_orbit[r] == r for r in rep.per_sign_orbit)
+    assert all(rep.per_sign_orbit[k] <= k for k in range(len(rep.sign_vectors)))
+    # the winner, which gives X and the extracted pair, was solved
+    winner = int(np.argmax(np.where(np.array(rep.per_sign_status) == "pruned", -np.inf,
+                                    rep.per_sign_values)))
+    assert rep.per_sign_orbit[winner] == winner
+
+
+def test_h_x_id_generators_are_the_bit_flip_and_the_lone_swap():
+    theta = h_x_id()
+    t = _populations_stack(theta)
+    match = sd._candidate_images(sd._populations([theta]))[0]
+    gens = sd._output_symmetries(t, match)
+    assert [list(perm) for perm, _ in gens] == [[2, 1, 0, 3], [0, 3, 2, 1]]
+    for perm, v in gens:
+        assert np.allclose(np.abs(v), 1.0)
+        moved = np.conj(v)[:, None] * t * v[None, :]
+        assert la.max_abs(t[perm] - moved) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("theta", [ch.qft(3), ch.qft(4), ch.qft(5), h_x_id()],
+                         ids=["qft3", "qft4", "qft5", "h_x_id"])
+def test_orbit_path_matches_the_full_enumeration(theta, lam, rng):
+    # every non-constant program solved on its own, against the orbit path
+    d = theta.dim_in
+    cfg = ms.GameConfig(lam, rng.uniform(0, 2 * np.pi, d))
+    rep = sd.preprocessed_improvement(theta, cfg)
+    signs = rep.sign_vectors
+    non_constant = [k for k, s in enumerate(signs) if len(set(s)) > 1]
+    _, infos = sd.solve_family(sd.sign_family(d, d),
+                               sd._sign_objectives(theta, cfg, [signs[k] for k in non_constant]))
+    full = [info.primal_objective for info in infos]
+    assert any(rep.per_sign_orbit[k] != k for k in non_constant)
+    assert rep.trace_norm == pytest.approx(max(full), abs=1e-9)
+    for j, k in enumerate(non_constant):
+        if rep.per_sign_status[k] == "pruned":  # a ceiling, below the winner
+            assert full[j] <= rep.per_sign_values[k] < rep.trace_norm
+        else:
+            assert rep.per_sign_values[k] == pytest.approx(full[j], abs=1e-9)
+    assert rep.upper_bound >= max(full)
+    assert 0.0 <= rep.upper_bound - rep.lower_bound <= sd.BRACKET_TOL
+
+
+def _transfer_defects(theta, cfg):
+    """||O_k - U_k O_rep U_k^dag||_F of every transferred pattern k, with
+    U_k = I (x) diag(v[k]) from the orbit phases v."""
+    rep, v = _orbits(theta)
+    objectives = sd._sign_objectives(theta, cfg,
+                                     sd.enumerate_sign_vectors(theta.dim_out, full=True))
+    u = np.tile(v, cfg.dim)
+    return [np.linalg.norm(objectives[k] - u[k][:, None] * objectives[r] * np.conj(u[k]))
+            for k, r in enumerate(rep) if r != k]
+
+
+@pytest.mark.parametrize("theta, transferred", [(ch.qft(4), 10), (h_x_id(), 7)],
+                         ids=["qft4", "h_x_id"])
+def test_orbit_phases_map_each_representative_onto_its_members(theta, transferred, rng):
+    defects = _transfer_defects(theta, ms.GameConfig(0.4, rng.uniform(0, 2 * np.pi, 4)))
+    assert len(defects) == transferred
+    assert max(defects) <= 1e-14
+
+
+def test_transferred_ceilings_add_the_transfer_defect(monkeypatch):
+    # transferred entries copy their representative; with phases that map the
+    # representative's objective onto a member only to within a defect, that
+    # defect ||O_k - U O_rep U^dag||_F lifts the member's ceiling, and with it
+    # the upper bound
+    theta, cfg = ch.qft(4), ms.GameConfig(0.4, np.array([0.3, 2.0, 1.0, 5.0]))
+    signs, (exact,) = sd.evaluate_pairs([(theta, cfg)])
+    for k, r in enumerate(exact.per_sign_orbit):
+        if r != k:
+            assert exact.per_sign_status[k] == exact.per_sign_status[r] == "optimal"
+            assert exact.per_sign[k] == exact.per_sign[r]
+    original = sd._sign_orbits
+
+    def tilted(n_out, db, gens):
+        rep, v = original(n_out, db, gens)
+        return rep, v * np.exp(1e-4j * np.arange(db))
+
+    monkeypatch.setattr(sd, "_sign_orbits", tilted)
+    _, (ev,) = sd.evaluate_pairs([(theta, cfg)])
+    assert ev.per_sign == exact.per_sign
+    defect = max(_transfer_defects(theta, cfg))
+    assert defect > 1e-5
+    assert ev.upper_bound - exact.upper_bound == pytest.approx(defect, abs=1e-7)
+
+
+def test_detection_rejects_a_wrong_permutation_on_qft():
+    theta = ch.qft(4)
+    t = _populations_stack(theta)
+    match = sd._candidate_images(sd._populations([theta]))[0]
+    assert match.all()  # every |T_n| is 1/4 everywhere: magnitudes cannot tell
+    shift, v = sd._completion(t, match, [1, 2, 3, 0])
+    assert list(shift) == [1, 2, 3, 0]
+    assert np.allclose(v, np.exp(-0.5j * np.pi * np.arange(4)))
+    # the shift with two outputs swapped is no symmetry, whatever the phases
+    assert sd._completion(t, match, [2, 1, 3, 0]) is None
+    assert sd._completion(t, match, [0, 1, 3, 2]) is None
+    # relabelling two outputs of qft:4 conjugates its group: the plain shift
+    # is rejected, and detection finds the relabelled one
+    swap = np.eye(4)[[1, 0, 2, 3]]
+    relabelled = ch.compose(ch.unitary_channel(swap), theta)
+    t2 = _populations_stack(relabelled)
+    assert sd._completion(t2, match, [1, 2, 3, 0]) is None
+    (perm, _), = sd._output_symmetries(t2, match)
+    sigma = [1, 0, 2, 3]
+    assert list(perm) in [[sigma[(sigma[n] + k) % 4] for n in range(4)] for k in (1, 2, 3)]
+    assert _orbit_count(relabelled) == 4
+
+
+def test_detection_rejects_a_symmetry_that_holds_only_to_1e6(rng):
+    theta = ch.qft(4)
+    # a channel 1e-6 away: the magnitudes already differ
+    near = ch.mixture([theta, ch.random_channel(4, 4, rng)], [1.0 - 1e-6, 1e-6])
+    assert _orbit_count(near) == 14
+    match = sd._candidate_images(sd._populations([near]))[0]
+    assert not (match & ~np.eye(4, dtype=bool)).any()
+    # phases moved by 1e-6 keep every magnitude, and the acceptance test fails
+    t = _populations_stack(theta)
+    tilt = rng.uniform(-1e-6, 1e-6, t.shape)
+    tilted = t * np.exp(1j * (tilt - np.swapaxes(tilt, 1, 2)))
+    match = sd._candidate_images(tilted[None])[0]
+    assert match.all()
+    assert sd._output_symmetries(tilted, match) == []
+
+
+def test_depolarizing_detection_makes_at_most_d_squared_completions(monkeypatch):
+    # the symmetric group of 6 outputs: 720 permutations, 5 non-constant
+    # orbits (by the number of minus signs); a coset search per level and
+    # candidate, never a listing
+    calls = []
+    original = sd._completion
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(sd, "_completion", counting)
+    assert _orbit_count(completely_depolarizing(6)) == 5
+    assert 0 < len(calls) <= 36
+
+
+def _record_stacks(monkeypatch):
+    """Every stacked solve's inputs and outputs."""
+    runs = []
+    original = sd.solve_stacked
+
+    def recording(family, c, **kwargs):
+        out = original(family, c, **kwargs)
+        runs.append((c, kwargs, out))
+        return out
+
+    monkeypatch.setattr(sd, "solve_stacked", recording)
+    return runs
+
+
+@pytest.mark.parametrize("key", range(4))
+def test_channels_without_symmetry_take_the_full_path_bit_for_bit(key, monkeypatch):
+    # random 4-outcome channels at 4-entry phases, as in detect_n16, get the
+    # trivial group: their stack is every non-constant program in one group,
+    # and X, y, S, statuses and iteration counts agree to the bit
+    theta = ch.random_channel(4, 4, np.random.default_rng(100 + key))
+    cfg = ms.GameConfig(0.5, 2.0 * np.pi * np.arange(4) / 4)
+    runs = _record_stacks(monkeypatch)
+    signs, (ev,) = sd.evaluate_pairs([(theta, cfg)])
+    assert ev.per_sign_orbit == list(range(16))
+    non_constant = [k for k, s in enumerate(signs) if len(set(s)) > 1]
+    c = sd._sign_objectives(theta, cfg, [signs[k] for k in non_constant])
+    floors = np.array([cfg.prior_gap])
+    x, y, s, infos = ipm.solve_stacked(sd.sign_family(4, 4), c, np.zeros(len(c), dtype=int), floors)
+    ((c_got, _, (x_got, y_got, s_got, infos_got)),) = runs
+    assert np.array_equal(c_got, c)
+    assert np.array_equal(x_got, x) and np.array_equal(y_got, y) and np.array_equal(s_got, s)
+    assert infos_got == infos
+    assert ev.per_sign_status == ["exact"] + [info.status for info in infos] + ["exact"]
+
+
+def _unreduced_improvements(pairs):
+    """Improvements as every pair's non-constant programs give them when all
+    are solved, in one grouped stack: the evaluation without orbits."""
+    (da, db, dim_out), = {(cfg.dim, theta.dim_in, theta.dim_out) for theta, cfg in pairs}
+    signs = sd.enumerate_sign_vectors(dim_out, full=True)
+    non_constant = [k for k, s in enumerate(signs) if len(set(s)) > 1]
+    objectives = np.concatenate([sd._sign_objectives(theta, cfg, [signs[k] for k in non_constant])
+                                 for theta, cfg in pairs])
+    _, infos = sd.solve_family(sd.sign_family(da, db), objectives,
+                               np.repeat(np.arange(len(pairs)), len(non_constant)),
+                               [cfg.prior_gap for _, cfg in pairs])
+    out = []
+    for p, (_, cfg) in enumerate(pairs):
+        run = infos[p * len(non_constant):(p + 1) * len(non_constant)]
+        best = max([cfg.lam - cfg.mu, cfg.mu - cfg.lam]
+                   + [info.primal_objective for info in run if info.status == "optimal"])
+        out.append(float(best - cfg.prior_gap))
+    return out
+
+
+def test_sweep_points_without_symmetry_keep_their_values_bit_for_bit(monkeypatch):
+    # only the pure Hadamard points (p1 = 1, V = Z) have a symmetry; the
+    # stacked magnitude test settles the other 200 without a search
+    lambdas, p1s, phi = (0.5, 0.6, 0.75, 0.9), np.linspace(0.0, 1.0, 51), (2.0 * np.pi / 3, 0.0)
+    searched = []
+    original = sd._output_symmetries
+
+    def counting(t, match):
+        searched.append(None)
+        return original(t, match)
+
+    monkeypatch.setattr(sd, "_output_symmetries", counting)
+    rows = search.mixture_sweep(lambdas, p1s, phi)
+    assert len(searched) == 4
+    monkeypatch.undo()
+    pairs = [(ch.hadamard_mixture(float(p1)), ms.GameConfig(lam, np.array(phi)))
+             for lam in lambdas for p1 in p1s]
+    reference = _unreduced_improvements(pairs)
+    kept = [(row, ref) for row, ref in zip(rows, reference) if row[1] != 1.0]
+    assert len(kept) == 200
+    assert all(row[2] == ref for row, ref in kept)
+    for row, ref in zip(rows, reference):
+        assert row[2] == pytest.approx(ref, abs=1e-9)
 
 
 def test_schur_jitter_stays_with_its_program(rng):

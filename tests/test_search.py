@@ -6,6 +6,7 @@ import pytest
 
 from dyncoh import channels as ch
 from dyncoh import cli
+from dyncoh import ipm
 from dyncoh import kernels
 from dyncoh import linalg as la
 from dyncoh import measures as ms
@@ -336,16 +337,14 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
             value, n = -np.inf, 0
             for _ in range(budget.refinement_iterations):
                 tau = ch.apply(post, sigma)
-                # the rounds weight by W and conj(W) as the package does: the
-                # last rounds' gains, near CONVERGENCE_TOL, follow the MIO
-                # steps' 1e-8 solver tolerance, so a rounding difference in
-                # an objective can change a chain's number of steps; the
-                # channel algebra checks each weighted step
+                # the rounds weight by W and conj(W) as the package does, and
+                # the channel algebra checks each weighted step
                 w, v = la.eig_hermitian(cfg.signal_weights * tau, atol=1e-8)
                 new_value = np.abs(w).sum()
                 assert new_value == pytest.approx(
                     ms.helstrom_norm(cfg, tau, ch.apply(phase, tau)), abs=1e-12)
-                if new_value <= value + se.CONVERGENCE_TOL:
+                # a gain within the noise of the MIO steps' tolerance stops
+                if new_value - value <= 10 * ipm.GAP_TOL * (1.0 + abs(new_value)):
                     value = max(value, new_value)
                     break
                 value = new_value
@@ -396,7 +395,7 @@ def _record_mio_runs(monkeypatch, corrupt=None):
 
 
 def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
-    theta, cfg = _creation_cases()[0]  # chains take 1 to 14 MIO steps
+    theta, cfg = _creation_cases()[0]  # chains take 1 to 8 MIO steps
     _, steps = _alternate_reference(theta, cfg)
     runs = _record_mio_runs(monkeypatch)
     se.postprocessed_improvement_lower(theta, cfg)
@@ -404,6 +403,28 @@ def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
     assert runs[0] == len(steps) == 18
     assert runs == [sum(n > r for n in steps) for r in range(max(steps))]
     assert len(runs) <= se.SearchBudget().refinement_iterations
+
+
+def test_postprocessed_chains_stop_at_the_same_round_under_a_last_bit_change(monkeypatch):
+    # Hadamard at prior 0.2 has four long chains, whose late gains are of the
+    # order of the MIO steps' solver tolerance.  One ulp more on every MIO
+    # objective moves their values by up to 4e-8; it moved their last rounds
+    # under a stop at a gain of 1e-9 or of GAP_TOL (1 + |v|), and must not.
+    theta, cfg = _creation_cases()[0]
+    runs = _record_mio_runs(monkeypatch)
+    base = se.postprocessed_improvement_lower(theta, cfg)
+    sizes = list(runs)
+    assert sizes[1] == 4
+    original = sd.solve_family
+
+    def nudged(family, objectives, *args, **kwargs):
+        return original(family, np.nextafter(objectives.real, np.inf) + 1j * objectives.imag,
+                        *args, **kwargs)
+
+    monkeypatch.setattr(se.sdpmod, "solve_family", nudged)
+    runs.clear()
+    assert se.postprocessed_improvement_lower(theta, cfg) == pytest.approx(base, abs=1e-9)
+    assert runs == sizes
 
 
 def test_postprocessed_failed_mio_step_raises(monkeypatch):

@@ -40,15 +40,17 @@ takes jitter, in the program whose matrix needs it (`_jittered`).
 
 The Schur matrices of the whole stack come from one
 ``kernels.SparseConstraints.schur`` call, which gathers most entries from W.
-The caller caps the stack length (``sdp.MAX_STACK`` programs per run), which
-bounds its memory.
+A run's working set grows linearly with the stack length, so the caller
+sizes each stack by its bytes (``sdp.STACK_BYTES``, `sdp.stack_runs`).
 
 Certificates and pruning: when every feasible X has tr X = 1, as in the
 sign programs, any dual iterate bounds its program from above
 (`_dual_bound`).  In a stack whose programs carry group labels, one stacked
 ``eigvalsh`` call per iteration gives that ceiling for every running
 program, and a program whose ceiling shows it cannot reach the greatest
-objective attained in its group stops as ``pruned``.  A stack without
+objective attained in its group stops as ``pruned``.  If that call does not
+converge, each program is redone alone, and one whose eigenvalues fail
+again ends as ``numerical_failure`` at that iteration.  A stack without
 groups computes neither.
 """
 
@@ -264,11 +266,22 @@ def _dual_bound(b, y, z, size):
     entry of C, S and r_d, which moves its spectrum by up to n times that;
     ``eigvalsh`` adds a backward error of order n eps ||Z|| <= n^2 eps
     ``size``; b.y adds m eps |b|.|y|.  The allowance is
-    4 eps (n^2 size + m |b|.|y|).  Z must be finite.
+    4 eps (n^2 size + m |b|.|y|).  Z must be finite.  If LAPACK does not
+    converge on the stack, each Z is redone alone, and one that fails again
+    gets a NaN bound, so no program's bound depends on its stack.
     """
     n, m = z.shape[-1], y.shape[-1]
     allowance = rounding_allowance(n, n * size) + rounding_allowance(m, np.abs(y) @ np.abs(b))
-    return -(y @ b + np.linalg.eigvalsh(z)[:, 0] - allowance)
+    try:
+        least = np.linalg.eigvalsh(z)[:, 0]
+    except np.linalg.LinAlgError:
+        least = np.full(len(z), np.nan)
+        for k, one in enumerate(z):
+            try:
+                least[k] = np.linalg.eigvalsh(one)[0]
+            except np.linalg.LinAlgError:
+                pass
+    return -(y @ b + least - allowance)
 
 
 # A program that diverges overflows to inf and NaN; the finiteness and
@@ -298,7 +311,8 @@ def solve_stacked(family, c, groups=None, floors=None):
     (X, y, S, infos) with X, S of shape (K, n, n), y of shape (K, m) and one
     `IpmInfo` per program.  A program stops as ``optimal`` at relative gap
     ``GAP_TOL`` and residuals ``FEAS_TOL``, and as ``numerical_failure`` on
-    a stall, an overflow or ``MAX_ITER`` iterations.  With ``groups``, each
+    a stall, an overflow, ``MAX_ITER`` iterations or a ceiling whose
+    eigenvalues LAPACK cannot compute.  With ``groups``, each
     info carries the program's ceiling at its last iterate, and a program
     stops as ``pruned`` once its ceiling falls below its group's floor f by
     more than GAP_TOL (1 + |f|).  The other programs take the same steps, to
@@ -370,6 +384,11 @@ def solve_stacked(family, c, groups=None, floors=None):
             bound[finite] = _dual_bound(
                 b, yr[finite], sr[finite] + rd[finite],
                 2.0 * scale_cr[finite] + _entry_size(sr[finite]) + rd_size[finite])
+            # a program without a bound ends here, optimal or not
+            lost = np.isnan(bound)
+            optimal &= ~lost
+            failed |= lost
+            done = optimal | failed
             group = groups[run]
             feasible = finite & (prim_res <= FEAS_TOL)
             np.maximum.at(floors, group[feasible], pobj[feasible])

@@ -21,9 +21,16 @@ and positive definite start from `constraint_family`.  The sign programs
 share every constraint, so the constraints are built once per dims
 (`sign_family`), and the programs of one evaluation, or of many evaluations
 over the same dims (`evaluate_pairs`, which the mixture sweep uses), are
-solved together in stacked interior-point runs of at most ``MAX_STACK``
-programs.  The two constant sign patterns are never solved: trace
-preservation pins their value to +-(lam - mu).
+solved together in stacked interior-point runs.  Each run holds as many
+programs as its working set allows: its length times `stack_footprint`
+stays within ``STACK_BYTES``, and a run holds at least one program
+(`stack_runs`).  Programs that take several runs go in descending order
+of a cheap ceiling (`_pinned_ceilings`) within each pair, so that the
+likely winner's value prunes the runs after it.  The objectives of all
+pairs come from one stack of output populations (`_populations`) in one
+contraction (`_signed_objectives`).
+The two constant sign patterns are never solved: trace preservation pins
+their value to +-(lam - mu).
 
 Programs related by a symmetry of the channel's outputs are solved once.
 If T_{pi(n)} = V^dag T_n V, with T_n[a, b] = <n| theta(|a><b|) |n>, for an
@@ -62,9 +69,11 @@ SUPPORT_THRESHOLD = 1e-9
 # Feasibility tolerance of a winning X, and of the channel extracted from it
 EXTRACTION_ATOL = 1e-6
 MAX_SIGN_DIMENSION = 20
-# Programs per stacked interior-point run.  Longer stacks are split, which
-# bounds a run's memory; a 4-outcome channel's 14 programs stay one stack.
-MAX_STACK = 64
+# Working-set bytes of one stacked interior-point run.  A longer stack is
+# split (`stack_runs`): the programs of the 204-point qubit sweep take two
+# runs, a 4-outcome channel's 14 programs one, and from six levels on each
+# program runs alone.
+STACK_BYTES = 5 * 2**19
 # Widest bracket [lower_bound, upper_bound] a report may carry
 BRACKET_TOL = 1e-7
 # An output symmetry is accepted within this deviation, relative to the
@@ -185,22 +194,46 @@ def solve_sdp(functionals, objective):
 # Families of programs sharing their constraints
 # ---------------------------------------------------------------------------
 
+def stack_footprint(n, m):
+    """Working-set bytes of one program in a stacked interior-point run over
+    n x n blocks with m constraint rows: twenty complex n x n and five real
+    m x m arrays, plus 3 KiB of small ones.
+
+    Fitted to the tracemalloc peak of `solve_stacked`, which grows linearly
+    in the stack length: within 11% of the measured slope for the sign
+    programs from n = 4, m = 5 (9.2 KiB) to n = 64, m = 449 (9.4 MiB), and
+    for the creation side's MIO steps at n = 4 and 9.
+    """
+    return 3072 + 320 * n * n + 40 * m * m
+
+
+def stack_runs(count, n, m):
+    """Consecutive slices that split ``count`` programs over n x n blocks with
+    m rows into the fewest runs whose working set, length times
+    `stack_footprint`, fits ``STACK_BYTES``; the runs' lengths differ by at
+    most one, and each holds at least one program."""
+    most = max(1, STACK_BYTES // stack_footprint(n, m))
+    parts = -(-count // most)
+    edges = [count * i // max(parts, 1) for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def solve_family(family, objectives, groups=None, floors=None):
     """Maximize ``Re tr(C_k X)`` over a family for a stack of Hermitian C_k.
 
     Returns ``(maximizers, infos)``, of shape (K, n, n) and one `IpmInfo`
     per program.  The programs go through consecutive `solve_stacked` runs
-    of at most ``MAX_STACK`` programs, so the memory of a run stays bounded
-    whatever the stack length.  With ``groups`` (one label per program, an
-    index into ``floors``, the best value known per group), programs that
-    cannot win their group are pruned, and a group's floor carries over
-    from run to run.  Raises `SolverFailure` when any program ends neither
-    optimal nor pruned, so no value of a failed stack is ever returned.
+    (`stack_runs`), so the working set of a run stays within
+    ``STACK_BYTES`` whatever the stack length.  With ``groups`` (one label
+    per program, an index into ``floors``, the best value known per group),
+    programs that cannot win their group are pruned, and a group's floor
+    carries over from run to run.  Raises `SolverFailure` when any program
+    ends neither optimal nor pruned, so no value of a failed stack is ever
+    returned.
     """
     floors = None if groups is None else np.array(floors, dtype=float)
     xs, infos = [], []
-    for lo in range(0, len(objectives), MAX_STACK):
-        run = slice(lo, lo + MAX_STACK)
+    for run in stack_runs(len(objectives), family.constraints.n, family.constraints.m):
         x, _, _, run_infos = solve_stacked(
             family, objectives[run], groups=groups if groups is None else groups[run],
             floors=floors)
@@ -268,17 +301,25 @@ def _populations(thetas):
     return np.ascontiguousarray(np.swapaxes(chois[:, idx, :, idx, :], 0, 1))
 
 
+def _signed_objectives(pops, weights, signs):
+    """O[p, k], the Hermitian objective of the program for sign row k of pair
+    p: the pair's signed output populations (a `_populations` stack), weighted
+    by its game's W (``weights``, one matrix per pair).  One contraction for
+    every pair; each pair's objectives are those it has alone, to the bit."""
+    t_mats = np.moveaxis(np.moveaxis(pops, 1, -1) @ signs.T, -1, 1)
+    pairs, rows, db = t_mats.shape[:3]
+    n = weights.shape[-1] * db
+    objectives = np.conj(np.einsum("pij,pkab->pkiajb", weights, t_mats))
+    return la.hermitian_part(objectives.reshape(pairs, rows, n, n))
+
+
 def _sign_objectives(theta, cfg, signs):
-    """Stack of the Hermitian objectives of the programs for ``signs``: the
-    signed output populations, weighted by the game's W."""
-    da, db = cfg.dim, theta.dim_in
+    """Stack of the Hermitian objectives of one pair's programs for ``signs``:
+    `_signed_objectives` for a single pair."""
     signs = np.asarray(signs, dtype=float)
     if signs.shape[-1] != theta.dim_out:
         raise DimensionMismatch("sign vector length must equal the output dimension")
-    t_mats = np.moveaxis(np.moveaxis(_populations([theta])[0], 0, -1) @ signs.T, -1, 0)
-    n = da * db
-    objectives = np.conj(np.einsum("ij,kab->kiajb", cfg.signal_weights, t_mats)).reshape(-1, n, n)
-    return la.hermitian_part(objectives)
+    return _signed_objectives(_populations([theta]), cfg.signal_weights[None], signs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -518,23 +559,31 @@ class SignEvaluation:
     x_opt: np.ndarray  # the winning program's maximizer
 
 
-def _pair_orbits(pairs, n_signs):
+def _pair_orbits(pops, n_signs):
     """Orbit representatives (P, 2^N) of the sign patterns of each pair, and
-    for each pair with a symmetry the phases of `_sign_orbits`.
+    for each pair with a symmetry the phases of `_sign_orbits`, from the
+    pairs' `_populations` stack.
 
     One stacked `_candidate_images` test covers every pair; a pair whose
     outputs each match only themselves keeps the trivial group without
     further work.
     """
-    pops = _populations([theta for theta, _ in pairs])
     match = _candidate_images(pops)
-    orbit = np.tile(np.arange(n_signs), (len(pairs), 1))
+    orbit = np.tile(np.arange(n_signs), (len(pops), 1))
     phases = {}
     for p in np.flatnonzero((match & ~np.eye(match.shape[-1], dtype=bool)).any(axis=(1, 2))):
         gens = _output_symmetries(pops[p], match[p])
         if gens:
             orbit[p], phases[int(p)] = _sign_orbits(pops.shape[1], pops.shape[-1], gens)
     return orbit, phases
+
+
+def _pinned_ceilings(objectives, da, db):
+    """lambda_max of each objective without the entries (i b, j b), i != j,
+    that every feasible X of `sign_family` pins to zero: a ceiling on the
+    program's value, since tr X = 1 and X >= 0."""
+    pinned = np.kron(1 - np.eye(da), np.eye(db)).astype(bool)
+    return np.linalg.eigvalsh(np.where(pinned, 0.0, objectives))[:, -1]
 
 
 def evaluate_pairs(pairs):
@@ -549,6 +598,10 @@ def evaluate_pairs(pairs):
     to +-(lam - mu) by trace preservation.  The other patterns are
     transferred (`SignEvaluation`); a representative precedes its orbit and
     ties go to the lowest pattern, so the winner is always a solved program.
+    When the programs take more than one run (`stack_runs`), a program is
+    pruned only below what its pair reached in this and earlier runs, so
+    each pair's programs go in descending order of their `_pinned_ceilings`,
+    which puts the likely winner first; no value depends on the order.
     Returns ``(signs, evaluations)``, all 2^N patterns and one
     `SignEvaluation` per pair.  Raises `SolverFailure` when any program
     fails or any pair's improvement is negative, so no value of such a
@@ -565,28 +618,36 @@ def evaluate_pairs(pairs):
     ((da, db, dim_out),) = dims
 
     signs = enumerate_sign_vectors(dim_out, full=True)
-    per_sign = np.array([[(cfg.lam - cfg.mu) * s[0] for s in signs] for _, cfg in pairs])
+    sign_rows = np.array(signs, dtype=float)
+    per_sign = np.array([cfg.lam - cfg.mu for _, cfg in pairs])[:, None] * sign_rows[:, 0]
     ceiling = per_sign.copy()
     status = np.full(per_sign.shape, "exact", dtype=object)
-    orbit, phases = _pair_orbits(pairs, len(signs))
+    pops = _populations([theta for theta, _ in pairs])
+    orbit, phases = _pair_orbits(pops, len(signs))
     # patterns 0 and 2^N - 1 are the constant ones
     non_constant = np.arange(1, len(signs) - 1)
-    sign_rows = np.array(signs, dtype=float)[non_constant]
-    objectives = [_sign_objectives(theta, cfg, sign_rows) for theta, cfg in pairs]
+    objectives = _signed_objectives(pops, np.array([cfg.signal_weights for _, cfg in pairs]),
+                                    sign_rows[non_constant])
     is_rep = orbit[:, non_constant] == non_constant
     # per pair with a symmetry: its transferred patterns and their defects
     transfers = {}
     for p, v in phases.items():
         moved = non_constant[~is_rep[p]]
-        rep_objectives = objectives[p][orbit[p, moved] - 1]
+        rep_objectives = objectives[p, orbit[p, moved] - 1]
         # U O_rep U^dag, U = I_A (x) diag(v), has entry (i a, j b) times v_a conj(v_b)
         u = np.tile(v[moved], da)
         transported = u[:, :, None] * rep_objectives * np.conj(u[:, None, :])
-        transfers[p] = moved, np.linalg.norm(objectives[p][moved - 1] - transported, axis=(1, 2))
-        objectives[p] = objectives[p][is_rep[p]]
+        transfers[p] = moved, np.linalg.norm(objectives[p, moved - 1] - transported, axis=(1, 2))
     rows, cols = np.nonzero(is_rep)
+    family = sign_family(da, db)
+    if len(stack_runs(len(rows), family.constraints.n, family.constraints.m)) > 1:
+        try:
+            order = np.lexsort((-_pinned_ceilings(objectives[rows, cols], da, db), rows))
+        except np.linalg.LinAlgError:  # the order only speeds up pruning
+            order = np.arange(len(rows))
+        rows, cols = rows[order], cols[order]
     solved = non_constant[cols]
-    xs, infos = solve_family(sign_family(da, db), np.concatenate(objectives), rows,
+    xs, infos = solve_family(family, objectives[rows, cols], rows,
                              [cfg.prior_gap for _, cfg in pairs])
     status[rows, solved] = [info.status for info in infos]
     ceiling[rows, solved] = [info.bound for info in infos]

@@ -410,11 +410,14 @@ def monte_carlo_game(theta, phi_pre, rho, povm, cfg, trials, rng_seed):
 def mixture_sweep(lambdas, p1_values, phi):
     """Pre-processed improvement of Hadamard mixtures over a parameter grid.
 
-    Every weight and prior is checked before any SDP is solved.  The sign
-    programs of all grid points are then solved together, in stacks of at
-    most ``sdp.MAX_STACK`` programs, with the same checks as
-    `sdp.preprocessed_improvement`: if any program fails or any point comes
-    out negative, `SolverFailure` is raised and no row is returned.
+    Every weight and prior is checked before any SDP is solved.  Each
+    mixture's channel and each prior's game are built once and shared by
+    their grid points.  The sign programs of all grid points are then
+    solved together through `sdp.evaluate_pairs`, in stacked runs sized by
+    their working set (``sdp.STACK_BYTES``; the documented 204-point grid
+    takes two), with the same checks as `sdp.preprocessed_improvement`: if
+    any program fails or any point comes out negative, `SolverFailure` is
+    raised and no row is returned.
 
     Returns rows (lam, p1, improvement) in grid order (priors outer),
     CSV-ready; an empty grid gives no rows.
@@ -423,7 +426,8 @@ def mixture_sweep(lambdas, p1_values, phi):
     if not all(0.0 <= p1 <= 1.0 for p1 in p1_values):
         raise ValidationError("mixture weights must lie in [0, 1]")
     phi = np.asarray(phi, dtype=float)
-    grid = [(float(lam), p1) for lam in lambdas for p1 in p1_values]
-    pairs = [(ch.hadamard_mixture(p1), ms.GameConfig(lam, phi)) for lam, p1 in grid]
-    _, evaluations = sdpmod.evaluate_pairs(pairs)
+    games = [ms.GameConfig(float(lam), phi) for lam in lambdas]
+    mixtures = [ch.hadamard_mixture(p1) for p1 in p1_values]
+    _, evaluations = sdpmod.evaluate_pairs([(theta, cfg) for cfg in games for theta in mixtures])
+    grid = [(cfg.lam, p1) for cfg in games for p1 in p1_values]
     return [(lam, p1, ev.improvement) for (lam, p1), ev in zip(grid, evaluations)]

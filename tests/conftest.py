@@ -6,10 +6,15 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dyncoh import sdp
+from dyncoh import ipm, sdp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture
@@ -19,16 +24,65 @@ def rng():
 
 @pytest.fixture
 def nan_at_fifth_pair(monkeypatch):
-    """Make the sign objectives of the fifth evaluated (channel, game) pair NaN."""
-    calls = []
-    original = sdp._sign_objectives
+    """Make the sign objectives of the fifth evaluated (channel, game) pair NaN.
 
-    def corrupted(theta, cfg, signs):
-        calls.append(None)
-        out = original(theta, cfg, signs)
-        return out * np.nan if len(calls) == 5 else out
+    Pairs are counted across calls of the stacked objectives, one per row
+    of each call's output."""
+    seen = []
+    original = sdp._signed_objectives
 
-    monkeypatch.setattr(sdp, "_sign_objectives", corrupted)
+    def corrupted(pops, weights, signs):
+        out = original(pops, weights, signs)
+        fifth = 4 - len(seen)
+        seen.extend(range(len(out)))
+        if 0 <= fifth < len(out):
+            out[fifth] = np.nan
+        return out
+
+    monkeypatch.setattr(sdp, "_signed_objectives", corrupted)
+
+
+@pytest.fixture
+def failing_third_bound(monkeypatch):
+    """Make LAPACK's ``eigvalsh`` fail in the third `ipm._dual_bound` call
+    after the returned function is called with ``alone``: on the stack, and
+    on each matrix redone alone whose position is in ``alone`` (every one
+    for None)."""
+    state = {"armed": False, "failing": False, "bounds": 0, "solo": 0, "alone": None}
+    bound, eigvalsh = ipm._dual_bound, np.linalg.eigvalsh
+
+    def counting(*args):
+        state["bounds"] += 1
+        state["failing"] = state["armed"] and state["bounds"] == 3
+        try:
+            return bound(*args)
+        finally:
+            state["failing"] = False
+
+    def failing(a, *args, **kwargs):
+        if state["failing"]:
+            solo = a.ndim == 2
+            k = state["solo"]
+            state["solo"] += solo
+            if not solo or state["alone"] is None or k in state["alone"]:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, **kwargs)
+
+    def arm(alone):
+        state.update(armed=True, bounds=0, solo=0, alone=alone)
+
+    monkeypatch.setattr(ipm, "_dual_bound", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    return arm
+
+
+def perfbench_module(name):
+    """A module of the benchmark harness, loaded from its file: the harness
+    is a directory of scripts, not a package on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def full_sign_enumeration(theta, cfg):

@@ -176,6 +176,18 @@ def test_measure_pre_solver_fault_exit_code(fault, monkeypatch, capsys):
     assert ("wider" in error["error"]) == (fault == "wide_bracket")
 
 
+def test_measure_pre_eigensolver_failure_exit_code(failing_third_bound, capsys):
+    # LAPACK fails on the third ceilings of a qft:3 evaluation, on the stack
+    # and on every program alone: solver trouble, so exit 3 and one JSON line
+    failing_third_bound(None)
+    code, out, err = run_cli(["measure-pre", "--channel", "qft:3"], capsys)
+    assert code == 3
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 3 and error["status"] == "numerical_failure"
+
+
 @pytest.mark.parametrize("args", [
     ["measure-pre", "--channel", "qft:3", "--lambda", "0.7", "--phi", "2.0,0,1.0",
      "--seed", "3"],

@@ -12,7 +12,7 @@ from dyncoh import search
 from dyncoh.errors import SolverFailure, ValidationError
 from dyncoh.kernels import real_vectors
 
-from conftest import full_sign_enumeration
+from conftest import full_sign_enumeration, perfbench_module
 
 
 def cfg_half():
@@ -340,18 +340,139 @@ def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
                             signs)
         for _ in range(18)
     ])
-    assert len(objectives) > sd.MAX_STACK
+    # a budget of 30 programs splits the 72 into three runs of 24
+    monkeypatch.setattr(sd, "STACK_BYTES", 30 * sd.stack_footprint(4, 5) + 1)
     xs, infos = sd.solve_family(family, objectives[:0])
     assert infos == [] and xs.shape == (0, 4, 4)
     runs = _capture_stacked(monkeypatch)
     xs, got = sd.solve_family(family, objectives)
-    assert [len(infos) for infos in runs] == [sd.MAX_STACK, len(objectives) - sd.MAX_STACK]
+    assert [len(infos) for infos in runs] == [24, 24, 24]
     assert xs.shape == objectives.shape
     for k, info in enumerate(info for infos in runs for info in infos):
         _, _, _, solo = ipm.solve_real_sdp(family, objectives[k])
         assert solo.status == info.status == "optimal"
         assert got[k].primal_objective == pytest.approx(solo.primal_objective, abs=1e-7)
         assert info.iterations == solo.iterations
+
+
+def test_stack_runs_fit_the_budget_at_eight_levels(monkeypatch):
+    # computed without solving: at d = 8 (n = 64, m = 449) one program's
+    # working set exceeds the budget, so each of the 254 programs runs
+    # alone; under any budget the split is the fewest runs of near-equal
+    # length with K x footprint <= budget, or K = 1
+    n, m = 64, 1 + 8 * 7 * 8
+    footprint = sd.stack_footprint(n, m)
+    assert footprint > sd.STACK_BYTES
+    assert [run.stop - run.start for run in sd.stack_runs(254, n, m)] == [1] * 254
+    for budget in (1, footprint, 3 * footprint - 1, 40 * footprint, 10**12):
+        monkeypatch.setattr(sd, "STACK_BYTES", budget)
+        runs = sd.stack_runs(254, n, m)
+        lengths = [run.stop - run.start for run in runs]
+        assert runs[0].start == 0 and runs[-1].stop == 254
+        assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+        assert min(lengths) >= 1 and max(lengths) - min(lengths) <= 1
+        assert all(k * footprint <= budget or k == 1 for k in lengths)
+        assert len(runs) == -(-254 // max(1, budget // footprint))
+        assert sd.stack_runs(0, n, m) == []
+
+
+@pytest.mark.parametrize("d, sizes", [(2, (8, 24)), (4, (2, 8))])
+def test_stack_footprint_is_the_measured_working_set_per_program(d, sizes, rng):
+    # the tracemalloc peak of a stacked run grows linearly in its length,
+    # and `stack_footprint` states the slope within 20%
+    tracemalloc = pytest.importorskip("tracemalloc")
+    family = sd.sign_family(d, d)
+    signs = sd.enumerate_sign_vectors(d, full=True)[1:-1]
+    objectives = np.concatenate([
+        sd._sign_objectives(ch.random_channel(d, d, rng), ms.GameConfig(0.5, rng.uniform(0, 6, d)),
+                            signs) for _ in range(-(-max(sizes) // len(signs)))])
+    peaks = []
+    for k in sizes:
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        ipm.solve_stacked(family, objectives[:k], np.arange(k), np.full(k, -np.inf))
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.stop()
+    slope = (peaks[1] - peaks[0]) / (sizes[1] - sizes[0])
+    n, m = family.constraints.n, family.constraints.m
+    assert 0.8 <= sd.stack_footprint(n, m) / slope <= 1.2
+
+
+def test_the_benchmark_pools_keep_the_stacks_of_a_64_program_cap(monkeypatch):
+    # the byte budget moves no stack of the detection and creation pools:
+    # every family call takes the consecutive runs of at most 64 programs
+    # that the earlier program-count cap gave it, and every output checks
+    workloads = perfbench_module("workloads")
+    reference = workloads.load_reference()
+    calls, stacks = [], []
+    family_call, stacked_call = sd.solve_family, sd.solve_stacked
+
+    def family(fam, objectives, *args, **kwargs):
+        calls.append((len(objectives), len(stacks)))
+        return family_call(fam, objectives, *args, **kwargs)
+
+    def stacked(fam, c, **kwargs):
+        stacks.append(len(c))
+        return stacked_call(fam, c, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_family", family)
+    monkeypatch.setattr(sd, "solve_stacked", stacked)
+    pools = [reference[name] for name in ("detect_n16", "create_qubit")]
+    for name, pool in zip(("detect_n16", "create_qubit"), pools):
+        for case in pool["cases"]:
+            for call in workloads.WORKLOADS[name].calls(case, pool["values"][case["id"]]):
+                workloads.attempt(call)  # raises on a wrong output
+    assert len(calls) >= sum(len(pool["cases"]) for pool in pools)
+    ends = [first for _, first in calls[1:]] + [len(stacks)]
+    for (count, first), end in zip(calls, ends):
+        assert stacks[first:end] == [min(64, count - lo) for lo in range(0, count, 64)]
+
+
+def test_programs_of_several_runs_go_likely_winner_first(rng, monkeypatch):
+    # with one program per run, a pair's programs go in descending order of
+    # their pinned ceilings, each of which bounds its program's value; the
+    # evaluation equals the one-run evaluation to the bit
+    theta = ch.random_channel(4, 4, rng)
+    cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 4))
+    _, (one_run,) = sd.evaluate_pairs([(theta, cfg)])
+    signs = sd.enumerate_sign_vectors(4, full=True)[1:-1]
+    objectives = sd._sign_objectives(theta, cfg, signs)
+    ceilings = sd._pinned_ceilings(objectives, 4, 4)
+    _, exact = full_sign_enumeration(theta, cfg)
+    assert (ceilings >= np.array(exact[1:-1])).all()
+    runs = []
+    original = sd.solve_stacked
+
+    def recording(family, c, **kwargs):
+        runs.append(c)
+        return original(family, c, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_stacked", recording)
+    monkeypatch.setattr(sd, "STACK_BYTES", 1)
+    _, (ev,) = sd.evaluate_pairs([(theta, cfg)])
+    assert [len(c) for c in runs] == [1] * 14
+    order = [next(k for k, o in enumerate(objectives) if np.array_equal(o, c[0])) for c in runs]
+    assert order == sorted(range(14), key=lambda k: -ceilings[k])
+    assert (ev.winner, ev.improvement) == (one_run.winner, one_run.improvement)
+    assert ev.x_opt.tobytes() == one_run.x_opt.tobytes()
+
+
+def test_stacked_objectives_equal_the_per_pair_ones_bit_for_bit(rng):
+    # one contraction over every pair gives each pair the objectives it has
+    # alone, and those are its signed populations weighted by W
+    pairs = [(ch.random_channel(3, 4, rng),
+              ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2)))
+             for _ in range(5)]
+    signs = np.array(sd.enumerate_sign_vectors(4, full=True), dtype=float)
+    stacked = sd._signed_objectives(sd._populations([theta for theta, _ in pairs]),
+                                    np.array([cfg.signal_weights for _, cfg in pairs]), signs)
+    assert stacked.shape == (5, 16, 6, 6)
+    for (theta, cfg), objectives in zip(pairs, stacked):
+        assert objectives.tobytes() == sd._sign_objectives(theta, cfg, signs).tobytes()
+        t = sd._populations([theta])[0]
+        for s, o in zip(signs, objectives):
+            expected = np.conj(np.kron(cfg.signal_weights, np.tensordot(s, t, 1)))
+            assert la.max_abs(o - expected) <= 1e-15
 
 
 def test_single_objective_is_a_stack_of_one(rng):
@@ -460,6 +581,29 @@ def test_random_channels_evaluate_within_the_bracket(d, key, lam):
     assert 0.0 <= rep.upper_bound - rep.lower_bound <= sd.BRACKET_TOL
 
 
+# Opt-in (`pytest -m slow`): the census carried to d = 5...7, where
+# `sd.stack_runs` gives runs of at most four programs, and from d = 6 on one.
+LARGER_CENSUS = [(d, key) for d in (5, 6) for key in range(4)] + [(7, 0), (7, 1)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("d, key", LARGER_CENSUS)
+def test_larger_random_channels_evaluate_within_the_bracket(d, key, lam):
+    theta = ch.random_channel(d, d, np.random.default_rng(key))
+    rep = sd.preprocessed_improvement(theta, ms.GameConfig(lam, 2.0 * np.pi * np.arange(d) / d))
+    assert 0.0 <= rep.upper_bound - rep.lower_bound <= sd.BRACKET_TOL
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+def test_the_reach_channel_random_7_1_evaluates_within_the_bracket(lam):
+    # random:7:1 of the benchmark's channel specs
+    theta = perfbench_module("workloads").make_channel("random:7:1")
+    rep = sd.preprocessed_improvement(theta, ms.GameConfig(lam, 2.0 * np.pi * np.arange(7) / 7))
+    assert 0.0 <= rep.upper_bound - rep.lower_bound <= sd.BRACKET_TOL
+
+
 def test_ties_prune_nothing():
     # on qft:3 every non-constant sign program has the same value, so no
     # ceiling falls below the best floor; the cyclic shift leaves two
@@ -494,8 +638,7 @@ def _populations_stack(theta):
 def _orbits(theta):
     """Each sign pattern's orbit representative, and the phases that carry
     the representative's objective onto it (None without a symmetry)."""
-    orbit, phases = sd._pair_orbits([(theta, ms.GameConfig(0.5, np.zeros(theta.dim_in)))],
-                                    2 ** theta.dim_out)
+    orbit, phases = sd._pair_orbits(sd._populations([theta]), 2 ** theta.dim_out)
     return orbit[0], phases.get(0)
 
 
@@ -515,7 +658,8 @@ def test_one_program_is_solved_per_orbit(theta, programs, monkeypatch):
     rep = sd.preprocessed_improvement(theta, ms.GameConfig(0.5, 2.0 * np.pi * np.arange(d) / d))
     solved = [k for k, s in enumerate(rep.sign_vectors)
               if len(set(s)) > 1 and rep.per_sign_orbit[k] == k]
-    assert len(runs) == 1 and len(runs[0]) == len(solved) == programs
+    # qft:5's programs take two runs (`sd.stack_runs`)
+    assert sum(len(run) for run in runs) == len(solved) == programs
     assert all(rep.per_sign_orbit[r] == r for r in rep.per_sign_orbit)
     assert all(rep.per_sign_orbit[k] <= k for k in range(len(rep.sign_vectors)))
     # the winner, which gives X and the extracted pair, was solved
@@ -737,6 +881,31 @@ def test_sweep_points_without_symmetry_keep_their_values_bit_for_bit(monkeypatch
     assert all(row[2] == ref for row, ref in kept)
     for row, ref in zip(rows, reference):
         assert row[2] == pytest.approx(ref, abs=1e-9)
+
+
+def test_a_dual_bound_eigensolver_failure_stays_with_its_program(rng, failing_third_bound):
+    # LAPACK fails on the stack of the third ceilings: each program is redone
+    # alone, and only one that fails again ends, as numerical_failure at that
+    # iteration; the others keep the bits of an unforced run
+    family = sd.sign_family(2, 2)
+    c = np.concatenate([sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
+                        for _ in range(3)])
+
+    def solve():
+        return ipm.solve_stacked(family, c, np.arange(3), np.full(3, -np.inf))
+
+    reference = solve()
+    assert all(info.status == "optimal" and info.iterations > 3 for info in reference[3])
+    for alone in (set(), {1}):
+        failing_third_bound(alone)
+        got = solve()
+        for k in range(3):
+            if k in alone:
+                assert (got[3][k].status, got[3][k].iterations) == ("numerical_failure", 3)
+                continue
+            assert got[3][k] == reference[3][k]
+            for part, before in zip(got[:3], reference[:3]):
+                assert part[k].tobytes() == before[k].tobytes()
 
 
 def test_schur_jitter_stays_with_its_program(rng):

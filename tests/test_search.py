@@ -577,8 +577,11 @@ def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
         return original(family, c, **kwargs)
 
     monkeypatch.setattr(sd, "solve_stacked", recording)
+    # a budget of 20 programs splits the 66 solved programs into four runs
+    budget = 20 * sd.stack_footprint(4, 5)
+    monkeypatch.setattr(sd, "STACK_BYTES", budget)
     rows = se.mixture_sweep(lambdas, p1_grid, PHI)
-    assert len(runs) >= 2 and max(runs) <= sd.MAX_STACK
+    assert len(runs) >= 2 and max(runs) * sd.stack_footprint(4, 5) <= budget
     assert [(lam, p1) for lam, p1, _ in rows] == [(lam, p1) for lam in lambdas
                                                   for p1 in p1_grid]
     for lam, p1, value in rows:
@@ -590,7 +593,33 @@ def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
         assert value == pytest.approx(expected, abs=1e-9)
 
 
-def test_mixture_sweep_raises_on_a_failed_grid_point(nan_at_fifth_pair):
+def test_the_documented_sweep_matches_per_pair_evaluation_bit_for_bit(monkeypatch):
+    # the README's 204-point grid takes two stacked runs of 202 programs,
+    # and every row is the improvement of its pair evaluated alone, to the bit
+    lambdas, p1s, phi = (0.5, 0.6, 0.75, 0.9), np.linspace(0.0, 1.0, 51), PHI
+    runs = []
+    original = sd.solve_stacked
+
+    def recording(family, c, **kwargs):
+        runs.append(len(c))
+        return original(family, c, **kwargs)
+
+    monkeypatch.setattr(sd, "solve_stacked", recording)
+    rows = se.mixture_sweep(lambdas, p1s, phi)
+    assert runs == [202, 202]
+    monkeypatch.undo()
+    assert len(rows) == 204
+    for lam, p1, value in rows:
+        _, (ev,) = sd.evaluate_pairs([(ch.hadamard_mixture(p1), ms.GameConfig(lam, phi))])
+        assert value == ev.improvement
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+def test_mixture_sweep_raises_on_a_failed_grid_point(runs, nan_at_fifth_pair, monkeypatch):
+    # in one run, or in three, whose programs are ordered by ceilings that
+    # the NaN objectives leave LAPACK unable to compute
+    monkeypatch.setattr(sd, "STACK_BYTES", sd.STACK_BYTES if runs == 1
+                        else 8 * sd.stack_footprint(4, 5))
     with pytest.raises(SolverFailure) as err:
         se.mixture_sweep([0.5, 0.9], np.linspace(0.0, 1.0, 6), PHI)
     assert err.value.status == "numerical_failure"

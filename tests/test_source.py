@@ -1,11 +1,15 @@
 import ast
-import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import dyncoh
 from dyncoh import ipm, sdp
+
+from conftest import perfbench_module
 
 SOURCES = sorted(Path(dyncoh.__file__).parent.glob("*.py"))
 
@@ -58,10 +62,7 @@ def test_the_solvers_take_no_settings():
 def test_every_benchmark_entry_point_resolves():
     # the benchmark wraps these names in spans, and a traced run exits 1
     # when one is missing; the span table is read, not changed
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = perfbench_module("spans")
     found = spans._resolve(spans.ENTRY_POINTS)  # raises MissingEntryPoints by name
     assert sorted(found) == sorted(spans.ENTRY_POINTS)
     assert all(callable(original) for _, _, original in found.values())
@@ -81,3 +82,24 @@ def test_one_map_type_and_one_game_multiplier():
         if path in SOURCES and path.stem not in ("channels", "verify"):
             found += [f"{path.name}: {name}" for name in phase_channel.findall(text)]
     assert found == []
+
+
+def test_an_evaluation_imports_neither_scipy_nor_numpy_ma():
+    # the benchmark's set-up time counts every import: after `import dyncoh`
+    # and one qft:4 evaluation, neither scipy nor numpy.ma is loaded
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "import dyncoh",
+        "from dyncoh import channels, measures, sdp",
+        "sdp.preprocessed_improvement(channels.qft(4),",
+        "                             measures.GameConfig(0.5, np.pi * np.arange(4) / 2))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'",
+        "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+    ])
+    src = str(Path(dyncoh.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"

@@ -18,7 +18,10 @@ advance in lockstep so that each round's MIO steps are solved in one
 stacked interior-point run over the shared `_mio_family` constraints, and
 their solutions pass one stacked CPTP test.  A Helstrom step weights the
 output pair's difference by W, and its observable enters the MIO step
-weighted by conj(W), the adjoint.  The game simulation applies the phases
+weighted by conj(W), the adjoint.  A chain whose sign observable is +-I
+stops without its MIO step: trace preservation pins that step's objective
+to +-(lam - mu) on every MIO channel, as it pins the detection side's two
+constant sign patterns.  The game simulation applies the phases
 as the multiplier e^{i(phi_i - phi_j)} (`_game_outputs`).
 """
 
@@ -290,14 +293,24 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     the Choi matrix of the free post-processing with the observable fixed
     (MIO step), until a round raises its value v by no more than
     ``STOP_GAIN`` (1 + |v|), above the noise of the MIO steps' solver
-    tolerance, for at most ``budget.refinement_iterations`` rounds.
+    tolerance, for at most ``budget.refinement_iterations`` rounds.  The
+    last round takes no MIO step: no round would evaluate it.
+
+    A chain also stops when its observable P is uniform, +-I, under the
+    ``w >= 0`` rule that forms it.  Then ||W o tau||_1 = |tr(W o tau)| =
+    |lam - mu|, the least any chain holds, and the MIO objective
+    (conj(W) o P) (x) conj(sigma) is +-(lam - mu) I (x) conj(sigma).  Every
+    trace-preserving Choi matrix J has tr_C J = I, so tr(J (I (x)
+    conj(sigma))) = tr sigma = 1: the objective is the constant
+    +-(lam - mu) on the MIO set, and the step is never solved.
+
     Every iterate is a feasible strategy, so the value is a true lower
     bound, and each step is a restricted maximization, so a chain's value
     never falls.  The chains advance in lockstep: a round's Helstrom steps
-    are one stacked eigendecomposition and the MIO steps of the chains still
-    improving one `solve_family` call, which raises `SolverFailure` if any
-    of them fails.  A solved Choi matrix that is not CPTP within 1e-6 is
-    solver trouble too, and raises `SolverFailure` ("numerical_failure").
+    are one stacked eigendecomposition and the MIO steps of the chains
+    still running one `solve_family` call, which raises `SolverFailure` if
+    any of them fails.  A solved Choi matrix that is not CPTP within 1e-6
+    is solver trouble too, and raises `SolverFailure` ("numerical_failure").
     Exact evaluation is out of scope.
     """
     if not isinstance(theta, ch.Channel):
@@ -313,7 +326,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     choi = np.stack([post.choi for _ in inputs for post in starts])
     value = np.full(len(choi), -np.inf)
     active = np.arange(len(choi))
-    for _ in range(budget.refinement_iterations):
+    for round_ in range(1, budget.refinement_iterations + 1):
         posts = choi[active].reshape(-1, dim_c, dim_b, dim_c, dim_b)
         tau = np.einsum("pkilj,pij->pkl", posts, sigma[active])
         diff = cfg.signal_weights * tau
@@ -321,11 +334,14 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         new_value = np.abs(w).sum(axis=-1)
         improved = new_value - value[active] > STOP_GAIN * (1.0 + np.abs(new_value))
         value[active] = np.maximum(value[active], new_value)
-        active, w, v = active[improved], w[improved], v[improved]
-        if not active.size:
+        # sign observable: +1 on the nonnegative eigenspace, -1 on the rest;
+        # a uniform one is +-I, whose MIO step is vacuous
+        signs = np.where(w >= 0.0, 1.0, -1.0)
+        keep = improved & (signs != signs[:, :1]).any(axis=-1)
+        active, v, signs = active[keep], v[keep], signs[keep]
+        if not active.size or round_ == budget.refinement_iterations:
             break
-        # sign observable: +1 on the nonnegative eigenspace, -1 on the rest
-        p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)[:, None, :]) @ la.dagger(v)
+        p_obs = (v * signs[:, None, :]) @ la.dagger(v)
         q = np.conj(cfg.signal_weights) * p_obs  # the adjoint of the difference map
         # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)) over the Choi matrix J of Psi
         objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))

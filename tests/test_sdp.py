@@ -908,6 +908,55 @@ def test_a_dual_bound_eigensolver_failure_stays_with_its_program(rng, failing_th
                 assert part[k].tobytes() == before[k].tobytes()
 
 
+@pytest.mark.parametrize("where, lapack", [("_scaled_frame", "cholesky"),
+                                           ("_max_step", "eigvalsh")])
+def test_a_step_factorization_failure_stays_with_its_program(rng, monkeypatch, where, lapack):
+    # LAPACK fails inside `where` in the third iteration's step of the stack:
+    # the step is redone one program at a time (`_step_each`), and only a
+    # program whose own factorization fails again takes a zero step and ends
+    # as numerical_failure there; the others keep the bits of their solo solves
+    family = sd.sign_family(2, 2)
+    c = np.concatenate([sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
+                        for _ in range(3)])
+    solo = [ipm.solve_real_sdp(family, one) for one in c]
+    assert all(info.status == "optimal" and info.iterations > 3 for *_, info in solo)
+    step, inner, factor = ipm._step, getattr(ipm, where), getattr(np.linalg, lapack)
+    state = {"steps": 0, "inside": False, "failing": (), "raised": 0}
+
+    def counting_step(*args):
+        state["steps"] += 1
+        return step(*args)
+
+    def marked(*args):
+        state["inside"] = True
+        try:
+            return inner(*args)
+        finally:
+            state["inside"] = False
+
+    def failing(a, *args, **kwargs):
+        # step 3 is the stack's, steps 4 to 6 those of its programs alone
+        if state["inside"] and state["steps"] in state["failing"]:
+            state["raised"] += 1
+            raise np.linalg.LinAlgError(f"{lapack} failed")
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(ipm, "_step", counting_step)
+    monkeypatch.setattr(ipm, where, marked)
+    monkeypatch.setattr(np.linalg, lapack, failing)
+    for alone in (set(), {1}):
+        state.update(steps=0, failing={3} | {4 + k for k in alone}, raised=0)
+        x, y, s, infos = ipm.solve_stacked(family, c)
+        assert state["raised"] == 1 + len(alone) and state["steps"] > 6
+        for k, (x1, y1, s1, info) in enumerate(solo):
+            if k in alone:
+                assert (infos[k].status, infos[k].iterations) == ("numerical_failure", 3)
+                continue
+            assert infos[k] == info
+            for part, one in zip((x, y, s), (x1, y1, s1)):
+                assert part[k].tobytes() == one.tobytes()
+
+
 def test_schur_jitter_stays_with_its_program(rng):
     family = sd.sign_family(2, 2)
 

@@ -318,9 +318,11 @@ def test_postprocessed_hadamard_is_analytic_at_every_prior(lam):
                                   abs=1e-8)
 
 
-def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
+def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8, stop_uniform=True):
     """The alternating bound chain after chain, one MIO-step SDP per solve.
 
+    A chain stops on a gain within the noise of the MIO steps' tolerance, at
+    the last round, and with ``stop_uniform`` on a sign observable of +-I.
     Returns the value and, per chain (inputs outer, starts inner), the number
     of MIO steps the chain took.
     """
@@ -335,7 +337,7 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
         sigma = ch.apply(theta, la.basis_proj(theta.dim_in, i))
         for post in inits:
             value, n = -np.inf, 0
-            for _ in range(budget.refinement_iterations):
+            for round_ in range(1, budget.refinement_iterations + 1):
                 tau = ch.apply(post, sigma)
                 # the rounds weight by W and conj(W) as the package does, and
                 # the channel algebra checks each weighted step
@@ -348,12 +350,21 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8):
                     value = max(value, new_value)
                     break
                 value = new_value
-                p_obs = (v * np.where(w >= 0.0, 1.0, -1.0)) @ v.conj().T
+                signs = np.where(w >= 0.0, 1.0, -1.0)
+                if stop_uniform and abs(signs.sum()) == len(signs):
+                    assert value == pytest.approx(cfg.prior_gap, abs=1e-12)
+                    break
+                if round_ == budget.refinement_iterations:
+                    break
+                p_obs = (v * signs) @ v.conj().T
                 q = np.conj(cfg.signal_weights) * p_obs
                 assert la.max_abs(q - cfg.lam * p_obs
                                   + cfg.mu * ch.apply(phase_adj, p_obs)) <= 1e-14
-                choi, _ = sd.solve_family(family,
-                                          la.hermitian_part(np.kron(q, np.conj(sigma)))[None])
+                # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)), contracted in the
+                # package's order: a Kronecker product rounds otherwise
+                objective = np.einsum("ac,bd->abcd", q, np.conj(sigma)).reshape(len(q) * dim_b, -1)
+                assert la.max_abs(objective - np.kron(q, np.conj(sigma))) <= 1e-15
+                choi, _ = sd.solve_family(family, la.hermitian_part(objective)[None])
                 post = ch.channel_from_choi(choi[0], dim_b, dim_c, atol=1e-6)
                 n += 1
             best = max(best, value)
@@ -395,14 +406,92 @@ def _record_mio_runs(monkeypatch, corrupt=None):
 
 
 def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
-    theta, cfg = _creation_cases()[0]  # chains take 1 to 8 MIO steps
+    theta, cfg = _creation_cases()[0]  # chains take 0 to 8 MIO steps
     _, steps = _alternate_reference(theta, cfg)
     runs = _record_mio_runs(monkeypatch)
     se.postprocessed_improvement_lower(theta, cfg)
     # a round's run holds exactly the chains whose value rose in that round
-    assert runs[0] == len(steps) == 18
+    # with a non-uniform observable: 6 of the 18 in the first
+    assert len(steps) == 18 and runs[0] == 6
     assert runs == [sum(n > r for n in steps) for r in range(max(steps))]
     assert len(runs) <= se.SearchBudget().refinement_iterations
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_a_uniform_observable_has_one_value_on_every_channel(dims, rng):
+    # with P = +-I the MIO objective (conj(W) o P) (x) conj(sigma) is
+    # +-(lam - mu) I (x) conj(sigma): every trace-preserving Choi matrix J,
+    # MIO or not, has tr_C J = I and so gives it the value +-(lam - mu)
+    dim_b, dim_c = dims
+    cfg = ms.GameConfig(0.3, rng.uniform(0, 2 * np.pi, dim_c))
+    sigma = ch.apply(ch.random_channel(2, dim_b, rng), la.basis_proj(2, 0))
+    posts = ch.random_free_channels("mio", dim_b, dim_c, rng, 8)
+    posts += [ch.random_channel(dim_b, dim_c, rng) for _ in range(4)]
+    for sign in (1.0, -1.0):
+        q = np.conj(cfg.signal_weights) * (sign * np.eye(dim_c))
+        objective = np.kron(q, np.conj(sigma))
+        values = [np.trace(post.choi @ objective) for post in posts]
+        assert values == pytest.approx([sign * (cfg.lam - cfg.mu)] * len(posts), abs=1e-14)
+
+
+def test_postprocessed_chains_with_a_uniform_observable_reach_no_mio_step(monkeypatch):
+    theta, cfg = _creation_cases()[0]
+    _, steps = _alternate_reference(theta, cfg)
+    _, unstopped = _alternate_reference(theta, cfg, stop_uniform=False)
+    assert sum(steps) == sum(unstopped) - 12  # twelve chains hold +-I in round 1
+    objectives = []
+    original = sd.solve_family
+
+    def recording(family, c, *args, **kwargs):
+        objectives.extend(c)
+        return original(family, c, *args, **kwargs)
+
+    monkeypatch.setattr(se.sdpmod, "solve_family", recording)
+    se.postprocessed_improvement_lower(theta, cfg)
+    assert len(objectives) == sum(steps)
+    eye = np.eye(2)
+    for objective in objectives:
+        # tr sigma = 1, so the trace over the input side leaves conj(W) o P
+        p_obs = np.einsum("abcb->ac", objective.reshape(2, 2, 2, 2)) / np.conj(cfg.signal_weights)
+        assert min(la.max_abs(p_obs - eye), la.max_abs(p_obs + eye)) > 0.1
+
+
+def _uniform_stop_cases(count):
+    """Random channels over the dims (d_in, d_out, d_c) of the creation side,
+    each at a random prior and random phases."""
+    rng = np.random.default_rng(24)
+    dims = [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2, 3), (2, 2, 3)]
+    return [(ch.random_channel(d_in, d_out, rng),
+             ms.GameConfig(float(rng.choice([0.2, 0.35, 0.5, 0.65, 0.8])),
+                           rng.uniform(0, 2 * np.pi, d_c)))
+            for d_in, d_out, d_c in (dims[k % len(dims)] for k in range(count))]
+
+
+# a handful of cases by default, the census of 40 with -m slow
+@pytest.mark.parametrize("case", [*range(5), *(pytest.param(k, marks=pytest.mark.slow)
+                                               for k in range(5, 40))])
+def test_postprocessed_matches_the_reference_without_the_uniform_stop(case):
+    theta, cfg = _uniform_stop_cases(40)[case]
+    reference, _ = _alternate_reference(theta, cfg, stop_uniform=False)
+    assert se.postprocessed_improvement_lower(theta, cfg) == pytest.approx(reference, abs=1e-12)
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_postprocessed_takes_no_mio_step_in_its_last_round(rounds, rng, monkeypatch):
+    # no round evaluates the last round's MIO step, so none is solved, and a
+    # failure there cannot raise
+    theta = ch.random_channel(2, 2, rng)
+    budget = se.SearchBudget(refinement_iterations=rounds)
+    reference, steps = _alternate_reference(theta, cfg_half(), budget)
+    assert max(steps) == rounds - 1
+    runs = _record_mio_runs(monkeypatch, corrupt=0)  # the first MIO step fails
+    if rounds == 1:
+        value = se.postprocessed_improvement_lower(theta, cfg_half(), budget)
+        assert value == pytest.approx(reference, abs=1e-12)
+    else:
+        with pytest.raises(SolverFailure):
+            se.postprocessed_improvement_lower(theta, cfg_half(), budget)
+    assert runs == [sum(n > 0 for n in steps)] * (rounds - 1)
 
 
 def test_postprocessed_chains_stop_at_the_same_round_under_a_last_bit_change(monkeypatch):

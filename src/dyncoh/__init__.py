@@ -16,7 +16,6 @@ from .sdp import (
 )
 from .search import (
     GameTranscript,
-    SearchBudget,
     brute_force_game_value,
     monte_carlo_game,
     no_preprocessing_improvement,
@@ -31,7 +30,6 @@ __all__ = [
     "GameTranscript",
     "IncoherentPovm",
     "MeasureReport",
-    "SearchBudget",
     "SolverFailure",
     "ValidationError",
     "brute_force_game_value",

@@ -48,6 +48,8 @@ from .errors import DimensionMismatch, ValidationError
 FLAG_ATOL = 1e-9
 MEMBERSHIP_ATOL = 1e-8
 KRAUS_TRUNCATION = 1e-10
+# Largest entry of U^dag U - 1 that `unitary_channel` accepts.
+UNITARY_ATOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,10 +107,10 @@ def channel_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
 # Representation conversions
 # ---------------------------------------------------------------------------
 
-def from_kraus(kraus_ops, atol=FLAG_ATOL):
+def from_kraus(kraus_ops):
     """Build a Channel from a complete Kraus set.
 
-    Completeness sum_n K_n^dag K_n = 1 is enforced within ``atol``.
+    Completeness sum_n K_n^dag K_n = 1 is enforced within ``FLAG_ATOL``.
     """
     ops = [np.asarray(k, dtype=complex) for k in kraus_ops]
     if not ops:
@@ -117,35 +119,35 @@ def from_kraus(kraus_ops, atol=FLAG_ATOL):
     for k in ops:
         if k.shape != (dim_out, dim_in):
             raise DimensionMismatch("Kraus operators must share one shape")
-    return Channel(dim_in, dim_out, _kraus_chois(np.stack(ops), atol))
+    return Channel(dim_in, dim_out, _kraus_chois(np.stack(ops)))
 
 
-def _kraus_chois(ks, atol=FLAG_ATOL):
+def _kraus_chois(ks):
     """Choi matrices V^T conj(V) of Kraus sets ``ks[..., n, out, in]``, with
     row n of V the vectorized K_n; every set must be complete within
-    max(atol, 1e-9)."""
+    ``FLAG_ATOL``."""
     # huge entries overflow the sum to inf or NaN, which the check rejects
     with np.errstate(over="ignore", invalid="ignore"):
         comp = np.einsum("...nki,...nkj->...ij", ks.conj(), ks)
         dev = la.max_abs(comp - np.eye(ks.shape[-1]))
-    if not dev <= max(atol, 1e-9):
+    if not dev <= FLAG_ATOL:
         raise ValidationError(f"incomplete Kraus set: ||sum K^dag K - 1||_max = {dev:.3e}")
     v = ks.reshape(*ks.shape[:-2], -1)
     return np.swapaxes(v, -1, -2) @ v.conj()
 
 
-def to_kraus(m, truncation=KRAUS_TRUNCATION):
+def to_kraus(m):
     """Kraus operators from the Choi eigendecomposition.
 
-    Eigenvalues below ``truncation`` are dropped as numerical zeros; genuinely
-    negative eigenvalues signal a non-CP map and raise.
+    Eigenvalues below ``KRAUS_TRUNCATION`` are dropped as numerical zeros;
+    genuinely negative eigenvalues signal a non-CP map and raise.
     """
     w, v = la.eig_hermitian(m.choi, atol=1e-8)
     if w.min() < -1e-8:
         raise ValidationError(f"map is not completely positive (min Choi eig {w.min():.3e})")
     ops = []
     for i in range(len(w)):
-        if w[i] > truncation:
+        if w[i] > KRAUS_TRUNCATION:
             ops.append(np.sqrt(w[i]) * v[:, i].reshape(m.dim_out, m.dim_in))
     return ops
 
@@ -228,11 +230,11 @@ def dephasing(dim):
     return from_kraus([la.basis_proj(dim, i) for i in range(dim)])
 
 
-def unitary_channel(u, atol=1e-10):
+def unitary_channel(u):
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise DimensionMismatch("unitary must be square")
-    if la.max_abs(la.dagger(u) @ u - np.eye(u.shape[0])) > atol:
+    if la.max_abs(la.dagger(u) @ u - np.eye(u.shape[0])) > UNITARY_ATOL:
         raise ValidationError("matrix is not unitary within tolerance")
     return from_kraus([u])
 
@@ -253,6 +255,8 @@ def hadamard():
 
 def qft(dim):
     """Discrete Fourier transform channel; qft(2) is the Hadamard."""
+    if dim < 1:
+        raise ValidationError("dim must be >= 1")
     j = np.arange(dim)
     f = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
     return unitary_channel(f)

@@ -37,6 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
+    """The resolved run configuration, embedded in every JSON report; its
+    defaults are the command-line defaults.  An empty ``format`` is the
+    command's own: CSV for ``sweep``, JSON otherwise."""
+
     command: str
     channel_uri: str = ""
     lam: float = 0.5
@@ -44,12 +48,13 @@ class RunConfig:
     tol: float = 1e-8
     seed: int = 0
     output_path: str = ""
-    format: str = "json"
+    format: str = ""
     lambdas: list = field(default_factory=list)
     p1_steps: int = 51
     trials: int = 100000
 
     def __post_init__(self):
+        self.format = self.format or ("csv" if self.command == "sweep" else "json")
         if not 0.0 <= self.lam <= 1.0:
             raise ValidationError("lambda must lie in [0, 1]")
         if not (np.isfinite(self.tol) and self.tol > 0.0):
@@ -120,7 +125,7 @@ def _cmd_measure_pre(cfg):
 def _cmd_measure_post(cfg):
     theta = _resolve_channel(cfg.channel_uri)
     game = ms.GameConfig(cfg.lam, np.asarray(cfg.phi))
-    value = se.postprocessed_improvement_lower(theta, game, se.SearchBudget(rng_seed=cfg.seed))
+    value = se.postprocessed_improvement_lower(theta, game, cfg.seed)
     return {
         "value": value,
         "lower_bound": True,
@@ -208,27 +213,28 @@ def run(cfg):
 
 
 def _build_parser():
+    """The flags of each command, named as the `RunConfig` fields they set.
+    A flag that is not given is absent from the parsed namespace, so its
+    default is the field's."""
     parser = _Parser(prog="dyncoh", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--channel", default="", help="file path or built-in URI")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5)
-        p.add_argument("--phi", default="2.0943951023931953,0",
-                       help="comma-separated phases in radians")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", dest="output_path", default="")
-        p.add_argument("--format", default="csv" if name == "sweep" else "json",
-                       choices=("json", "csv"))
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--channel", dest="channel_uri", metavar="CHANNEL",
+                       help="file path or built-in URI")
+        p.add_argument("--lambda", dest="lam", type=float)
+        p.add_argument("--phi", type=_parse_reals, help="comma-separated phases in radians")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--out", dest="output_path")
+        p.add_argument("--format", choices=("json", "csv"))
         if name == "classify":
-            p.add_argument("--tol", type=float, default=1e-8,
-                           help="membership tolerance of the class tests")
+            p.add_argument("--tol", type=float, help="membership tolerance of the class tests")
         if name == "sweep":
-            p.add_argument("--lambdas", default="", help="comma-separated priors")
-            p.add_argument("--p1-steps", dest="p1_steps", type=int, default=51)
+            p.add_argument("--lambdas", type=_parse_reals, help="comma-separated priors")
+            p.add_argument("--p1-steps", dest="p1_steps", type=int)
         if name == "game":
-            p.add_argument("--trials", type=int, default=100000)
+            p.add_argument("--trials", type=int)
     return parser
 
 
@@ -236,24 +242,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        kwargs = {
-            "command": ns.command,
-            "channel_uri": ns.channel,
-            "lam": ns.lam,
-            "phi": _parse_reals(ns.phi),
-            "seed": ns.seed,
-            "output_path": ns.output_path,
-            "format": ns.format,
-        }
-        if hasattr(ns, "tol"):
-            kwargs["tol"] = ns.tol
-        if hasattr(ns, "lambdas"):
-            kwargs["lambdas"] = _parse_reals(ns.lambdas) if ns.lambdas else []
-            kwargs["p1_steps"] = ns.p1_steps
-        if hasattr(ns, "trials"):
-            kwargs["trials"] = ns.trials
-        cfg = RunConfig(**kwargs)
+        cfg = RunConfig(**vars(parser.parse_args(argv)))
     except _ParseError as exc:
         sys.stderr.write(json.dumps({"exit_code": 1, "error": str(exc)}) + "\n")
         return 1

@@ -176,12 +176,18 @@ def real_vectors(a):
 # Pure-state coordinate ascent
 # ---------------------------------------------------------------------------
 
-def pure_state_ascent(r_stack, x0, max_sweeps=60, step0=0.3, min_step=1e-6):
+# The ascent's first coordinate step, and the step below which it stops.
+ASCENT_STEP = 0.3
+ASCENT_MIN_STEP = 1e-6
+
+
+def pure_state_ascent(r_stack, x0, max_sweeps=60):
     """Cyclic coordinate ascent of sum_n |v^dag R_n v| over pure states.
 
     ``x0`` is the real encoding [Re v, Im v] of the start, normalized at
     each evaluation.  Each sweep tries +-step on every coordinate and keeps
-    a move that raises the value; a sweep without one halves the step.
+    a move that raises the value; a sweep without one halves the step, which
+    starts at ``ASCENT_STEP`` and ends the ascent below ``ASCENT_MIN_STEP``.
     Returns (x, value at x).
     """
     r_stack = np.ascontiguousarray(r_stack, dtype=np.complex128)
@@ -198,9 +204,9 @@ def pure_state_ascent(r_stack, x0, max_sweeps=60, step0=0.3, min_step=1e-6):
 
     x = np.array(x0, dtype=np.float64)
     best = objective(x)
-    step = step0
+    step = ASCENT_STEP
     sweeps = 0
-    while step >= min_step and sweeps < max_sweeps:
+    while step >= ASCENT_MIN_STEP and sweeps < max_sweeps:
         sweeps += 1
         improved = False
         for c in range(x.size):

@@ -54,11 +54,6 @@ def _require_hermitian(m, atol, what="matrix"):
     return m
 
 
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def partial_trace(m, dims, keep):
     """Trace out one factor of a bipartite operator, or of each of a stack.
 
@@ -113,12 +108,6 @@ def trace_norm_hermitian(m, atol=HERMITICITY_ATOL):
 # States
 # ---------------------------------------------------------------------------
 
-def basis_ket(dim, i):
-    v = np.zeros(dim, dtype=complex)
-    v[i] = 1.0
-    return v
-
-
 def basis_proj(dim, i):
     p = np.zeros((dim, dim), dtype=complex)
     p[i, i] = 1.0
@@ -145,18 +134,8 @@ def random_pure_state(dim, rng):
     return pure_state(random_state_vector(dim, rng))
 
 
-def random_density_matrix(dim, rng, rank=None):
-    """Random mixed state: GG^dag normalized, G Ginibre of width ``rank``."""
-    rank = dim if rank is None else rank
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density_matrix(dim, rng):
+    """Random full-rank mixed state: GG^dag normalized, G a square Ginibre matrix."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
-
-
-def is_density_matrix(rho, atol=1e-9):
-    """PSD within ``atol`` and unit trace within ``atol``."""
-    rho = np.asarray(rho, dtype=complex)
-    if not is_hermitian(rho, atol):
-        return False
-    w = np.linalg.eigvalsh(hermitian_part(rho))
-    return w.min() >= -atol and abs(np.trace(rho).real - 1.0) <= atol

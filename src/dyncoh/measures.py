@@ -71,10 +71,6 @@ class GameConfig:
         """|lam - mu|, the best bias obtainable from the prior alone (x2)."""
         return abs(self.lam - self.mu)
 
-    def has_nontrivial_phases(self, atol=1e-12):
-        """True if at least two phase components differ."""
-        return bool(np.ptp(self.phi) > atol)
-
 
 @dataclass(frozen=True)
 class IncoherentPovm:
@@ -127,13 +123,18 @@ def game_value(theta, pre, rho, cfg):
     return la.trace_norm_hermitian(dephased, atol=1e-8)
 
 
-def helstrom_norm(cfg, sigma0, sigma1):
-    """``|| lam * sigma0 - mu * sigma1 ||_1``: twice the optimal unrestricted bias."""
+def _weighted_difference(cfg, sigma0, sigma1):
+    """lam sigma0 - mu sigma1, for two states of one shape."""
     sigma0 = np.asarray(sigma0, dtype=complex)
     sigma1 = np.asarray(sigma1, dtype=complex)
     if sigma0.shape != sigma1.shape:
         raise DimensionMismatch("states must share dimensions")
-    return la.trace_norm_hermitian(cfg.lam * sigma0 - cfg.mu * sigma1, atol=1e-8)
+    return cfg.lam * sigma0 - cfg.mu * sigma1
+
+
+def helstrom_norm(cfg, sigma0, sigma1):
+    """``|| lam * sigma0 - mu * sigma1 ||_1``: twice the optimal unrestricted bias."""
+    return la.trace_norm_hermitian(_weighted_difference(cfg, sigma0, sigma1), atol=1e-8)
 
 
 def trivial_bias(cfg):
@@ -143,11 +144,7 @@ def trivial_bias(cfg):
 
 def measurement_bias(cfg, sigma0, sigma1):
     """Best advantage achievable with incoherent measurements."""
-    sigma0 = np.asarray(sigma0, dtype=complex)
-    sigma1 = np.asarray(sigma1, dtype=complex)
-    if sigma0.shape != sigma1.shape:
-        raise DimensionMismatch("states must share dimensions")
-    d = np.diagonal(cfg.lam * sigma0 - cfg.mu * sigma1).real
+    d = np.diagonal(_weighted_difference(cfg, sigma0, sigma1)).real
     return 0.5 * float(np.sum(np.abs(d)))
 
 
@@ -158,11 +155,7 @@ def optimal_incoherent_povm(cfg, sigma0, sigma1):
     (ties at zero go to outcome 0, i.e. the guess "not applied"), outcome 1
     the rest.  Labels: outcome 0 -> guess "not applied", 1 -> "applied".
     """
-    sigma0 = np.asarray(sigma0, dtype=complex)
-    sigma1 = np.asarray(sigma1, dtype=complex)
-    if sigma0.shape != sigma1.shape:
-        raise DimensionMismatch("states must share dimensions")
-    d = np.diagonal(cfg.lam * sigma0 - cfg.mu * sigma1).real
+    d = np.diagonal(_weighted_difference(cfg, sigma0, sigma1)).real
     p0 = np.diag((d >= 0.0).astype(complex))
     p1 = np.eye(len(d), dtype=complex) - p0
     return IncoherentPovm((p0, p1))

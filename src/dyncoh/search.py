@@ -23,6 +23,12 @@ stops without its MIO step: trace preservation pins that step's objective
 to +-(lam - mu) on every MIO channel, as it pins the detection side's two
 constant sign patterns.  The game simulation applies the phases
 as the multiplier e^{i(phi_i - phi_j)} (`_game_outputs`).
+
+Both searches take one setting, ``rng_seed``.  Their effort is fixed by the
+module constants: ``PERMUTATION_DRAWS`` and ``RANDOM_PRE_DRAWS`` sampled
+pre-processings on the detection side, and on the creation side chains from
+the identity and ``MIO_RESTARTS`` random MIO channels, of at most
+``MAX_ROUNDS`` rounds each.
 """
 
 import functools
@@ -45,19 +51,11 @@ from .ipm import GAP_TOL
 STOP_GAIN = 10 * GAP_TOL
 # Permutation channels among the candidate pre-processings of a square pair.
 PERMUTATION_DRAWS = 8
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Sampling effort knobs; all counts must be >= 1."""
-
-    random_samples: int = 2000
-    refinement_iterations: int = 60
-    rng_seed: int = 7
-
-    def __post_init__(self):
-        if min(self.random_samples, self.refinement_iterations) < 1:
-            raise ValidationError("budget counts must be >= 1")
+# Random detection-incoherent pre-processings `brute_force_game_value` samples.
+RANDOM_PRE_DRAWS = 5
+# Rounds of one creation chain, and random MIO starts beside the identity.
+MAX_ROUNDS = 60
+MIO_RESTARTS = 8
 
 
 @dataclass
@@ -186,22 +184,21 @@ def _pre_candidates(dim_a, dim_b, rng, n_random):
     return cands + ch.random_free_channels("di", dim_a, dim_b, rng, n_random)
 
 
-def brute_force_game_value(theta, cfg, budget=SearchBudget()):
+def brute_force_game_value(theta, cfg, rng_seed=7):
     """Sampled lower bound on the optimized game trace norm.
 
     Pre-processings are sampled from the free generator families (identity,
-    permutation and permutation-phase unitaries including pair swaps, random
-    dephasing-composed channels; ``max(2, random_samples // 400)`` random
-    draws).  For each candidate the best input state is found exactly by
-    `sign_eigen_maximum`, so only the pre-processing is sampled and the
-    result never exceeds the exact optimum.  For a fixed ``rng_seed`` more
-    samples extend the candidate list, so the value never falls.
+    permutation and permutation-phase unitaries including pair swaps, and
+    ``RANDOM_PRE_DRAWS`` random dephasing-composed channels), drawn from
+    ``rng_seed``.  For each candidate the best input state is found exactly
+    by `sign_eigen_maximum`, so only the pre-processing is sampled and the
+    result never exceeds the exact optimum.  For a fixed seed more random
+    draws extend the candidate list, so the value never falls with them.
     """
     if not isinstance(theta, ch.Channel):
         raise ValidationError("brute force requires a CPTP channel")
-    rng = np.random.default_rng(budget.rng_seed)
-    n_random_pre = max(2, budget.random_samples // 400)
-    pres = _pre_candidates(cfg.dim, theta.dim_in, rng, n_random_pre)
+    rng = np.random.default_rng(rng_seed)
+    pres = _pre_candidates(cfg.dim, theta.dim_in, rng, RANDOM_PRE_DRAWS)
     return float(sign_eigen_maximum(_response_stacks(theta, pres, cfg)).max())
 
 
@@ -276,25 +273,27 @@ def _mio_starts(dim_b, dim_c, rng_seed, restarts):
 
     The identity (or a classical embedding) first, then ``restarts`` draws of
     `random_mio` from ``rng_seed``, so more restarts extend the same tuple.
-    Cached and shared: the channels are frozen and their Choi arrays
-    read-only.
+    ``restarts`` is part of the cache key, so a caller that changes
+    ``MIO_RESTARTS`` never reads a stale entry.  Cached and shared: the
+    channels are frozen and their Choi arrays read-only.
     """
     rng = np.random.default_rng(rng_seed)
     first = ch.identity_channel(dim_b) if dim_b == dim_c else _classical_embed(dim_b, dim_c)
     return (first,) + tuple(ch.random_free_channels("mio", dim_b, dim_c, rng, restarts))
 
 
-def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=8):
+def postprocessed_improvement_lower(theta, cfg, rng_seed=7):
     """Certified lower bound on the post-processed improvement.
 
-    One chain runs per incoherent basis input and starting post-processing
-    (`_mio_starts`).  Its rounds alternate between the optimal sign
-    observable for the current output pair (Helstrom step) and an SDP over
-    the Choi matrix of the free post-processing with the observable fixed
-    (MIO step), until a round raises its value v by no more than
-    ``STOP_GAIN`` (1 + |v|), above the noise of the MIO steps' solver
-    tolerance, for at most ``budget.refinement_iterations`` rounds.  The
-    last round takes no MIO step: no round would evaluate it.
+    One chain runs per incoherent basis input and starting post-processing:
+    the identity (or a classical embedding) and ``MIO_RESTARTS`` random MIO
+    channels drawn from ``rng_seed`` (`_mio_starts`).  Its rounds alternate
+    between the optimal sign observable for the current output pair
+    (Helstrom step) and an SDP over the Choi matrix of the free
+    post-processing with the observable fixed (MIO step), until a round
+    raises its value v by no more than ``STOP_GAIN`` (1 + |v|), above the
+    noise of the MIO steps' solver tolerance, for at most ``MAX_ROUNDS``
+    rounds.  The last round takes no MIO step: no round would evaluate it.
 
     A chain also stops when its observable P is uniform, +-I, under the
     ``w >= 0`` rule that forms it.  Then ||W o tau||_1 = |tr(W o tau)| =
@@ -318,7 +317,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     dim_b = theta.dim_out
     dim_c = cfg.dim
     family = _mio_family(dim_b, dim_c)
-    starts = _mio_starts(dim_b, dim_c, budget.rng_seed, restarts)
+    starts = _mio_starts(dim_b, dim_c, rng_seed, MIO_RESTARTS)
 
     # one chain per (incoherent input, start): its input and current Choi matrix
     inputs = [ch.apply(theta, la.basis_proj(theta.dim_in, i)) for i in range(theta.dim_in)]
@@ -326,7 +325,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
     choi = np.stack([post.choi for _ in inputs for post in starts])
     value = np.full(len(choi), -np.inf)
     active = np.arange(len(choi))
-    for round_ in range(1, budget.refinement_iterations + 1):
+    for round_ in range(1, MAX_ROUNDS + 1):
         posts = choi[active].reshape(-1, dim_c, dim_b, dim_c, dim_b)
         tau = np.einsum("pkilj,pij->pkl", posts, sigma[active])
         diff = cfg.signal_weights * tau
@@ -339,7 +338,7 @@ def postprocessed_improvement_lower(theta, cfg, budget=SearchBudget(), restarts=
         signs = np.where(w >= 0.0, 1.0, -1.0)
         keep = improved & (signs != signs[:, :1]).any(axis=-1)
         active, v, signs = active[keep], v[keep], signs[keep]
-        if not active.size or round_ == budget.refinement_iterations:
+        if not active.size or round_ == MAX_ROUNDS:
             break
         p_obs = (v * signs[:, None, :]) @ la.dagger(v)
         q = np.conj(cfg.signal_weights) * p_obs  # the adjoint of the difference map

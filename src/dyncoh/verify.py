@@ -156,12 +156,11 @@ def _check_di_nullity(rng):
 
 
 def _check_mio_nullity(rng):
-    budget = se.SearchBudget(refinement_iterations=30, rng_seed=11)
     worst = 0.0
     for k in range(50):
         theta = ch.random_mio(2, 2, rng)
         cfg = ms.GameConfig(NULLITY_PRIORS[k % 4], PHI)
-        val = se.postprocessed_improvement_lower(theta, cfg, budget, restarts=2)
+        val = se.postprocessed_improvement_lower(theta, cfg, rng_seed=11)
         worst = max(worst, abs(val))
     return worst <= 1e-6, f"max |lower bound| {worst:.2e} over 50 free channels"
 
@@ -197,8 +196,7 @@ def _check_pincer(rng):
     # of its own arithmetic, and the sampling comes within 5e-3 of it
     thetas = [ch.random_channel(2, 2, rng) for _ in range(20)]
     evaluations = _evaluate([(theta, HALF) for theta in thetas])
-    gaps = [ev.upper_bound - se.brute_force_game_value(
-                theta, HALF, se.SearchBudget(random_samples=10000, rng_seed=k))
+    gaps = [ev.upper_bound - se.brute_force_game_value(theta, HALF, rng_seed=k)
             for k, (theta, ev) in enumerate(zip(thetas, evaluations))]
     lo, hi = min(gaps), max(gaps)
     top = max(ev.upper_bound for ev in evaluations)
@@ -220,9 +218,7 @@ def _check_counterexample(rng):
 
 
 def _check_post_hadamard(rng):
-    val = se.postprocessed_improvement_lower(
-        ch.hadamard(), HALF, se.SearchBudget(rng_seed=5), restarts=8
-    )
+    val = se.postprocessed_improvement_lower(ch.hadamard(), HALF, rng_seed=5)
     return SQRT3_HALF - 1e-4 <= val <= SQRT3_HALF + 1e-6, f"lower bound {val:.10f}"
 
 

@@ -178,8 +178,8 @@ def test_tensor_factorizes_on_products(rng):
     rho = la.random_density_matrix(2, rng)
     sigma = la.random_density_matrix(3, rng)
     t = ch.tensor(theta, ch.identity_channel(3))
-    lhs = ch.apply(t, la.kron(rho, sigma))
-    rhs = la.kron(ch.apply(theta, rho), sigma)
+    lhs = ch.apply(t, np.kron(rho, sigma))
+    rhs = np.kron(ch.apply(theta, rho), sigma)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -297,7 +297,7 @@ def test_swap_channel_exchanges_factors(rng):
     rho = la.random_density_matrix(2, rng)
     sigma = la.random_density_matrix(2, rng)
     swap = ch.swap_channel(2, 2)
-    assert np.allclose(ch.apply(swap, la.kron(rho, sigma)), la.kron(sigma, rho), atol=1e-11)
+    assert np.allclose(ch.apply(swap, np.kron(rho, sigma)), np.kron(sigma, rho), atol=1e-11)
     assert ch.is_detection_incoherent(swap)
     assert ch.is_mio(swap)
 

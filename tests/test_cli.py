@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -304,9 +305,17 @@ def test_non_finite_channel_file_exit_code(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
-def test_unknown_channel_exit_code(capsys):
-    code, _, err = run_cli(["classify", "--channel", "warpdrive"], capsys)
+@pytest.mark.parametrize("uri", ["warpdrive", "qft:-1"])
+def test_unknown_channel_exit_code(uri, capsys):
+    # a bad dimension is refused before any arithmetic: no numpy warning
+    # precedes the one JSON error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(["classify", "--channel", uri], capsys)
     assert code == 2
+    assert [str(w.message) for w in caught] == []
+    (line,) = err.splitlines()
+    assert json.loads(line)["exit_code"] == 2
 
 
 def test_rectangular_preprocessing_dims_are_legal(capsys):

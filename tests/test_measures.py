@@ -19,8 +19,6 @@ def test_game_config_validation():
     cfg = ms.GameConfig(0.25, np.array([1.0, 2.0]))
     assert cfg.mu == pytest.approx(0.75)
     assert cfg.lam + cfg.mu == pytest.approx(1.0)
-    assert cfg.has_nontrivial_phases()
-    assert not ms.GameConfig(0.5, np.array([1.0, 1.0])).has_nontrivial_phases()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

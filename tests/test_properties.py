@@ -49,7 +49,7 @@ def test_the_bracket_is_ordered_and_narrow(pair):
 def test_the_sampled_floor_stays_under_the_ceiling(pair):
     theta, cfg = pair
     rep = sd.preprocessed_improvement(theta, cfg)
-    floor = se.brute_force_game_value(theta, cfg, se.SearchBudget(random_samples=800))
+    floor = se.brute_force_game_value(theta, cfg)
     n = cfg.dim * theta.dim_in
     assert floor <= rep.upper_bound + ipm.rounding_allowance(n, 1.0 + rep.upper_bound)
 

@@ -170,7 +170,7 @@ def feasible_point(pre, populations):
     for i in range(da):
         for j in range(da):
             block = np.sqrt(populations[i] * populations[j]) * ch.apply(
-                pre, np.outer(la.basis_ket(da, i), la.basis_ket(da, j).conj())
+                pre, np.outer(np.eye(da)[i], np.eye(da)[j])
             )
             x[i * db:(i + 1) * db, j * db:(j + 1) * db] = block
     return x

@@ -24,15 +24,6 @@ def cfg_half():
     return ms.GameConfig(0.5, np.array([2.0 * np.pi / 3.0, 0.0]))
 
 
-def small_budget(seed=1):
-    return se.SearchBudget(random_samples=600, refinement_iterations=40, rng_seed=seed)
-
-
-def test_budget_validation():
-    with pytest.raises(ValidationError):
-        se.SearchBudget(random_samples=0)
-
-
 # ---------------------------------------------------------------------------
 # Sampled lower bound for the pre-processed value
 # ---------------------------------------------------------------------------
@@ -41,12 +32,12 @@ def test_brute_force_on_free_channel_gives_prior_gap(rng):
     for lam in (0.3, 0.5, 0.85):
         cfg = ms.GameConfig(lam, np.array([2.0 * np.pi / 3.0, 0.0]))
         theta = ch.random_di(2, 2, rng)
-        val = se.brute_force_game_value(theta, cfg, small_budget())
+        val = se.brute_force_game_value(theta, cfg, rng_seed=1)
         assert val == pytest.approx(cfg.prior_gap, abs=1e-8)
 
 
 def test_brute_force_hadamard_reaches_optimum():
-    val = se.brute_force_game_value(ch.hadamard(), cfg_half(), small_budget())
+    val = se.brute_force_game_value(ch.hadamard(), cfg_half(), rng_seed=1)
     assert val >= SQRT3_HALF - 1e-6
     assert val <= SQRT3_HALF + 1e-9
 
@@ -57,7 +48,7 @@ def test_brute_force_never_beats_sdp(rng):
         lam = float(rng.choice([0.4, 0.5, 0.7]))
         cfg = ms.GameConfig(lam, rng.uniform(0, 2 * np.pi, 2))
         exact = sd.preprocessed_improvement(theta, cfg).trace_norm
-        lower = se.brute_force_game_value(theta, cfg, small_budget(trial))
+        lower = se.brute_force_game_value(theta, cfg, rng_seed=trial)
         assert lower <= exact + 1e-6
 
 
@@ -65,13 +56,13 @@ def test_brute_force_rectangular_dims(rng):
     theta = ch.random_channel(3, 2, rng)
     cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 2))
     exact = sd.preprocessed_improvement(theta, cfg).trace_norm
-    lower = se.brute_force_game_value(theta, cfg, small_budget())
+    lower = se.brute_force_game_value(theta, cfg, rng_seed=1)
     assert lower <= exact + 1e-6
     assert lower >= cfg.prior_gap - 1e-9
 
 
-def test_brute_force_never_falls_with_more_samples(rng):
-    # a fixed seed draws the same candidates first, so more samples only
+def test_brute_force_never_falls_with_more_samples(rng, monkeypatch):
+    # a fixed seed draws the same candidates first, so more random draws only
     # extend the candidate list and the maximum over it cannot fall
     da, db = 2, 3
     short = se._pre_candidates(da, db, np.random.default_rng(4), 2)
@@ -81,9 +72,10 @@ def test_brute_force_never_falls_with_more_samples(rng):
         assert np.array_equal(a.choi, b.choi)
     for theta, cfg in ((ch.random_channel(2, 2, rng), cfg_half()),
                        (ch.random_channel(3, 2, rng), ms.GameConfig(0.6, PHI))):
-        values = [se.brute_force_game_value(theta, cfg, se.SearchBudget(random_samples=n,
-                                                                        rng_seed=4))
-                  for n in (400, 800, 1600, 3200)]
+        values = []
+        for draws in (2, 4, 8):
+            monkeypatch.setattr(se, "RANDOM_PRE_DRAWS", draws)
+            values.append(se.brute_force_game_value(theta, cfg, rng_seed=4))
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
 
@@ -119,10 +111,10 @@ def test_response_stacks_check_every_candidate_dimension(rng):
             se._response_stacks(theta, [ch.identity_channel(2), bad], cfg)
 
 
-def _brute_force_reference(theta, cfg, budget=se.SearchBudget()):
+def _brute_force_reference(theta, cfg, rng_seed=7):
     """`brute_force_game_value` with candidates drawn one at a time in the
     generator order and responses from `_response_reference`."""
-    rng = np.random.default_rng(budget.rng_seed)
+    rng = np.random.default_rng(rng_seed)
     dim_a, dim_b = cfg.dim, theta.dim_in
     if dim_a == dim_b:
         perms = list(itertools.permutations(range(dim_a)))
@@ -141,7 +133,7 @@ def _brute_force_reference(theta, cfg, budget=se.SearchBudget()):
         if dim_a < dim_b:
             pres.insert(0, ch.from_kraus([np.eye(dim_b, dim_a)]))
     pres += [ch.random_di(dim_a, dim_b, rng)
-             for _ in range(max(2, budget.random_samples // 400))]
+             for _ in range(se.RANDOM_PRE_DRAWS)]
     return float(se.sign_eigen_maximum(_response_reference(theta, pres, cfg)).max())
 
 
@@ -285,14 +277,17 @@ def test_counterexample_idle_side_is_exactly_blind(rng):
 # Post-processed lower bound
 # ---------------------------------------------------------------------------
 
-def test_postprocessed_is_monotone_in_iterations():
+def test_postprocessed_is_monotone_in_iterations(monkeypatch):
     # the round cap is honoured as given: on this 2 -> 3 channel with qutrit
     # phases the chains still improve after one and after two rounds
     rng = np.random.default_rng(2)
     theta = ch.random_channel(2, 3, rng)
     cfg = ms.GameConfig(0.5, rng.uniform(0, 2 * np.pi, 3))
-    budgets = [se.SearchBudget(refinement_iterations=k, rng_seed=3) for k in (1, 2, 30)]
-    vals = [se.postprocessed_improvement_lower(theta, cfg, b, restarts=1) for b in budgets]
+    monkeypatch.setattr(se, "MIO_RESTARTS", 1)
+    vals = []
+    for rounds in (1, 2, 30):
+        monkeypatch.setattr(se, "MAX_ROUNDS", rounds)
+        vals.append(se.postprocessed_improvement_lower(theta, cfg, rng_seed=3))
     assert vals[0] + 1e-3 < vals[1]
     assert vals[1] + 1e-3 < vals[2]
 
@@ -307,7 +302,7 @@ def qutrit_embedding():
 def test_postprocessed_qutrit_embedding_dominates_qubit_case(rng):
     # the embedding scores at least the embedded qubit value
     theta, cfg = qutrit_embedding()
-    val = se.postprocessed_improvement_lower(theta, cfg, small_budget(), restarts=4)
+    val = se.postprocessed_improvement_lower(theta, cfg, rng_seed=1)
     assert val >= SQRT3_HALF - 1e-4
 
 
@@ -318,26 +313,27 @@ def test_postprocessed_hadamard_is_analytic_at_every_prior(lam):
                                   abs=1e-8)
 
 
-def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8, stop_uniform=True):
-    """The alternating bound chain after chain, one MIO-step SDP per solve.
+def _alternate_reference(theta, cfg, rng_seed=7, stop_uniform=True):
+    """The alternating bound chain after chain, one MIO-step SDP per solve,
+    at the round cap and the number of starts that `search` holds now.
 
     A chain stops on a gain within the noise of the MIO steps' tolerance, at
     the last round, and with ``stop_uniform`` on a sign observable of +-I.
     Returns the value and, per chain (inputs outer, starts inner), the number
     of MIO steps the chain took.
     """
-    rng = np.random.default_rng(budget.rng_seed)
+    rng = np.random.default_rng(rng_seed)
     dim_b, dim_c = theta.dim_out, cfg.dim
     phase, phase_adj = ch.phase_channel(cfg.phi), ch.phase_channel(-cfg.phi)
     family = se._mio_family(dim_b, dim_c)
     inits = [ch.identity_channel(dim_b) if dim_b == dim_c else se._classical_embed(dim_b, dim_c)]
-    inits.extend(ch.random_mio(dim_b, dim_c, rng) for _ in range(restarts))
+    inits.extend(ch.random_mio(dim_b, dim_c, rng) for _ in range(se.MIO_RESTARTS))
     best, steps = -np.inf, []
     for i in range(theta.dim_in):
         sigma = ch.apply(theta, la.basis_proj(theta.dim_in, i))
         for post in inits:
             value, n = -np.inf, 0
-            for round_ in range(1, budget.refinement_iterations + 1):
+            for round_ in range(1, se.MAX_ROUNDS + 1):
                 tau = ch.apply(post, sigma)
                 # the rounds weight by W and conj(W) as the package does, and
                 # the channel algebra checks each weighted step
@@ -354,7 +350,7 @@ def _alternate_reference(theta, cfg, budget=se.SearchBudget(), restarts=8, stop_
                 if stop_uniform and abs(signs.sum()) == len(signs):
                     assert value == pytest.approx(cfg.prior_gap, abs=1e-12)
                     break
-                if round_ == budget.refinement_iterations:
+                if round_ == se.MAX_ROUNDS:
                     break
                 p_obs = (v * signs) @ v.conj().T
                 q = np.conj(cfg.signal_weights) * p_obs
@@ -414,7 +410,7 @@ def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
     # with a non-uniform observable: 6 of the 18 in the first
     assert len(steps) == 18 and runs[0] == 6
     assert runs == [sum(n > r for n in steps) for r in range(max(steps))]
-    assert len(runs) <= se.SearchBudget().refinement_iterations
+    assert len(runs) <= se.MAX_ROUNDS
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -481,16 +477,16 @@ def test_postprocessed_takes_no_mio_step_in_its_last_round(rounds, rng, monkeypa
     # no round evaluates the last round's MIO step, so none is solved, and a
     # failure there cannot raise
     theta = ch.random_channel(2, 2, rng)
-    budget = se.SearchBudget(refinement_iterations=rounds)
-    reference, steps = _alternate_reference(theta, cfg_half(), budget)
+    monkeypatch.setattr(se, "MAX_ROUNDS", rounds)
+    reference, steps = _alternate_reference(theta, cfg_half())
     assert max(steps) == rounds - 1
     runs = _record_mio_runs(monkeypatch, corrupt=0)  # the first MIO step fails
     if rounds == 1:
-        value = se.postprocessed_improvement_lower(theta, cfg_half(), budget)
+        value = se.postprocessed_improvement_lower(theta, cfg_half())
         assert value == pytest.approx(reference, abs=1e-12)
     else:
         with pytest.raises(SolverFailure):
-            se.postprocessed_improvement_lower(theta, cfg_half(), budget)
+            se.postprocessed_improvement_lower(theta, cfg_half())
     assert runs == [sum(n > 0 for n in steps)] * (rounds - 1)
 
 
@@ -544,7 +540,7 @@ def test_postprocessed_non_cptp_mio_step_is_a_solver_failure(monkeypatch, capsys
     assert json.loads(line)["exit_code"] == 3
 
 
-def test_postprocessed_never_falls_with_more_restarts(rng):
+def test_postprocessed_never_falls_with_more_restarts(rng, monkeypatch):
     # the starts for more restarts extend those for fewer, chain for chain
     short, long = se._mio_starts(2, 2, 3, 2), se._mio_starts(2, 2, 3, 8)
     assert len(short) == 3 and len(long) == 9
@@ -552,14 +548,16 @@ def test_postprocessed_never_falls_with_more_restarts(rng):
         assert np.array_equal(a.choi, b.choi)
     theta = ch.random_channel(2, 2, rng)
     cfg = ms.GameConfig(0.6, PHI)
-    values = [se.postprocessed_improvement_lower(theta, cfg, se.SearchBudget(rng_seed=3),
-                                                 restarts=r) for r in (1, 2, 4, 8)]
+    values = []
+    for restarts in range(1, 9):
+        monkeypatch.setattr(se, "MIO_RESTARTS", restarts)
+        values.append(se.postprocessed_improvement_lower(theta, cfg, rng_seed=3))
     assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
 
 def test_postprocessed_starts_are_cached_and_read_only(rng):
     theta = ch.random_channel(2, 2, rng)
-    values = [se.postprocessed_improvement_lower(theta, cfg_half(), se.SearchBudget(rng_seed=k))
+    values = [se.postprocessed_improvement_lower(theta, cfg_half(), rng_seed=k)
               for k in (5, 7, 5)]
     assert values[0] == values[2]
     starts = se._mio_starts(2, 2, 5, 8)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import dyncoh
 from dyncoh import ipm, sdp
+from dyncoh import search as se
 
 from conftest import perfbench_module
 
@@ -57,6 +58,21 @@ def test_the_solvers_take_no_settings():
     assert list(inspect.signature(sdp.solve_sdp).parameters) == ["functionals", "objective"]
     assert list(inspect.signature(ipm.solve_stacked).parameters) == ["family", "c", "groups",
                                                                     "floors"]
+
+
+def test_the_searches_take_only_a_seed():
+    # the sampled oracle and the creation bound run at fixed effort, the
+    # constants of `search`; the old budget's names survive nowhere
+    for search in (se.brute_force_game_value, se.postprocessed_improvement_lower):
+        params = inspect.signature(search).parameters
+        assert list(params) == ["theta", "cfg", "rng_seed"], search.__name__
+        assert params["rng_seed"].default == 7
+    removed = re.compile(r"\b(SearchBudget|refinement_iterations|random_samples)\b")
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    found = [f"{path.name}: {name}" for path in SOURCES + [readme]
+             for name in removed.findall(path.read_text(encoding="utf-8"))]
+    assert found == []
+    assert "SearchBudget" not in dyncoh.__all__
 
 
 def test_every_benchmark_entry_point_resolves():

@@ -293,6 +293,16 @@ def test_standard_channels():
     assert la.max_abs(ch.qft(2).choi - ch.hadamard().choi) <= 1e-12
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_qft_rejects_a_dimension_below_one(dim):
+    # refused before the square root of dim is taken: no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValidationError):
+            ch.qft(dim)
+    assert [str(w.message) for w in caught] == []
+
+
 def test_swap_channel_exchanges_factors(rng):
     rho = la.random_density_matrix(2, rng)
     sigma = la.random_density_matrix(2, rng)

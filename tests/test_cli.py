@@ -305,17 +305,17 @@ def test_non_finite_channel_file_exit_code(tmp_path, capsys):
     assert json.loads(err)["exit_code"] == 2
 
 
-@pytest.mark.parametrize("uri", ["warpdrive", "qft:-1"])
-def test_unknown_channel_exit_code(uri, capsys):
+def test_unknown_channel_exit_code(capsys):
     # a bad dimension is refused before any arithmetic: no numpy warning
     # precedes the one JSON error line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _, err = run_cli(["classify", "--channel", uri], capsys)
-    assert code == 2
-    assert [str(w.message) for w in caught] == []
-    (line,) = err.splitlines()
-    assert json.loads(line)["exit_code"] == 2
+    for uri in ["warpdrive", "qft:-1"]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(["classify", "--channel", uri], capsys)
+        assert code == 2, uri
+        assert [str(w.message) for w in caught] == [], uri
+        (line,) = err.splitlines()
+        assert json.loads(line)["exit_code"] == 2, uri
 
 
 def test_rectangular_preprocessing_dims_are_legal(capsys):

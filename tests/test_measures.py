@@ -4,7 +4,7 @@ import pytest
 from dyncoh import channels as ch
 from dyncoh import linalg as la
 from dyncoh import measures as ms
-from dyncoh.errors import ValidationError
+from dyncoh.errors import DimensionMismatch, ValidationError
 
 SQRT3_HALF = np.sqrt(3.0) / 2.0
 
@@ -169,6 +169,15 @@ def test_optimal_povm_sign_cases():
     s1 = np.diag([0.2, 0.8]).astype(complex)
     povm = ms.optimal_incoherent_povm(cfg_half_, s0, s1)  # mixed signs
     assert np.allclose(povm.elements[0], np.diag([1.0, 0.0]))
+
+
+def test_measurement_functions_reject_states_of_different_shapes():
+    cfg = cfg_half()
+    qubit = la.basis_proj(2, 0)
+    qutrit = la.basis_proj(3, 0)
+    for measure in (ms.helstrom_norm, ms.measurement_bias, ms.optimal_incoherent_povm):
+        with pytest.raises(DimensionMismatch):
+            measure(cfg, qubit, qutrit)
 
 
 def test_povm_validation():

@@ -28,6 +28,14 @@ def cfg_half():
 # Sampled lower bound for the pre-processed value
 # ---------------------------------------------------------------------------
 
+def test_search_effort_constants_keep_the_former_defaults():
+    # the pre-processing draws are what max(2, 2000 // 400) gave
+    assert se.RANDOM_PRE_DRAWS == max(2, 2000 // 400) == 5
+    assert se.PERMUTATION_DRAWS == 8
+    assert se.MAX_ROUNDS == 60
+    assert se.MIO_RESTARTS == 8
+
+
 def test_brute_force_on_free_channel_gives_prior_gap(rng):
     for lam in (0.3, 0.5, 0.85):
         cfg = ms.GameConfig(lam, np.array([2.0 * np.pi / 3.0, 0.0]))

@@ -6,8 +6,8 @@ resolved run configuration embedded, and identical configurations produce
 byte-identical output.
 
 Exit codes: 0 success, 1 parse error, 2 dimension/validation error or a
-file that cannot be read or written, 3 solver failure.  Errors print one
-JSON line on stderr.
+file that cannot be read or written, 3 solver failure (a LAPACK routine
+that does not converge included).  Errors print one JSON line on stderr.
 """
 
 import argparse
@@ -203,9 +203,9 @@ def run(cfg):
         payload = _COMMANDS[cfg.command](cfg)
         _emit(cfg, payload)
         return 0
-    except SolverFailure as exc:
-        sys.stderr.write(json.dumps({"exit_code": 3, "error": str(exc),
-                                     "status": exc.status}) + "\n")
+    except (SolverFailure, np.linalg.LinAlgError) as exc:  # LAPACK trouble is solver trouble
+        status = getattr(exc, "status", "numerical_failure")
+        sys.stderr.write(json.dumps({"exit_code": 3, "error": str(exc), "status": status}) + "\n")
         return 3
     except (ValidationError, OSError) as exc:
         sys.stderr.write(json.dumps({"exit_code": 2, "error": str(exc)}) + "\n")

@@ -22,10 +22,15 @@ Layout: the programs still running hold their state in arrays along a
 leading axis, so each dense factorization (Cholesky, SVD, Hermitian
 eigenvalues, the Schur solves) is one stacked numpy call.  Every program
 keeps its own stopping tests, stall counter, Schur jitter and failure
-status, so a program takes the same steps in a stack as alone.  When
-programs stop, their X, y and S are written to the returned arrays and the
-running arrays are compacted to the rest.  A single program is the stack
-with K = 1 (`solve_real_sdp`).
+status, so a program takes the same steps in a stack as alone.  Where
+LAPACK fails on a stack, `_each` redoes each program alone, as a stack of
+one, and one that fails again takes its own fallback: the SVD of the
+adjoint, jitter on its Schur matrix, the upper triangle of a step-length
+congruence, a NaN ceiling, and for any other failure in the step a zero
+step, which ends it as ``numerical_failure``.  When programs stop, their
+X, y and S are written to the returned arrays and the running arrays are
+compacted to the rest.  A single program is the stack with K = 1
+(`solve_real_sdp`).
 
 No inverse: the scaled frame of Todd, Toh & Tutuncu, as in SDPT3, gives the
 step from the Cholesky factors of X and S and one SVD (`_scaled_frame`).
@@ -35,8 +40,8 @@ X and S are both the diagonal Sigma of singular values.  The predictor and
 the corrector each solve the same Schur matrix M by LU (`_solve`): the
 predictor's congruences, taken once for its step lengths, also give its
 directions in the frame of G, from which the corrector's second-order term
-is one Lyapunov equation with a diagonal coefficient.  Only a singular M
-takes jitter, in the program whose matrix needs it (`_jittered`).
+is one Lyapunov equation with a diagonal coefficient.  Only a program
+whose M is singular, alone as in the stack, takes jitter (`_jittered`).
 
 The Schur matrices of the whole stack come from one
 ``kernels.SparseConstraints.schur`` call, which gathers most entries from W.
@@ -48,10 +53,9 @@ sign programs, any dual iterate bounds its program from above
 (`_dual_bound`).  In a stack whose programs carry group labels, one stacked
 ``eigvalsh`` call per iteration gives that ceiling for every running
 program, and a program whose ceiling shows it cannot reach the greatest
-objective attained in its group stops as ``pruned``.  If that call does not
-converge, each program is redone alone, and one whose eigenvalues fail
-again ends as ``numerical_failure`` at that iteration.  A stack without
-groups computes neither.
+objective attained in its group stops as ``pruned``; one whose ceiling
+LAPACK cannot compute ends as ``numerical_failure`` at that iteration.  A
+stack without groups computes neither.
 """
 
 from dataclasses import dataclass
@@ -110,30 +114,40 @@ def _entry_size(m):
     return np.maximum(np.abs(m.real), np.abs(m.imag)).max(axis=(-2, -1), initial=0.0)
 
 
+def _each(call, retry, *stacks):
+    """``call(*stacks)``, a LAPACK-backed call with one result (an array or a
+    tuple of arrays) per position of the stacks' leading axis.  If LAPACK
+    fails, each position is redone alone, as a stack of one, and one that
+    fails again takes ``retry`` of its slices: no result depends on its stack.
+    """
+    try:
+        return call(*stacks)
+    except np.linalg.LinAlgError:
+        parts = []
+        for k in range(len(stacks[0])):
+            one = [a[k:k + 1] for a in stacks]
+            try:
+                parts.append(call(*one))
+            except np.linalg.LinAlgError:
+                parts.append(retry(*one))
+        if isinstance(parts[0], np.ndarray):
+            return np.concatenate(parts)
+        return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _least_eigenvalue(a, uplo="L"):
+    """Least eigenvalue of each Hermitian matrix of a stack, from one triangle."""
+    return np.linalg.eigvalsh(a, UPLO=uplo)[:, 0]
+
+
 def _max_step(cong):
     """Largest alpha with M + alpha*dM PSD, per matrix, from the congruence
     C = P dM P^H by a frame P with P M P^H = I: the congruence takes
     M + alpha*dM to I + alpha*C, so alpha is -1 / lambda_min(C), and
-    unbounded when that is >= 0."""
-    lam = np.linalg.eigvalsh(cong)[..., 0]
+    unbounded when that is >= 0.  C is exactly Hermitian, so a matrix whose
+    lower triangle LAPACK cannot decompose takes its upper triangle."""
+    lam = _each(_least_eigenvalue, lambda one: _least_eigenvalue(one, "U"), cong)
     return np.where(lam >= -_TINY, np.inf, -1.0 / np.minimum(lam, -_TINY))
-
-
-def _svd(a):
-    """SVD of each matrix of a stack.  If LAPACK does not converge, each matrix
-    is redone alone, and one that fails again takes the SVD of its adjoint,
-    A^H = V Sigma U^H, so no matrix's factors depend on its stack."""
-    try:
-        return np.linalg.svd(a)
-    except np.linalg.LinAlgError:
-        parts = []
-        for one in a:
-            try:
-                parts.append(np.linalg.svd(one))
-            except np.linalg.LinAlgError:
-                v, sv, uh = np.linalg.svd(la.dagger(one))
-                parts.append((la.dagger(uh), sv, la.dagger(v)))
-        return tuple(np.stack(p) for p in zip(*parts))
 
 
 def _scaled_frame(x, s):
@@ -150,7 +164,12 @@ def _scaled_frame(x, s):
     k = x.shape[0]
     factors = np.linalg.cholesky(np.concatenate([x, s]))
     lx, ls = factors[:k], factors[k:]
-    u, sv, vh = _svd(la.dagger(ls) @ lx)
+
+    def adjoint(a):  # the SVD of A from that of A^H = V Sigma U^H
+        v, sv, uh = np.linalg.svd(la.dagger(a))
+        return la.dagger(uh), sv, la.dagger(v)
+
+    u, sv, vh = _each(np.linalg.svd, adjoint, la.dagger(ls) @ lx)
     lxv = lx @ la.dagger(vh)
     # P_x^H, P_s^H and G, each a matrix with scaled columns
     cols = np.concatenate([ls @ u, lxv, lxv]) / np.concatenate([sv, sv, np.sqrt(sv)])[:, None]
@@ -159,34 +178,25 @@ def _scaled_frame(x, s):
 
 
 def _jittered(mat, rhs):
-    """The solution of one Schur system M dy = rhs, with jitter on the
-    diagonal of M if it is singular.
-
-    Jitter guards against roundoff near a singular Schur complement; the
-    first attempt takes M as it is, and after three attempts the
-    factorization failure propagates.
+    """dy with (M + jitter I) dy = rhs for a stack of one singular Schur
+    system, the retry of `_solve` once M itself has failed alone (`_each`).
+    Jitter guards against roundoff near a singular Schur complement; after
+    two jittered attempts the factorization failure propagates.
     """
-    m = mat.shape[0]
-    jitter = 0.0
-    for _ in range(3):
+    m = mat.shape[-1]
+    jitter = 1e-13 * (1.0 + np.trace(mat[0]) / m)
+    for scale in (1.0, 10.0):
         try:
-            return np.linalg.solve(mat + jitter * np.eye(m), rhs[:, None])[:, 0]
+            return np.linalg.solve(mat + scale * jitter * np.eye(m), rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            jitter = max(10.0 * jitter, 1e-13 * (1.0 + np.trace(mat) / m))
+            pass
     raise np.linalg.LinAlgError("Schur complement is singular")
 
 
 def _solve(schur, rhs):
-    """dy with M dy = rhs for each program of a stack, by one stacked LU solve.
-
-    If a matrix of the stack is singular, the solve raises, and each program
-    is solved alone (`_jittered`), so the jitter stays with the program
-    whose matrix needs it.
-    """
-    try:
-        return np.linalg.solve(schur, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.stack([_jittered(mk, rk) for mk, rk in zip(schur, rhs)])
+    """dy with M dy = rhs for each program of a stack, by one stacked LU solve;
+    only a program whose M is singular takes jitter (`_jittered`)."""
+    return _each(lambda m, r: np.linalg.solve(m, r[..., None])[..., 0], _jittered, schur, rhs)
 
 
 def _step(constraints, x, s, rp, rd, gap, centre):
@@ -231,23 +241,6 @@ def _step(constraints, x, s, rp, rd, gap, centre):
     return dx, dy, ds, ap, ad
 
 
-def _step_each(constraints, *stacks):
-    """`_step` one program at a time; a failed factorization gives a zero step.
-
-    A zero step fails the stuck test, so only the program whose factorization
-    failed ends with ``numerical_failure``.
-    """
-    parts = []
-    for k in range(stacks[0].shape[0]):
-        one = [a[k:k + 1] for a in stacks]
-        try:
-            parts.append(_step(constraints, *one))
-        except np.linalg.LinAlgError:
-            dx, zero = np.zeros_like(one[0]), np.zeros(1)
-            parts.append((dx, np.zeros((1, constraints.m)), dx, zero, zero))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def rounding_allowance(n, size):
     """Rounding allowance of a computation on n x n matrices, or of a sum of
     n terms, whose terms are at most ``size``: 4 n eps size."""
@@ -266,21 +259,12 @@ def _dual_bound(b, y, z, size):
     entry of C, S and r_d, which moves its spectrum by up to n times that;
     ``eigvalsh`` adds a backward error of order n eps ||Z|| <= n^2 eps
     ``size``; b.y adds m eps |b|.|y|.  The allowance is
-    4 eps (n^2 size + m |b|.|y|).  Z must be finite.  If LAPACK does not
-    converge on the stack, each Z is redone alone, and one that fails again
-    gets a NaN bound, so no program's bound depends on its stack.
+    4 eps (n^2 size + m |b|.|y|).  Z must be finite.  A Z whose eigenvalues
+    LAPACK cannot compute, alone as in its stack, gets a NaN bound (`_each`).
     """
     n, m = z.shape[-1], y.shape[-1]
     allowance = rounding_allowance(n, n * size) + rounding_allowance(m, np.abs(y) @ np.abs(b))
-    try:
-        least = np.linalg.eigvalsh(z)[:, 0]
-    except np.linalg.LinAlgError:
-        least = np.full(len(z), np.nan)
-        for k, one in enumerate(z):
-            try:
-                least[k] = np.linalg.eigvalsh(one)[0]
-            except np.linalg.LinAlgError:
-                pass
+    least = _each(_least_eigenvalue, lambda one: np.full(1, np.nan), z)
     return -(y @ b + least - allowance)
 
 
@@ -408,10 +392,13 @@ def solve_stacked(family, c, groups=None, floors=None):
                 break
 
         centre = np.maximum(figures[:, 1], figures[:, 2]) > figures[:, 0]
-        try:
-            dx, dy, ds, ap, ad = _step(constraints, xr, sr, rp, rd, gap, centre)
-        except np.linalg.LinAlgError:
-            dx, dy, ds, ap, ad = _step_each(constraints, xr, sr, rp, rd, gap, centre)
+        # A program whose step LAPACK cannot take, alone as in the stack,
+        # takes a zero step, which fails the stuck test: only it ends.
+        dx, dy, ds, ap, ad = _each(
+            lambda *one: _step(constraints, *one),
+            lambda x, s, rp, *_: (np.zeros_like(x), np.zeros_like(rp), np.zeros_like(x),
+                                  np.zeros(1), np.zeros(1)),
+            xr, sr, rp, rd, gap, centre)
         stuck = (ap < 1e-10) & (ad < 1e-10)
         if stuck.any():
             stop(stuck, "numerical_failure", it, figures)

@@ -45,9 +45,10 @@ class SparseConstraints:
         self.gram_inv = np.linalg.pinv(self.flat @ self.flat.T, hermitian=True)
         # Unit rows: one nonzero in the upper triangle, at (p, q), with g = h_pq
         # (h_pp / 2 on the diagonal) real (a Re row) or imaginary (an Im row)
-        upper = np.triu(self.dense)
-        rows = np.flatnonzero(np.count_nonzero(upper, axis=(1, 2)) == 1)
-        _, p, q = np.nonzero(upper[rows])
+        r, p, q = np.nonzero(self.dense)
+        r, p, q = r[p <= q], p[p <= q], q[p <= q]
+        single = (np.bincount(r, minlength=m) == 1)[r]
+        rows, p, q = r[single], p[single], q[single]
         g = self.dense[rows, p, q] * np.where(p == q, 0.5, 1.0)
         unit = (g.real == 0.0) | (g.imag == 0.0)
         self.unit_rows = u = rows[unit]

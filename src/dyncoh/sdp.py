@@ -63,7 +63,7 @@ from . import linalg as la
 from . import measures as ms
 from .errors import DimensionMismatch, SolverFailure, ValidationError
 from .ipm import ConstraintFamily, rounding_allowance, solve_real_sdp, solve_stacked
-from .kernels import SparseConstraints, real_vectors
+from .kernels import SparseConstraints
 
 SUPPORT_THRESHOLD = 1e-9
 # Feasibility tolerance of a winning X, and of the channel extracted from it
@@ -141,11 +141,11 @@ def constraint_family(functionals):
     Each functional splits into its Hermitian part (target Re t) and its
     anti-Hermitian part over 2i (target -Im t); a vanishing part is dropped.
     `ValidationError` is raised unless the rows are independent (each |R_ii|
-    of a QR factorization of their real vectorizations v exceeds
-    1e-10 max(1, |v_i|)) and the start, the projection I + A^+(b - A(I)) of
-    the identity onto A(X) = b, is positive definite, and for a vanishing
-    part with a nonzero target.  The arrays are read-only: cached families
-    are shared.
+    of a QR factorization of their real vectorizations v, on the slots some
+    row touches, exceeds 1e-10 max(1, |v_i|)) and the start, the projection
+    I + A^+(b - A(I)) of the identity onto A(X) = b, is positive definite,
+    and for a vanishing part with a nonzero target.  The arrays are
+    read-only: cached families are shared.
     """
     mats, targets = [], []
     for f, t in functionals:
@@ -159,11 +159,11 @@ def constraint_family(functionals):
                 raise ValidationError("constraint with zero functional, nonzero target")
     if not mats:
         raise ValidationError("problem has no effective constraints")
-    v = real_vectors(np.array(mats))
+    constraints, targets = SparseConstraints(mats), np.array(targets)
+    v = constraints.flat[:, constraints.flat.any(axis=0)]  # the slots some row touches
     r = np.abs(np.diagonal(np.linalg.qr(v.T, mode="r")))
     if r.size < len(v) or (r <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=1))).any():
         raise ValidationError("constraints are linearly dependent")
-    constraints, targets = SparseConstraints(mats), np.array(targets)
     eye = np.eye(constraints.n, dtype=complex)
     start = eye + constraints.least_norm(targets - constraints.dot(eye))
     if not np.linalg.eigvalsh(start)[0] > 1e-8:

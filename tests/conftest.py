@@ -46,8 +46,8 @@ def nan_at_fifth_pair(monkeypatch):
 def failing_third_bound(monkeypatch):
     """Make LAPACK's ``eigvalsh`` fail in the third `ipm._dual_bound` call
     after the returned function is called with ``alone``: on the stack, and
-    on each matrix redone alone whose position is in ``alone`` (every one
-    for None)."""
+    on each matrix redone alone, as a stack of one, whose position is in
+    ``alone`` (every one for None)."""
     state = {"armed": False, "failing": False, "bounds": 0, "solo": 0, "alone": None}
     bound, eigvalsh = ipm._dual_bound, np.linalg.eigvalsh
 
@@ -61,7 +61,7 @@ def failing_third_bound(monkeypatch):
 
     def failing(a, *args, **kwargs):
         if state["failing"]:
-            solo = a.ndim == 2
+            solo = len(a) == 1
             k = state["solo"]
             state["solo"] += solo
             if not solo or state["alone"] is None or k in state["alone"]:

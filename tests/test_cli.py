@@ -189,6 +189,22 @@ def test_measure_pre_eigensolver_failure_exit_code(failing_third_bound, capsys):
     assert error["exit_code"] == 3 and error["status"] == "numerical_failure"
 
 
+def test_measure_post_lapack_failure_exit_code(monkeypatch, capsys):
+    # the Helstrom step's eigh does not converge: a LAPACK error outside the
+    # solver is solver trouble as well, so exit 3 and one JSON line
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    code, out, err = run_cli(["measure-post", "--channel", "hadamard"], capsys)
+    assert code == 3
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)
+    assert error["exit_code"] == 3 and error["status"] == "numerical_failure"
+    assert "did not converge" in error["error"]
+
+
 @pytest.mark.parametrize("args", [
     ["measure-pre", "--channel", "qft:3", "--lambda", "0.7", "--phi", "2.0,0,1.0",
      "--seed", "3"],

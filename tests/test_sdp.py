@@ -908,11 +908,10 @@ def test_a_dual_bound_eigensolver_failure_stays_with_its_program(rng, failing_th
                 assert part[k].tobytes() == before[k].tobytes()
 
 
-@pytest.mark.parametrize("where, lapack", [("_scaled_frame", "cholesky"),
-                                           ("_max_step", "eigvalsh")])
+@pytest.mark.parametrize("where, lapack", [("_scaled_frame", "cholesky")])
 def test_a_step_factorization_failure_stays_with_its_program(rng, monkeypatch, where, lapack):
     # LAPACK fails inside `where` in the third iteration's step of the stack:
-    # the step is redone one program at a time (`_step_each`), and only a
+    # the step is redone one program at a time (`ipm._each`), and only a
     # program whose own factorization fails again takes a zero step and ends
     # as numerical_failure there; the others keep the bits of their solo solves
     family = sd.sign_family(2, 2)
@@ -955,6 +954,65 @@ def test_a_step_factorization_failure_stays_with_its_program(rng, monkeypatch, w
             assert infos[k] == info
             for part, one in zip((x, y, s), (x1, y1, s1)):
                 assert part[k].tobytes() == one.tobytes()
+
+
+def test_a_step_length_eigensolver_failure_takes_the_upper_triangle(rng, monkeypatch):
+    # LAPACK's eigvalsh on the lower triangle fails inside `_max_step` in the
+    # third iteration's step: on every stack of congruences, and again alone
+    # on the congruences of the programs in `faulty`.  Those take the upper
+    # triangle, and every program finishes: one in `faulty` with the bits of
+    # its solo solve under the same fault, the others with those of their
+    # unforced solo solves
+    family = sd.sign_family(2, 2)
+    c = np.concatenate([sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
+                        for _ in range(3)])
+    solo = [ipm.solve_stacked(family, c[k:k + 1]) for k in range(3)]
+    step, max_step, eigvalsh = ipm._step, ipm._max_step, np.linalg.eigvalsh
+    state = {"steps": 0, "stack": 0, "solo": 0, "faulty": (), "upper": 0}
+
+    def counting_step(*args):
+        state["steps"] += 1
+        return step(*args)
+
+    def marked(cong):
+        state.update(stack=len(cong), solo=0)
+        try:
+            return max_step(cong)
+        finally:
+            state["stack"] = 0
+
+    def failing(a, *args, UPLO="L", **kwargs):
+        if state["stack"] and state["steps"] == 3:
+            if UPLO == "U":
+                state["upper"] += 1
+            elif len(a) > 1:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            else:
+                # redone alone: the congruences of X of every program, then of S
+                program = state["solo"] % (state["stack"] // 2)
+                state["solo"] += 1
+                if program in state["faulty"]:
+                    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a, *args, UPLO=UPLO, **kwargs)
+
+    def solve(objectives, faulty):
+        state.update(steps=0, faulty=faulty, upper=0)
+        return ipm.solve_stacked(family, objectives)
+
+    monkeypatch.setattr(ipm, "_step", counting_step)
+    monkeypatch.setattr(ipm, "_max_step", marked)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    # the predictor's and the corrector's congruences of X and of S
+    faulted = solve(c[1:2], {0})
+    assert state["upper"] == 4 and faulted[3][0].status == "optimal"
+    for faulty in (set(), {1}):
+        x, y, s, infos = solve(c, faulty)
+        assert state["upper"] == 4 * len(faulty) and state["steps"] > 3
+        for k in range(3):
+            x1, y1, s1, (info,) = faulted if k in faulty else solo[k]
+            assert info.status == "optimal" and infos[k] == info
+            for part, one in zip((x, y, s), (x1, y1, s1)):
+                assert part[k].tobytes() == one[0].tobytes()
 
 
 def test_schur_jitter_stays_with_its_program(rng):
@@ -1022,7 +1080,7 @@ def test_scaled_frame_survives_an_svd_that_does_not_converge(rng, monkeypatch):
     svd = np.linalg.svd
 
     def failing(a, *args, **kwargs):
-        if a.ndim == 3 or np.allclose(a, product):
+        if len(a) > 1 or np.allclose(a[0], product):
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 

@@ -46,6 +46,56 @@ def test_the_inverse_check_sees_every_spelling():
     assert list(_inverse_uses(ast.parse("np.linalg.pinv(a); inv = 1; x.inv"))) == []
 
 
+# an except clause that catches LinAlgError: by name, as a base class, or bare
+_LAPACK_CATCHES = {"LinAlgError", "ValueError", "Exception", "BaseException"}
+
+
+def _catches_lapack(kind):
+    if kind is None:
+        return True
+    if isinstance(kind, ast.Tuple):
+        return any(_catches_lapack(k) for k in kind.elts)
+    name = kind.attr if isinstance(kind, ast.Attribute) else getattr(kind, "id", None)
+    return name in _LAPACK_CATCHES
+
+
+def _lapack_catches(node, owner="<module>"):
+    """Name of the innermost function around each except clause that can
+    catch ``np.linalg.LinAlgError``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _lapack_catches(child, child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler) and _catches_lapack(child.type):
+            yield owner
+        yield from _lapack_catches(child, owner)
+
+
+def test_the_interior_point_catches_lapack_errors_in_one_place():
+    # every LAPACK fallback of the interior point goes through `ipm._each`,
+    # which redoes a failed stack one program at a time; only `_jittered`,
+    # the Schur solve's fallback, retries inside one program
+    tree = ast.parse(Path(ipm.__file__).read_text(encoding="utf-8"))
+    assert sorted(set(_lapack_catches(tree))) == ["_each", "_jittered"]
+
+
+def test_the_lapack_catch_check_sees_every_spelling():
+    def owners(handler, scopes=("def f():",)):
+        clause = ("try:", "    pass", f"except {handler}:", "    pass")
+        lines = [" " * 4 * i + line for i, line in enumerate(scopes)]
+        lines += [" " * 4 * len(scopes) + line for line in clause]
+        return list(_lapack_catches(ast.parse("\n".join(lines))))
+
+    for handler in ["np.linalg.LinAlgError", "numpy.linalg.LinAlgError", "LinAlgError",
+                    "(KeyError, np.linalg.LinAlgError)", "ValueError", "Exception", "",
+                    "np.linalg.LinAlgError as exc"]:
+        assert owners(handler) == ["f"], handler
+    assert owners("LinAlgError", ("def f():", "def g():")) == ["g"]
+    assert owners("LinAlgError", ("class C:",)) == owners("LinAlgError", ()) == ["<module>"]
+    for handler in ["KeyError", "(TypeError, OSError)", "np.linalg.LinAlgErrors"]:
+        assert owners(handler) == [], handler
+
+
 def test_the_solvers_take_no_settings():
     # the solver has no knobs: the tolerances and the iteration cap are the
     # `ipm` constants, and every program starts at its family's start

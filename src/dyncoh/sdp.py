@@ -32,14 +32,15 @@ contraction (`_signed_objectives`).
 The two constant sign patterns are never solved: trace preservation pins
 their value to +-(lam - mu).
 
-Programs related by a symmetry of the channel's outputs are solved once.
-If T_{pi(n)} = V^dag T_n V, with T_n[a, b] = <n| theta(|a><b|) |n>, for an
-output permutation pi and a diagonal unitary V, the programs of s and pi s
-have objectives conjugate under I_A (x) V, which keeps every constraint,
-and so one value.  `evaluate_pairs` finds such symmetries (a stacked
-magnitude test over all pairs, then a stabilizer-chain search, each
-candidate accepted only to ``SYMMETRY_TOL``), solves the lowest pattern of
-each orbit, and transfers its value and status to the rest of the orbit.
+Programs whose objectives are conjugate, O' = D O D^dag for a diagonal
+unitary D on A (x) B, are solved once: conjugation by D keeps every
+constraint, so they have one value.  Output symmetries of the channel give
+such classes, and so does the negation s -> -s at lam = mu for a game whose
+phases take two values.  `evaluate_pairs` finds the classes
+(`_conjugate_classes`: a stacked test of the conjugation invariants over
+all pairs, then phases fixed along a spanning tree, each candidate accepted
+only to ``SYMMETRY_TOL``), solves the lowest pattern of each class, and
+transfers its value and status to the rest of the class.
 
 Each sign program carries a certified ceiling, its dual bound
 (`ipm._dual_bound`), and the programs of one pair form a group whose floor
@@ -76,11 +77,9 @@ MAX_SIGN_DIMENSION = 20
 STACK_BYTES = 5 * 2**19
 # Widest bracket [lower_bound, upper_bound] a report may carry
 BRACKET_TOL = 1e-7
-# An output symmetry is accepted within this deviation, relative to the
-# largest population coefficient |T_n[a, b]| of its channel ...
+# Two objectives are conjugate within this deviation, relative to the
+# largest objective entry of their pair
 SYMMETRY_TOL = 1e-12
-# ... and the search for one is steered among candidate images within this
-_STEER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,9 @@ class MeasureReport:
     says what each of ``per_sign_values`` is: ``exact`` (a constant
     pattern), ``optimal`` (a solved program's value) or ``pruned`` (the
     ceiling of a program stopped because it cannot win); ``pruned`` counts
-    the last.  ``per_sign_orbit`` gives each pattern's orbit representative
-    under the channel's output symmetries: a pattern k with
+    the last.  ``per_sign_orbit`` gives each pattern's class
+    representative, the lowest pattern whose objective is conjugate to its
+    own under a diagonal unitary: a pattern k with
     ``per_sign_orbit[k] != k`` was not solved but transferred from its
     representative, whose status it carries.  The winner, and with it
     ``x_opt`` and the extracted pair, is always a solved program.
@@ -323,136 +323,88 @@ def _sign_objectives(theta, cfg, signs):
 
 
 # ---------------------------------------------------------------------------
-# Output symmetries: one sign program per orbit
+# Conjugate objectives: one sign program per class
 # ---------------------------------------------------------------------------
 #
-# Suppose T_{pi(n)} = V^dag T_n V for a permutation pi of the outputs and a
-# diagonal unitary V = diag(v) on the channel input.  The pattern pi s, with
-# (pi s)_{pi(n)} = s_n, then has the objective U O_s U^dag, U = I_A (x) V,
-# and conjugation by U keeps every constraint (a pinned entry (i b, j b)
-# picks up |v_b|^2 = 1), so the programs of s and pi s have one value for
-# every game.  This is the symmetry reduction of an SDP family (Gatermann &
-# Parrilo, J. Pure Appl. Algebra 192, 2004), with the group acting on the
-# family rather than inside one program.
+# Conjugation by any diagonal unitary D on A (x) B keeps every constraint of
+# `sign_family`: a pinned entry (i b, j b) picks up d_ib conj(d_jb) and stays
+# zero, and the trace is kept.  So two programs whose objectives satisfy
+# O' = D O D^dag have one value for every game.  This is the symmetry
+# reduction of an SDP family (Gatermann & Parrilo, J. Pure Appl. Algebra
+# 192, 2004), with the group acting on the family rather than inside one
+# program.  It covers an output permutation pi with T_{pi(n)} = V^dag T_n V,
+# T_n[a, b] = <n| theta(|a><b|) |n> (D = I_A (x) V), and, at lam = mu where
+# W vanishes on its diagonal, the negation s -> -s of a game whose phases
+# take two values (D = +-1 by phase class on A).
 
-def _candidate_images(pops):
-    """``match[p, n, m]``: |T_m| = |T_n| entrywise for pair p of the
-    `_populations` stack, within ``SYMMETRY_TOL`` of the pair's largest
-    entry.  Only such an m can be pi(n)."""
-    mag = np.abs(pops)
-    scale = mag.max(axis=(1, 2, 3))
-    dev = np.abs(mag[:, :, None] - mag[:, None, :]).max(axis=(3, 4))
-    return dev <= SYMMETRY_TOL * scale[:, None, None]
+def _tree_phases(rep, candidates, floor):
+    """Phases d, one row per candidate O, with d_a conj(d_b) rep[a, b] in
+    the phase of O[a, b] along a maximum spanning forest of the entries of
+    ``rep`` above ``floor``; each tree's root takes phase 1.
 
-
-def _link(tn, tm, root, rel):
-    """Join T_{pi(n)} = tm with T_n = tn into partial phases, or None.
-
-    ``rel`` gives each input's phase relative to the root of its component,
-    v_a = rel[a] v_{root[a]}.  Each entry of T_n above ``SYMMETRY_TOL`` of
-    its largest fixes v_b / v_a = tm[a, b] / tn[a, b]; the largest entries
-    join components first, and the rest must agree within ``_STEER_TOL``.
+    Prim's algorithm on Python floats, which at the sizes of the sign
+    programs is several times cheaper than a numpy step per node.
     """
-    mag = np.abs(tn)
-    size = mag.max()
-    a, b = np.nonzero(np.triu(mag > SYMMETRY_TOL * size, 1))
-    order = np.argsort(-mag[a, b], kind="stable")
-    a, b = a[order], b[order]
-    ratio = np.exp(1j * np.angle(tm[a, b] / tn[a, b]))
-    root, rel = root.copy(), rel.copy()
-    for i, j, r in zip(a, b, ratio):
-        if root[i] != root[j]:
-            joined = root == root[j]
-            rel[joined] *= r * rel[i] / rel[j]
-            root[joined] = root[i]
-    if not (np.abs(np.conj(rel[a]) * rel[b] * tn[a, b] - tm[a, b]) <= _STEER_TOL * size).all():
-        return None
-    return root, rel
+    n = len(rep)
+    mag = np.abs(rep).tolist()
+    link, parent, free, edges = [0.0] * n, [-1] * n, list(range(n)), []
+    while free:
+        # the free node closest to the forest; with none linked, a new root
+        c = max(free, key=link.__getitem__)
+        free.remove(c)
+        if parent[c] >= 0:
+            edges.append((parent[c], c))
+        for j in free:
+            if mag[c][j] > max(link[j], floor):
+                link[j], parent[j] = mag[c][j], c
+    phases = np.ones((len(candidates), n), dtype=complex)
+    if edges:
+        up, down = np.array(edges).T
+        turns = np.exp(-1j * np.angle(candidates[:, up, down] * np.conj(rep[up, down])))
+        for e, (p, c) in enumerate(edges):
+            phases[:, c] = phases[:, p] * turns[:, e]
+    return phases
 
 
-def _completion(t, match, pinned):
-    """One output symmetry ``(perm, v)`` with ``perm[n] = pinned[n]`` for
-    the first ``len(pinned)`` outputs, or None.
+def _conjugate_classes(objectives):
+    """Classes of conjugate objectives in a (P, K, n, n) stack.
 
-    The other outputs take, in index order, the first free candidate image
-    whose T agrees with the phases fixed so far; a component of inputs that
-    no T_n links gets phase 1.  The pair is accepted only if
-    max |T_{perm(n)} - V^dag T_n V| <= ``SYMMETRY_TOL`` max |T|.  A symmetry
-    that this greedy choice misses only leaves more programs to solve.
+    Returns ``(rep, phases)``: per pair p and objective k, the lowest index
+    of k's class, its representative, and phases d with O_k = D O_rep D^dag,
+    D = diag(d).  Diagonal conjugation keeps the real diagonal and the
+    entrywise magnitudes, so only objectives that share them are compared:
+    first through a weighted sum of those invariants, for all pairs at once,
+    then entry by entry.  A representative's remaining candidates take
+    their phases from `_tree_phases`, and each is accepted only if
+    max |D O_rep D^dag - O_k| <= ``SYMMETRY_TOL`` max |O| over the pair.
+    A class that this misses only leaves more programs to solve.
     """
-    n_out, db = t.shape[:2]
-    root, rel = np.arange(db), np.ones(db, dtype=complex)
-    perm, free = np.full(n_out, -1), np.ones(n_out, dtype=bool)
-    for n in range(n_out):
-        options = [pinned[n]] if n < len(pinned) else np.flatnonzero(match[n] & free)
-        for m in options:
-            linked = _link(t[n], t[m], root, rel)
-            if linked is not None:
-                break
-        else:
-            return None
-        (root, rel), perm[n], free[m] = linked, m, False
-    conjugated = np.conj(rel)[:, None] * t * rel[None, :]
-    if not la.max_abs(t[perm] - conjugated) <= SYMMETRY_TOL * np.abs(t).max():
-        return None
-    return perm, rel
-
-
-def _output_symmetries(t, match):
-    """Generators ``(perm, v)`` of the output symmetries of one pair.
-
-    ``t`` stacks T_n along its first axis, and ``match`` is the pair's
-    `_candidate_images`.  Stabilizer-chain style: at level i, for each
-    candidate image m > i of output i not yet in the orbit of i under the
-    symmetries found at that level, one `_completion` looks for a symmetry
-    that fixes outputs 0..i-1 and takes i to m, a coset representative.  So
-    at most N (N - 1) / 2 completions run, and no list of the N!
-    permutations is formed.
-    """
-    gens = []
-    for i in range(len(t) - 1):
-        orbit, level = {i}, []
-        for m in np.flatnonzero(match[i, i + 1:]) + i + 1:
-            if m in orbit:
+    pairs, count, n = objectives.shape[:3]
+    mag = np.abs(objectives)
+    tol = SYMMETRY_TOL * mag.max(axis=(1, 2, 3), initial=0.0)
+    invariants = np.concatenate([mag.reshape(pairs, count, n * n),
+                                 np.diagonal(objectives, axis1=2, axis2=3).real], axis=-1)
+    weights = np.linspace(1.0, 2.0, invariants.shape[-1])
+    key = invariants @ weights
+    # invariants that agree within tol give keys that agree within sum(w) tol
+    close = np.abs(key[:, :, None] - key[:, None, :]) <= weights.sum() * tol[:, None, None]
+    index = np.arange(count)
+    rep = np.tile(index, (pairs, 1))
+    phases = np.ones((pairs, count, n), dtype=complex)
+    for p in np.flatnonzero(np.triu(close, 1).any(axis=(1, 2))):
+        for k in range(count):
+            if rep[p, k] != k:
                 continue
-            found = _completion(t, match, list(range(i)) + [m])
-            if found is None:
+            later = np.flatnonzero(close[p, k] & (rep[p] == index) & (index > k))
+            later = later[np.abs(invariants[p, later] - invariants[p, k]).max(axis=1, initial=0.0)
+                          <= tol[p]]
+            if not len(later):
                 continue
-            gens.append(found)
-            level.append(found[0])
-            frontier = [i]
-            for j in frontier:
-                for perm in level:
-                    if perm[j] not in orbit:
-                        orbit.add(perm[j])
-                        frontier.append(perm[j])
-    return gens
-
-
-def _sign_orbits(n_out, db, gens):
-    """The orbit of each sign pattern under the generators.
-
-    Returns ``(rep, v)``: the lowest pattern index of each pattern's orbit,
-    its representative, and per pattern k the phases with
-    O_k = U O_rep U^dag, U = I (x) diag(v[k]).  Pattern k has s_n = -1
-    where bit N-1-n of k is set, as in `enumerate_sign_vectors`.
-    """
-    size = 2 ** n_out
-    shift = n_out - 1 - np.arange(n_out)
-    bits = (np.arange(size)[:, None] >> shift) & 1
-    # (pi s)_m = s_{pi^-1(m)}
-    images = [(bits[:, np.argsort(perm)] << shift).sum(axis=1) for perm, _ in gens]
-    rep, v = np.full(size, -1), np.ones((size, db), dtype=complex)
-    for k in range(size):
-        if rep[k] >= 0:
-            continue
-        rep[k], frontier = k, [k]
-        for j in frontier:
-            for image, (_, phases) in zip(images, gens):
-                if rep[image[j]] < 0:
-                    rep[image[j]], v[image[j]] = k, v[j] * phases
-                    frontier.append(image[j])
-    return rep, v
+            d = _tree_phases(objectives[p, k], objectives[p, later], tol[p])
+            moved = d[:, :, None] * objectives[p, k] * np.conj(d[:, None, :])
+            ok = np.abs(moved - objectives[p, later]).max(axis=(1, 2)) <= tol[p]
+            rep[p, later[ok]], phases[p, later[ok]] = k, d[ok]
+    return rep, phases
 
 
 def build_sign_program(theta, cfg, signs):
@@ -538,12 +490,12 @@ class SignEvaluation:
 
     ``per_sign`` holds each pattern's value, or its ceiling where
     ``per_sign_status`` says ``pruned``.  ``per_sign_orbit`` gives each
-    pattern's orbit representative under the channel's output symmetries;
-    only representatives are solved, and a pattern k with
+    pattern's class representative (`_conjugate_classes`); only
+    representatives are solved, and a pattern k with
     ``per_sign_orbit[k] != k`` is transferred: it takes its
     representative's value and status, and the representative's ceiling
-    plus the transfer defect ||O_k - U O_rep U^dag||_F, which bounds
-    |tr((O_k - U O_rep U^dag) X)| for every X >= 0 with tr X = 1.
+    plus the transfer defect ||O_k - D O_rep D^dag||_F, which bounds
+    |tr((O_k - D O_rep D^dag) X)| for every X >= 0 with tr X = 1.
     ``upper_bound`` is the largest ceiling, the constant patterns counting
     as exact, plus the rounding allowance of the n x n game arithmetic
     (`ipm.rounding_allowance`), so that a value computed for a strategy
@@ -559,25 +511,6 @@ class SignEvaluation:
     x_opt: np.ndarray  # the winning program's maximizer
 
 
-def _pair_orbits(pops, n_signs):
-    """Orbit representatives (P, 2^N) of the sign patterns of each pair, and
-    for each pair with a symmetry the phases of `_sign_orbits`, from the
-    pairs' `_populations` stack.
-
-    One stacked `_candidate_images` test covers every pair; a pair whose
-    outputs each match only themselves keeps the trivial group without
-    further work.
-    """
-    match = _candidate_images(pops)
-    orbit = np.tile(np.arange(n_signs), (len(pops), 1))
-    phases = {}
-    for p in np.flatnonzero((match & ~np.eye(match.shape[-1], dtype=bool)).any(axis=(1, 2))):
-        gens = _output_symmetries(pops[p], match[p])
-        if gens:
-            orbit[p], phases[int(p)] = _sign_orbits(pops.shape[1], pops.shape[-1], gens)
-    return orbit, phases
-
-
 def _pinned_ceilings(objectives, da, db):
     """lambda_max of each objective without the entries (i b, j b), i != j,
     that every feasible X of `sign_family` pins to zero: a ceiling on the
@@ -589,14 +522,14 @@ def _pinned_ceilings(objectives, da, db):
 def evaluate_pairs(pairs):
     """Solve the sign programs of many (theta, cfg) pairs with the same dims.
 
-    Each pair's output symmetries split its sign patterns into orbits
-    (`_pair_orbits`), and only each orbit's lowest pattern is solved; a
-    channel without symmetries solves every pattern.  The non-constant
+    Each pair's non-constant sign patterns split into classes of conjugate
+    objectives (`_conjugate_classes`), and only each class's lowest pattern
+    is solved; a pair without such classes solves every pattern.  The
     representatives of every pair go into stacked runs over the shared
     `sign_family`, one group per pair, whose floor starts at the exact
     constant-pattern value |lam - mu|; the two constant patterns are pinned
     to +-(lam - mu) by trace preservation.  The other patterns are
-    transferred (`SignEvaluation`); a representative precedes its orbit and
+    transferred (`SignEvaluation`); a representative precedes its class and
     ties go to the lowest pattern, so the winner is always a solved program.
     When the programs take more than one run (`stack_runs`), a program is
     pruned only below what its pair reached in this and earlier runs, so
@@ -622,22 +555,22 @@ def evaluate_pairs(pairs):
     per_sign = np.array([cfg.lam - cfg.mu for _, cfg in pairs])[:, None] * sign_rows[:, 0]
     ceiling = per_sign.copy()
     status = np.full(per_sign.shape, "exact", dtype=object)
-    pops = _populations([theta for theta, _ in pairs])
-    orbit, phases = _pair_orbits(pops, len(signs))
     # patterns 0 and 2^N - 1 are the constant ones
     non_constant = np.arange(1, len(signs) - 1)
-    objectives = _signed_objectives(pops, np.array([cfg.signal_weights for _, cfg in pairs]),
+    objectives = _signed_objectives(_populations([theta for theta, _ in pairs]),
+                                    np.array([cfg.signal_weights for _, cfg in pairs]),
                                     sign_rows[non_constant])
-    is_rep = orbit[:, non_constant] == non_constant
-    # per pair with a symmetry: its transferred patterns and their defects
-    transfers = {}
-    for p, v in phases.items():
-        moved = non_constant[~is_rep[p]]
-        rep_objectives = objectives[p, orbit[p, moved] - 1]
-        # U O_rep U^dag, U = I_A (x) diag(v), has entry (i a, j b) times v_a conj(v_b)
-        u = np.tile(v[moved], da)
-        transported = u[:, :, None] * rep_objectives * np.conj(u[:, None, :])
-        transfers[p] = moved, np.linalg.norm(objectives[p, moved - 1] - transported, axis=(1, 2))
+    rep, phases = _conjugate_classes(objectives)
+    orbit = np.tile(np.arange(len(signs)), (len(pairs), 1))
+    orbit[:, non_constant] = non_constant[rep]
+    # the transferred patterns, and their defects ||O_k - D O_rep D^dag||_F
+    is_rep = rep == np.arange(len(non_constant))
+    moved_p, moved_k = np.nonzero(~is_rep)
+    d = phases[moved_p, moved_k]
+    transported = (d[:, :, None] * objectives[moved_p, rep[moved_p, moved_k]]
+                   * np.conj(d[:, None, :]))
+    defects = np.linalg.norm(objectives[moved_p, moved_k] - transported, axis=(1, 2))
+    moved = non_constant[moved_k]
     rows, cols = np.nonzero(is_rep)
     family = sign_family(da, db)
     if len(stack_runs(len(rows), family.constraints.n, family.constraints.m)) > 1:
@@ -653,12 +586,11 @@ def evaluate_pairs(pairs):
     ceiling[rows, solved] = [info.bound for info in infos]
     per_sign[rows, solved] = [info.bound if info.status == "pruned" else info.primal_objective
                               for info in infos]
-    for p, (moved, defects) in transfers.items():
-        reps = orbit[p, moved]
-        status[p, moved] = status[p, reps]
-        ceiling[p, moved] = ceiling[p, reps] + defects
-        per_sign[p, moved] = np.where(status[p, reps] == "pruned", ceiling[p, moved],
-                                      per_sign[p, reps])
+    reps = orbit[moved_p, moved]
+    status[moved_p, moved] = status[moved_p, reps]
+    ceiling[moved_p, moved] = ceiling[moved_p, reps] + defects
+    per_sign[moved_p, moved] = np.where(status[moved_p, reps] == "pruned",
+                                        ceiling[moved_p, moved], per_sign[moved_p, reps])
     position = np.full(per_sign.shape, -1)
     position[rows, solved] = np.arange(len(rows))
 
@@ -686,7 +618,7 @@ def evaluate_pairs(pairs):
 def preprocessed_improvement(theta, cfg):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
-    Solves one SDP per orbit of non-constant sign vectors through
+    Solves one SDP per class of non-constant sign vectors through
     `evaluate_pairs`, stacked over the shared `sign_family`, and reports the maximum, the
     winning X, and the optimal input state and pre-processing extracted from
     it, with the residual of their round trip through the game arithmetic,

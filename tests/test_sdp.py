@@ -630,21 +630,52 @@ def completely_depolarizing(d):
     return ch.channel_from_choi(np.eye(d * d) / d, d, d)
 
 
-def _populations_stack(theta):
-    """T_n[a, b] = <n| theta(|a><b|) |n>, stacked over n."""
-    return sd._populations([theta])[0]
+def _game(lam, d):
+    return ms.GameConfig(lam, 2.0 * np.pi * np.arange(d) / d)
 
 
-def _orbits(theta):
-    """Each sign pattern's orbit representative, and the phases that carry
-    the representative's objective onto it (None without a symmetry)."""
-    orbit, phases = sd._pair_orbits(sd._populations([theta]), 2 ** theta.dim_out)
-    return orbit[0], phases.get(0)
+def _classes(theta, cfg):
+    """The non-constant sign objectives of one pair, each one's class
+    representative among them, and the phases that carry the
+    representative's objective onto it."""
+    signs = sd.enumerate_sign_vectors(theta.dim_out, full=True)[1:-1]
+    objectives = sd._sign_objectives(theta, cfg, signs)
+    rep, phases = sd._conjugate_classes(objectives[None])
+    return objectives, rep[0], phases[0]
 
 
-def _orbit_count(theta):
-    # the two constant patterns are their own orbits
-    return len(set(_orbits(theta)[0].tolist())) - 2
+def _class_count(theta, cfg):
+    return len(set(_classes(theta, cfg)[1].tolist()))
+
+
+def _orbit_representatives(n_out, perms):
+    """Per non-constant sign pattern, the lowest index among the non-constant
+    patterns of its orbit under the output permutations ``perms``."""
+    signs = sd.enumerate_sign_vectors(n_out, full=True)
+    reps = []
+    for s in signs[1:-1]:
+        orbit, frontier = {s}, [s]
+        for t in frontier:
+            for perm in perms:
+                image = tuple(t[m] for m in perm)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        reps.append(min(signs.index(t) for t in orbit) - 1)
+    return reps
+
+
+def _count_phase_solves(monkeypatch):
+    """The number of candidates of every `_tree_phases` call."""
+    calls = []
+    original = sd._tree_phases
+
+    def counting(rep, candidates, floor):
+        calls.append(len(candidates))
+        return original(rep, candidates, floor)
+
+    monkeypatch.setattr(sd, "_tree_phases", counting)
+    return calls
 
 
 @pytest.mark.parametrize("theta, programs", [
@@ -668,16 +699,10 @@ def test_one_program_is_solved_per_orbit(theta, programs, monkeypatch):
     assert rep.per_sign_orbit[winner] == winner
 
 
-def test_h_x_id_generators_are_the_bit_flip_and_the_lone_swap():
-    theta = h_x_id()
-    t = _populations_stack(theta)
-    match = sd._candidate_images(sd._populations([theta]))[0]
-    gens = sd._output_symmetries(t, match)
-    assert [list(perm) for perm, _ in gens] == [[2, 1, 0, 3], [0, 3, 2, 1]]
-    for perm, v in gens:
-        assert np.allclose(np.abs(v), 1.0)
-        moved = np.conj(v)[:, None] * t * v[None, :]
-        assert la.max_abs(t[perm] - moved) <= 1e-15
+@pytest.mark.parametrize("lam", [0.3, 0.8])
+def test_h_x_id_classes_are_the_orbits_of_the_bit_flip_and_the_lone_swap(lam, rng):
+    _, rep, _ = _classes(h_x_id(), ms.GameConfig(lam, rng.uniform(0, 2 * np.pi, 4)))
+    assert rep.tolist() == _orbit_representatives(4, [[2, 1, 0, 3], [0, 3, 2, 1]])
 
 
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
@@ -705,13 +730,10 @@ def test_orbit_path_matches_the_full_enumeration(theta, lam, rng):
 
 
 def _transfer_defects(theta, cfg):
-    """||O_k - U_k O_rep U_k^dag||_F of every transferred pattern k, with
-    U_k = I (x) diag(v[k]) from the orbit phases v."""
-    rep, v = _orbits(theta)
-    objectives = sd._sign_objectives(theta, cfg,
-                                     sd.enumerate_sign_vectors(theta.dim_out, full=True))
-    u = np.tile(v, cfg.dim)
-    return [np.linalg.norm(objectives[k] - u[k][:, None] * objectives[r] * np.conj(u[k]))
+    """||O_k - D_k O_rep D_k^dag||_F of every transferred pattern k, with
+    D_k = diag(d[k]) from the class phases d."""
+    objectives, rep, d = _classes(theta, cfg)
+    return [np.linalg.norm(objectives[k] - d[k][:, None] * objectives[r] * np.conj(d[k]))
             for k, r in enumerate(rep) if r != k]
 
 
@@ -726,7 +748,7 @@ def test_orbit_phases_map_each_representative_onto_its_members(theta, transferre
 def test_transferred_ceilings_add_the_transfer_defect(monkeypatch):
     # transferred entries copy their representative; with phases that map the
     # representative's objective onto a member only to within a defect, that
-    # defect ||O_k - U O_rep U^dag||_F lifts the member's ceiling, and with it
+    # defect ||O_k - D O_rep D^dag||_F lifts the member's ceiling, and with it
     # the upper bound
     theta, cfg = ch.qft(4), ms.GameConfig(0.4, np.array([0.3, 2.0, 1.0, 5.0]))
     signs, (exact,) = sd.evaluate_pairs([(theta, cfg)])
@@ -734,13 +756,13 @@ def test_transferred_ceilings_add_the_transfer_defect(monkeypatch):
         if r != k:
             assert exact.per_sign_status[k] == exact.per_sign_status[r] == "optimal"
             assert exact.per_sign[k] == exact.per_sign[r]
-    original = sd._sign_orbits
+    original = sd._conjugate_classes
 
-    def tilted(n_out, db, gens):
-        rep, v = original(n_out, db, gens)
-        return rep, v * np.exp(1e-4j * np.arange(db))
+    def tilted(objectives):
+        rep, d = original(objectives)
+        return rep, d * np.exp(1e-4j * np.arange(d.shape[-1]))
 
-    monkeypatch.setattr(sd, "_sign_orbits", tilted)
+    monkeypatch.setattr(sd, "_conjugate_classes", tilted)
     _, (ev,) = sd.evaluate_pairs([(theta, cfg)])
     assert ev.per_sign == exact.per_sign
     defect = max(_transfer_defects(theta, cfg))
@@ -748,59 +770,79 @@ def test_transferred_ceilings_add_the_transfer_defect(monkeypatch):
     assert ev.upper_bound - exact.upper_bound == pytest.approx(defect, abs=1e-7)
 
 
-def test_detection_rejects_a_wrong_permutation_on_qft():
-    theta = ch.qft(4)
-    t = _populations_stack(theta)
-    match = sd._candidate_images(sd._populations([theta]))[0]
-    assert match.all()  # every |T_n| is 1/4 everywhere: magnitudes cannot tell
-    shift, v = sd._completion(t, match, [1, 2, 3, 0])
-    assert list(shift) == [1, 2, 3, 0]
-    assert np.allclose(v, np.exp(-0.5j * np.pi * np.arange(4)))
-    # the shift with two outputs swapped is no symmetry, whatever the phases
-    assert sd._completion(t, match, [2, 1, 3, 0]) is None
-    assert sd._completion(t, match, [0, 1, 3, 2]) is None
-    # relabelling two outputs of qft:4 conjugates its group: the plain shift
-    # is rejected, and detection finds the relabelled one
-    swap = np.eye(4)[[1, 0, 2, 3]]
-    relabelled = ch.compose(ch.unitary_channel(swap), theta)
-    t2 = _populations_stack(relabelled)
-    assert sd._completion(t2, match, [1, 2, 3, 0]) is None
-    (perm, _), = sd._output_symmetries(t2, match)
+def test_qft_classes_are_necklaces_and_follow_a_relabelling():
+    cfg = _game(0.3, 4)
+    _, rep, _ = _classes(ch.qft(4), cfg)
+    assert rep.tolist() == _orbit_representatives(4, [[1, 2, 3, 0]])
+    # the shift with two outputs swapped is no symmetry
+    assert rep.tolist() != _orbit_representatives(4, [[2, 1, 3, 0]])
+    # relabelling two outputs of qft:4 conjugates its group: still 4 classes,
+    # the necklaces of the relabelled outputs
     sigma = [1, 0, 2, 3]
-    assert list(perm) in [[sigma[(sigma[n] + k) % 4] for n in range(4)] for k in (1, 2, 3)]
-    assert _orbit_count(relabelled) == 4
+    relabelled = ch.compose(ch.unitary_channel(np.eye(4)[sigma]), ch.qft(4))
+    _, rep, _ = _classes(relabelled, cfg)
+    assert len(set(rep.tolist())) == 4
+    assert rep.tolist() == _orbit_representatives(4, [[sigma[(sigma[n] + 1) % 4]
+                                                       for n in range(4)]])
 
 
-def test_detection_rejects_a_symmetry_that_holds_only_to_1e6(rng):
-    theta = ch.qft(4)
+def test_classes_reject_objectives_conjugate_only_to_1e6(rng, monkeypatch):
+    cfg = _game(0.3, 4)
     # a channel 1e-6 away: the magnitudes already differ
-    near = ch.mixture([theta, ch.random_channel(4, 4, rng)], [1.0 - 1e-6, 1e-6])
-    assert _orbit_count(near) == 14
-    match = sd._candidate_images(sd._populations([near]))[0]
-    assert not (match & ~np.eye(4, dtype=bool)).any()
-    # phases moved by 1e-6 keep every magnitude, and the acceptance test fails
-    t = _populations_stack(theta)
-    tilt = rng.uniform(-1e-6, 1e-6, t.shape)
-    tilted = t * np.exp(1j * (tilt - np.swapaxes(tilt, 1, 2)))
-    match = sd._candidate_images(tilted[None])[0]
-    assert match.all()
-    assert sd._output_symmetries(tilted, match) == []
+    near = ch.mixture([ch.qft(4), ch.random_channel(4, 4, rng)], [1.0 - 1e-6, 1e-6])
+    assert _class_count(near, cfg) == 14
+    # entry phases moved by 1e-6 keep every magnitude and the real diagonal,
+    # so the candidates reach the phase solve, and the acceptance test fails
+    objectives, rep, _ = _classes(ch.qft(4), cfg)
+    assert len(set(rep.tolist())) == 4
+    tilt = rng.uniform(-1e-6, 1e-6, objectives.shape)
+    tilted = objectives * np.exp(1j * (tilt - np.swapaxes(tilt, 1, 2)))
+    calls = _count_phase_solves(monkeypatch)
+    rep, _ = sd._conjugate_classes(tilted[None])
+    assert rep[0].tolist() == list(range(14))
+    assert sum(calls) >= 10
 
 
-def test_depolarizing_detection_makes_at_most_d_squared_completions(monkeypatch):
-    # the symmetric group of 6 outputs: 720 permutations, 5 non-constant
-    # orbits (by the number of minus signs); a coset search per level and
-    # candidate, never a listing
-    calls = []
-    original = sd._completion
+@pytest.mark.parametrize("key", range(4))
+def test_random_channels_solve_phases_only_for_the_negation_at_lam_equal_mu(key, monkeypatch):
+    theta = ch.random_channel(4, 4, np.random.default_rng(100 + key))
+    calls = _count_phase_solves(monkeypatch)
+    for lam in (0.3, 0.7):
+        assert _class_count(theta, _game(lam, 4)) == 14
+    assert calls == []
+    # at lam = mu, O_{-s} = -O_s shares the invariants of O_s: at most one
+    # phase solve per pair {s, -s}, rejected at four distinct phases
+    assert _class_count(theta, _game(0.5, 4)) == 14
+    assert 0 < len(calls) <= 7
 
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
 
-    monkeypatch.setattr(sd, "_completion", counting)
-    assert _orbit_count(completely_depolarizing(6)) == 5
-    assert 0 < len(calls) <= 36
+def test_completely_depolarizing_classes_count_the_minus_signs(monkeypatch):
+    # the symmetric group of 6 outputs: 5 non-constant classes, by the
+    # number of minus signs, and one phase solve per class
+    calls = _count_phase_solves(monkeypatch)
+    assert _class_count(completely_depolarizing(6), _game(0.3, 6)) == 5
+    assert len(calls) == 5
+
+
+def test_the_negation_joins_s_and_minus_s_only_at_lam_equal_mu_with_two_phase_values(rng):
+    # at lam = mu, W vanishes on its diagonal, and D = +-1 by phase class on A
+    # flips the sign of every block W_ij != 0 when the phases take two values
+    theta = ch.random_channel(3, 3, rng)
+    two = np.array([0.4, 0.4, 0.4 + np.pi])
+    cfg = ms.GameConfig(0.5, two)
+    objectives, rep, d = _classes(theta, cfg)
+    # pattern k and 2^N - 1 - k are s and -s
+    assert rep.tolist() == [0, 1, 2, 2, 1, 0]
+    for k in (3, 4, 5):
+        assert np.allclose(np.abs(d[k]), 1.0)
+        moved = d[k][:, None] * objectives[rep[k]] * np.conj(d[k])
+        assert la.max_abs(moved - objectives[k]) <= 1e-15
+    _, (ev,) = sd.evaluate_pairs([(theta, cfg)])
+    assert ev.per_sign_orbit == [0, 1, 2, 3, 3, 2, 1, 7]
+    assert ev.improvement == pytest.approx(_unreduced_improvements([(theta, cfg)])[0], abs=1e-9)
+    # rejected at lam != mu, and at three distinct phases
+    assert _class_count(theta, ms.GameConfig(0.6, two)) == 6
+    assert _class_count(theta, ms.GameConfig(0.5, np.array([0.4, 1.3, 2.9]))) == 6
 
 
 def _record_stacks(monkeypatch):
@@ -859,26 +901,22 @@ def _unreduced_improvements(pairs):
 
 
 def test_sweep_points_without_symmetry_keep_their_values_bit_for_bit(monkeypatch):
-    # only the pure Hadamard points (p1 = 1, V = Z) have a symmetry; the
-    # stacked magnitude test settles the other 200 without a search
+    # at lam = mu = 0.5 each mixture's two programs, s and -s, form one class
+    # (D = Z on A), and the pure Hadamard points (p1 = 1, V = Z) have the
+    # output flip at every prior; the rows at lam != mu keep the bits of the
+    # unreduced evaluation
     lambdas, p1s, phi = (0.5, 0.6, 0.75, 0.9), np.linspace(0.0, 1.0, 51), (2.0 * np.pi / 3, 0.0)
-    searched = []
-    original = sd._output_symmetries
-
-    def counting(t, match):
-        searched.append(None)
-        return original(t, match)
-
-    monkeypatch.setattr(sd, "_output_symmetries", counting)
+    runs = _record_stacks(monkeypatch)
     rows = search.mixture_sweep(lambdas, p1s, phi)
-    assert len(searched) == 4
     monkeypatch.undo()
+    groups = np.concatenate([kwargs["groups"] for _, kwargs, _ in runs])
+    solved = np.bincount(groups, minlength=len(rows)).reshape(len(lambdas), len(p1s))
+    assert (solved[0] == 1).all()
+    assert (solved[1:, :-1] == 2).all() and (solved[1:, -1] == 1).all()
     pairs = [(ch.hadamard_mixture(float(p1)), ms.GameConfig(lam, np.array(phi)))
              for lam in lambdas for p1 in p1s]
     reference = _unreduced_improvements(pairs)
-    kept = [(row, ref) for row, ref in zip(rows, reference) if row[1] != 1.0]
-    assert len(kept) == 200
-    assert all(row[2] == ref for row, ref in kept)
+    assert all(row[2] == ref for row, ref in zip(rows[len(p1s):], reference[len(p1s):]))
     for row, ref in zip(rows, reference):
         assert row[2] == pytest.approx(ref, abs=1e-9)
 

@@ -689,7 +689,7 @@ def test_mixture_sweep_matches_per_point_evaluation(mode, monkeypatch):
 
 
 def test_the_documented_sweep_matches_per_pair_evaluation_bit_for_bit(monkeypatch):
-    # the README's 204-point grid takes two stacked runs of 202 programs,
+    # the README's 204-point grid takes two stacked runs of 177 programs,
     # and every row is the improvement of its pair evaluated alone, to the bit
     lambdas, p1s, phi = (0.5, 0.6, 0.75, 0.9), np.linspace(0.0, 1.0, 51), PHI
     runs = []
@@ -701,7 +701,7 @@ def test_the_documented_sweep_matches_per_pair_evaluation_bit_for_bit(monkeypatc
 
     monkeypatch.setattr(sd, "solve_stacked", recording)
     rows = se.mixture_sweep(lambdas, p1s, phi)
-    assert runs == [202, 202]
+    assert runs == [177, 177]
     monkeypatch.undo()
     assert len(rows) == 204
     for lam, p1, value in rows:

@@ -7,8 +7,8 @@ entry of X are gathered from W, and only the other rows, such as the trace
 row, take dense products W H W.  The same split serves ``A(X)``
 (`SparseConstraints.dot`): a row that pins one entry of X gathers two
 float64 slots of X, and only the other rows take a dense product.
-``A*(y)`` (`SparseConstraints.combine`) gathers, for each slot of X, the
-few rows that touch it.  Also the least-norm solution of ``A(X) = r`` that
+``A*(y)`` (`SparseConstraints.combine`) gathers each slot of X from the
+one row that owns it.  Also the least-norm solution of ``A(X) = r`` that
 keeps the interior-point iterates primal-feasible
 (`SparseConstraints.least_norm`), and a pure-state coordinate ascent
 (`pure_state_ascent`) that the tests use as an independent reference for the
@@ -17,39 +17,47 @@ exact oracle in `search`.
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 # ---------------------------------------------------------------------------
 # Sparse constraint representation
 # ---------------------------------------------------------------------------
 
 class SparseConstraints:
-    """m sparse Hermitian matrices H_k sharing one shape, held densely.
-
-    ``A(X)`` is the vector of Re tr(H_k X) and ``A*(y)`` is sum_k y_k H_k.
-    The rows are split once for the Schur assembly (`schur`) and for `dot`:
+    """m sparse Hermitian matrices H_k sharing one shape, each owning its
+    float64 slots of vec X: `ValidationError` unless no slot of [Re, Im] X is
+    read by two rows and no row has norm <= 1e-10.  So the rows are
+    independent, their real Gram matrix Re tr(H_k H_l) is diagonal, and
+    ``A*(y) = sum_k y_k H_k`` takes one term per slot; ``A(X)`` is the
+    vector of Re tr(H_k X).  The rows are split once for `schur` and `dot`:
     each of ``unit_rows`` is g E_pq + conj(g) E_qp with p <= q and g real or
-    imaginary, and ``dense_rows`` are the rest.
+    imaginary, and ``dense_rows``, the only rows kept as matrices, are the rest.
     """
 
-    __slots__ = ("m", "n", "dense", "flat", "gram_inv", "unit_rows", "dense_rows",
-                 "_dense_flat", "_reads", "_read_weights", "_columns", "_column_weights",
-                 "_gather", "_stacked", "_assemble", "_weights")
+    __slots__ = ("m", "n", "gram_inv", "unit_rows", "dense_rows", "_dense_flat", "_reads",
+                 "_read_weights", "_unit_reads", "_unit_read_weights", "_slot_rows",
+                 "_slot_weights", "_gather", "_stacked", "_assemble", "_weights")
 
     def __init__(self, matrices):
         self.m = m = len(matrices)
-        self.dense = np.array(matrices, dtype=complex) if m else np.zeros((0, 0, 0), complex)
-        self.n = n = self.dense.shape[-1]
-        # real vectorizations [Re, Im] of the H_k, one row each
-        self.flat = real_vectors(self.dense)
-        # inverse of the real Gram matrix G[k,l] = Re tr(H_k H_l), for `least_norm`
-        self.gram_inv = np.linalg.pinv(self.flat @ self.flat.T, hermitian=True)
+        dense = np.array(matrices, dtype=complex)
+        self.n = n = dense.shape[-1]
+        flat = real_vectors(dense)  # one row per H_k
+        touched = flat != 0.0
+        if touched.sum(axis=0).max() > 1:
+            raise ValidationError("constraint rows share a slot of vec X")
+        norms = np.einsum("kj,kj->k", flat, flat)  # the diagonal of the Gram matrix
+        if (norms <= 1e-20).any():
+            raise ValidationError("constraint row of norm <= 1e-10")
+        self.gram_inv = 1.0 / norms
         # Unit rows: one nonzero in the upper triangle, at (p, q), with g = h_pq
         # (h_pp / 2 on the diagonal) real (a Re row) or imaginary (an Im row)
-        r, p, q = np.nonzero(self.dense)
+        r, p, q = np.nonzero(dense)
         r, p, q = r[p <= q], p[p <= q], q[p <= q]
         single = (np.bincount(r, minlength=m) == 1)[r]
         rows, p, q = r[single], p[single], q[single]
-        g = self.dense[rows, p, q] * np.where(p == q, 0.5, 1.0)
+        g = dense[rows, p, q] * np.where(p == q, 0.5, 1.0)
         unit = (g.real == 0.0) | (g.imag == 0.0)
         self.unit_rows = u = rows[unit]
         self.dense_rows = d = np.flatnonzero(np.bincount(u, minlength=m) == 0)
@@ -59,24 +67,18 @@ class SparseConstraints:
         # weighted by its own entries, and a row with a single entry to read
         # (a diagonal unit row, or a dense row its product) reads it twice at
         # half weight, which sums to that entry times its weight exactly.
+        # `schur` reads the unit rows' two slots of each T_l the same way.
         pu, qu = p[unit], q[unit]
-        self._dense_flat = self.flat[d]
+        self._dense_flat = flat[d]
         self._reads = reads = np.empty((2, m), dtype=np.intp)
         self._read_weights = read_weights = np.full((2, m), 0.5)
         reads[:, u] = 2 * np.stack([pu * n + qu, qu * n + pu]) + im
-        read_weights[:, u] = self.flat[u, reads[:, u]] * np.where(pu == qu, 0.5, 1.0)
+        read_weights[:, u] = flat[u, reads[:, u]] * np.where(pu == qu, 0.5, 1.0)
         reads[:, d] = 2 * n * n + np.arange(len(d))
-        # `combine` writes each slot j of vec A*(y) as the sum of y_k flat[k,j]
-        # over the rows k with flat[k,j] != 0, in row order, one term per row
-        # of `_columns` (rows may share a slot); a slot with fewer terms reads
-        # row 0 at weight 0 for the rest.
-        slot_of, row_of = np.nonzero(self.flat.T)
-        count = np.bincount(slot_of, minlength=self.flat.shape[1])
-        rank = np.arange(len(slot_of)) - (np.cumsum(count) - count)[slot_of]
-        self._columns = np.zeros((count.max(initial=1), len(count)), dtype=np.intp)
-        self._column_weights = np.zeros(self._columns.shape)
-        self._columns[rank, slot_of] = row_of
-        self._column_weights[rank, slot_of] = self.flat[row_of, slot_of]
+        self._unit_reads, self._unit_read_weights = reads[:, u], read_weights[:, u]
+        # `combine` reads each slot of vec A*(y) from its row, or row 0 at weight 0
+        self._slot_rows = touched.argmax(axis=0)
+        self._slot_weights = flat[self._slot_rows, np.arange(flat.shape[1])]
         # The Re and Im rows of one functional share their position (p, q), so
         # W is gathered once per pair of positions a, b: W[p_b,q_a], W[q_a,q_b]
         # and W[p_b,p_a], at flat indices into W.  (np.unique would do, but
@@ -86,22 +88,23 @@ class SparseConstraints:
         slot = np.searchsorted(positions, key)
         p, q = np.divmod(positions, n)
         self._gather = np.stack([p * n + q[:, None], q[:, None] * n + q, p * n + p[:, None]])
-        self._stacked = self.dense[d].reshape(len(d) * n, n)  # for H_l W of every dense l
+        self._stacked = dense[d].reshape(len(d) * n, n)  # for H_l W of every dense l
         # Where `schur` reads each entry of M, and its weight: a Re row k reads
         # E, an Im row F, at (s_k, s_l), the real part if row l is of the same
         # kind, else the imaginary part (negated from an Im to a Re row).
-        npos, nd = len(positions), len(d)
+        npos, nu, nd = len(positions), len(u), len(d)
         self._assemble = index = np.empty((m, m), dtype=np.intp)
         self._weights = weights = np.ones((m, m))
         index[u[:, None], u] = np.ravel_multi_index(
             (im[:, None], slot[:, None], slot, im[:, None] ^ im), (2, npos, npos, 2))
         weights[u[:, None], u] = np.outer(v, v) * np.where(im[:, None] > im, -1.0, 1.0)
-        index[:, d] = 4 * npos * npos + np.arange(m * nd).reshape(m, nd)
-        index[d, :] = index[:, d].T
-        index[d[:, None], d] = 4 * npos * npos + m * nd + np.arange(nd * nd).reshape(nd, nd)
+        index[d[:, None], u] = 4 * npos * npos + np.arange(nd * nu).reshape(nd, nu)
+        index[u[:, None], d] = index[d[:, None], u].T
+        index[d[:, None], d] = 4 * npos * npos + nd * nu + np.arange(nd * nd).reshape(nd, nd)
         weights[d[:, None], d] = 0.5
-        for part in (u, d, self._dense_flat, reads, read_weights, self._columns,
-                     self._column_weights, self._gather, self._stacked, index, weights):
+        for part in (self.gram_inv, u, d, self._dense_flat, reads, read_weights, self._unit_reads,
+                     self._unit_read_weights, self._slot_rows, self._slot_weights,
+                     self._gather, self._stacked, index, weights):
             part.flags.writeable = False
 
     def dot(self, x):
@@ -120,18 +123,16 @@ class SparseConstraints:
     def combine(self, y):
         """sum_k y_k H_k; a stack of y gives one matrix per row, each computed alone.
 
-        Each slot of vec A*(y) is a gather of the few rows that touch it.
+        Each slot of vec A*(y) is a gather of the one row that owns it.
         """
-        terms = np.take(y, self._columns, axis=-1) * self._column_weights
-        flat = terms[..., 0, :]
-        for j in range(1, len(self._columns)):
-            flat = flat + terms[..., j, :]
+        flat = np.take(y, self._slot_rows, axis=-1) * self._slot_weights
         return flat.view(complex).reshape(*y.shape[:-1], self.n, self.n)
 
     def least_norm(self, r):
-        """The least-norm X with A(X) = r, that is A^*(G^-1 r); a stack of r
-        gives one matrix per row, each computed alone, as in `combine`."""
-        return self.combine((r[..., None, :] @ self.gram_inv)[..., 0, :])
+        """The least-norm X with A(X) = r, that is A^*(G^-1 r) for the
+        diagonal Gram matrix G; a stack of r gives one matrix per row, each
+        computed alone, as in `combine`."""
+        return self.combine(r * self.gram_inv)
 
     def schur(self, w):
         """Matrix M[k,l] = Re tr(H_k W H_l W); a stack of W gives one matrix per W.
@@ -142,11 +143,13 @@ class SparseConstraints:
         M[k,l] = 2 Re(g_k g_l A + g_k conj(g_l) B).  For g = v (a Re row) or
         g = i v (an Im row), M / (2 v_k v_l) is a real or imaginary part of
         E = B + conj(A) or F = B - conj(A).  A dense row l takes the product
-        T_l = W H_l W and fills its row and column with <vec H_k, vec T_l>.
-        A, B and the block between dense rows are summed with their
-        transposes first, so M is symmetric to the last bit.  Each W of a
-        stack takes the same products as alone, so its matrix does not
-        depend on the other matrices of the stack.
+        T_l = W H_l W and fills its row and column with <vec H_k, vec T_l>:
+        a unit row k gathers its two slots of vec T_l, as `dot` does, and the
+        dense rows take one product with every slot of vec T_l.  A, B and the
+        block between dense rows are summed with their transposes first, so
+        M is symmetric to the last bit.  Each W of a stack takes the same
+        products as alone, so its matrix does not depend on the other
+        matrices of the stack.
         """
         if w.ndim == 2:
             return self.schur(w[None])[0]
@@ -158,9 +161,10 @@ class SparseConstraints:
         b += b.conj().swapaxes(-1, -2)
         # T_l = W H_l W is Hermitian, so Re tr(H_k T_l) = <vec H_k, vec T_l>
         t = real_vectors(w[:, None] @ (self._stacked @ w).reshape(k, len(d), *w.shape[1:]))
-        cross = self.flat @ t.swapaxes(-1, -2)
-        both = cross[:, d]
-        blocks = (real_vectors(b + a), real_vectors(b - a), cross, both + both.swapaxes(-1, -2))
+        terms = t[..., self._unit_reads] * self._unit_read_weights
+        both = self._dense_flat @ t.swapaxes(-1, -2)
+        blocks = (real_vectors(b + a), real_vectors(b - a), terms[..., 0, :] + terms[..., 1, :],
+                  both + both.swapaxes(-1, -2))
         out = np.concatenate([x.reshape(k, -1) for x in blocks], axis=1)[:, self._assemble]
         out *= self._weights
         return out

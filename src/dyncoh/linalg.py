@@ -13,9 +13,6 @@ from .errors import DimensionMismatch, ValidationError
 # eigensolver outputs carry noise well below this.
 HERMITICITY_ATOL = 1e-10
 
-# Reconstruction / orthonormality tolerance for eigendecompositions.
-EIG_ATOL = 1e-9
-
 
 def dagger(m):
     """Conjugate transpose (of each matrix of a stack)."""

@@ -140,9 +140,9 @@ def constraint_family(functionals):
 
     Each functional splits into its Hermitian part (target Re t) and its
     anti-Hermitian part over 2i (target -Im t); a vanishing part is dropped.
-    `ValidationError` is raised unless the rows are independent (each |R_ii|
-    of a QR factorization of their real vectorizations v, on the slots some
-    row touches, exceeds 1e-10 max(1, |v_i|)) and the start, the projection
+    `ValidationError` is raised unless the rows are independent in the
+    sense of `SparseConstraints` (no two read the same float64 slot of vec
+    X, and none has norm <= 1e-10) and the start, the projection
     I + A^+(b - A(I)) of the identity onto A(X) = b, is positive definite,
     and for a vanishing part with a nonzero target.  The arrays are
     read-only: cached families are shared.
@@ -160,15 +160,11 @@ def constraint_family(functionals):
     if not mats:
         raise ValidationError("problem has no effective constraints")
     constraints, targets = SparseConstraints(mats), np.array(targets)
-    v = constraints.flat[:, constraints.flat.any(axis=0)]  # the slots some row touches
-    r = np.abs(np.diagonal(np.linalg.qr(v.T, mode="r")))
-    if r.size < len(v) or (r <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=1))).any():
-        raise ValidationError("constraints are linearly dependent")
     eye = np.eye(constraints.n, dtype=complex)
     start = eye + constraints.least_norm(targets - constraints.dot(eye))
     if not np.linalg.eigvalsh(start)[0] > 1e-8:
         raise ValidationError("the projected identity is not positive definite")
-    for shared in (constraints.dense, constraints.flat, constraints.gram_inv, targets, start):
+    for shared in (targets, start):
         shared.flags.writeable = False
     return ConstraintFamily(constraints, targets, start)
 

@@ -121,13 +121,12 @@ def sign_eigen_maximum(r_stacks):
 # ---------------------------------------------------------------------------
 
 def _classical_embed(dim_in, dim_out):
-    """Deterministic classical relabeling; free in both classes."""
-    kraus = {}
-    for i in range(dim_in):
-        tgt = min(i, dim_out - 1)
-        kraus.setdefault((tgt, i), np.zeros((dim_out, dim_in), dtype=complex))
-        kraus[(tgt, i)][tgt, i] = 1.0
-    return ch.from_kraus(list(kraus.values()))
+    """Deterministic classical relabeling |i> -> |min(i, dim_out - 1)>, one
+    Kraus operator per input; free in both classes."""
+    inputs = np.arange(dim_in)
+    kraus = np.zeros((dim_in, dim_out, dim_in), dtype=complex)
+    kraus[inputs, np.minimum(inputs, dim_out - 1), inputs] = 1.0
+    return ch.from_kraus(kraus)
 
 
 def _isometric_embed(dim_in, dim_out):
@@ -173,8 +172,7 @@ def _pre_candidates(dim_a, dim_b, rng, n_random):
     """Detection-incoherent pre-processings to sample over."""
     cands = []
     if dim_a == dim_b:
-        cands.append(ch.identity_channel(dim_a))
-        cands.extend(_permutation_channels(dim_a, rng))
+        cands.extend(_permutation_channels(dim_a, rng))  # the identity first
         cands.append(ch.permutation_phase_channel(dim_a, rng))
     elif dim_a < dim_b:
         cands.append(_isometric_embed(dim_a, dim_b))

@@ -100,3 +100,12 @@ def full_sign_enumeration(theta, cfg):
 def random_hermitian(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (g + g.conj().T)
+
+
+def constraint_rows(functionals):
+    """The Hermitian rows `sdp.constraint_family` makes of complex
+    functionals ``(F, t)``, as one stack: the Hermitian part of each F and
+    its anti-Hermitian part over 2i, each kept unless it vanishes."""
+    parts = [part for f, _ in functionals
+             for part in (0.5 * (f + f.conj().T), (f - f.conj().T) / 2j)]
+    return np.array([part for part in parts if np.abs(part).max() > 1e-14])

@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dyncoh import kernels, sdp, search
+from dyncoh.errors import ValidationError
+
+from conftest import constraint_rows
+
+# the complex functionals each solver family is built from
+FUNCTIONALS = {sdp.sign_family: sdp._sign_functionals,
+               search._mio_family: search._mio_functionals}
 
 
 def _random_sparse_symmetric(rng, n, nnz):
@@ -14,17 +23,22 @@ def _random_sparse_symmetric(rng, n, nnz):
     return a
 
 
-def _random_sparse_hermitian(rng, n, nnz):
-    a = np.zeros((n, n), dtype=complex)
-    for _ in range(nnz):
-        i, j = rng.integers(0, n, size=2)
-        a[i, j] += rng.standard_normal() + (1j * rng.standard_normal() if i != j else 0.0)
-        a[j, i] = np.conj(a[i, j])
-    return a
+def _disjoint_rows(rng, n, count, most, phase=0.0):
+    """``count`` random symmetric rows (Hermitian for ``phase=1j``) over
+    disjoint entries of the upper triangle, 1 to ``most`` entries each."""
+    p, q = np.triu_indices(n)
+    order = iter(rng.permutation(len(p)))
+    rows = np.zeros((count, n, n), dtype=complex)
+    for h in rows:
+        for _ in range(rng.integers(1, most + 1)):
+            e = next(order)
+            h[p[e], q[e]] = rng.standard_normal() + phase * rng.standard_normal() * (p[e] != q[e])
+            h[q[e], p[e]] = np.conj(h[p[e], q[e]])
+    return rows
 
 
 def test_sparse_constraints_roundtrip(rng):
-    mats = [_random_sparse_symmetric(rng, 10, 4) for _ in range(12)]
+    mats = _disjoint_rows(rng, 10, 12, 4)
     sc = kernels.SparseConstraints(mats)
     x = _random_sparse_symmetric(rng, 10, 30)
     expected = np.array([np.sum(a * x) for a in mats])
@@ -41,7 +55,7 @@ def test_least_norm_solves_the_constraints_in_their_span(rng, dims):
     assert np.abs(sc.dot(x) - r).max() <= 1e-12
     assert np.array_equal(x, x.conj().swapaxes(-1, -2))
     # the least-norm solution is a real combination of the constraint matrices
-    rows = kernels.real_vectors(sc.dense)
+    rows = kernels.real_vectors(constraint_rows(sdp._sign_functionals(*dims)))
     coeffs = np.linalg.lstsq(rows.T, kernels.real_vectors(x).T, rcond=None)[0].T
     assert np.abs(sc.combine(coeffs) - x).max() <= 1e-12
     # each row of a stack is computed alone
@@ -70,21 +84,21 @@ def _random_weights(rng, n, count=None):
     return g @ g.conj().swapaxes(-1, -2) + np.eye(n)
 
 
-def _assert_matches_reference(sc, w):
+def _assert_matches_reference(sc, matrices, w):
     got = sc.schur(w)
     assert np.array_equal(got, got.swapaxes(-1, -2))
-    expected = _schur_reference(sc.dense, w)
+    expected = _schur_reference(matrices, w)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_schur_backends_agree(rng):
     # real symmetric rows, then complex Hermitian rows with a complex W
-    for sparse, phase in ((_random_sparse_symmetric, 0.0), (_random_sparse_hermitian, 1j)):
-        mats = [sparse(rng, 14, 5) for _ in range(20)]
+    for phase in (0.0, 1j):
+        mats = _disjoint_rows(rng, 14, 20, 5, phase)
         sc = kernels.SparseConstraints(mats)
         w = rng.standard_normal((14, 14)) + phase * rng.standard_normal((14, 14))
         w = w @ w.conj().T + np.eye(14)
-        _assert_matches_reference(sc, w)
+        _assert_matches_reference(sc, mats, w)
 
 
 SOLVER_FAMILIES = [
@@ -97,7 +111,25 @@ SOLVER_FAMILIES = [
 @pytest.mark.parametrize("family, dims", SOLVER_FAMILIES)
 def test_schur_matches_reference_on_the_solver_families(rng, family, dims):
     sc = family(*dims).constraints
-    _assert_matches_reference(sc, _random_weights(rng, sc.n))
+    _assert_matches_reference(sc, constraint_rows(FUNCTIONALS[family](*dims)),
+                              _random_weights(rng, sc.n))
+
+
+@pytest.mark.parametrize("family, dims", SOLVER_FAMILIES)
+def test_schur_reads_of_the_dense_products_match_a_dense_product(rng, family, dims):
+    # <vec H_k, vec T_l> for each dense row l, T_l = W H_l W: a unit row k
+    # gathers its two slots to the bit of the dense product, whose weights
+    # are +-1/2, and the dense rows take a product of their own
+    sc = family(*dims).constraints
+    rows = constraint_rows(FUNCTIONALS[family](*dims))
+    u, d = sc.unit_rows, sc.dense_rows
+    w = _random_weights(rng, sc.n)
+    t = kernels.real_vectors(w @ (rows[d] @ w))
+    cross = kernels.real_vectors(rows) @ t.T
+    got = sc.schur(w)
+    assert np.array_equal(got[u[:, None], d], cross[u])
+    expected = 0.5 * (cross[d] + cross[d].T)
+    assert np.abs(got[d[:, None], d] - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 def _single_entry(n, p, q, g):
@@ -109,14 +141,15 @@ def _single_entry(n, p, q, g):
 
 def _mixed_rows(n=5):
     """Diagonal and off-diagonal unit rows, then a single entry of phase pi/3,
-    the trace row and a two-entry row, which are dense rows."""
+    a partial trace row and a two-entry row, which are dense rows; no two
+    rows read one slot of vec X."""
     rows = [_single_entry(n, p, q, g) for p, q, g in (
         (0, 0, 2.0), (3, 3, -1.5), (0, 1, 1.0), (0, 1, -0.7j), (1, 2, 0.4j),
         (2, 4, np.exp(1j * np.pi / 3)))]
     two = np.zeros((n, n), dtype=complex)
     two[0, 2] = two[2, 0] = 1.0
     two[1, 3], two[3, 1] = 0.5j, -0.5j
-    return rows + [np.eye(n), two]
+    return np.array(rows + [np.diag([0.0, 1.0, 1.0, 0.0, 1.0]), two])
 
 
 def test_schur_mixes_unit_and_dense_rows(rng):
@@ -124,7 +157,7 @@ def test_schur_mixes_unit_and_dense_rows(rng):
     # a single entry of any other phase stays a dense row
     assert sc.unit_rows.tolist() == [0, 1, 2, 3, 4]
     assert sc.dense_rows.tolist() == [5, 6, 7]
-    _assert_matches_reference(sc, _random_weights(rng, sc.n))
+    _assert_matches_reference(sc, _mixed_rows(), _random_weights(rng, sc.n))
 
 
 def _repeated_rows(n=4):
@@ -134,26 +167,52 @@ def _repeated_rows(n=4):
     return [re, im, re, diag, np.eye(n), diag, 2.0 * re]
 
 
+@pytest.mark.parametrize("rows", [
+    _repeated_rows(),
+    [np.eye(4), _single_entry(4, 2, 2, 1.0)],
+    [_single_entry(4, 0, 1, 1.0), _single_entry(4, 2, 3, 1e-11)],
+], ids=["repeated", "trace_and_diagonal_pin", "row_of_norm_below_1e-10"])
+def test_rows_that_share_a_slot_or_vanish_are_refused(rows):
+    with pytest.raises(ValidationError):
+        kernels.SparseConstraints(rows)
+    # a row of norm just above 1e-10 is kept
+    assert kernels.SparseConstraints([_single_entry(4, 2, 3, 1e-10)]).m == 1
+
+
 @pytest.mark.parametrize("make", [
-    *(lambda f=family, d=dims: f(*d).constraints for family, dims in SOLVER_FAMILIES),
-    lambda: kernels.SparseConstraints(_mixed_rows()),
-    lambda: kernels.SparseConstraints(_repeated_rows()),
-], ids=[f"{family.__name__}{dims}" for family, dims in SOLVER_FAMILIES] + ["mixed", "repeated"])
+    *(lambda f=family, d=dims: (f(*d).constraints, constraint_rows(FUNCTIONALS[f](*d)))
+      for family, dims in SOLVER_FAMILIES),
+    lambda: (kernels.SparseConstraints(_mixed_rows()), _mixed_rows()),
+], ids=[f"{family.__name__}{dims}" for family, dims in SOLVER_FAMILIES] + ["mixed"])
 def test_gathers_match_the_dense_products(rng, make):
-    sc = make()
+    sc, rows = make()
+    flat = kernels.real_vectors(rows)
     x = _random_weights(rng, sc.n, 6)
     y = rng.standard_normal((6, sc.m))
-    dense_dot = (sc.flat @ kernels.real_vectors(x)[..., None])[..., 0]
-    coeffs = y @ sc.gram_inv
+    dense_dot = (flat @ kernels.real_vectors(x)[..., None])[..., 0]
+    coeffs = y @ np.linalg.pinv(flat @ flat.T, hermitian=True)
     for got, expected in ((sc.dot(x), dense_dot),
-                          (kernels.real_vectors(sc.combine(y)), y @ sc.flat),
-                          (kernels.real_vectors(sc.least_norm(y)), coeffs @ sc.flat)):
+                          (kernels.real_vectors(sc.combine(y)), y @ flat),
+                          (kernels.real_vectors(sc.least_norm(y)), coeffs @ flat)):
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
     # each matrix of a stack gets the bits of a stack of one
     for k in range(6):
         assert np.array_equal(sc.dot(x[k:k + 1])[0], sc.dot(x)[k])
         assert np.array_equal(sc.combine(y[k:k + 1])[0], sc.combine(y)[k])
         assert np.array_equal(sc.least_norm(y[k:k + 1])[0], sc.least_norm(y)[k])
+
+
+def test_sign_family_holds_no_dense_row_store():
+    # 448 pins and the trace row over 64 x 64: the dense rows alone would
+    # take 28 MB, where the gather tables take under 5 MB
+    tracemalloc.start()
+    try:
+        family = sdp.constraint_family(sdp._sign_functionals(8, 8))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert family.constraints.m == 449
+    assert held <= 6e6
 
 
 @pytest.mark.parametrize("family, dims, unit, dense", [

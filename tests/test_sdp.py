@@ -12,7 +12,7 @@ from dyncoh import search
 from dyncoh.errors import SolverFailure, ValidationError
 from dyncoh.kernels import real_vectors
 
-from conftest import full_sign_enumeration, perfbench_module
+from conftest import constraint_rows, full_sign_enumeration, perfbench_module
 
 
 def cfg_half():
@@ -94,9 +94,7 @@ def test_package_families_keep_every_row_and_start_at_the_maximally_mixed_point(
     else:
         functionals, built = search._mio_functionals(*dims), search._mio_family(*dims)
         weight = dims[1]
-    parts = sum(la.max_abs(part) > 1e-14 for f, _ in functionals
-                for part in (0.5 * (f + la.dagger(f)), (f - la.dagger(f)) / 2j))
-    assert built.constraints.m == parts
+    assert built.constraints.m == len(constraint_rows(functionals))
     assert np.abs(built.start - np.eye(dims[0] * dims[1]) / weight).max() <= 1e-15
     assert np.linalg.eigvalsh(built.start)[0] > 0.0
 
@@ -1065,7 +1063,7 @@ def test_schur_jitter_stays_with_its_program(rng):
                 out[1, -1, :] = out[1, :, -1] = 0.0
             return out
 
-    constraints = SingularSecond(list(family.constraints.dense))
+    constraints = SingularSecond(constraint_rows(sd._sign_functionals(2, 2)))
     c = -sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
                              [(1, -1), (-1, 1), (1, -1)])
     x = np.array(np.broadcast_to(family.start, c.shape))
@@ -1203,10 +1201,12 @@ def test_step_takes_the_mehrotra_corrector_of_direct_solves(rng, dims, monkeypat
 def test_sign_family_is_the_presolved_constraint_span(dims):
     da, db = dims
     family = sd.sign_family(da, db)
-    # independence is over the reals: rank of the vectorizations [Re, Im]
-    rows = real_vectors(family.constraints.dense)
+    # the family holds the rows of its functionals, independent over the
+    # reals: rank of the vectorizations [Re, Im]
+    rows = constraint_rows(sd._sign_functionals(da, db))
     assert family.constraints.m == 1 + da * (da - 1) * db
-    assert np.linalg.matrix_rank(rows) == family.constraints.m
+    assert np.array_equal(family.constraints.combine(np.eye(len(rows))), rows)
+    assert np.linalg.matrix_rank(real_vectors(rows)) == family.constraints.m
     assert family.constraints.dot(family.start) == pytest.approx(family.targets, abs=1e-12)
     assert np.linalg.eigvalsh(family.start).min() > 0.0
 

@@ -87,6 +87,27 @@ def test_brute_force_never_falls_with_more_samples(rng, monkeypatch):
         assert all(lo <= hi for lo, hi in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_square_candidates_sample_each_pre_processing_once(dim):
+    # the permutations start with the identity, which is not sampled again
+    pres = se._pre_candidates(dim, dim, np.random.default_rng(4), 2)
+    assert np.array_equal(pres[0].choi, ch.identity_channel(dim).choi)
+    for k, a in enumerate(pres):
+        assert not any(np.array_equal(a.choi, b.choi) for b in pres[k + 1:])
+
+
+@pytest.mark.parametrize("dim_in, dim_out", itertools.product(range(1, 6), repeat=2))
+def test_classical_embedding_relabels_each_input(dim_in, dim_out):
+    # |i><j| -> delta_ij |t_i><t_i| with t_i = min(i, dim_out - 1)
+    embed = se._classical_embed(dim_in, dim_out)
+    t = np.minimum(np.arange(dim_in), dim_out - 1)
+    for i, j in itertools.product(range(dim_in), repeat=2):
+        expected = np.zeros((dim_out, dim_out), dtype=complex)
+        expected[t[i], t[i]] = float(i == j)
+        assert np.array_equal(ch.apply(embed, np.eye(dim_in)[:, [i]] * np.eye(dim_in)[j]),
+                              expected)
+
+
 def _response_reference(theta, pres, cfg):
     """The response stacks by `compose` calls per candidate, with lam id -
     mu Lambda_phi taken by linearity over the phase channel."""
@@ -129,7 +150,7 @@ def _brute_force_reference(theta, cfg, rng_seed=7):
         if len(perms) > 8:
             perms = [perms[0]] + [perms[i] for i in rng.choice(len(perms) - 1, 7,
                                                                replace=False) + 1]
-        pres = [ch.identity_channel(dim_a)]
+        pres = []
         for perm in perms:
             u = np.zeros((dim_a, dim_a), dtype=complex)
             for col, row in enumerate(perm):

@@ -25,13 +25,14 @@ Free classes:
 
 Construction and checks are stacked numpy: `from_kraus` forms the
 completeness sum and the Choi matrix of a whole Kraus set in one product
-each (`_kraus_chois`, which takes stacks of sets too), `_cptp_flags` tests
-one Choi matrix or a stack of them, and each membership test takes one
-masked maximum over the coefficients.  `random_free_channels` draws a whole
-stack of free channels this way, in the draw order of successive
-`random_di` or `random_mio` calls.  The constant maps `identity_channel`,
-`dephasing` and `hadamard` are built once per dimension and shared: a
-`Channel` is frozen and its Choi matrix read-only.
+each (`_kraus_chois`, which takes stacks of sets too), `_cptp_flags` gives
+one CPTP flag for a Choi matrix or one per matrix of a stack, and each
+membership test takes one masked maximum over the coefficients.
+`random_free_channels` draws a whole stack of free channels this way, in
+the draw order of successive `random_di` or `random_mio` calls.  The
+constant maps `identity_channel`, `dephasing` and `hadamard` are built once
+per dimension and shared: a `Channel` is frozen and its Choi matrix
+read-only.
 """
 
 import functools
@@ -74,31 +75,27 @@ class Channel:
 
 
 def _cptp_flags(choi, dim_in, dim_out, atol):
-    """(Hermitian, PSD, output-trace reduction equal to identity) within atol:
-    three bools for one Choi matrix, three (K,) bool arrays for a stack of K.
-
-    A matrix that is not square and Hermitian fails all three tests.
+    """Whether a Choi matrix is CPTP within atol: Hermitian, PSD and with
+    output-trace reduction equal to the identity.  One bool for one Choi
+    matrix, a (K,) bool array for a stack of K; a matrix that is not square
+    fails.
     """
     choi = np.asarray(choi)
     if choi.ndim < 2 or choi.shape[-1] != choi.shape[-2]:
-        return False, False, False
+        return False
     stack = choi.reshape(-1, *choi.shape[-2:])
-    herm = np.abs(stack - la.dagger(stack)).max(axis=(1, 2), initial=0.0) <= atol
-    h = stack[herm]  # only these are decomposed: NaN never reaches eigvalsh
-    cp, tp = herm.copy(), herm.copy()
-    cp[herm] = np.linalg.eigvalsh(la.hermitian_part(h)).min(axis=1) >= -atol
+    ok = np.abs(stack - la.dagger(stack)).max(axis=(1, 2), initial=0.0) <= atol
+    h = stack[ok]  # only these are decomposed: NaN never reaches eigvalsh
     red = la.partial_trace(h, (dim_out, dim_in), keep=1)
-    tp[herm] = np.abs(red - np.eye(dim_in)).max(axis=(1, 2)) <= atol
-    if choi.ndim == 2:
-        return bool(herm[0]), bool(cp[0]), bool(tp[0])
-    return herm, cp, tp
+    ok[ok] = ((np.linalg.eigvalsh(la.hermitian_part(h)).min(axis=1) >= -atol)
+              & (np.abs(red - np.eye(dim_in)).max(axis=(1, 2)) <= atol))
+    return bool(ok[0]) if choi.ndim == 2 else ok
 
 
 def channel_from_choi(choi, dim_in, dim_out, atol=FLAG_ATOL):
     """The Channel of a Choi matrix that is CPTP within ``atol``."""
     choi = np.ascontiguousarray(choi, dtype=complex)
-    _, cp, tp = _cptp_flags(choi, dim_in, dim_out, atol)
-    if not (cp and tp):
+    if not _cptp_flags(choi, dim_in, dim_out, atol):
         raise ValidationError("Choi matrix is not CPTP within tolerance")
     return Channel(dim_in, dim_out, choi)
 
@@ -300,13 +297,12 @@ def hadamard_mixture(p1):
 
 def is_cptp(m, atol=MEMBERSHIP_ATOL):
     """Choi PSD within atol and output-trace reduction equal to identity."""
-    return all(_cptp_flags(m.choi, m.dim_in, m.dim_out, atol))
+    return _cptp_flags(m.choi, m.dim_in, m.dim_out, atol)
 
 
 def _require_cptp(choi, dim_in, dim_out, atol):
     """Raise unless the Choi matrix, or every matrix of a stack, is CPTP."""
-    _, cp, tp = _cptp_flags(choi, dim_in, dim_out, max(atol, MEMBERSHIP_ATOL))
-    if not np.all(cp & tp):
+    if not np.all(_cptp_flags(choi, dim_in, dim_out, max(atol, MEMBERSHIP_ATOL))):
         raise ValidationError("membership test requires a CPTP input")
 
 

@@ -5,9 +5,10 @@ counterexample, verify.  Reports are JSON (CSV for sweeps) with the fully
 resolved run configuration embedded, and identical configurations produce
 byte-identical output.
 
-Exit codes: 0 success, 1 parse error, 2 dimension/validation error or a
-file that cannot be read or written, 3 solver failure (a LAPACK routine
-that does not converge included).  Errors print one JSON line on stderr.
+Exit codes: 0 success, 1 parse error, 2 dimension/validation error, a
+file that cannot be read or written or an input too large for memory, 3
+solver failure (a LAPACK routine that does not converge included).  Errors
+print one JSON line on stderr.
 """
 
 import argparse
@@ -207,7 +208,7 @@ def run(cfg):
         status = getattr(exc, "status", "numerical_failure")
         sys.stderr.write(json.dumps({"exit_code": 3, "error": str(exc), "status": status}) + "\n")
         return 3
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:  # an input too large to hold
         sys.stderr.write(json.dumps({"exit_code": 2, "error": str(exc)}) + "\n")
         return 2
 

@@ -55,7 +55,9 @@ sign programs, any dual iterate bounds its program from above
 program, and a program whose ceiling shows it cannot reach the greatest
 objective attained in its group stops as ``pruned``; one whose ceiling
 LAPACK cannot compute ends as ``numerical_failure`` at that iteration.  A
-stack without groups computes neither.
+stack without groups computes neither, and its ceilings are inf.  Each
+iteration forms the ceilings first, then decides once which programs end as
+optimal, failed or pruned, and writes a program's `IpmInfo` as it stops.
 """
 
 from dataclasses import dataclass
@@ -101,7 +103,7 @@ class IpmInfo:
     dual_objective: float
     # certified ceiling on the objective of every feasible X at the last
     # iterate (`_dual_bound`); inf in a stack without groups
-    bound: float = np.inf
+    bound: float
 
 
 def _inner(a, b):
@@ -296,11 +298,11 @@ def solve_stacked(family, c, groups=None, floors=None):
     `IpmInfo` per program.  A program stops as ``optimal`` at relative gap
     ``GAP_TOL`` and residuals ``FEAS_TOL``, and as ``numerical_failure`` on
     a stall, an overflow, ``MAX_ITER`` iterations or a ceiling whose
-    eigenvalues LAPACK cannot compute.  With ``groups``, each
-    info carries the program's ceiling at its last iterate, and a program
-    stops as ``pruned`` once its ceiling falls below its group's floor f by
-    more than GAP_TOL (1 + |f|).  The other programs take the same steps, to
-    the bit.
+    eigenvalues LAPACK cannot compute, even at an optimal iterate.  With
+    ``groups``, each info carries the program's ceiling at its last
+    iterate, and a program neither optimal nor failed stops as ``pruned``
+    once its ceiling falls below its group's floor f by more than
+    GAP_TOL (1 + |f|).  The other programs take the same steps, to the bit.
     """
     constraints, b = family.constraints, family.targets
     c = la.hermitian_part(-np.asarray(c, dtype=complex))  # the iteration minimizes
@@ -320,23 +322,19 @@ def solve_stacked(family, c, groups=None, floors=None):
     cr, scale_cr = c, scale_c
     best_gap = np.full(k_total, np.inf)
     stall = np.zeros(k_total, dtype=int)
-    status = np.empty(k_total, dtype=object)
-    stopped_at = np.zeros(k_total, dtype=int)
-    record = np.full((k_total, 6), np.inf)  # the figures of IpmInfo, bound last
+    infos = [None] * k_total
     run = np.arange(k_total)  # the programs still running
 
     def stop(mask, outcome, it, figures):
-        """End the running programs in ``mask`` with ``outcome``."""
+        """End the running programs in ``mask`` with ``outcome``: record their
+        `IpmInfo` and keep their X, y and S."""
         ended = run[mask]
-        if not ended.size:
-            return
         # A failure leaves its group with no floor, so the group prunes no
         # more and its other programs end as they would alone.
         if groups is not None and outcome == "numerical_failure":
             floors[groups[ended]] = np.nan
-        status[ended] = outcome
-        stopped_at[ended] = it
-        record[ended, :figures.shape[1]] = figures[mask]
+        for k, row in zip(ended, figures[mask]):
+            infos[k] = IpmInfo(outcome, it, *map(float, row))
         x[ended], y[ended], s[ended] = xr[mask], yr[mask], sr[mask]
 
     for it in range(1, MAX_ITER + 1):
@@ -351,40 +349,38 @@ def solve_stacked(family, c, groups=None, floors=None):
         rd_size = _entry_size(rd)
         dual_res = 0.5 * rd_size / (1.0 + scale_cr)
         rel_gap = gap / (1.0 + np.abs(pobj) + np.abs(dobj))
-        # one row per program, in the order of the IpmInfo fields
-        figures = np.stack([rel_gap, prim_res, dual_res, pobj, dobj], axis=1)
-
-        optimal = (rel_gap <= GAP_TOL) & (prim_res <= FEAS_TOL) & (dual_res <= FEAS_TOL)
-        improved = gap < best_gap * (1.0 - 1e-4)
-        best_gap = np.where(improved, gap, best_gap)
-        stall = np.where(improved, 0, stall + 1)
+        # one row per program, in the order of the IpmInfo fields, with the
+        # ceiling inf unless the programs carry groups
+        figures = np.array([rel_gap, prim_res, dual_res, pobj, dobj, np.full(run.size, np.inf)]).T
         finite = np.isfinite(figures[:, :3]).all(axis=1)
-        failed = ~optimal & (~finite | (stall > _STALL_LIMIT))
-        done = optimal | failed
         if groups is not None:
             # A finite dual residual makes C, S and r_d finite, so no
             # non-finite iterate reaches eigvalsh.
-            bound = np.full(run.size, np.inf)
-            bound[finite] = _dual_bound(
+            figures[finite, 5] = _dual_bound(
                 b, yr[finite], sr[finite] + rd[finite],
                 2.0 * scale_cr[finite] + _entry_size(sr[finite]) + rd_size[finite])
-            # a program without a bound ends here, optimal or not
-            lost = np.isnan(bound)
-            optimal &= ~lost
-            failed |= lost
-            done = optimal | failed
+        bound = figures[:, 5]
+        improved = gap < best_gap * (1.0 - 1e-4)
+        best_gap = np.where(improved, gap, best_gap)
+        stall = np.where(improved, 0, stall + 1)
+        # How each program ends, if it does: a program without a bound fails
+        lost = np.isnan(bound)
+        optimal = ((rel_gap <= GAP_TOL) & (prim_res <= FEAS_TOL) & (dual_res <= FEAS_TOL)
+                   & ~lost)
+        failed = ~optimal & (~finite | (stall > _STALL_LIMIT) | lost)
+        pruned = np.zeros(run.size, dtype=bool)
+        if groups is not None:
             group = groups[run]
             feasible = finite & (prim_res <= FEAS_TOL)
             np.maximum.at(floors, group[feasible], pobj[feasible])
-            floors[group[failed]] = np.nan  # as `stop` does
+            floors[group[failed]] = np.nan  # as `stop` does, before pruning
             best = floors[group]
-            pruned = ~done & (bound < best - GAP_TOL * (1.0 + np.abs(best)))
-            done |= pruned
-            figures = np.column_stack([figures, bound])
-            stop(pruned, "pruned", it, figures)
+            pruned = ~optimal & ~failed & (bound < best - GAP_TOL * (1.0 + np.abs(best)))
+        done = optimal | failed | pruned
         if done.any():
             stop(optimal, "optimal", it, figures)
             stop(failed, "numerical_failure", it, figures)
+            stop(pruned, "pruned", it, figures)
             run, xr, yr, sr, cr, scale_cr, best_gap, stall, rp, rd, gap, figures = (
                 a[~done] for a in (run, xr, yr, sr, cr, scale_cr, best_gap, stall,
                                    rp, rd, gap, figures))
@@ -410,8 +406,6 @@ def solve_stacked(family, c, groups=None, floors=None):
         sr = la.hermitian_part(sr + ad[:, None, None] * ds)
     else:
         stop(np.ones(run.size, dtype=bool), "numerical_failure", MAX_ITER, figures)
-    infos = [IpmInfo(str(status[k]), int(stopped_at[k]), *(float(f) for f in record[k]))
-             for k in range(k_total)]
     return x, y, s, infos
 
 

@@ -265,16 +265,14 @@ def enumerate_sign_vectors(n, full=False):
 
 
 def _sign_functionals(da, db):
-    """tr X = 1 and diag(<i|_A X |j>_A) = 0 for i < j, as complex functionals."""
+    """tr X = 1 and diag(<i|_A X |j>_A) = 0 for i < j, as complex functionals,
+    the pins in the order of (i, j, b)."""
     n = da * db
-    functionals = [(np.eye(n, dtype=complex), 1.0 + 0.0j)]
-    for i in range(da):
-        for j in range(i + 1, da):
-            for b in range(db):
-                f = np.zeros((n, n), dtype=complex)
-                f[i * db + b, j * db + b] = 1.0
-                functionals.append((f, 0.0 + 0.0j))
-    return functionals
+    i, j = np.triu_indices(da, 1)
+    b = np.arange(db)
+    pins = np.zeros((len(i) * db, n, n), dtype=complex)
+    pins[np.arange(len(pins)), (i[:, None] * db + b).ravel(), (j[:, None] * db + b).ravel()] = 1.0
+    return [(np.eye(n, dtype=complex), 1.0 + 0.0j)] + [(f, 0.0 + 0.0j) for f in pins]
 
 
 @functools.lru_cache(maxsize=None)
@@ -487,11 +485,10 @@ class SignEvaluation:
     ``per_sign`` holds each pattern's value, or its ceiling where
     ``per_sign_status`` says ``pruned``.  ``per_sign_orbit`` gives each
     pattern's class representative (`_conjugate_classes`); only
-    representatives are solved, and a pattern k with
-    ``per_sign_orbit[k] != k`` is transferred: it takes its
-    representative's value and status, and the representative's ceiling
-    plus the transfer defect ||O_k - D O_rep D^dag||_F, which bounds
-    |tr((O_k - D O_rep D^dag) X)| for every X >= 0 with tr X = 1.
+    representatives are solved, and every non-constant pattern k reads its
+    class: the representative's value and status, and its ceiling plus the
+    transfer defect ||O_k - D O_rep D^dag||_F (0 for the representative),
+    which bounds |tr((O_k - D O_rep D^dag) X)| for every X >= 0 with tr X = 1.
     ``upper_bound`` is the largest ceiling, the constant patterns counting
     as exact, plus the rounding allowance of the n x n game arithmetic
     (`ipm.rounding_allowance`), so that a value computed for a strategy
@@ -524,9 +521,9 @@ def evaluate_pairs(pairs):
     representatives of every pair go into stacked runs over the shared
     `sign_family`, one group per pair, whose floor starts at the exact
     constant-pattern value |lam - mu|; the two constant patterns are pinned
-    to +-(lam - mu) by trace preservation.  The other patterns are
-    transferred (`SignEvaluation`); a representative precedes its class and
-    ties go to the lowest pattern, so the winner is always a solved program.
+    to +-(lam - mu) by trace preservation.  Every other pattern reads its
+    class (`SignEvaluation`); a representative precedes its class and ties
+    go to the lowest pattern, so the winner is always a solved program.
     When the programs take more than one run (`stack_runs`), a program is
     pruned only below what its pair reached in this and earlier runs, so
     each pair's programs go in descending order of their `_pinned_ceilings`,
@@ -559,15 +556,15 @@ def evaluate_pairs(pairs):
     rep, phases = _conjugate_classes(objectives)
     orbit = np.tile(np.arange(len(signs)), (len(pairs), 1))
     orbit[:, non_constant] = non_constant[rep]
-    # the transferred patterns, and their defects ||O_k - D O_rep D^dag||_F
-    is_rep = rep == np.arange(len(non_constant))
-    moved_p, moved_k = np.nonzero(~is_rep)
+    # the transfer defects ||O_k - D O_rep D^dag||_F, 0 for a representative
+    defects = np.zeros(rep.shape)
+    moved_p, moved_k = np.nonzero(rep != np.arange(len(non_constant)))
     d = phases[moved_p, moved_k]
     transported = (d[:, :, None] * objectives[moved_p, rep[moved_p, moved_k]]
                    * np.conj(d[:, None, :]))
-    defects = np.linalg.norm(objectives[moved_p, moved_k] - transported, axis=(1, 2))
-    moved = non_constant[moved_k]
-    rows, cols = np.nonzero(is_rep)
+    defects[moved_p, moved_k] = np.linalg.norm(objectives[moved_p, moved_k] - transported,
+                                               axis=(1, 2))
+    rows, cols = np.nonzero(rep == np.arange(len(non_constant)))
     family = sign_family(da, db)
     if len(stack_runs(len(rows), family.constraints.n, family.constraints.m)) > 1:
         try:
@@ -578,15 +575,15 @@ def evaluate_pairs(pairs):
     solved = non_constant[cols]
     xs, infos = solve_family(family, objectives[rows, cols], rows,
                              [cfg.prior_gap for _, cfg in pairs])
+    # the representatives' outcomes, which every pattern reads through its class
     status[rows, solved] = [info.status for info in infos]
     ceiling[rows, solved] = [info.bound for info in infos]
-    per_sign[rows, solved] = [info.bound if info.status == "pruned" else info.primal_objective
-                              for info in infos]
-    reps = orbit[moved_p, moved]
-    status[moved_p, moved] = status[moved_p, reps]
-    ceiling[moved_p, moved] = ceiling[moved_p, reps] + defects
-    per_sign[moved_p, moved] = np.where(status[moved_p, reps] == "pruned",
-                                        ceiling[moved_p, moved], per_sign[moved_p, reps])
+    per_sign[rows, solved] = [info.primal_objective for info in infos]
+    reps = (np.arange(len(pairs))[:, None], orbit[:, non_constant])
+    status[:, non_constant] = status[reps]
+    ceiling[:, non_constant] = ceiling[reps] + defects
+    per_sign[:, non_constant] = np.where(status[:, non_constant] == "pruned",
+                                         ceiling[:, non_constant], per_sign[reps])
     position = np.full(per_sign.shape, -1)
     position[rows, solved] = np.arange(len(rows))
 

@@ -240,23 +240,19 @@ def swap_monotonicity_counterexample():
 # ---------------------------------------------------------------------------
 
 def _mio_functionals(dim_b, dim_c):
-    """Choi matrices of MIO channels: trace preservation plus, for each
-    incoherent input, vanishing coherences of its output."""
+    """Choi matrices of MIO channels: trace preservation, by i <= j, plus,
+    for each incoherent input b, vanishing coherences k < l of its output."""
     n = dim_c * dim_b
-    constraints = []
-    for i in range(dim_b):
-        for j in range(i, dim_b):
-            f = np.zeros((n, n), dtype=complex)
-            for c in range(dim_c):
-                f[c * dim_b + i, c * dim_b + j] = 1.0
-            constraints.append((f, 1.0 + 0.0j if i == j else 0.0 + 0.0j))
-    for j in range(dim_b):
-        for k in range(dim_c):
-            for l in range(k + 1, dim_c):
-                f = np.zeros((n, n), dtype=complex)
-                f[k * dim_b + j, l * dim_b + j] = 1.0
-                constraints.append((f, 0.0 + 0.0j))
-    return constraints
+    i, j = np.triu_indices(dim_b)
+    c = np.arange(dim_c) * dim_b
+    trace = np.zeros((len(i), n, n), dtype=complex)
+    trace[np.arange(len(i))[:, None], c + i[:, None], c + j[:, None]] = 1.0
+    k, l = np.triu_indices(dim_c, 1)
+    b = np.repeat(np.arange(dim_b), len(k))
+    pins = np.zeros((len(b), n, n), dtype=complex)
+    pins[np.arange(len(b)), np.tile(k, dim_b) * dim_b + b, np.tile(l, dim_b) * dim_b + b] = 1.0
+    return ([(f, complex(t)) for f, t in zip(trace, i == j)]
+            + [(f, 0.0 + 0.0j) for f in pins])
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,9 +340,9 @@ def postprocessed_improvement_lower(theta, cfg, rng_seed=7):
         objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
         new_choi, _ = sdpmod.solve_family(
             family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])))
-        _, cp, tp = ch._cptp_flags(new_choi, dim_b, dim_c, atol=1e-6)
-        if not (cp & tp).all():
-            raise SolverFailure("numerical_failure", f"{np.count_nonzero(~(cp & tp))} of "
+        cptp = ch._cptp_flags(new_choi, dim_b, dim_c, atol=1e-6)
+        if not cptp.all():
+            raise SolverFailure("numerical_failure", f"{np.count_nonzero(~cptp)} of "
                                 f"{len(new_choi)} MIO steps returned a Choi matrix that is "
                                 "not CPTP within 1e-6")
         choi[active] = new_choi

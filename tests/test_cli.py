@@ -291,6 +291,16 @@ def test_parse_error_exit_code(capsys):
     assert json.loads(err)["exit_code"] == 1
 
 
+def test_a_channel_too_large_for_memory_exit_code(capsys):
+    # qft:10000000 asks for a 727 TiB array, beyond any x86-64 address
+    # space, so the allocation is refused at once
+    code, out, err = run_cli(["classify", "--channel", "qft:10000000"], capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 2
+
+
 def test_unknown_flag_exit_code(capsys):
     code, _, err = run_cli(["measure-pre", "--frobnicate"], capsys)
     assert code == 1

@@ -99,6 +99,33 @@ def test_package_families_keep_every_row_and_start_at_the_maximally_mixed_point(
     assert np.linalg.eigvalsh(built.start)[0] > 0.0
 
 
+def _unit(n, p, q):
+    f = np.zeros((n, n), dtype=complex)
+    f[p, q] = 1.0
+    return f
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 1), (2, 3), (3, 2), (4, 4)])
+def test_family_rows_come_in_loop_order(dims):
+    # the row order moves the solver's last bits, so both builders keep the
+    # order of these loops, entry for entry
+    da, db = dims
+    n = da * db
+    sign = [(np.eye(n, dtype=complex), 1.0)] + [
+        (_unit(n, i * db + b, j * db + b), 0.0)
+        for i in range(da) for j in range(i + 1, da) for b in range(db)]
+    dim_b, dim_c = dims
+    mio = [(sum(_unit(n, c * dim_b + i, c * dim_b + j) for c in range(dim_c)), float(i == j))
+           for i in range(dim_b) for j in range(i, dim_b)] + [
+        (_unit(n, k * dim_b + b, l * dim_b + b), 0.0)
+        for b in range(dim_b) for k in range(dim_c) for l in range(k + 1, dim_c)]
+    for built, expected in ((sd._sign_functionals(*dims), sign),
+                            (search._mio_functionals(*dims), mio)):
+        assert len(built) == len(expected)
+        for (f, t), (g, s) in zip(built, expected):
+            assert f.shape == g.shape and (f == g).all() and t == s
+
+
 def test_problem_rejects_non_hermitian_objective():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValidationError):

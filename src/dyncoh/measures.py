@@ -7,9 +7,10 @@ multiplies entry (i, j) of a state by P_ij = e^{i(phi_i - phi_j)}.  So the
 hypothesis-difference map lam id - mu Lambda_phi is the entrywise product
 with the weight matrix W = lam - mu P.  `GameConfig` forms P
 (``phase_factors``) and W (``signal_weights``) once, read-only, and every
-game quantity of the package reads them.
+game quantity of the package reads them; its ``ceiling`` bounds them all.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,12 @@ class GameConfig:
 
     ``phase_factors`` is P = e^{i(phi_i - phi_j)}, the multiplier of the
     phases, and ``signal_weights`` is W = lam - mu P, the multiplier of the
-    hypothesis difference lam id - mu Lambda_phi; both are read-only.  Two
-    configs are equal when their ``lam`` and the bytes of their ``phi``
-    are, and hash alike then.
+    hypothesis difference lam id - mu Lambda_phi; both are read-only.
+    ``ceiling`` is the most ||W o tau||_1 reaches over all states tau, a
+    closed form in ``lam`` and the widest gap between the phases; it bounds
+    every strategy of the game, pre- or post-processed, and is computed
+    when read.  Two configs are equal when their ``lam`` and the bytes of
+    their ``phi`` are, and hash alike then.
     """
 
     lam: float
@@ -70,6 +74,28 @@ class GameConfig:
     def prior_gap(self):
         """|lam - mu|, the best bias obtainable from the prior alone (x2)."""
         return abs(self.lam - self.mu)
+
+    @property
+    def ceiling(self):
+        """sqrt(1 - 4 lam mu r^2), the most ||W o tau||_1 reaches over states tau.
+
+        r is the distance from 0 to the convex hull of the phases e^{i phi_k}:
+        with g the widest gap between neighbouring phases around the circle,
+        r = max(0, -cos(g / 2)).  The bound holds because the trace norm is
+        convex, so pure states carry the maximum, where
+        ||lam psi - mu U psi U^dag||_1 = sqrt(1 - 4 lam mu |<psi|U psi>|^2),
+        and <psi|U psi> ranges over the numerical range of the normal
+        U = diag(e^{i phi}), the hull of its eigenvalues.  It is lam + mu = 1
+        when the phases surround 0 (g <= pi), |lam - mu| for a single phase.
+        """
+        phi = np.sort(np.mod(self.phi, 2.0 * np.pi))
+        gap = max(np.diff(phi).max(initial=0.0), 2.0 * np.pi - (phi[-1] - phi[0]))
+        if gap <= math.pi:
+            return 1.0
+        # 1 - 4 lam mu r^2 = (lam - mu)^2 + 4 lam mu sin^2(g / 2): a sum of
+        # two nonnegative terms, where the difference cancels as it nears 0
+        return math.sqrt((self.lam - self.mu) ** 2
+                         + 4.0 * self.lam * self.mu * math.sin(gap / 2.0) ** 2)
 
 
 @dataclass(frozen=True)

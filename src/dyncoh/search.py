@@ -21,7 +21,11 @@ output pair's difference by W, and its observable enters the MIO step
 weighted by conj(W), the adjoint.  A chain whose sign observable is +-I
 stops without its MIO step: trace preservation pins that step's objective
 to +-(lam - mu) on every MIO channel, as it pins the detection side's two
-constant sign patterns.  The game simulation applies the phases
+constant sign patterns.  Every chain stops once the best chain comes within
+``STOP_GAIN`` (1 + c*) of the game's ceiling c* (`GameConfig.ceiling`),
+checked after each round's Helstrom steps and before its MIO steps: no
+strategy's trace norm exceeds c*, so the floor is then exact within
+``STOP_GAIN``.  The game simulation applies the phases
 as the multiplier e^{i(phi_i - phi_j)} (`_game_outputs`).
 
 Both searches take one setting, ``rng_seed``.  Their effort is fixed by the
@@ -297,6 +301,14 @@ def postprocessed_improvement_lower(theta, cfg, rng_seed=7):
     conj(sigma))) = tr sigma = 1: the objective is the constant
     +-(lam - mu) on the MIO set, and the step is never solved.
 
+    Every chain stops when the best value, taken after a round's Helstrom
+    steps and before its MIO steps, reaches c* - ``STOP_GAIN`` (1 + c*),
+    where c* = ``cfg.ceiling`` bounds ||W o tau||_1 over all states tau.  No
+    chain could then raise the result by more than its own stop threshold,
+    so the floor is exact within ``STOP_GAIN`` (1 + c*) wherever this stop
+    fires.  At the default phases (2 pi / 3, 0) the Hadamard's identity chain
+    meets c* = sqrt(1 - lam mu) in round 1, and no MIO step is solved.
+
     Every iterate is a feasible strategy, so the value is a true lower
     bound, and each step is a restricted maximization, so a chain's value
     never falls.  The chains advance in lockstep: a round's Helstrom steps
@@ -319,6 +331,9 @@ def postprocessed_improvement_lower(theta, cfg, rng_seed=7):
     choi = np.stack([post.choi for _ in inputs for post in starts])
     value = np.full(len(choi), -np.inf)
     active = np.arange(len(choi))
+    # once the best chain is this close to the game's ceiling, no chain can
+    # raise the result by more than its own stop threshold
+    stop_at = cfg.ceiling - STOP_GAIN * (1.0 + cfg.ceiling)
     for round_ in range(1, MAX_ROUNDS + 1):
         posts = choi[active].reshape(-1, dim_c, dim_b, dim_c, dim_b)
         tau = np.einsum("pkilj,pij->pkl", posts, sigma[active])
@@ -332,7 +347,7 @@ def postprocessed_improvement_lower(theta, cfg, rng_seed=7):
         signs = np.where(w >= 0.0, 1.0, -1.0)
         keep = improved & (signs != signs[:, :1]).any(axis=-1)
         active, v, signs = active[keep], v[keep], signs[keep]
-        if not active.size or round_ == MAX_ROUNDS:
+        if not active.size or round_ == MAX_ROUNDS or value.max() >= stop_at:
             break
         p_obs = (v * signs[:, None, :]) @ la.dagger(v)
         q = np.conj(cfg.signal_weights) * p_obs  # the adjoint of the difference map

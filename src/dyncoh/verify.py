@@ -222,6 +222,27 @@ def _check_post_hadamard(rng):
     return SQRT3_HALF - 1e-4 <= val <= SQRT3_HALF + 1e-6, f"lower bound {val:.10f}"
 
 
+def _check_game_ceiling(rng):
+    # every strategy's trace norm, pre- or post-processed, stays under the
+    # game's closed-form ceiling, which the Hadamard meets at the README
+    # phases; a ceiling set too low would cut the creation chains short
+    # without a trace
+    thetas = [ch.hadamard()] + [ch.random_channel(2, 2, rng) for _ in range(9)]
+    excess = []
+    for k, theta in enumerate(thetas):
+        for phi in (PHI, rng.uniform(0, 2 * np.pi, 2)):
+            for lam in (0.3, 0.5, 0.7):
+                cfg = ms.GameConfig(lam, phi)
+                values = (sdpmod.preprocessed_improvement(theta, cfg).lower_bound,
+                          se.brute_force_game_value(theta, cfg, rng_seed=k),
+                          se.postprocessed_improvement_lower(theta, cfg, rng_seed=k)
+                          + cfg.prior_gap)
+                excess.append(max(values) - cfg.ceiling
+                              - ipm.rounding_allowance(cfg.dim * theta.dim_in, 2.0))
+    return max(excess) <= 0.0, (f"max excess over ceiling plus allowance {max(excess):.2e} "
+                                f"over {len(excess)} games")
+
+
 def _check_game(rng):
     theta = ch.hadamard()
     rep = sdpmod.preprocessed_improvement(theta, HALF)
@@ -248,6 +269,7 @@ CHECKS = [
     ("sampled_oracle_pincer", _check_pincer),
     ("swap_counterexample", _check_counterexample),
     ("hadamard_postprocessed_bound", _check_post_hadamard),
+    ("game_ceiling_bounds_both_sides", _check_game_ceiling),
     ("guessing_game_consistency", _check_game),
 ]
 

@@ -61,6 +61,56 @@ def test_configs_compare_and_hash_by_value():
     assert cfg != (0.5, [2.0, 0.0, 1.0])
 
 
+def test_ceiling_of_a_qubit_game_is_closed_form(rng):
+    # the hull of two phases lies at distance |cos(dphi / 2)| from 0
+    for _ in range(200):
+        lam, phi = rng.uniform(0, 1), rng.uniform(-10, 10, 2)
+        expected = np.sqrt(1.0 - 4.0 * lam * (1.0 - lam) * np.cos((phi[0] - phi[1]) / 2) ** 2)
+        assert ms.GameConfig(lam, phi).ceiling == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.3, 0.5, 0.75, 1.0])
+def test_ceiling_of_one_phase_is_the_prior_gap_and_of_surrounding_phases_one(lam):
+    assert ms.GameConfig(lam, [1.3]).ceiling == pytest.approx(abs(2.0 * lam - 1.0), abs=1e-15)
+    for d in range(2, 7):
+        assert ms.GameConfig(lam, 2.0 * np.pi * np.arange(d) / d).ceiling == 1.0
+
+
+def test_ceiling_ignores_a_common_shift_the_order_and_a_swap_of_the_priors(rng):
+    for d in range(1, 6):
+        for _ in range(20):
+            lam, phi = rng.uniform(0, 1), rng.uniform(0, 2 * np.pi, d) * rng.uniform(0.1, 1)
+            ceiling = ms.GameConfig(lam, phi).ceiling
+            assert ms.GameConfig(lam, rng.permutation(phi)).ceiling == ceiling
+            assert ms.GameConfig(lam, phi + rng.uniform(-20, 20)).ceiling == pytest.approx(
+                ceiling, abs=1e-12)
+            assert ms.GameConfig(1.0 - lam, phi).ceiling == pytest.approx(ceiling, abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_ceiling_bounds_every_pure_state_and_is_attained_past_a_half_circle(d, rng):
+    for k in range(40):
+        lam = rng.uniform(0, 1)
+        # random phases, or phases clustered on an arc, which leave a gap
+        # wider than pi and so a ceiling below 1
+        spread = 2 * np.pi if k % 2 else rng.uniform(0, 1)
+        cfg = ms.GameConfig(lam, rng.uniform(0, 1) * 7 + rng.uniform(0, spread, d))
+        values = [la.trace_norm_hermitian(cfg.signal_weights * la.random_pure_state(d, rng))
+                  for _ in range(20)]
+        assert max(values) <= cfg.ceiling + 1e-12
+        # the equal superposition of the two phases that bound the widest gap
+        # (one basis state for a single phase) attains the ceiling
+        phi = np.mod(cfg.phi, 2 * np.pi)
+        order = np.argsort(phi)
+        arcs = np.diff(phi[order], append=phi[order[0]] + 2 * np.pi)
+        widest = int(np.argmax(arcs))
+        if arcs[widest] > np.pi:
+            v = np.zeros(d)
+            v[[order[widest], order[(widest + 1) % d]]] = 1.0
+            witness = la.trace_norm_hermitian(cfg.signal_weights * la.pure_state(v))
+            assert witness == pytest.approx(cfg.ceiling, abs=1e-12)
+
+
 def test_signal_weights_scale_incoherent_states(rng):
     cfg = ms.GameConfig(0.3, np.array([0.1, 2.2, 0.7]))
     sigma = np.diag(rng.dirichlet(np.ones(3))).astype(complex)

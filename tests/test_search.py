@@ -342,6 +342,30 @@ def test_postprocessed_hadamard_is_analytic_at_every_prior(lam):
                                   abs=1e-8)
 
 
+@pytest.mark.parametrize("lam, seed", [(0.2, 3), (0.25, 7), (0.65, 5)])
+def test_postprocessed_hadamard_stops_at_the_ceiling_before_any_mio_step(lam, seed, monkeypatch,
+                                                                         capsys):
+    # the identity chain meets the game's ceiling sqrt(1 - lam mu) in its
+    # first Helstrom step; these inputs raised SolverFailure from a stalled
+    # MIO step while the other chains ran on
+    calls = []
+    original = sd.solve_family
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(se.sdpmod, "solve_family", recording)
+    value = se.postprocessed_improvement_lower(ch.hadamard(), ms.GameConfig(lam, PHI),
+                                               rng_seed=seed)
+    assert value == pytest.approx(np.sqrt(1.0 - lam * (1.0 - lam)) - abs(2.0 * lam - 1.0),
+                                  abs=1e-12)
+    assert calls == []
+    argv = ["measure-post", "--channel", "hadamard", "--lambda", str(lam), "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["value"] == value
+
+
 def _alternate_reference(theta, cfg, rng_seed=7, stop_uniform=True):
     """The alternating bound chain after chain, one MIO-step SDP per solve,
     at the round cap and the number of starts that `search` holds now.
@@ -413,6 +437,14 @@ def test_postprocessed_lockstep_matches_chain_by_chain_reference(case):
     assert se.postprocessed_improvement_lower(theta, cfg) == pytest.approx(reference, abs=1e-12)
 
 
+@pytest.fixture
+def no_ceiling_stop(monkeypatch):
+    """No game ceiling, so the chains never stop at it.  The Hadamard cases
+    below reach their MIO steps only so: at the game's phases the identity
+    chain meets the ceiling in round 1, and no MIO step is solved."""
+    monkeypatch.setattr(ms.GameConfig, "ceiling", np.inf)
+
+
 def _record_mio_runs(monkeypatch, corrupt=None):
     """Sizes of the stacked solves, optionally after overwriting objective
     ``corrupt`` of the first stack with NaN."""
@@ -430,6 +462,7 @@ def _record_mio_runs(monkeypatch, corrupt=None):
     return runs
 
 
+@pytest.mark.usefixtures("no_ceiling_stop")
 def test_postprocessed_stacks_the_improving_chains_of_each_round(monkeypatch):
     theta, cfg = _creation_cases()[0]  # chains take 0 to 8 MIO steps
     _, steps = _alternate_reference(theta, cfg)
@@ -459,6 +492,7 @@ def test_a_uniform_observable_has_one_value_on_every_channel(dims, rng):
         assert values == pytest.approx([sign * (cfg.lam - cfg.mu)] * len(posts), abs=1e-14)
 
 
+@pytest.mark.usefixtures("no_ceiling_stop")
 def test_postprocessed_chains_with_a_uniform_observable_reach_no_mio_step(monkeypatch):
     theta, cfg = _creation_cases()[0]
     _, steps = _alternate_reference(theta, cfg)
@@ -519,6 +553,7 @@ def test_postprocessed_takes_no_mio_step_in_its_last_round(rounds, rng, monkeypa
     assert runs == [sum(n > 0 for n in steps)] * (rounds - 1)
 
 
+@pytest.mark.usefixtures("no_ceiling_stop")
 def test_postprocessed_chains_stop_at_the_same_round_under_a_last_bit_change(monkeypatch):
     # Hadamard at prior 0.2 has four long chains, whose late gains are of the
     # order of the MIO steps' solver tolerance.  One ulp more on every MIO
@@ -541,6 +576,7 @@ def test_postprocessed_chains_stop_at_the_same_round_under_a_last_bit_change(mon
     assert runs == sizes
 
 
+@pytest.mark.usefixtures("no_ceiling_stop")
 def test_postprocessed_failed_mio_step_raises(monkeypatch):
     runs = _record_mio_runs(monkeypatch, corrupt=5)
     with pytest.raises(SolverFailure) as err:
@@ -549,6 +585,7 @@ def test_postprocessed_failed_mio_step_raises(monkeypatch):
     assert runs == [18]
 
 
+@pytest.mark.usefixtures("no_ceiling_stop")
 def test_postprocessed_non_cptp_mio_step_is_a_solver_failure(monkeypatch, capsys):
     # a solved Choi matrix that fails the CPTP test is solver trouble (exit
     # 3), not bad input (exit 2)

@@ -21,26 +21,34 @@ and positive definite start from `constraint_family`.  The sign programs
 share every constraint, so the constraints are built once per dims
 (`sign_family`), and the programs of one evaluation, or of many evaluations
 over the same dims (`evaluate_pairs`, which the mixture sweep uses), are
-solved together in stacked interior-point runs.  Each run holds as many
-programs as its working set allows: its length times `stack_footprint`
-stays within ``STACK_BYTES``, and a run holds at least one program
-(`stack_runs`).  Programs that take several runs go in descending order
-of a cheap ceiling (`_pinned_ceilings`) within each pair, so that the
-likely winner's value prunes the runs after it.  The objectives of all
-pairs come from one stack of output populations (`_populations`) in one
-contraction (`_signed_objectives`).
-The two constant sign patterns are never solved: trace preservation pins
-their value to +-(lam - mu).
+solved together in stacked interior-point runs, each as long as its working
+set allows (`stack_runs`).  Programs that take several runs go in
+descending order of a cheap ceiling (`_pinned_ceilings`) within each pair,
+so that the likely winner's value prunes the runs after it.  The two
+constant sign patterns are never solved: trace preservation pins their
+value to +-(lam - mu).
+
+Every objective is a Kronecker product, which `solve_family` takes as its
+two factors and forms (`_kron_objectives`) only when a run starts: O_s =
+conj(W (x) T_s) for the sign program s, with W the game's weights on A and
+T_s the signed output populations on B (`_signed_populations`), and
+q (x) conj(sigma) for a creation-side MIO step.
 
 Programs whose objectives are conjugate, O' = D O D^dag for a diagonal
-unitary D on A (x) B, are solved once: conjugation by D keeps every
-constraint, so they have one value.  Output symmetries of the channel give
-such classes, and so does the negation s -> -s at lam = mu for a game whose
-phases take two values.  `evaluate_pairs` finds the classes
-(`_conjugate_classes`: a stacked test of the conjugation invariants over
-all pairs, then phases fixed along a spanning tree, each candidate accepted
-only to ``SYMMETRY_TOL``), solves the lowest pattern of each class, and
-transfers its value and status to the rest of the class.
+unitary D on A (x) B, are solved once: D keeps every constraint (a pinned
+entry (i b, j b) picks up d_ib conj(d_jb)), so they have one value, as in
+the symmetry reduction of Gatermann & Parrilo (J. Pure Appl. Algebra 192,
+2004).  An output permutation pi with T_{pi(n)} = V^dag T_n V gives
+D = I_A (x) V, and the negation s -> -s at lam = mu, with two phase
+values, D = +-1 by phase class on A.  The test runs on the 2 d_B x 2 d_B
+factors F_s = W^ (x) conj(T_s) (`_class_factors`), W^ the Frobenius norms
+of W's blocks between S0 = {0} u {i : W_0i = 0} and the rest, and it is
+exact.  W_ij = lam - mu e^{i(phi_i - phi_j)} vanishes only at lam = mu
+between equal phases, so D can be taken constant on A within S0 and within
+the rest: I (x) D_B in general, one D_B per phase class where the phases
+take two values.  For D lifted to D~ on A (x) B, ||O' - D~ O D~^dag||_F =
+||F' - D F D^dag||_F.  `evaluate_pairs` solves each class's lowest
+pattern (`_conjugate_classes`) and transfers its outcome to the rest.
 
 Each sign program carries a certified ceiling, its dual bound
 (`ipm._dual_bound`), and the programs of one pair form a group whose floor
@@ -214,33 +222,42 @@ def stack_runs(count, n, m):
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def solve_family(family, objectives, groups=None, floors=None):
-    """Maximize ``Re tr(C_k X)`` over a family for a stack of Hermitian C_k.
+def _kron_objectives(left, right):
+    """L (x) R for stacks of Kronecker factors, broadcast over leading axes:
+    the one contraction every caller uses (`np.kron` rounds otherwise)."""
+    out = np.einsum("...ij,...ab->...iajb", left, right)
+    n = left.shape[-1] * right.shape[-1]
+    return out.reshape(out.shape[:-4] + (n, n))
+
+
+def solve_family(family, left, right, groups=None, floors=None):
+    """Maximize ``Re tr(C_k X)`` over a family, each Hermitian C_k given by
+    its Kronecker factors, C_k = left[k] (x) right[k] (`_kron_objectives`).
 
     Returns ``(maximizers, infos)``, of shape (K, n, n) and one `IpmInfo`
     per program.  The programs go through consecutive `solve_stacked` runs
-    (`stack_runs`), so the working set of a run stays within
-    ``STACK_BYTES`` whatever the stack length.  With ``groups`` (one label
-    per program, an index into ``floors``, the best value known per group),
-    programs that cannot win their group are pruned, and a group's floor
-    carries over from run to run.  Raises `SolverFailure` when any program
-    ends neither optimal nor pruned, so no value of a failed stack is ever
-    returned.
+    (`stack_runs`), each of whose n x n objectives are formed when it
+    starts, so a run's working set stays within ``STACK_BYTES`` and no
+    n x n stack outlives its run.  With ``groups`` (a label per program, an
+    index into ``floors``, the best value known per group), programs that
+    cannot win their group are pruned, and a group's floor carries over
+    from run to run.  Raises `SolverFailure` when any program ends neither
+    optimal nor pruned, so no value of a failed stack is returned.
     """
     floors = None if groups is None else np.array(floors, dtype=float)
-    xs, infos = [], []
-    for run in stack_runs(len(objectives), family.constraints.n, family.constraints.m):
-        x, _, _, run_infos = solve_stacked(
-            family, objectives[run], groups=groups if groups is None else groups[run],
-            floors=floors)
-        xs.append(x)
+    n, m = family.constraints.n, family.constraints.m
+    xs, infos = np.empty((len(left), n, n), dtype=complex), []
+    for run in stack_runs(len(left), n, m):
+        xs[run], _, _, run_infos = solve_stacked(
+            family, _kron_objectives(left[run], right[run]),
+            groups=groups if groups is None else groups[run], floors=floors)
         infos.extend(run_infos)
     failed = [k for k, info in enumerate(infos) if info.status not in ("optimal", "pruned")]
     if failed:
         info = infos[failed[0]]
         raise SolverFailure(info.status, f"{len(failed)} of {len(infos)} SDPs did not reach "
                                          f"optimality, first #{failed[0]}: {info}")
-    return (np.concatenate(xs) if xs else np.empty_like(objectives)), infos
+    return xs, infos
 
 
 # ---------------------------------------------------------------------------
@@ -285,51 +302,47 @@ def sign_family(da, db):
     return constraint_family(_sign_functionals(da, db))
 
 
-def _populations(thetas):
-    """T[p, n, a, b] = <n| theta_p(|a><b|) |n>: each output population of
-    each channel as a form on its input, one C-contiguous stack for
-    channels of one shape."""
+def _signed_populations(thetas, signs):
+    """T[p, k] = sum_n s_kn T_n, T_n[a, b] = <n| theta_p(|a><b|) |n>: the
+    signed output populations of each channel of one shape for each sign
+    row; the program for row k of pair p maximizes conj(W_p (x) T[p, k])."""
     dim_out, dim_in = thetas[0].dim_out, thetas[0].dim_in
     idx = np.arange(dim_out)
     chois = np.stack([theta.choi for theta in thetas]).reshape(-1, dim_out, dim_in, dim_out, dim_in)
-    return np.ascontiguousarray(np.swapaxes(chois[:, idx, :, idx, :], 0, 1))
+    pops = np.ascontiguousarray(np.swapaxes(chois[:, idx, :, idx, :], 0, 1))
+    return np.moveaxis(np.moveaxis(pops, 1, -1) @ signs.T, -1, 1)
 
 
-def _signed_objectives(pops, weights, signs):
-    """O[p, k], the Hermitian objective of the program for sign row k of pair
-    p: the pair's signed output populations (a `_populations` stack), weighted
-    by its game's W (``weights``, one matrix per pair).  One contraction for
-    every pair; each pair's objectives are those it has alone, to the bit."""
-    t_mats = np.moveaxis(np.moveaxis(pops, 1, -1) @ signs.T, -1, 1)
-    pairs, rows, db = t_mats.shape[:3]
-    n = weights.shape[-1] * db
-    objectives = np.conj(np.einsum("pij,pkab->pkiajb", weights, t_mats))
-    return la.hermitian_part(objectives.reshape(pairs, rows, n, n))
-
-
-def _sign_objectives(theta, cfg, signs):
-    """Stack of the Hermitian objectives of one pair's programs for ``signs``:
-    `_signed_objectives` for a single pair."""
+def _sign_factors(theta, cfg, signs):
+    """The factors ``(conj W, conj T_s)`` of one pair's programs for ``signs``."""
     signs = np.asarray(signs, dtype=float)
     if signs.shape[-1] != theta.dim_out:
         raise DimensionMismatch("sign vector length must equal the output dimension")
-    return _signed_objectives(_populations([theta]), cfg.signal_weights[None], signs)[0]
+    left, right = np.conj(cfg.signal_weights), np.conj(_signed_populations([theta], signs)[0])
+    return np.broadcast_to(left, right.shape[:1] + left.shape), right
+
+
+def _sign_objectives(theta, cfg, signs):
+    """Stack of the n x n Hermitian objectives of one pair's programs for
+    ``signs``: the Hermitian part of the product of their `_sign_factors`."""
+    return la.hermitian_part(_kron_objectives(*_sign_factors(theta, cfg, signs)))
 
 
 # ---------------------------------------------------------------------------
 # Conjugate objectives: one sign program per class
 # ---------------------------------------------------------------------------
-#
-# Conjugation by any diagonal unitary D on A (x) B keeps every constraint of
-# `sign_family`: a pinned entry (i b, j b) picks up d_ib conj(d_jb) and stays
-# zero, and the trace is kept.  So two programs whose objectives satisfy
-# O' = D O D^dag have one value for every game.  This is the symmetry
-# reduction of an SDP family (Gatermann & Parrilo, J. Pure Appl. Algebra
-# 192, 2004), with the group acting on the family rather than inside one
-# program.  It covers an output permutation pi with T_{pi(n)} = V^dag T_n V,
-# T_n[a, b] = <n| theta(|a><b|) |n> (D = I_A (x) V), and, at lam = mu where
-# W vanishes on its diagonal, the negation s -> -s of a game whose phases
-# take two values (D = +-1 by phase class on A).
+
+def _class_factors(weights, signed):
+    """F[p, k], the Hermitian part of W^_p (x) signed[p, k]: W^_p the 2 x 2
+    Frobenius norms of pair p's weights between S0 (index 0 and every i with
+    |W_0i| <= ``SYMMETRY_TOL`` max |W|) and the rest, for all pairs at once."""
+    mag = np.abs(weights)
+    first = mag[:, 0] <= SYMMETRY_TOL * mag.max(axis=(1, 2))[:, None]
+    first[:, 0] = True
+    member = np.stack([first, ~first], axis=-1).astype(float)
+    w_hat = np.sqrt(np.swapaxes(member, 1, 2) @ mag**2 @ member)
+    return la.hermitian_part(_kron_objectives(w_hat[:, None], signed))
+
 
 def _tree_phases(rep, candidates, floor):
     """Phases d, one row per candidate O, with d_a conj(d_b) rep[a, b] in
@@ -361,7 +374,8 @@ def _tree_phases(rep, candidates, floor):
 
 
 def _conjugate_classes(objectives):
-    """Classes of conjugate objectives in a (P, K, n, n) stack.
+    """Classes of conjugate objectives in a (P, K, n, n) stack, for the sign
+    programs their (P, K, 2 d_B, 2 d_B) factors (`_class_factors`).
 
     Returns ``(rep, phases)``: per pair p and objective k, the lowest index
     of k's class, its representative, and phases d with O_k = D O_rep D^dag,
@@ -504,34 +518,35 @@ class SignEvaluation:
     x_opt: np.ndarray  # the winning program's maximizer
 
 
-def _pinned_ceilings(objectives, da, db):
-    """lambda_max of each objective without the entries (i b, j b), i != j,
-    that every feasible X of `sign_family` pins to zero: a ceiling on the
-    program's value, since tr X = 1 and X >= 0."""
-    pinned = np.kron(1 - np.eye(da), np.eye(db)).astype(bool)
-    return np.linalg.eigvalsh(np.where(pinned, 0.0, objectives))[:, -1]
+def _pinned_ceilings(family, left, right):
+    """lambda_max of each objective left[k] (x) right[k] without the entries
+    (i b, j b), i != j, that every feasible X of `sign_family` pins to zero:
+    a ceiling on the program's value, since tr X = 1 and X >= 0.  The
+    objectives are formed one run of `stack_runs` at a time."""
+    pinned = np.kron(1 - np.eye(left.shape[-1]), np.eye(right.shape[-1])).astype(bool)
+    return np.concatenate([
+        np.linalg.eigvalsh(np.where(pinned, 0.0, la.hermitian_part(
+            _kron_objectives(left[run], right[run]))))[:, -1]
+        for run in stack_runs(len(left), family.constraints.n, family.constraints.m)])
 
 
 def evaluate_pairs(pairs):
     """Solve the sign programs of many (theta, cfg) pairs with the same dims.
 
-    Each pair's non-constant sign patterns split into classes of conjugate
-    objectives (`_conjugate_classes`), and only each class's lowest pattern
-    is solved; a pair without such classes solves every pattern.  The
-    representatives of every pair go into stacked runs over the shared
-    `sign_family`, one group per pair, whose floor starts at the exact
-    constant-pattern value |lam - mu|; the two constant patterns are pinned
-    to +-(lam - mu) by trace preservation.  Every other pattern reads its
-    class (`SignEvaluation`); a representative precedes its class and ties
-    go to the lowest pattern, so the winner is always a solved program.
-    When the programs take more than one run (`stack_runs`), a program is
-    pruned only below what its pair reached in this and earlier runs, so
-    each pair's programs go in descending order of their `_pinned_ceilings`,
-    which puts the likely winner first; no value depends on the order.
-    Returns ``(signs, evaluations)``, all 2^N patterns and one
+    Only the objectives' Kronecker factors are held: conj(T_s) per pair and
+    pattern, conj(W) per program.  The non-constant patterns split into
+    classes, found exactly on the 2 d_B x 2 d_B factors W^ (x) conj(T_s)
+    (`_class_factors`, `_conjugate_classes`), and each class's lowest
+    pattern is solved, in stacked runs over the shared `sign_family`, one
+    group per pair, whose floor starts at the exact value |lam - mu|.  Every
+    other non-constant pattern reads its class (`SignEvaluation`); ties go
+    to the lowest pattern, so the winner is always a solved program.  Over
+    several runs (`stack_runs`), a program is pruned only below what its
+    pair reached before, so each pair's programs go in descending order of
+    their `_pinned_ceilings`, the likely winner first; no value depends on
+    the order.  Returns ``(signs, evaluations)``, all 2^N patterns and one
     `SignEvaluation` per pair.  Raises `SolverFailure` when any program
-    fails or any pair's improvement is negative, so no value of such a
-    batch is returned.
+    fails or any pair's improvement is negative.
     """
     for theta, _ in pairs:
         if not isinstance(theta, ch.Channel):
@@ -550,31 +565,27 @@ def evaluate_pairs(pairs):
     status = np.full(per_sign.shape, "exact", dtype=object)
     # patterns 0 and 2^N - 1 are the constant ones
     non_constant = np.arange(1, len(signs) - 1)
-    objectives = _signed_objectives(_populations([theta for theta, _ in pairs]),
-                                    np.array([cfg.signal_weights for _, cfg in pairs]),
-                                    sign_rows[non_constant])
-    rep, phases = _conjugate_classes(objectives)
+    weights = np.array([cfg.signal_weights for _, cfg in pairs])
+    signed = np.conj(_signed_populations([theta for theta, _ in pairs], sign_rows[non_constant]))
+    factors = _class_factors(weights, signed)
+    rep, phases = _conjugate_classes(factors)
     orbit = np.tile(np.arange(len(signs)), (len(pairs), 1))
     orbit[:, non_constant] = non_constant[rep]
-    # the transfer defects ||O_k - D O_rep D^dag||_F, 0 for a representative
-    defects = np.zeros(rep.shape)
-    moved_p, moved_k = np.nonzero(rep != np.arange(len(non_constant)))
-    d = phases[moved_p, moved_k]
-    transported = (d[:, :, None] * objectives[moved_p, rep[moved_p, moved_k]]
-                   * np.conj(d[:, None, :]))
-    defects[moved_p, moved_k] = np.linalg.norm(objectives[moved_p, moved_k] - transported,
-                                               axis=(1, 2))
+    # the transfer defects ||F_k - D F_rep D^dag||_F, 0 for a representative
+    moved = (phases[..., :, None] * np.take_along_axis(factors, rep[..., None, None], 1)
+             * np.conj(phases[..., None, :]))
+    defects = np.linalg.norm(factors - moved, axis=(2, 3))
     rows, cols = np.nonzero(rep == np.arange(len(non_constant)))
+    left, right = np.conj(weights)[rows], signed[rows, cols]
     family = sign_family(da, db)
     if len(stack_runs(len(rows), family.constraints.n, family.constraints.m)) > 1:
         try:
-            order = np.lexsort((-_pinned_ceilings(objectives[rows, cols], da, db), rows))
+            order = np.lexsort((-_pinned_ceilings(family, left, right), rows))
         except np.linalg.LinAlgError:  # the order only speeds up pruning
             order = np.arange(len(rows))
-        rows, cols = rows[order], cols[order]
+        rows, cols, left, right = rows[order], cols[order], left[order], right[order]
     solved = non_constant[cols]
-    xs, infos = solve_family(family, objectives[rows, cols], rows,
-                             [cfg.prior_gap for _, cfg in pairs])
+    xs, infos = solve_family(family, left, right, rows, [cfg.prior_gap for _, cfg in pairs])
     # the representatives' outcomes, which every pattern reads through its class
     status[rows, solved] = [info.status for info in infos]
     ceiling[rows, solved] = [info.bound for info in infos]
@@ -594,10 +605,8 @@ def evaluate_pairs(pairs):
         winner = int(np.argmax(np.where(status[p] == "pruned", -np.inf, per_sign[p])))
         improvement = float(per_sign[p, winner] - cfg.prior_gap)
         if improvement < -1e-7:
-            raise SolverFailure(
-                "numerical_failure",
-                f"non-negativity violated: improvement {improvement:.3e}",
-            )
+            raise SolverFailure("numerical_failure",
+                                f"non-negativity violated: improvement {improvement:.3e}")
         # a constant pattern wins at the maximally mixed X, feasible for all
         x_opt = (xs[position[p, winner]] if position[p, winner] >= 0
                  else np.eye(da * db, dtype=complex) / (da * db))
@@ -611,36 +620,29 @@ def evaluate_pairs(pairs):
 def preprocessed_improvement(theta, cfg):
     """Evaluate the pre-processed improvement of ``theta`` for a game ``cfg``.
 
-    Solves one SDP per class of non-constant sign vectors through
-    `evaluate_pairs`, stacked over the shared `sign_family`, and reports the maximum, the
-    winning X, and the optimal input state and pre-processing extracted from
-    it, with the residual of their round trip through the game arithmetic,
-    and the bracket of the direct game value of that pair and the largest
-    ceiling.  If any program fails, the extraction fails, the residual
-    exceeds 1e-6, or the bracket is inverted or wider than ``BRACKET_TOL``,
-    `SolverFailure` is raised and no value is reported.
+    Solves one SDP per class of non-constant sign vectors (`evaluate_pairs`)
+    and reports the maximum, the winning X, the optimal input state and
+    pre-processing extracted from it with the residual of their round trip
+    through the game arithmetic, and the bracket of the direct game value
+    of that pair and the largest ceiling.  If any program or the extraction
+    fails, the residual exceeds 1e-6, or the bracket is inverted or wider
+    than ``BRACKET_TOL``, `SolverFailure` is raised and no value is reported.
     """
     signs, (evaluation,) = evaluate_pairs([(theta, cfg)])
     trace_norm = evaluation.per_sign[evaluation.winner]
     try:
         res = extract_optimal(evaluation.x_opt, (cfg.dim, theta.dim_in))
     except ValidationError as exc:
-        raise SolverFailure(
-            "numerical_failure", f"no optimal pair extracted from the solver's X: {exc}"
-        ) from exc
+        raise SolverFailure("numerical_failure",
+                            f"no optimal pair extracted from the solver's X: {exc}") from exc
     achieved = verify_extraction(theta, cfg, res)
     residual = abs(achieved - trace_norm)
     if residual > 1e-6:
-        raise SolverFailure(
-            "numerical_failure",
-            f"extraction round-trip residual {residual:.3e} exceeds 1e-6",
-        )
+        raise SolverFailure("numerical_failure",
+                            f"extraction round-trip residual {residual:.3e} exceeds 1e-6")
     if not 0.0 <= evaluation.upper_bound - achieved <= BRACKET_TOL:
-        raise SolverFailure(
-            "numerical_failure",
-            f"bracket [{achieved!r}, {evaluation.upper_bound!r}] is inverted or wider "
-            f"than {BRACKET_TOL}",
-        )
+        raise SolverFailure("numerical_failure", f"bracket [{achieved!r}, "
+                            f"{evaluation.upper_bound!r}] is inverted or wider than {BRACKET_TOL}")
 
     return MeasureReport(
         value=evaluation.improvement,

@@ -352,9 +352,7 @@ def postprocessed_improvement_lower(theta, cfg, rng_seed=7):
         p_obs = (v * signs[:, None, :]) @ la.dagger(v)
         q = np.conj(cfg.signal_weights) * p_obs  # the adjoint of the difference map
         # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)) over the Choi matrix J of Psi
-        objectives = np.einsum("pac,pbd->pabcd", q, np.conj(sigma[active]))
-        new_choi, _ = sdpmod.solve_family(
-            family, la.hermitian_part(objectives.reshape(len(active), *choi.shape[1:])))
+        new_choi, _ = sdpmod.solve_family(family, q, np.conj(sigma[active]))
         cptp = ch._cptp_flags(new_choi, dim_b, dim_c, atol=1e-6)
         if not cptp.all():
             raise SolverFailure("numerical_failure", f"{np.count_nonzero(~cptp)} of "

@@ -24,22 +24,23 @@ def rng():
 
 @pytest.fixture
 def nan_at_fifth_pair(monkeypatch):
-    """Make the sign objectives of the fifth evaluated (channel, game) pair NaN.
+    """Make the signed output populations, and with them the sign objectives,
+    of the fifth evaluated (channel, game) pair NaN.
 
-    Pairs are counted across calls of the stacked objectives, one per row
+    Pairs are counted across calls of the stacked populations, one per row
     of each call's output."""
     seen = []
-    original = sdp._signed_objectives
+    original = sdp._signed_populations
 
-    def corrupted(pops, weights, signs):
-        out = original(pops, weights, signs)
+    def corrupted(thetas, signs):
+        out = original(thetas, signs)
         fifth = 4 - len(seen)
         seen.extend(range(len(out)))
         if 0 <= fifth < len(out):
             out[fifth] = np.nan
         return out
 
-    monkeypatch.setattr(sdp, "_signed_objectives", corrupted)
+    monkeypatch.setattr(sdp, "_signed_populations", corrupted)
 
 
 @pytest.fixture
@@ -93,7 +94,7 @@ def full_sign_enumeration(theta, cfg):
     """
     signs = sdp.enumerate_sign_vectors(theta.dim_out, full=True)
     _, infos = sdp.solve_family(sdp.sign_family(cfg.dim, theta.dim_in),
-                                sdp._sign_objectives(theta, cfg, signs))
+                                *sdp._sign_factors(theta, cfg, signs))
     return signs, [info.primal_objective for info in infos]
 
 

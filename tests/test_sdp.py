@@ -277,8 +277,8 @@ def test_constant_patterns_are_pinned_to_the_prior(rng):
         da, din, dout = (int(d) for d in rng.integers(2, 4, size=3))
         theta = ch.random_channel(din, dout, rng)
         cfg = ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, da))
-        objectives = sd._sign_objectives(theta, cfg, [(1,) * dout, (-1,) * dout])
-        _, infos = sd.solve_family(sd.sign_family(da, din), objectives)
+        factors = sd._sign_factors(theta, cfg, [(1,) * dout, (-1,) * dout])
+        _, infos = sd.solve_family(sd.sign_family(da, din), *factors)
         assert [info.primal_objective for info in infos] == pytest.approx([cfg.lam - cfg.mu, cfg.mu - cfg.lam], abs=1e-8)
 
 
@@ -359,18 +359,19 @@ def test_stacked_solve_matches_solo_solves(rng, monkeypatch):
 def test_solve_family_splits_long_stacks_like_solo_solves(rng, monkeypatch):
     family = sd.sign_family(2, 2)
     signs = sd.enumerate_sign_vectors(2, full=True)
-    objectives = np.concatenate([
-        sd._sign_objectives(ch.random_channel(2, 2, rng),
-                            ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2)),
-                            signs)
+    left, right = (np.concatenate(parts) for parts in zip(*[
+        sd._sign_factors(ch.random_channel(2, 2, rng),
+                         ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2)),
+                         signs)
         for _ in range(18)
-    ])
+    ]))
+    objectives = sd._kron_objectives(left, right)
     # a budget of 30 programs splits the 72 into three runs of 24
     monkeypatch.setattr(sd, "STACK_BYTES", 30 * sd.stack_footprint(4, 5) + 1)
-    xs, infos = sd.solve_family(family, objectives[:0])
+    xs, infos = sd.solve_family(family, left[:0], right[:0])
     assert infos == [] and xs.shape == (0, 4, 4)
     runs = _capture_stacked(monkeypatch)
-    xs, got = sd.solve_family(family, objectives)
+    xs, got = sd.solve_family(family, left, right)
     assert [len(infos) for infos in runs] == [24, 24, 24]
     assert xs.shape == objectives.shape
     for k, info in enumerate(info for infos in runs for info in infos):
@@ -432,9 +433,9 @@ def test_the_benchmark_pools_keep_the_stacks_of_a_64_program_cap(monkeypatch):
     calls, stacks = [], []
     family_call, stacked_call = sd.solve_family, sd.solve_stacked
 
-    def family(fam, objectives, *args, **kwargs):
-        calls.append((len(objectives), len(stacks)))
-        return family_call(fam, objectives, *args, **kwargs)
+    def family(fam, left, *args, **kwargs):
+        calls.append((len(left), len(stacks)))
+        return family_call(fam, left, *args, **kwargs)
 
     def stacked(fam, c, **kwargs):
         stacks.append(len(c))
@@ -467,7 +468,7 @@ def test_programs_of_several_runs_go_likely_winner_first(rng, monkeypatch):
     _, (one_run,) = sd.evaluate_pairs([(theta, cfg)])
     signs = sd.enumerate_sign_vectors(4, full=True)[1:-1]
     objectives = sd._sign_objectives(theta, cfg, signs)
-    ceilings = sd._pinned_ceilings(objectives, 4, 4)
+    ceilings = sd._pinned_ceilings(sd.sign_family(4, 4), *sd._sign_factors(theta, cfg, signs))
     _, exact = full_sign_enumeration(theta, cfg)
     assert (ceilings >= np.array(exact[1:-1])).all()
     runs = []
@@ -481,25 +482,29 @@ def test_programs_of_several_runs_go_likely_winner_first(rng, monkeypatch):
     monkeypatch.setattr(sd, "STACK_BYTES", 1)
     _, (ev,) = sd.evaluate_pairs([(theta, cfg)])
     assert [len(c) for c in runs] == [1] * 14
-    order = [next(k for k, o in enumerate(objectives) if np.array_equal(o, c[0])) for c in runs]
+    order = [next(k for k, o in enumerate(objectives) if np.array_equal(o, la.hermitian_part(c[0])))
+             for c in runs]
     assert order == sorted(range(14), key=lambda k: -ceilings[k])
     assert (ev.winner, ev.improvement) == (one_run.winner, one_run.improvement)
     assert ev.x_opt.tobytes() == one_run.x_opt.tobytes()
 
 
 def test_stacked_objectives_equal_the_per_pair_ones_bit_for_bit(rng):
-    # one contraction over every pair gives each pair the objectives it has
-    # alone, and those are its signed populations weighted by W
+    # one contraction over every pair gives each pair the signed populations
+    # it has alone, to the bit, and the objectives formed from them are its
+    # signed populations weighted by W
     pairs = [(ch.random_channel(3, 4, rng),
               ms.GameConfig(float(rng.uniform(0, 1)), rng.uniform(0, 2 * np.pi, 2)))
              for _ in range(5)]
     signs = np.array(sd.enumerate_sign_vectors(4, full=True), dtype=float)
-    stacked = sd._signed_objectives(sd._populations([theta for theta, _ in pairs]),
-                                    np.array([cfg.signal_weights for _, cfg in pairs]), signs)
-    assert stacked.shape == (5, 16, 6, 6)
-    for (theta, cfg), objectives in zip(pairs, stacked):
+    stacked = sd._signed_populations([theta for theta, _ in pairs], signs)
+    assert stacked.shape == (5, 16, 3, 3)
+    for (theta, cfg), t_signed in zip(pairs, stacked):
+        objectives = la.hermitian_part(sd._kron_objectives(np.conj(cfg.signal_weights),
+                                                           np.conj(t_signed)))
+        assert objectives.shape == (16, 6, 6)
         assert objectives.tobytes() == sd._sign_objectives(theta, cfg, signs).tobytes()
-        t = sd._populations([theta])[0]
+        t = sd._signed_populations([theta], np.eye(4))[0]  # T_n, one per output n
         for s, o in zip(signs, objectives):
             expected = np.conj(np.kron(cfg.signal_weights, np.tensordot(s, t, 1)))
             assert la.max_abs(o - expected) <= 1e-15
@@ -509,9 +514,9 @@ def test_single_objective_is_a_stack_of_one(rng):
     # ipm.solve_real_sdp is the K = 1 stack, so a stack of one from
     # solve_family agrees with it bit for bit
     family = sd.sign_family(2, 2)
-    objectives = sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
-    xs, infos = sd.solve_family(family, objectives)
-    x_solo, _, _, info = ipm.solve_real_sdp(family, objectives[0])
+    factors = sd._sign_factors(ch.random_channel(2, 2, rng), cfg_half(), [(1, -1)])
+    xs, infos = sd.solve_family(family, *factors)
+    x_solo, _, _, info = ipm.solve_real_sdp(family, sd._kron_objectives(*factors)[0])
     assert len(infos) == 1 and xs.shape == (1, *x_solo.shape)
     assert infos[0].primal_objective == info.primal_objective
     assert np.array_equal(xs[0], x_solo)
@@ -546,7 +551,7 @@ def test_pruning_leaves_the_winner_bit_identical(rng, monkeypatch):
     signs, (ev,) = sd.evaluate_pairs([(theta, cfg)])
     solved = [k for k, s in enumerate(signs) if len(set(s)) > 1]
     xs, infos = sd.solve_family(sd.sign_family(3, 2),
-                                sd._sign_objectives(theta, cfg, [signs[k] for k in solved]))
+                                *sd._sign_factors(theta, cfg, [signs[k] for k in solved]))
     values = [info.primal_objective for info in infos]
     grouped, ungrouped = runs
     assert ev.per_sign_status.count("pruned") > 0
@@ -746,7 +751,7 @@ def test_orbit_path_matches_the_full_enumeration(theta, lam, rng):
     signs = rep.sign_vectors
     non_constant = [k for k, s in enumerate(signs) if len(set(s)) > 1]
     _, infos = sd.solve_family(sd.sign_family(d, d),
-                               sd._sign_objectives(theta, cfg, [signs[k] for k in non_constant]))
+                               *sd._sign_factors(theta, cfg, [signs[k] for k in non_constant]))
     full = [info.primal_objective for info in infos]
     assert any(rep.per_sign_orbit[k] != k for k in non_constant)
     assert rep.trace_norm == pytest.approx(max(full), abs=1e-9)
@@ -757,6 +762,17 @@ def test_orbit_path_matches_the_full_enumeration(theta, lam, rng):
             assert rep.per_sign_values[k] == pytest.approx(full[j], abs=1e-9)
     assert rep.upper_bound >= max(full)
     assert 0.0 <= rep.upper_bound - rep.lower_bound <= sd.BRACKET_TOL
+
+
+def _lifted(phases, cfg):
+    """Phases on the 2 d_B rows of the class factors, lifted to A (x) B:
+    row (i, b) takes the phase of (0, b) for i in S0, index 0 and every i
+    with W_0i = 0 to ``SYMMETRY_TOL``, and of (1, b) for the rest."""
+    w = np.abs(cfg.signal_weights)
+    rest = (w[0] > sd.SYMMETRY_TOL * w.max()).astype(int)
+    rest[0] = 0
+    d = phases.reshape(phases.shape[:-1] + (2, -1))
+    return d[..., rest, :].reshape(phases.shape[:-1] + (-1,))
 
 
 def _transfer_defects(theta, cfg):
@@ -786,18 +802,103 @@ def test_transferred_ceilings_add_the_transfer_defect(monkeypatch):
         if r != k:
             assert exact.per_sign_status[k] == exact.per_sign_status[r] == "optimal"
             assert exact.per_sign[k] == exact.per_sign[r]
-    original = sd._conjugate_classes
+    original, classes = sd._conjugate_classes, []
 
-    def tilted(objectives):
-        rep, d = original(objectives)
-        return rep, d * np.exp(1e-4j * np.arange(d.shape[-1]))
+    def tilted(factors):
+        rep, d = original(factors)
+        classes.append((rep[0], d[0] * np.exp(1e-4j * np.arange(d.shape[-1]))))
+        return rep, classes[-1][1][None]
 
     monkeypatch.setattr(sd, "_conjugate_classes", tilted)
     _, (ev,) = sd.evaluate_pairs([(theta, cfg)])
     assert ev.per_sign == exact.per_sign
-    defect = max(_transfer_defects(theta, cfg))
+    # the tilt is on the phases of the 2 d_B class factors; the ceiling
+    # grows by the defect of the n x n objectives under the lifted phases
+    (rep, d), = classes
+    objectives, lifted = sd._sign_objectives(theta, cfg, signs[1:-1]), _lifted(d, cfg)
+    defect = max(np.linalg.norm(objectives[k] - lifted[k][:, None] * objectives[r]
+                                * np.conj(lifted[k])) for k, r in enumerate(rep) if r != k)
     assert defect > 1e-5
     assert ev.upper_bound - exact.upper_bound == pytest.approx(defect, abs=1e-7)
+
+
+def _factor_and_objective_classes(pairs):
+    """Per pair of one dims: the representatives of the class test on the
+    2 d_B class factors and on the n x n sign objectives, and per
+    transferred pattern the factor defect ||F_k - D F_rep D^dag||_F and the
+    objective defect ||O_k - D~ O_rep D~^dag||_F under the lifted phases."""
+    signs = np.array(sd.enumerate_sign_vectors(pairs[0][0].dim_out, full=True)[1:-1], dtype=float)
+    weights = np.array([cfg.signal_weights for _, cfg in pairs])
+    factors = sd._class_factors(weights, np.conj(sd._signed_populations(
+        [theta for theta, _ in pairs], signs)))
+    reps, phases = sd._conjugate_classes(factors)
+    objectives = np.array([sd._sign_objectives(theta, cfg, signs) for theta, cfg in pairs])
+    full, _ = sd._conjugate_classes(objectives)
+    defects = []
+    for (_, cfg), f, o, rep, d in zip(pairs, factors, objectives, reps, phases):
+        lifted = _lifted(d, cfg)
+        defects += [(np.linalg.norm(f[k] - d[k][:, None] * f[r] * np.conj(d[k])),
+                     np.linalg.norm(o[k] - lifted[k][:, None] * o[r] * np.conj(lifted[k])))
+                    for k, r in enumerate(rep) if r != k]
+    return reps, full, defects
+
+
+def _class_games(lam):
+    """qft:3-6, H (x) id, the completely depolarizing channel on 6 levels
+    and random channels, at uniform, random, two- and three-valued phases."""
+    rng = np.random.default_rng(31)
+    games = []
+    for d in (3, 4, 5, 6):
+        a, b = rng.uniform(0, 2 * np.pi, 2)
+        games += [(ch.qft(d), phi) for phi in (2.0 * np.pi * np.arange(d) / d,
+                                               rng.uniform(0, 2 * np.pi, d),
+                                               np.where(np.arange(d) % 2, a, b))]
+    games += [(h_x_id(), phi) for phi in ((0, np.pi, 0, np.pi), (0, 0, np.pi, np.pi),
+                                          (0.4, 1.3, 2.9, 0.4), rng.uniform(0, 2 * np.pi, 4))]
+    games.append((completely_depolarizing(6), 2.0 * np.pi * np.arange(6) / 6))
+    games += [(ch.random_channel(3, 3, rng), (0.4, 0.4, 0.4 + np.pi)),
+              (ch.random_channel(4, 4, rng), (1.0, 2.5, 2.5, 1.0))]
+    return [(theta, ms.GameConfig(lam, np.array(phi, dtype=float))) for theta, phi in games]
+
+
+def _assert_factor_classes_are_the_objective_classes(pairs):
+    reps, full, defects = _factor_and_objective_classes(pairs)
+    assert reps.tolist() == full.tolist()
+    assert all(abs(factor - objective) <= 1e-13 for factor, objective in defects)
+    return len(defects)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 0.8])
+def test_the_class_factors_give_the_classes_of_the_objectives(lam):
+    # W^ (x) conj(T_s) has the classes of conj(W (x) T_s), and the transfer
+    # defects of the lifted phases, on games with and without symmetry
+    transfers = 0
+    for theta, cfg in _class_games(lam):
+        transfers += _assert_factor_classes_are_the_objective_classes([(theta, cfg)])
+    assert transfers > 100
+
+
+def test_the_class_factors_give_the_classes_of_the_sweep_grid():
+    # the 204 pairs of the default sweep, tested stacked as evaluate_pairs does
+    pairs = [(ch.hadamard_mixture(float(p1)), ms.GameConfig(lam, np.array([2.0 * np.pi / 3, 0.0])))
+             for lam in (0.5, 0.6, 0.75, 0.9) for p1 in np.linspace(0.0, 1.0, 51)]
+    assert _assert_factor_classes_are_the_objective_classes(pairs) > 50
+
+
+def test_an_evaluation_holds_no_n_by_n_objective_stack():
+    # qft:7 has 126 non-constant patterns of 49 x 49 objectives, 4.8 MB of
+    # them; the evaluation forms one run's objectives at a time, and its
+    # traced peak stays within twice one program's working set
+    tracemalloc = pytest.importorskip("tracemalloc")
+    sd.sign_family(7, 7)
+    pair = (ch.qft(7), _game(0.5, 7))
+    tracemalloc.start()
+    try:
+        sd.evaluate_pairs([pair])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sd.stack_footprint(49, 1 + 7 * 6 * 7)
 
 
 def test_qft_classes_are_necklaces_and_follow_a_relabelling():
@@ -900,7 +1001,7 @@ def test_channels_without_symmetry_take_the_full_path_bit_for_bit(key, monkeypat
     signs, (ev,) = sd.evaluate_pairs([(theta, cfg)])
     assert ev.per_sign_orbit == list(range(16))
     non_constant = [k for k, s in enumerate(signs) if len(set(s)) > 1]
-    c = sd._sign_objectives(theta, cfg, [signs[k] for k in non_constant])
+    c = sd._kron_objectives(*sd._sign_factors(theta, cfg, [signs[k] for k in non_constant]))
     floors = np.array([cfg.prior_gap])
     x, y, s, infos = ipm.solve_stacked(sd.sign_family(4, 4), c, np.zeros(len(c), dtype=int), floors)
     ((c_got, _, (x_got, y_got, s_got, infos_got)),) = runs
@@ -916,9 +1017,9 @@ def _unreduced_improvements(pairs):
     (da, db, dim_out), = {(cfg.dim, theta.dim_in, theta.dim_out) for theta, cfg in pairs}
     signs = sd.enumerate_sign_vectors(dim_out, full=True)
     non_constant = [k for k, s in enumerate(signs) if len(set(s)) > 1]
-    objectives = np.concatenate([sd._sign_objectives(theta, cfg, [signs[k] for k in non_constant])
-                                 for theta, cfg in pairs])
-    _, infos = sd.solve_family(sd.sign_family(da, db), objectives,
+    left, right = (np.concatenate(parts) for parts in zip(*[
+        sd._sign_factors(theta, cfg, [signs[k] for k in non_constant]) for theta, cfg in pairs]))
+    _, infos = sd.solve_family(sd.sign_family(da, db), left, right,
                                np.repeat(np.arange(len(pairs)), len(non_constant)),
                                [cfg.prior_gap for _, cfg in pairs])
     out = []

@@ -409,11 +409,13 @@ def _alternate_reference(theta, cfg, rng_seed=7, stop_uniform=True):
                 q = np.conj(cfg.signal_weights) * p_obs
                 assert la.max_abs(q - cfg.lam * p_obs
                                   + cfg.mu * ch.apply(phase_adj, p_obs)) <= 1e-14
-                # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)), contracted in the
-                # package's order: a Kronecker product rounds otherwise
+                # tr(Q Psi(sigma)) = tr(J (Q (x) sigma^T)), formed from its
+                # factors in the package's order: a Kronecker product rounds
+                # otherwise
                 objective = np.einsum("ac,bd->abcd", q, np.conj(sigma)).reshape(len(q) * dim_b, -1)
+                assert np.array_equal(sd._kron_objectives(q, np.conj(sigma)), objective)
                 assert la.max_abs(objective - np.kron(q, np.conj(sigma))) <= 1e-15
-                choi, _ = sd.solve_family(family, la.hermitian_part(objective)[None])
+                choi, _ = sd.solve_family(family, q[None], np.conj(sigma)[None])
                 post = ch.channel_from_choi(choi[0], dim_b, dim_c, atol=1e-6)
                 n += 1
             best = max(best, value)
@@ -501,9 +503,9 @@ def test_postprocessed_chains_with_a_uniform_observable_reach_no_mio_step(monkey
     objectives = []
     original = sd.solve_family
 
-    def recording(family, c, *args, **kwargs):
-        objectives.extend(c)
-        return original(family, c, *args, **kwargs)
+    def recording(family, left, right, *args, **kwargs):
+        objectives.extend(sd._kron_objectives(left, right))
+        return original(family, left, right, *args, **kwargs)
 
     monkeypatch.setattr(se.sdpmod, "solve_family", recording)
     se.postprocessed_improvement_lower(theta, cfg)
@@ -564,13 +566,13 @@ def test_postprocessed_chains_stop_at_the_same_round_under_a_last_bit_change(mon
     base = se.postprocessed_improvement_lower(theta, cfg)
     sizes = list(runs)
     assert sizes[1] == 4
-    original = sd.solve_family
+    original = sd._kron_objectives
 
-    def nudged(family, objectives, *args, **kwargs):
-        return original(family, np.nextafter(objectives.real, np.inf) + 1j * objectives.imag,
-                        *args, **kwargs)
+    def nudged(left, right):
+        objectives = original(left, right)
+        return np.nextafter(objectives.real, np.inf) + 1j * objectives.imag
 
-    monkeypatch.setattr(se.sdpmod, "solve_family", nudged)
+    monkeypatch.setattr(sd, "_kron_objectives", nudged)
     runs.clear()
     assert se.postprocessed_improvement_lower(theta, cfg) == pytest.approx(base, abs=1e-9)
     assert runs == sizes
@@ -591,8 +593,8 @@ def test_postprocessed_non_cptp_mio_step_is_a_solver_failure(monkeypatch, capsys
     # 3), not bad input (exit 2)
     original = sd.solve_family
 
-    def scaled(family, objectives, *args, **kwargs):
-        maximizers, infos = original(family, objectives, *args, **kwargs)
+    def scaled(*args, **kwargs):
+        maximizers, infos = original(*args, **kwargs)
         return 1.01 * maximizers, infos  # trace 1.01 on every input
 
     monkeypatch.setattr(sd, "solve_family", scaled)

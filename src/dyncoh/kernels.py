@@ -2,14 +2,15 @@
 
 Assembly of the interior-point Schur complement
 ``M[k,l] = Re tr(H_k W H_l W)`` over sparse complex Hermitian constraint
-matrices (`SparseConstraints.schur`): entries between rows that pin one
-entry of X are gathered from W, and only the other rows, such as the trace
-row, take dense products W H W.  The same split serves ``A(X)``
-(`SparseConstraints.dot`): a row that pins one entry of X gathers two
-float64 slots of X, and only the other rows take a dense product.
-``A*(y)`` (`SparseConstraints.combine`) gathers each slot of X from the
-one row that owns it.  Also the least-norm solution of ``A(X) = r`` that
-keeps the interior-point iterates primal-feasible
+matrices (`SparseConstraints.schur`).  The constraints arrive as a few
+dense rows, such as the trace row, and pins, positions (p, q) whose entry
+X[p, q] two rows read.  Entries between the pins' rows are gathered from
+W, and only the dense rows take products W H W.  The same split serves
+``A(X)`` (`SparseConstraints.dot`): a pin's row gathers two float64 slots
+of X, and only the dense rows take a product.  ``A*(y)``
+(`SparseConstraints.combine`) gathers each slot of X from the one row
+that owns it.  Also the least-norm solution of ``A(X) = r`` that keeps
+the interior-point iterates primal-feasible
 (`SparseConstraints.least_norm`), and a pure-state coordinate ascent
 (`pure_state_ascent`) that the tests use as an independent reference for the
 exact oracle in `search`.
@@ -25,100 +26,87 @@ from .errors import ValidationError
 # ---------------------------------------------------------------------------
 
 class SparseConstraints:
-    """m sparse Hermitian matrices H_k sharing one shape, each owning its
-    float64 slots of vec X: `ValidationError` unless no slot of [Re, Im] X is
-    read by two rows and no row has norm <= 1e-10.  So the rows are
-    independent, their real Gram matrix Re tr(H_k H_l) is diagonal, and
-    ``A*(y) = sum_k y_k H_k`` takes one term per slot; ``A(X)`` is the
-    vector of Re tr(H_k X).  The rows are split once for `schur` and `dot`:
-    each of ``unit_rows`` is g E_pq + conj(g) E_qp with p <= q and g real or
-    imaginary, and ``dense_rows``, the only rows kept as matrices, are the rest.
+    """m sparse Hermitian matrices H_k on n x n blocks: the dense rows
+    ``matrices`` (at least one, which fixes n), then two rows per pin.
+
+    A pin (p, q), one entry of the index arrays ``p`` and ``q``, is the pair
+    of rows that read X[p, q]: a Re row (E_pq + E_qp) / 2 and an Im row
+    (E_pq - E_qp) / 2i.  `ValidationError` unless 0 <= p < q < n, no slot of
+    [Re, Im] X is read by two rows and no dense row has norm <= 1e-10.  So
+    the rows are independent, their real Gram matrix Re tr(H_k H_l) is
+    diagonal, and ``A*(y) = sum_k y_k H_k`` takes one term per slot;
+    ``A(X)`` is the vector of Re tr(H_k X).  ``dense_rows`` are the rows
+    kept as matrices, ``unit_rows`` the pins' rows, which `schur` and `dot`
+    gather from W and X.
     """
 
-    __slots__ = ("m", "n", "gram_inv", "unit_rows", "dense_rows", "_dense_flat", "_reads",
-                 "_read_weights", "_unit_reads", "_unit_read_weights", "_slot_rows",
-                 "_slot_weights", "_gather", "_stacked", "_assemble", "_weights")
+    __slots__ = ("m", "n", "gram_inv", "unit_rows", "dense_rows", "_dense_flat", "_stacked",
+                 "_pin_reads", "_pin_weights", "_slot_rows", "_slot_weights", "_gather",
+                 "_assemble", "_weights")
 
-    def __init__(self, matrices):
-        self.m = m = len(matrices)
+    def __init__(self, matrices, p, q):
         dense = np.array(matrices, dtype=complex)
-        self.n = n = dense.shape[-1]
-        flat = real_vectors(dense)  # one row per H_k
-        touched = flat != 0.0
-        if touched.sum(axis=0).max() > 1:
+        p, q = np.asarray(p, dtype=np.intp), np.asarray(q, dtype=np.intp)
+        nd, npin = len(dense), len(p)
+        self.n, self.m = n, m = dense.shape[-1], nd + 2 * npin
+        if not ((0 <= p) & (p < q) & (q < n)).all():
+            raise ValidationError("a pin (p, q) needs 0 <= p < q < n")
+        flat = real_vectors(dense)  # one row per dense H_k
+        # A pin's Re row reads the Re slots of X[p,q] and X[q,p] at weights
+        # 1/2 and 1/2, its Im row the Im slots, one further on, at -1/2 and 1/2
+        re = 2 * np.stack([p * n + q, q * n + p])
+        reads = np.stack([re, re + 1], axis=-1).reshape(2, 2 * npin)
+        read_weights = np.tile([[0.5, -0.5], [0.5, 0.5]], npin)
+        touched = np.count_nonzero(flat, axis=0) + np.bincount(reads.ravel(), minlength=2 * n * n)
+        if touched.max() > 1:
             raise ValidationError("constraint rows share a slot of vec X")
         norms = np.einsum("kj,kj->k", flat, flat)  # the diagonal of the Gram matrix
         if (norms <= 1e-20).any():
             raise ValidationError("constraint row of norm <= 1e-10")
-        self.gram_inv = 1.0 / norms
-        # Unit rows: one nonzero in the upper triangle, at (p, q), with g = h_pq
-        # (h_pp / 2 on the diagonal) real (a Re row) or imaginary (an Im row)
-        r, p, q = np.nonzero(dense)
-        r, p, q = r[p <= q], p[p <= q], q[p <= q]
-        single = (np.bincount(r, minlength=m) == 1)[r]
-        rows, p, q = r[single], p[single], q[single]
-        g = dense[rows, p, q] * np.where(p == q, 0.5, 1.0)
-        unit = (g.real == 0.0) | (g.imag == 0.0)
-        self.unit_rows = u = rows[unit]
-        self.dense_rows = d = np.flatnonzero(np.bincount(u, minlength=m) == 0)
-        im, v = (g[unit].real == 0.0).astype(np.intp), g[unit].real + g[unit].imag
-        # `dot` reads two entries per row from vec X followed by the products of
-        # the dense rows: a unit row reads Re or Im of X[p,q] and of X[q,p],
-        # weighted by its own entries, and a row with a single entry to read
-        # (a diagonal unit row, or a dense row its product) reads it twice at
-        # half weight, which sums to that entry times its weight exactly.
-        # `schur` reads the unit rows' two slots of each T_l the same way.
-        pu, qu = p[unit], q[unit]
-        self._dense_flat = flat[d]
-        self._reads = reads = np.empty((2, m), dtype=np.intp)
-        self._read_weights = read_weights = np.full((2, m), 0.5)
-        reads[:, u] = 2 * np.stack([pu * n + qu, qu * n + pu]) + im
-        read_weights[:, u] = flat[u, reads[:, u]] * np.where(pu == qu, 0.5, 1.0)
-        reads[:, d] = 2 * n * n + np.arange(len(d))
-        self._unit_reads, self._unit_read_weights = reads[:, u], read_weights[:, u]
+        self.gram_inv = 1.0 / np.concatenate([norms, np.full(2 * npin, 0.5)])
+        self.dense_rows, self.unit_rows = d, u = np.arange(nd), np.arange(nd, m)
+        self._dense_flat, self._stacked = flat, dense.reshape(nd * n, n)  # one buffer
+        self._pin_reads, self._pin_weights = reads, read_weights
         # `combine` reads each slot of vec A*(y) from its row, or row 0 at weight 0
-        self._slot_rows = touched.argmax(axis=0)
-        self._slot_weights = flat[self._slot_rows, np.arange(flat.shape[1])]
-        # The Re and Im rows of one functional share their position (p, q), so
-        # W is gathered once per pair of positions a, b: W[p_b,q_a], W[q_a,q_b]
-        # and W[p_b,p_a], at flat indices into W.  (np.unique would do, but
-        # its first call imports numpy.ma.)
-        key = pu * n + qu
-        positions = np.flatnonzero(np.bincount(key, minlength=n * n))
-        slot = np.searchsorted(positions, key)
-        p, q = np.divmod(positions, n)
+        rows, slots = np.nonzero(flat)
+        self._slot_rows = np.zeros(2 * n * n, dtype=np.intp)
+        self._slot_weights = np.zeros(2 * n * n)
+        self._slot_rows[slots], self._slot_weights[slots] = rows, flat[rows, slots]
+        self._slot_rows[reads], self._slot_weights[reads] = u, read_weights
+        # The Re and Im rows of a pin share its position, so W is gathered once
+        # per pair of pins a, b: W[p_b,q_a], W[q_a,q_b] and W[p_b,p_a], at flat
+        # indices into W.
         self._gather = np.stack([p * n + q[:, None], q[:, None] * n + q, p * n + p[:, None]])
-        self._stacked = dense[d].reshape(len(d) * n, n)  # for H_l W of every dense l
-        # Where `schur` reads each entry of M, and its weight: a Re row k reads
-        # E, an Im row F, at (s_k, s_l), the real part if row l is of the same
-        # kind, else the imaginary part (negated from an Im to a Re row).
-        npos, nu, nd = len(positions), len(u), len(d)
+        # Where `schur` reads each entry of M, and its weight: a Re row of pin a
+        # reads E, an Im row F, at (a, b) for row l of pin b, the real part if
+        # row l is of the same kind, else the imaginary part, at weight v_k v_l
+        # (v = 1/2 on a Re row, -1/2 on an Im row), negated from an Im to a Re row.
+        pin, im = np.divmod(np.arange(2 * npin), 2)
         self._assemble = index = np.empty((m, m), dtype=np.intp)
         self._weights = weights = np.ones((m, m))
-        index[u[:, None], u] = np.ravel_multi_index(
-            (im[:, None], slot[:, None], slot, im[:, None] ^ im), (2, npos, npos, 2))
-        weights[u[:, None], u] = np.outer(v, v) * np.where(im[:, None] > im, -1.0, 1.0)
-        index[d[:, None], u] = 4 * npos * npos + np.arange(nd * nu).reshape(nd, nu)
-        index[u[:, None], d] = index[d[:, None], u].T
-        index[d[:, None], d] = 4 * npos * npos + nd * nu + np.arange(nd * nd).reshape(nd, nd)
-        weights[d[:, None], d] = 0.5
-        for part in (self.gram_inv, u, d, self._dense_flat, reads, read_weights, self._unit_reads,
-                     self._unit_read_weights, self._slot_rows, self._slot_weights,
-                     self._gather, self._stacked, index, weights):
+        index[nd:, nd:] = np.ravel_multi_index(
+            (im[:, None], pin[:, None], pin, im[:, None] ^ im), (2, npin, npin, 2))
+        weights[nd:, nd:] = np.where(im[:, None] < im, -0.25, 0.25)
+        index[:nd, nd:] = 4 * npin * npin + np.arange(nd * 2 * npin).reshape(nd, 2 * npin)
+        index[nd:, :nd] = index[:nd, nd:].T
+        index[:nd, :nd] = 4 * npin * npin + 2 * nd * npin + np.arange(nd * nd).reshape(nd, nd)
+        weights[:nd, :nd] = 0.5
+        for part in (self.gram_inv, u, d, flat, self._stacked, reads, read_weights,
+                     self._slot_rows, self._slot_weights, self._gather, index, weights):
             part.flags.writeable = False
 
     def dot(self, x):
         """Vector of Re tr(H_k X); a stack of X gives one row per matrix.
 
-        Each row is a gather of two entries: of vec X for a unit row, of the
-        product of a dense row with vec X for a dense row.  Each matrix of a
+        A dense row takes its product with vec X, and a pin's row is a
+        gather of its two slots of vec X, at its weights.  Each matrix of a
         stack takes its own product, so its row does not depend on the other
         matrices of the stack.
         """
         vec = real_vectors(x)
-        ext = np.concatenate([vec, (self._dense_flat @ vec[..., None])[..., 0]], axis=-1)
-        terms = ext[..., self._reads] * self._read_weights
-        return terms[..., 0, :] + terms[..., 1, :]
+        terms = vec[..., self._pin_reads] * self._pin_weights
+        return np.concatenate([(self._dense_flat @ vec[..., None])[..., 0],
+                               terms[..., 0, :] + terms[..., 1, :]], axis=-1)
 
     def combine(self, y):
         """sum_k y_k H_k; a stack of y gives one matrix per row, each computed alone.
@@ -137,19 +125,20 @@ class SparseConstraints:
     def schur(self, w):
         """Matrix M[k,l] = Re tr(H_k W H_l W); a stack of W gives one matrix per W.
 
-        Between unit rows the entries are gathered from W (Fujisawa, Kojima
-        & Nakata, Math. Program. 79, 1997): with A[k,l] = W[q_k,p_l] W[q_l,p_k]
-        and B[k,l] = W[q_k,q_l] W[p_l,p_k], taken once per pair of positions,
-        M[k,l] = 2 Re(g_k g_l A + g_k conj(g_l) B).  For g = v (a Re row) or
-        g = i v (an Im row), M / (2 v_k v_l) is a real or imaginary part of
-        E = B + conj(A) or F = B - conj(A).  A dense row l takes the product
-        T_l = W H_l W and fills its row and column with <vec H_k, vec T_l>:
-        a unit row k gathers its two slots of vec T_l, as `dot` does, and the
-        dense rows take one product with every slot of vec T_l.  A, B and the
-        block between dense rows are summed with their transposes first, so
-        M is symmetric to the last bit.  Each W of a stack takes the same
-        products as alone, so its matrix does not depend on the other
-        matrices of the stack.
+        Between the pins' rows the entries are gathered from W (Fujisawa,
+        Kojima & Nakata, Math. Program. 79, 1997): a row g E_pq + conj(g) E_qp
+        of pin (p, q) has g = v = 1/2 (its Re row) or g = i v, v = -1/2 (its
+        Im row).  With A[k,l] = W[q_k,p_l] W[q_l,p_k] and B[k,l] =
+        W[q_k,q_l] W[p_l,p_k], taken once per pair of pins,
+        M[k,l] = 2 Re(g_k g_l A + g_k conj(g_l) B), so M / (2 v_k v_l) is a
+        real or imaginary part of E = B + conj(A) or F = B - conj(A).  A dense
+        row l takes the product T_l = W H_l W and fills its row and column
+        with <vec H_k, vec T_l>: a pin's row k gathers its two slots of vec
+        T_l, as `dot` does, and the dense rows take one product with every
+        slot of vec T_l.  A, B and the block between dense rows are summed
+        with their transposes first, so M is symmetric to the last bit.  Each
+        W of a stack takes the same products as alone, so its matrix does not
+        depend on the other matrices of the stack.
         """
         if w.ndim == 2:
             return self.schur(w[None])[0]
@@ -161,7 +150,7 @@ class SparseConstraints:
         b += b.conj().swapaxes(-1, -2)
         # T_l = W H_l W is Hermitian, so Re tr(H_k T_l) = <vec H_k, vec T_l>
         t = real_vectors(w[:, None] @ (self._stacked @ w).reshape(k, len(d), *w.shape[1:]))
-        terms = t[..., self._unit_reads] * self._unit_read_weights
+        terms = t[..., self._pin_reads] * self._pin_weights
         both = self._dense_flat @ t.swapaxes(-1, -2)
         blocks = (real_vectors(b + a), real_vectors(b - a), terms[..., 0, :] + terms[..., 1, :],
                   both + both.swapaxes(-1, -2))

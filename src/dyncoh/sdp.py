@@ -14,19 +14,20 @@ off-diagonals of tr_B X vanish too, as sums of the last family).  The
 winning ``X`` yields an optimal input state and pre-processing by a direct
 constructive recipe (`extract_optimal`).
 
-Complex functionals become Hermitian rows ``Re tr(H X) = t`` on the n x n
-block, over which the backend (`ipm`) maximizes natively.  Every program,
-one (`solve_sdp`) or a family (`solve_family`), takes its independent rows
-and positive definite start from `constraint_family`.  The sign programs
-share every constraint, so the constraints are built once per dims
-(`sign_family`), and the programs of one evaluation, or of many evaluations
-over the same dims (`evaluate_pairs`, which the mixture sweep uses), are
-solved together in stacked interior-point runs, each as long as its working
-set allows (`stack_runs`).  Programs that take several runs go in
-descending order of a cheap ceiling (`_pinned_ceilings`) within each pair,
-so that the likely winner's value prunes the runs after it.  The two
-constant sign patterns are never solved: trace preservation pins their
-value to +-(lam - mu).
+Complex functionals become dense Hermitian rows ``Re tr(H X) = t`` on the
+n x n block, and pins, entries X[p, q] = 0 given by position, two rows each
+that `kernels.SparseConstraints` defines; the backend (`ipm`) maximizes
+over them natively.  Every program, one (`solve_sdp`, all rows dense) or a
+family (`solve_family`), takes its rows and start from `constraint_family`.
+The sign programs share every constraint, so the constraints are built
+once per dims (`sign_family`), and the programs of one evaluation, or of
+many evaluations over the same dims (`evaluate_pairs`, which the mixture
+sweep uses), are solved together in stacked interior-point runs, each as
+long as its working set allows (`stack_runs`).  Programs that take
+several runs go in descending order of a cheap ceiling (`_pinned_ceilings`)
+within each pair, so that the likely winner's value prunes the runs after
+it.  The two constant sign patterns are never solved: trace preservation
+pins their value to +-(lam - mu).
 
 Every objective is a Kronecker product, which `solve_family` takes as its
 two factors and forms (`_kron_objectives`) only when a run starts: O_s =
@@ -143,11 +144,14 @@ class MeasureReport:
 # Constraint families and single programs
 # ---------------------------------------------------------------------------
 
-def constraint_family(functionals):
-    """Complex functionals ``(F, t)`` -> independent Hermitian rows and a start.
+def constraint_family(functionals, p, q):
+    """Complex functionals ``(F, t)`` and pins -> independent Hermitian rows and a start.
 
     Each functional splits into its Hermitian part (target Re t) and its
-    anti-Hermitian part over 2i (target -Im t); a vanishing part is dropped.
+    anti-Hermitian part over 2i (target -Im t), the dense rows; a vanishing
+    part is dropped.  Each pin X[p, q] = 0, p < q, from the index arrays
+    ``p`` and ``q``, takes its two rows in `SparseConstraints`, after the
+    dense rows, at targets 0.0 and -0.0, as that split gives.
     `ValidationError` is raised unless the rows are independent in the
     sense of `SparseConstraints` (no two read the same float64 slot of vec
     X, and none has norm <= 1e-10) and the start, the projection
@@ -167,7 +171,8 @@ def constraint_family(functionals):
                 raise ValidationError("constraint with zero functional, nonzero target")
     if not mats:
         raise ValidationError("problem has no effective constraints")
-    constraints, targets = SparseConstraints(mats), np.array(targets)
+    constraints = SparseConstraints(mats, p, q)
+    targets = np.array(targets + [0.0, -0.0] * len(p))
     eye = np.eye(constraints.n, dtype=complex)
     start = eye + constraints.least_norm(targets - constraints.dot(eye))
     if not np.linalg.eigvalsh(start)[0] > 1e-8:
@@ -181,14 +186,15 @@ def solve_sdp(functionals, objective):
     """Maximize ``Re tr(objective X)`` over PSD X on one Hermitian block,
     subject to complex functionals ``(F, t)``: ``sum_pq conj(F[p,q]) X[p,q] = t``.
 
-    One program through `constraint_family` and `solve_real_sdp`.  Returns
+    One program through `constraint_family` with no pins, so every row is
+    dense, and `solve_real_sdp`: the reference path of the tests.  Returns
     ``(X, info)``; a non-Hermitian objective raises `ValidationError`, and
     any status other than ``optimal`` raises `SolverFailure` with diagnostics.
     """
     objective = np.asarray(objective, dtype=complex)
     if not la.is_hermitian(objective, 1e-9):
         raise ValidationError("objective must be Hermitian (real-valued objective)")
-    x, _, _, info = solve_real_sdp(constraint_family(functionals), objective)
+    x, _, _, info = solve_real_sdp(constraint_family(functionals, (), ()), objective)
     if info.status != "optimal":
         raise SolverFailure(info.status, f"SDP did not reach optimality: {info}")
     return x, info
@@ -281,25 +287,25 @@ def enumerate_sign_vectors(n, full=False):
     return [(1,) + tuple(s) for s in itertools.product((1, -1), repeat=n - 1)]
 
 
-def _sign_functionals(da, db):
-    """tr X = 1 and diag(<i|_A X |j>_A) = 0 for i < j, as complex functionals,
-    the pins in the order of (i, j, b)."""
-    n = da * db
+def _sign_constraints(da, db):
+    """``(functionals, p, q)`` of the sign programs: tr X = 1, and the pins
+    diag(<i|_A X |j>_A) = 0 for i < j, at (p, q) = (i db + b, j db + b) in
+    the order of (i, j, b)."""
     i, j = np.triu_indices(da, 1)
     b = np.arange(db)
-    pins = np.zeros((len(i) * db, n, n), dtype=complex)
-    pins[np.arange(len(pins)), (i[:, None] * db + b).ravel(), (j[:, None] * db + b).ravel()] = 1.0
-    return [(np.eye(n, dtype=complex), 1.0 + 0.0j)] + [(f, 0.0 + 0.0j) for f in pins]
+    return ([(np.eye(da * db, dtype=complex), 1.0 + 0.0j)],
+            (i[:, None] * db + b).ravel(), (j[:, None] * db + b).ravel())
 
 
 @functools.lru_cache(maxsize=None)
 def sign_family(da, db):
     """The constraints every sign program over dims (da, db) shares.
 
-    m = 1 + da (da - 1) db independent Hermitian rows; the start is the
-    maximally mixed X, strictly feasible for every sign program.
+    m = 1 + da (da - 1) db independent Hermitian rows, the trace row and
+    two per pin; the start is the maximally mixed X, strictly feasible for
+    every sign program.
     """
-    return constraint_family(_sign_functionals(da, db))
+    return constraint_family(*_sign_constraints(da, db))
 
 
 def _signed_populations(thetas, signs):
@@ -417,12 +423,16 @@ def _conjugate_classes(objectives):
 
 def build_sign_program(theta, cfg, signs):
     """``(functionals, objective)`` of the SDP whose optimum is the best signed
-    sum of output populations, for `solve_sdp`.
+    sum of output populations, for `solve_sdp`: the constraints of
+    `sign_family` with each pin written out as the dense functional
+    ``(E_pq, 0)``, so the reference path runs every row dense.
 
     ``signs`` is a +-1 vector of length ``theta.dim_out``.
     """
-    return (_sign_functionals(cfg.dim, theta.dim_in),
-            _sign_objectives(theta, cfg, [signs])[0])
+    functionals, p, q = _sign_constraints(cfg.dim, theta.dim_in)
+    eye = np.eye(cfg.dim * theta.dim_in, dtype=complex)
+    pins = [(np.outer(eye[a], eye[b]), 0.0 + 0.0j) for a, b in zip(p, q)]
+    return functionals + pins, _sign_objectives(theta, cfg, [signs])[0]
 
 
 # ---------------------------------------------------------------------------

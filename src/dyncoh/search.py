@@ -243,9 +243,11 @@ def swap_monotonicity_counterexample():
 # Post-processed improvement (creation side): alternating lower bound
 # ---------------------------------------------------------------------------
 
-def _mio_functionals(dim_b, dim_c):
-    """Choi matrices of MIO channels: trace preservation, by i <= j, plus,
-    for each incoherent input b, vanishing coherences k < l of its output."""
+def _mio_constraints(dim_b, dim_c):
+    """``(functionals, p, q)`` of the Choi matrices of MIO channels: trace
+    preservation, by i <= j, as functionals, and for each incoherent input b
+    the pins of the vanishing coherences k < l of its output, at
+    (p, q) = (k dim_b + b, l dim_b + b) in the order of (b, k, l)."""
     n = dim_c * dim_b
     i, j = np.triu_indices(dim_b)
     c = np.arange(dim_c) * dim_b
@@ -253,16 +255,14 @@ def _mio_functionals(dim_b, dim_c):
     trace[np.arange(len(i))[:, None], c + i[:, None], c + j[:, None]] = 1.0
     k, l = np.triu_indices(dim_c, 1)
     b = np.repeat(np.arange(dim_b), len(k))
-    pins = np.zeros((len(b), n, n), dtype=complex)
-    pins[np.arange(len(b)), np.tile(k, dim_b) * dim_b + b, np.tile(l, dim_b) * dim_b + b] = 1.0
-    return ([(f, complex(t)) for f, t in zip(trace, i == j)]
-            + [(f, 0.0 + 0.0j) for f in pins])
+    return ([(f, complex(t)) for f, t in zip(trace, i == j)],
+            np.tile(k, dim_b) * dim_b + b, np.tile(l, dim_b) * dim_b + b)
 
 
 @functools.lru_cache(maxsize=None)
 def _mio_family(dim_b, dim_c):
     """The shared MIO-step constraints, which start at the Choi matrix I / dim_c."""
-    return sdpmod.constraint_family(_mio_functionals(dim_b, dim_c))
+    return sdpmod.constraint_family(*_mio_constraints(dim_b, dim_c))
 
 
 @functools.lru_cache(maxsize=32)

@@ -103,10 +103,18 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * 0.5 * (g + g.conj().T)
 
 
-def constraint_rows(functionals):
+def dense_functionals(functionals, p, q):
+    """``functionals`` followed by each pin (p, q) written out as the
+    functional ``(E_pq, 0)``, X[p, q] = 0."""
+    eye = np.eye(len(functionals[0][0]), dtype=complex)
+    return list(functionals) + [(np.outer(eye[a], eye[b]), 0.0) for a, b in zip(p, q)]
+
+
+def constraint_rows(functionals, p, q):
     """The Hermitian rows `sdp.constraint_family` makes of complex
-    functionals ``(F, t)``, as one stack: the Hermitian part of each F and
-    its anti-Hermitian part over 2i, each kept unless it vanishes."""
-    parts = [part for f, _ in functionals
+    functionals ``(F, t)`` and pins (p, q), as one stack: the Hermitian part
+    of each F and its anti-Hermitian part over 2i, each kept unless it
+    vanishes, then the same two parts of each pin's E_pq."""
+    parts = [part for f, _ in dense_functionals(functionals, p, q)
              for part in (0.5 * (f + f.conj().T), (f - f.conj().T) / 2j)]
     return np.array([part for part in parts if np.abs(part).max() > 1e-14])

@@ -8,9 +8,9 @@ from dyncoh.errors import ValidationError
 
 from conftest import constraint_rows
 
-# the complex functionals each solver family is built from
-FUNCTIONALS = {sdp.sign_family: sdp._sign_functionals,
-               search._mio_family: search._mio_functionals}
+# the complex functionals and pins each solver family is built from
+CONSTRAINTS = {sdp.sign_family: sdp._sign_constraints,
+               search._mio_family: search._mio_constraints}
 
 
 def _random_sparse_symmetric(rng, n, nnz):
@@ -39,7 +39,7 @@ def _disjoint_rows(rng, n, count, most, phase=0.0):
 
 def test_sparse_constraints_roundtrip(rng):
     mats = _disjoint_rows(rng, 10, 12, 4)
-    sc = kernels.SparseConstraints(mats)
+    sc = kernels.SparseConstraints(mats, [], [])
     x = _random_sparse_symmetric(rng, 10, 30)
     expected = np.array([np.sum(a * x) for a in mats])
     assert np.allclose(sc.dot(x), expected, atol=1e-12)
@@ -55,7 +55,7 @@ def test_least_norm_solves_the_constraints_in_their_span(rng, dims):
     assert np.abs(sc.dot(x) - r).max() <= 1e-12
     assert np.array_equal(x, x.conj().swapaxes(-1, -2))
     # the least-norm solution is a real combination of the constraint matrices
-    rows = kernels.real_vectors(constraint_rows(sdp._sign_functionals(*dims)))
+    rows = kernels.real_vectors(constraint_rows(*sdp._sign_constraints(*dims)))
     coeffs = np.linalg.lstsq(rows.T, kernels.real_vectors(x).T, rcond=None)[0].T
     assert np.abs(sc.combine(coeffs) - x).max() <= 1e-12
     # each row of a stack is computed alone
@@ -95,7 +95,7 @@ def test_schur_backends_agree(rng):
     # real symmetric rows, then complex Hermitian rows with a complex W
     for phase in (0.0, 1j):
         mats = _disjoint_rows(rng, 14, 20, 5, phase)
-        sc = kernels.SparseConstraints(mats)
+        sc = kernels.SparseConstraints(mats, [], [])
         w = rng.standard_normal((14, 14)) + phase * rng.standard_normal((14, 14))
         w = w @ w.conj().T + np.eye(14)
         _assert_matches_reference(sc, mats, w)
@@ -111,17 +111,17 @@ SOLVER_FAMILIES = [
 @pytest.mark.parametrize("family, dims", SOLVER_FAMILIES)
 def test_schur_matches_reference_on_the_solver_families(rng, family, dims):
     sc = family(*dims).constraints
-    _assert_matches_reference(sc, constraint_rows(FUNCTIONALS[family](*dims)),
+    _assert_matches_reference(sc, constraint_rows(*CONSTRAINTS[family](*dims)),
                               _random_weights(rng, sc.n))
 
 
 @pytest.mark.parametrize("family, dims", SOLVER_FAMILIES)
 def test_schur_reads_of_the_dense_products_match_a_dense_product(rng, family, dims):
-    # <vec H_k, vec T_l> for each dense row l, T_l = W H_l W: a unit row k
+    # <vec H_k, vec T_l> for each dense row l, T_l = W H_l W: a pin's row k
     # gathers its two slots to the bit of the dense product, whose weights
     # are +-1/2, and the dense rows take a product of their own
     sc = family(*dims).constraints
-    rows = constraint_rows(FUNCTIONALS[family](*dims))
+    rows = constraint_rows(*CONSTRAINTS[family](*dims))
     u, d = sc.unit_rows, sc.dense_rows
     w = _random_weights(rng, sc.n)
     t = kernels.real_vectors(w @ (rows[d] @ w))
@@ -139,50 +139,59 @@ def _single_entry(n, p, q, g):
     return h
 
 
-def _mixed_rows(n=5):
-    """Diagonal and off-diagonal unit rows, then a single entry of phase pi/3,
-    a partial trace row and a two-entry row, which are dense rows; no two
-    rows read one slot of vec X."""
+def _mixed_constraints(n=5):
+    """Dense rows: diagonal single entries, a single entry of phase pi/3, a
+    partial trace row and a two-entry row; then pins (p, q) beside them,
+    and no two rows read one slot of vec X."""
     rows = [_single_entry(n, p, q, g) for p, q, g in (
-        (0, 0, 2.0), (3, 3, -1.5), (0, 1, 1.0), (0, 1, -0.7j), (1, 2, 0.4j),
-        (2, 4, np.exp(1j * np.pi / 3)))]
+        (0, 0, 2.0), (3, 3, -1.5), (2, 4, np.exp(1j * np.pi / 3)))]
     two = np.zeros((n, n), dtype=complex)
     two[0, 2] = two[2, 0] = 1.0
     two[1, 3], two[3, 1] = 0.5j, -0.5j
-    return np.array(rows + [np.diag([0.0, 1.0, 1.0, 0.0, 1.0]), two])
+    return np.array(rows + [np.diag([0.0, 1.0, 1.0, 0.0, 1.0]), two]), [0, 1, 3], [1, 2, 4]
+
+
+def _rows(matrices, p, q):
+    """The Hermitian rows of dense rows ``matrices`` and pins (p, q)."""
+    return constraint_rows([(h, 0.0) for h in matrices], p, q)
 
 
 def test_schur_mixes_unit_and_dense_rows(rng):
-    sc = kernels.SparseConstraints(_mixed_rows())
-    # a single entry of any other phase stays a dense row
-    assert sc.unit_rows.tolist() == [0, 1, 2, 3, 4]
-    assert sc.dense_rows.tolist() == [5, 6, 7]
-    _assert_matches_reference(sc, _mixed_rows(), _random_weights(rng, sc.n))
+    sc = kernels.SparseConstraints(*_mixed_constraints())
+    # single entries of any phase are dense rows; each pin takes two rows
+    assert sc.dense_rows.tolist() == [0, 1, 2, 3, 4]
+    assert sc.unit_rows.tolist() == [5, 6, 7, 8, 9, 10]
+    _assert_matches_reference(sc, _rows(*_mixed_constraints()), _random_weights(rng, sc.n))
 
 
 def _repeated_rows(n=4):
-    """Unit rows that share their slots, as a dependent set can hold."""
+    """Single-entry rows that share their slots, as a dependent set can hold."""
     re, im, diag = _single_entry(n, 1, 2, 1.5), _single_entry(n, 1, 2, -0.5j), \
         _single_entry(n, 3, 3, 2.0)
     return [re, im, re, diag, np.eye(n), diag, 2.0 * re]
 
 
-@pytest.mark.parametrize("rows", [
-    _repeated_rows(),
-    [np.eye(4), _single_entry(4, 2, 2, 1.0)],
-    [_single_entry(4, 0, 1, 1.0), _single_entry(4, 2, 3, 1e-11)],
-], ids=["repeated", "trace_and_diagonal_pin", "row_of_norm_below_1e-10"])
-def test_rows_that_share_a_slot_or_vanish_are_refused(rows):
+@pytest.mark.parametrize("rows, p, q", [
+    (_repeated_rows(), [], []),
+    ([np.eye(4), _single_entry(4, 2, 2, 1.0)], [], []),
+    ([_single_entry(4, 0, 1, 1.0), _single_entry(4, 2, 3, 1e-11)], [], []),
+    ([np.eye(4)], [1, 0, 1], [2, 3, 2]),
+    (_mixed_constraints()[0], [0, 0], [1, 2]),
+    ([np.eye(4)], [0, 2], [1, 1]),
+    ([np.eye(4)], [1], [4]),
+], ids=["repeated", "trace_and_diagonal_pin", "row_of_norm_below_1e-10", "repeated_pin",
+        "pin_on_a_dense_slot", "pin_below_the_diagonal", "pin_outside_the_block"])
+def test_rows_that_share_a_slot_or_vanish_are_refused(rows, p, q):
     with pytest.raises(ValidationError):
-        kernels.SparseConstraints(rows)
+        kernels.SparseConstraints(rows, p, q)
     # a row of norm just above 1e-10 is kept
-    assert kernels.SparseConstraints([_single_entry(4, 2, 3, 1e-10)]).m == 1
+    assert kernels.SparseConstraints([_single_entry(4, 2, 3, 1e-10)], [], []).m == 1
 
 
 @pytest.mark.parametrize("make", [
-    *(lambda f=family, d=dims: (f(*d).constraints, constraint_rows(FUNCTIONALS[f](*d)))
+    *(lambda f=family, d=dims: (f(*d).constraints, constraint_rows(*CONSTRAINTS[f](*d)))
       for family, dims in SOLVER_FAMILIES),
-    lambda: (kernels.SparseConstraints(_mixed_rows()), _mixed_rows()),
+    lambda: (kernels.SparseConstraints(*_mixed_constraints()), _rows(*_mixed_constraints())),
 ], ids=[f"{family.__name__}{dims}" for family, dims in SOLVER_FAMILIES] + ["mixed"])
 def test_gathers_match_the_dense_products(rng, make):
     sc, rows = make()
@@ -207,12 +216,28 @@ def test_sign_family_holds_no_dense_row_store():
     # take 28 MB, where the gather tables take under 5 MB
     tracemalloc.start()
     try:
-        family = sdp.constraint_family(sdp._sign_functionals(8, 8))
+        family = sdp.constraint_family(*sdp._sign_constraints(8, 8))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert family.constraints.m == 449
     assert held <= 6e6
+
+
+@pytest.mark.parametrize("build, dims, most", [
+    (sdp.sign_family, (8, 8), 16e6), (search._mio_family, (6, 6), 8e6),
+])
+def test_an_uncached_family_build_forms_no_matrix_per_pin(build, dims, most):
+    # the pins arrive as positions: one n x n complex matrix per pin would
+    # take 29 MB at sign_family(8, 8) alone, and a build peaked at 85.6 MB
+    # when it formed them; `__wrapped__` passes the cache
+    tracemalloc.start()
+    try:
+        build.__wrapped__(*dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= most
 
 
 @pytest.mark.parametrize("family, dims, unit, dense", [

@@ -12,7 +12,7 @@ from dyncoh import search
 from dyncoh.errors import SolverFailure, ValidationError
 from dyncoh.kernels import real_vectors
 
-from conftest import constraint_rows, full_sign_enumeration, perfbench_module
+from conftest import constraint_rows, dense_functionals, full_sign_enumeration, perfbench_module
 
 
 def cfg_half():
@@ -31,7 +31,7 @@ def test_solver_rank_one_objective():
 
 
 def test_the_solver_maximizes_and_reports_no_ceiling_without_groups():
-    family = sd.constraint_family([(np.eye(2, dtype=complex), 1.0)])
+    family = sd.constraint_family([(np.eye(2, dtype=complex), 1.0)], [], [])
     x, _, _, info = ipm.solve_real_sdp(family, np.diag([1.0, 0.0]))
     assert info.status == "optimal"
     assert info.primal_objective == pytest.approx(1.0, abs=1e-7)
@@ -77,7 +77,7 @@ def _entry(p, q):
 ], ids=["consistent_dependent", "inconsistent_dependent", "no_positive_definite_start"])
 def test_constraint_family_takes_only_independent_rows_with_a_positive_start(functionals):
     with pytest.raises(ValidationError):
-        sd.constraint_family(functionals)
+        sd.constraint_family(functionals, [], [])
     with pytest.raises(ValidationError):
         sd.solve_sdp(functionals, np.diag([1.0, 0.0]).astype(complex))
 
@@ -89,12 +89,12 @@ def test_constraint_family_takes_only_independent_rows_with_a_positive_start(fun
 def test_package_families_keep_every_row_and_start_at_the_maximally_mixed_point(family, dims):
     # sign programs start at I / n, MIO steps at the Choi matrix I / d_C
     if family == "sign":
-        functionals, built = sd._sign_functionals(*dims), sd.sign_family(*dims)
+        constraints, built = sd._sign_constraints(*dims), sd.sign_family(*dims)
         weight = dims[0] * dims[1]
     else:
-        functionals, built = search._mio_functionals(*dims), search._mio_family(*dims)
+        constraints, built = search._mio_constraints(*dims), search._mio_family(*dims)
         weight = dims[1]
-    assert built.constraints.m == len(constraint_rows(functionals))
+    assert built.constraints.m == len(constraint_rows(*constraints))
     assert np.abs(built.start - np.eye(dims[0] * dims[1]) / weight).max() <= 1e-15
     assert np.linalg.eigvalsh(built.start)[0] > 0.0
 
@@ -119,8 +119,8 @@ def test_family_rows_come_in_loop_order(dims):
            for i in range(dim_b) for j in range(i, dim_b)] + [
         (_unit(n, k * dim_b + b, l * dim_b + b), 0.0)
         for b in range(dim_b) for k in range(dim_c) for l in range(k + 1, dim_c)]
-    for built, expected in ((sd._sign_functionals(*dims), sign),
-                            (search._mio_functionals(*dims), mio)):
+    for built, expected in ((dense_functionals(*sd._sign_constraints(*dims)), sign),
+                            (dense_functionals(*search._mio_constraints(*dims)), mio)):
         assert len(built) == len(expected)
         for (f, t), (g, s) in zip(built, expected):
             assert f.shape == g.shape and (f == g).all() and t == s
@@ -1196,7 +1196,8 @@ def test_schur_jitter_stays_with_its_program(rng):
                 out[1, -1, :] = out[1, :, -1] = 0.0
             return out
 
-    constraints = SingularSecond(constraint_rows(sd._sign_functionals(2, 2)))
+    functionals, p, q = sd._sign_constraints(2, 2)
+    constraints = SingularSecond(constraint_rows(functionals, [], []), p, q)
     c = -sd._sign_objectives(ch.random_channel(2, 2, rng), cfg_half(),
                              [(1, -1), (-1, 1), (1, -1)])
     x = np.array(np.broadcast_to(family.start, c.shape))
@@ -1336,7 +1337,7 @@ def test_sign_family_is_the_presolved_constraint_span(dims):
     family = sd.sign_family(da, db)
     # the family holds the rows of its functionals, independent over the
     # reals: rank of the vectorizations [Re, Im]
-    rows = constraint_rows(sd._sign_functionals(da, db))
+    rows = constraint_rows(*sd._sign_constraints(da, db))
     assert family.constraints.m == 1 + da * (da - 1) * db
     assert np.array_equal(family.constraints.combine(np.eye(len(rows))), rows)
     assert np.linalg.matrix_rank(real_vectors(rows)) == family.constraints.m
@@ -1363,7 +1364,7 @@ def test_each_stop_in_a_stack_matches_its_solo_solve():
     # y it reaches alone, to the bit
     f = np.zeros((2, 2), dtype=complex)
     f[0, 0] = 1.0
-    family = sd.constraint_family([(f, 1.0)])
+    family = sd.constraint_family([(f, 1.0)], [], [])
     c = -np.array([np.diag([0.0, -1.0]), [[0, 1], [1, 2]], np.full((2, 2), np.nan),
                    [[1, 0.5j], [-0.5j, 3]]], dtype=complex)
     x, y, _, infos = ipm.solve_stacked(family, c)

@@ -39,7 +39,7 @@ from dyncoh.errors import SolverFailure  # noqa: E402
 
 SEED = 7
 FAMILIES = {"sign_family": sdp.sign_family, "mio_family": search._mio_family}
-FAMILY_DIMS = [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (6, 6)]
+FAMILY_DIMS = [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (6, 6), (8, 8)]
 
 
 def _feed(h, obj):

@@ -5,9 +5,10 @@ Assembly of the interior-point Schur complement
 matrices (`SparseConstraints.schur`).  The constraints arrive as a few
 dense rows, such as the trace row, and pins, positions (p, q) whose entry
 X[p, q] two rows read.  Entries between the pins' rows are gathered from
-W, and only the dense rows take products W H W.  The same split serves
-``A(X)`` (`SparseConstraints.dot`): a pin's row gathers two float64 slots
-of X, and only the dense rows take a product.  ``A*(y)``
+W, only the dense rows take products W H W, and M is written in place
+from the row layout.  The same split serves ``A(X)``
+(`SparseConstraints.dot`): a pin's row gathers two float64 slots of X,
+and only the dense rows take a product.  ``A*(y)``
 (`SparseConstraints.combine`) gathers each slot of X from the one row
 that owns it.  Also the least-norm solution of ``A(X) = r`` that keeps
 the interior-point iterates primal-feasible
@@ -37,12 +38,12 @@ class SparseConstraints:
     diagonal, and ``A*(y) = sum_k y_k H_k`` takes one term per slot;
     ``A(X)`` is the vector of Re tr(H_k X).  ``dense_rows`` are the rows
     kept as matrices, ``unit_rows`` the pins' rows, which `schur` and `dot`
-    gather from W and X.
+    gather from W and X.  As a pin's Re and Im rows alternate, `schur` writes
+    M by strided slices, with no table of where each entry comes from.
     """
 
     __slots__ = ("m", "n", "gram_inv", "unit_rows", "dense_rows", "_dense_flat", "_stacked",
-                 "_pin_reads", "_pin_weights", "_slot_rows", "_slot_weights", "_gather",
-                 "_assemble", "_weights")
+                 "_pin_reads", "_pin_weights", "_slot_rows", "_slot_weights", "_gather")
 
     def __init__(self, matrices, p, q):
         dense = np.array(matrices, dtype=complex)
@@ -77,22 +78,8 @@ class SparseConstraints:
         # per pair of pins a, b: W[p_b,q_a], W[q_a,q_b] and W[p_b,p_a], at flat
         # indices into W.
         self._gather = np.stack([p * n + q[:, None], q[:, None] * n + q, p * n + p[:, None]])
-        # Where `schur` reads each entry of M, and its weight: a Re row of pin a
-        # reads E, an Im row F, at (a, b) for row l of pin b, the real part if
-        # row l is of the same kind, else the imaginary part, at weight v_k v_l
-        # (v = 1/2 on a Re row, -1/2 on an Im row), negated from an Im to a Re row.
-        pin, im = np.divmod(np.arange(2 * npin), 2)
-        self._assemble = index = np.empty((m, m), dtype=np.intp)
-        self._weights = weights = np.ones((m, m))
-        index[nd:, nd:] = np.ravel_multi_index(
-            (im[:, None], pin[:, None], pin, im[:, None] ^ im), (2, npin, npin, 2))
-        weights[nd:, nd:] = np.where(im[:, None] < im, -0.25, 0.25)
-        index[:nd, nd:] = 4 * npin * npin + np.arange(nd * 2 * npin).reshape(nd, 2 * npin)
-        index[nd:, :nd] = index[:nd, nd:].T
-        index[:nd, :nd] = 4 * npin * npin + 2 * nd * npin + np.arange(nd * nd).reshape(nd, nd)
-        weights[:nd, :nd] = 0.5
         for part in (self.gram_inv, u, d, flat, self._stacked, reads, read_weights,
-                     self._slot_rows, self._slot_weights, self._gather, index, weights):
+                     self._slot_rows, self._slot_weights, self._gather):
             part.flags.writeable = False
 
     def dot(self, x):
@@ -104,9 +91,13 @@ class SparseConstraints:
         matrices of the stack.
         """
         vec = real_vectors(x)
+        dense = (self._dense_flat @ vec[..., None])[..., 0]
+        return np.concatenate([dense, self._pin_terms(vec)], axis=-1)
+
+    def _pin_terms(self, vec):
+        """The pins' rows of real vectorizations ``vec``: two slots each, weighted."""
         terms = vec[..., self._pin_reads] * self._pin_weights
-        return np.concatenate([(self._dense_flat @ vec[..., None])[..., 0],
-                               terms[..., 0, :] + terms[..., 1, :]], axis=-1)
+        return terms[..., 0, :] + terms[..., 1, :]
 
     def combine(self, y):
         """sum_k y_k H_k; a stack of y gives one matrix per row, each computed alone.
@@ -131,31 +122,37 @@ class SparseConstraints:
         Im row).  With A[k,l] = W[q_k,p_l] W[q_l,p_k] and B[k,l] =
         W[q_k,q_l] W[p_l,p_k], taken once per pair of pins,
         M[k,l] = 2 Re(g_k g_l A + g_k conj(g_l) B), so M / (2 v_k v_l) is a
-        real or imaginary part of E = B + conj(A) or F = B - conj(A).  A dense
-        row l takes the product T_l = W H_l W and fills its row and column
-        with <vec H_k, vec T_l>: a pin's row k gathers its two slots of vec
-        T_l, as `dot` does, and the dense rows take one product with every
-        slot of vec T_l.  A, B and the block between dense rows are summed
-        with their transposes first, so M is symmetric to the last bit.  Each
-        W of a stack takes the same products as alone, so its matrix does not
-        depend on the other matrices of the stack.
+        real or imaginary part of E = B + conj(A) or F = B - conj(A), written
+        into a strided slice of M: E.real / 4 between Re rows, F.real / 4
+        between Im rows, -E.imag / 4 from a Re to an Im row and F.imag / 4
+        back.  A dense row l takes the product T_l = W H_l W and fills its row
+        and column with <vec H_k, vec T_l>: a pin's row k gathers its two
+        slots of vec T_l, as `dot` does, and the dense rows take one product
+        with every slot of vec T_l.  A, B and the block between dense rows are
+        summed with their transposes first, so M is symmetric to the last bit.
+        Each W of a stack takes the same products as alone, so its matrix does
+        not depend on the other matrices of the stack.
         """
         if w.ndim == 2:
             return self.schur(w[None])[0]
-        k, d = w.shape[0], self.dense_rows
+        k, nd = w.shape[0], len(self.dense_rows)
         w_pq, w_qq, w_pp = w.reshape(k, -1)[:, self._gather].swapaxes(0, 1)
         a = w_pq * w_pq.swapaxes(-1, -2)  # conj(A), as W is Hermitian
         a = a + a.swapaxes(-1, -2)
         b = w_qq * w_pp
         b += b.conj().swapaxes(-1, -2)
+        e, f = b + a, b - a
         # T_l = W H_l W is Hermitian, so Re tr(H_k T_l) = <vec H_k, vec T_l>
-        t = real_vectors(w[:, None] @ (self._stacked @ w).reshape(k, len(d), *w.shape[1:]))
-        terms = t[..., self._pin_reads] * self._pin_weights
+        t = real_vectors(w[:, None] @ (self._stacked @ w).reshape(k, nd, *w.shape[1:]))
         both = self._dense_flat @ t.swapaxes(-1, -2)
-        blocks = (real_vectors(b + a), real_vectors(b - a), terms[..., 0, :] + terms[..., 1, :],
-                  both + both.swapaxes(-1, -2))
-        out = np.concatenate([x.reshape(k, -1) for x in blocks], axis=1)[:, self._assemble]
-        out *= self._weights
+        out = np.empty((k, self.m, self.m))
+        out[:, nd::2, nd::2] = 0.25 * e.real  # pin a's rows are nd + 2a (Re) and nd + 2a + 1 (Im)
+        out[:, nd::2, nd + 1::2] = -0.25 * e.imag
+        out[:, nd + 1::2, nd::2] = 0.25 * f.imag
+        out[:, nd + 1::2, nd + 1::2] = 0.25 * f.real
+        out[:, :nd, nd:] = self._pin_terms(t)
+        out[:, nd:, :nd] = out[:, :nd, nd:].swapaxes(-1, -2)
+        out[:, :nd, :nd] = 0.5 * (both + both.swapaxes(-1, -2))
         return out
 
 

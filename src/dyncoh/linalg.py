@@ -111,26 +111,6 @@ def basis_proj(dim, i):
     return p
 
 
-def pure_state(v):
-    """Density matrix |v><v| of a (normalized) state vector."""
-    v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValidationError("cannot normalize the zero vector")
-    v = v / n
-    return np.outer(v, v.conj())
-
-
-def random_state_vector(dim, rng):
-    """Haar-random pure state vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_pure_state(dim, rng):
-    return pure_state(random_state_vector(dim, rng))
-
-
 def random_density_matrix(dim, rng):
     """Random full-rank mixed state: GG^dag normalized, G a square Ginibre matrix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))

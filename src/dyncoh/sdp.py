@@ -210,8 +210,8 @@ def stack_footprint(n, m):
     m x m arrays, plus 3 KiB of small ones.
 
     Fitted to the tracemalloc peak of `solve_stacked`, which grows linearly
-    in the stack length: within 11% of the measured slope for the sign
-    programs from n = 4, m = 5 (9.2 KiB) to n = 64, m = 449 (9.4 MiB), and
+    in the stack length: within 13% of the measured slope for the sign
+    programs from n = 4, m = 5 (8.9 KiB) to n = 64, m = 449 (8.2 MiB), and
     for the creation side's MIO steps at n = 4 and 9.
     """
     return 3072 + 320 * n * n + 40 * m * m

@@ -98,6 +98,22 @@ def full_sign_enumeration(theta, cfg):
     return signs, [info.primal_objective for info in infos]
 
 
+def pure_state(v):
+    """Density matrix |v><v| of the normalized state vector v."""
+    v = np.asarray(v, dtype=complex) / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def random_state_vector(dim, rng):
+    """Haar-random pure state vector."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def random_pure_state(dim, rng):
+    return pure_state(random_state_vector(dim, rng))
+
+
 def random_hermitian(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * 0.5 * (g + g.conj().T)

@@ -211,17 +211,22 @@ def test_gathers_match_the_dense_products(rng, make):
         assert np.array_equal(sc.least_norm(y[k:k + 1])[0], sc.least_norm(y)[k])
 
 
-def test_sign_family_holds_no_dense_row_store():
+@pytest.mark.parametrize("dims, rows, most", [((8, 8), 449, 6e6), ((9, 9), 649, 4e6)])
+def test_sign_family_holds_no_dense_row_store(dims, rows, most):
     # 448 pins and the trace row over 64 x 64: the dense rows alone would
-    # take 28 MB, where the gather tables take under 5 MB
+    # take 28 MB, where the gather tables take under 5 MB; at (9, 9) one
+    # m x m float64 table takes 3.4 MB, and `schur`, which writes M from the
+    # row layout, needs none
     tracemalloc.start()
     try:
-        family = sdp.constraint_family(*sdp._sign_constraints(8, 8))
+        family = sdp.constraint_family(*sdp._sign_constraints(*dims))
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert family.constraints.m == 449
-    assert held <= 6e6
+    sc = family.constraints
+    assert sc.m == rows
+    assert held <= most
+    assert all(np.size(getattr(sc, name)) < sc.m * sc.m for name in type(sc).__slots__)
 
 
 @pytest.mark.parametrize("build, dims, most", [
@@ -250,9 +255,11 @@ def test_schur_gathers_every_row_but_the_dense_ones(family, dims, unit, dense):
     assert not (sc.unit_rows.flags.writeable or sc.dense_rows.flags.writeable)
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
-def test_stacked_schur_matches_per_matrix_schur(rng, dims):
-    sc = sdp.sign_family(*dims).constraints
+@pytest.mark.parametrize("family, dims", SOLVER_FAMILIES)
+def test_stacked_schur_matches_per_matrix_schur(rng, family, dims):
+    # the MIO families have several dense rows, so the strided writes of
+    # every block of M are checked, the dense ones too
+    sc = family(*dims).constraints
     w = _random_weights(rng, sc.n, 12)
     stacked = sc.schur(w)
     assert stacked.shape == (12, sc.m, sc.m)

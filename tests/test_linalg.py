@@ -4,7 +4,7 @@ import pytest
 from dyncoh import linalg as la
 from dyncoh.errors import DimensionMismatch, ValidationError
 
-from conftest import random_hermitian
+from conftest import random_hermitian, random_pure_state
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -101,7 +101,7 @@ def test_state_helpers(rng):
     # both generators give Hermitian, positive semidefinite, unit-trace
     # states: full rank from the Ginibre draw, rank one from the pure draw
     rho = la.random_density_matrix(4, rng)
-    pure = la.random_pure_state(3, rng)
+    pure = random_pure_state(3, rng)
     for state in (rho, pure):
         assert la.max_abs(state - state.conj().T) <= 1e-15
         assert np.trace(state).real == pytest.approx(1.0, abs=1e-12)

@@ -6,6 +6,8 @@ from dyncoh import linalg as la
 from dyncoh import measures as ms
 from dyncoh.errors import DimensionMismatch, ValidationError
 
+from conftest import pure_state, random_pure_state
+
 SQRT3_HALF = np.sqrt(3.0) / 2.0
 
 
@@ -95,7 +97,7 @@ def test_ceiling_bounds_every_pure_state_and_is_attained_past_a_half_circle(d, r
         # wider than pi and so a ceiling below 1
         spread = 2 * np.pi if k % 2 else rng.uniform(0, 1)
         cfg = ms.GameConfig(lam, rng.uniform(0, 1) * 7 + rng.uniform(0, spread, d))
-        values = [la.trace_norm_hermitian(cfg.signal_weights * la.random_pure_state(d, rng))
+        values = [la.trace_norm_hermitian(cfg.signal_weights * random_pure_state(d, rng))
                   for _ in range(20)]
         assert max(values) <= cfg.ceiling + 1e-12
         # the equal superposition of the two phases that bound the widest gap
@@ -107,7 +109,7 @@ def test_ceiling_bounds_every_pure_state_and_is_attained_past_a_half_circle(d, r
         if arcs[widest] > np.pi:
             v = np.zeros(d)
             v[[order[widest], order[(widest + 1) % d]]] = 1.0
-            witness = la.trace_norm_hermitian(cfg.signal_weights * la.pure_state(v))
+            witness = la.trace_norm_hermitian(cfg.signal_weights * pure_state(v))
             assert witness == pytest.approx(cfg.ceiling, abs=1e-12)
 
 
@@ -167,7 +169,7 @@ def test_game_value_nullity_over_many_draws(rng):
     for _ in range(200):
         theta = ch.random_di(2, 2, rng)
         pre = ch.random_di(2, 2, rng)
-        rho = la.random_pure_state(2, rng)
+        rho = random_pure_state(2, rng)
         worst = max(worst, abs(ms.game_value(theta, pre, rho, cfg) - cfg.prior_gap))
     assert worst <= 1e-8
 

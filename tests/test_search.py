@@ -14,7 +14,7 @@ from dyncoh import search as se
 from dyncoh import sdp as sd
 from dyncoh.errors import DimensionMismatch, SolverFailure, ValidationError
 
-from conftest import full_sign_enumeration
+from conftest import full_sign_enumeration, random_pure_state, random_state_vector
 
 SQRT3_HALF = np.sqrt(3.0) / 2.0
 PHI = np.array([2.0 * np.pi / 3.0, 0.0])
@@ -261,7 +261,7 @@ def test_no_preprocessing_is_attained_and_not_beaten(dim, rng):
 
         # no coordinate ascent from a Haar start beats it
         for _ in range(20):
-            x0 = la.random_state_vector(dim, rng)
+            x0 = random_state_vector(dim, rng)
             _, ascent = kernels.pure_state_ascent(r_stack, np.concatenate([x0.real, x0.imag]))
             assert ascent <= value + 1e-12
 
@@ -656,7 +656,7 @@ def test_game_free_channel_prior_betting(rng):
 def test_game_lambda_one_always_wins(rng):
     cfg = ms.GameConfig(1.0, np.array([1.0, 0.0]))
     theta = ch.random_channel(2, 2, rng)
-    rho = la.random_pure_state(2, rng)
+    rho = random_pure_state(2, rng)
     pre = ch.identity_channel(2)
     s0 = ch.apply(theta, ch.apply(pre, rho))
     s1 = ch.apply(theta, ch.apply(pre, ch.apply(ch.phase_channel(cfg.phi), rho)))

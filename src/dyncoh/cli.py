@@ -66,15 +66,16 @@ class RunConfig:
             raise ValidationError("p1_steps must be at least 1")
         if self.trials < 1:
             raise ValidationError("trials must be at least 1")
-        if self.format not in (("json", "csv") if self.command == "sweep" else ("json",)):
-            raise ValidationError(f"format {self.format!r} is not available for {self.command}")
 
 
 def _parse_reals(text):
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise _ParseError(f"expected comma-separated reals, got {text!r}") from exc
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise _ParseError(f"expected comma-separated reals, got {text!r}")
+    return values
 
 
 def _resolve_channel(uri):
@@ -187,21 +188,35 @@ def _cmd_verify(cfg):
     return {"checks": results, "all_passed": all_passed}
 
 
+# Each command's handler and the `RunConfig` fields that it reads: the
+# command takes their flags (`_FLAGS`) and --out
 _COMMANDS = {
-    "measure-pre": _cmd_measure_pre,
-    "measure-post": _cmd_measure_post,
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-    "game": _cmd_game,
-    "counterexample": _cmd_counterexample,
-    "verify": _cmd_verify,
+    "measure-pre": (_cmd_measure_pre, ("channel_uri", "lam", "phi")),
+    "measure-post": (_cmd_measure_post, ("channel_uri", "lam", "phi", "seed")),
+    "classify": (_cmd_classify, ("channel_uri", "tol")),
+    "sweep": (_cmd_sweep, ("lam", "lambdas", "p1_steps", "phi", "format")),
+    "game": (_cmd_game, ("channel_uri", "lam", "phi", "trials", "seed")),
+    "counterexample": (_cmd_counterexample, ()),
+    "verify": (_cmd_verify, ("seed",)),
+}
+_FLAGS = {  # the flag that sets each field, with its argparse options
+    "channel_uri": ("--channel", {"metavar": "CHANNEL", "help": "file path or built-in URI"}),
+    "lam": ("--lambda", {"type": float}),
+    "phi": ("--phi", {"type": _parse_reals, "help": "comma-separated phases in radians"}),
+    "tol": ("--tol", {"type": float, "help": "membership tolerance of the class tests"}),
+    "seed": ("--seed", {"type": int}),
+    "format": ("--format", {"choices": ("json", "csv")}),
+    "lambdas": ("--lambdas", {"type": _parse_reals, "help": "comma-separated priors"}),
+    "p1_steps": ("--p1-steps", {"type": int}),
+    "trials": ("--trials", {"type": int}),
+    "output_path": ("--out", {}),
 }
 
 
 def run(cfg):
     """Execute a resolved RunConfig; returns the process exit code."""
     try:
-        payload = _COMMANDS[cfg.command](cfg)
+        payload = _COMMANDS[cfg.command][0](cfg)
         _emit(cfg, payload)
         return 0
     except (SolverFailure, np.linalg.LinAlgError) as exc:  # LAPACK trouble is solver trouble
@@ -214,28 +229,16 @@ def run(cfg):
 
 
 def _build_parser():
-    """The flags of each command, named as the `RunConfig` fields they set.
-    A flag that is not given is absent from the parsed namespace, so its
-    default is the field's."""
+    """One subparser per `_COMMANDS` entry.  A flag that is not given is
+    absent from the parsed namespace, so the field keeps its default."""
     parser = _Parser(prog="dyncoh", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, fields) in _COMMANDS.items():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument("--channel", dest="channel_uri", metavar="CHANNEL",
-                       help="file path or built-in URI")
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--phi", type=_parse_reals, help="comma-separated phases in radians")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", dest="output_path")
-        p.add_argument("--format", choices=("json", "csv"))
-        if name == "classify":
-            p.add_argument("--tol", type=float, help="membership tolerance of the class tests")
-        if name == "sweep":
-            p.add_argument("--lambdas", type=_parse_reals, help="comma-separated priors")
-            p.add_argument("--p1-steps", dest="p1_steps", type=int)
-        if name == "game":
-            p.add_argument("--trials", type=int)
+        for dest in (*fields, "output_path"):
+            flag, options = _FLAGS[dest]
+            p.add_argument(flag, dest=dest, **options)
     return parser
 
 

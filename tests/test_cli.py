@@ -1,6 +1,11 @@
+import argparse
+import ast
 import dataclasses
+import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -115,14 +120,29 @@ def test_sweep_rejects_bad_numbers(flags, capsys):
                                      ["measure-pre", "--channel", "hadamard"],
                                      ["counterexample"]])
 def test_csv_is_refused_outside_sweep(command, tmp_path, capsys):
-    # only a sweep has rows; the other reports are JSON, so CSV is refused
-    # before any work and nothing is written
+    # only a sweep has rows; the other reports are JSON, so only sweep takes
+    # --format, and the parser refuses it before any work: nothing is written
     out_path = tmp_path / "report.csv"
     code, out, err = run_cli([*command, "--format", "csv", "--out", str(out_path)], capsys)
-    assert code == 2
+    assert code == 1
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 2
+    assert len(lines) == 1 and json.loads(lines[0])["exit_code"] == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("text", ["", ",", " , "])
+@pytest.mark.parametrize("command, flag", [("sweep", "--lambdas"), ("sweep", "--phi"),
+                                           ("measure-pre", "--phi")])
+def test_empty_number_list_is_a_parse_error(command, flag, text, tmp_path, capsys):
+    # an empty list would sweep the default --lambda alone, or play a game
+    # with no phases: refused as a parse error before any work
+    out_path = tmp_path / "report"
+    code, out, err = run_cli([command, flag, text, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["exit_code"] == 1
     assert not out_path.exists()
 
 
@@ -206,8 +226,7 @@ def test_measure_post_lapack_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["measure-pre", "--channel", "qft:3", "--lambda", "0.7", "--phi", "2.0,0,1.0",
-     "--seed", "3"],
+    ["measure-pre", "--channel", "qft:3", "--lambda", "0.7", "--phi", "2.0,0,1.0"],
     ["measure-post", "--channel", "hadamard", "--lambda", "0.6", "--seed", "3"],
     ["classify", "--channel", "qft:3"],
     ["game", "--channel", "hadamard", "--trials", "2000", "--seed", "3"],
@@ -450,3 +469,81 @@ def test_verify_wiring(monkeypatch, capsys):
     code, _, err = run_cli(["verify"], capsys)
     assert code == 2
     assert "FAIL" in err
+
+
+# the flags each command takes: --out and those of the fields it reads
+FLAG_TABLE = {
+    "measure-pre": {"--channel", "--lambda", "--phi", "--out"},
+    "measure-post": {"--channel", "--lambda", "--phi", "--seed", "--out"},
+    "classify": {"--channel", "--tol", "--out"},
+    "sweep": {"--lambda", "--lambdas", "--p1-steps", "--phi", "--format", "--out"},
+    "game": {"--channel", "--lambda", "--phi", "--trials", "--seed", "--out"},
+    "counterexample": {"--out"},
+    "verify": {"--seed", "--out"},
+}
+
+# a value for each flag that several commands read, so that the flag parses
+# wherever it is taken
+SHARED_FLAGS = {"--channel": "hadamard", "--lambda": "0.3", "--phi": "1,2",
+                "--seed": "9", "--format": "json"}
+REFUSED_FLAGS = [(command, flag) for command, flags in FLAG_TABLE.items()
+                 for flag in SHARED_FLAGS if flag not in flags]
+
+
+def _subparser_actions():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a for a in p._actions if not isinstance(a, argparse._HelpAction)]
+            for name, p in commands.choices.items()}
+
+
+def _fields_read(handler):
+    tree = ast.parse(inspect.getsource(handler))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+
+
+def test_each_command_takes_the_flags_of_the_fields_its_handler_reads():
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    actions = _subparser_actions()
+    assert set(actions) == set(cli._COMMANDS) == set(FLAG_TABLE)
+    for name, (handler, _) in cli._COMMANDS.items():
+        read = _fields_read(handler)
+        assert read <= fields, name
+        assert {a.dest for a in actions[name]} == read | {"output_path"}, name
+        assert {s for a in actions[name] for s in a.option_strings} == FLAG_TABLE[name], name
+    assert sum(len(flags) for flags in FLAG_TABLE.values()) == 27
+    assert len(REFUSED_FLAGS) == 19
+
+
+@pytest.mark.parametrize("command, flag", REFUSED_FLAGS,
+                         ids=[f"{command}{flag}" for command, flag in REFUSED_FLAGS])
+def test_a_flag_the_command_does_not_read_is_refused(command, flag, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    code, out, err = run_cli([command, flag, SHARED_FLAGS[flag], "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert json.loads(line)["exit_code"] == 1
+    assert not out_path.exists()
+
+
+def _readme_command_line_section():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_examples_parse():
+    examples = re.findall(r"(?:^|`)(?:OPENBLAS_NUM_THREADS=1 )?dyncoh ([^`\n]+)",
+                          _readme_command_line_section(), flags=re.M)
+    assert len(examples) >= 7
+    parser = cli._build_parser()
+    for example in examples:
+        parser.parse_args(shlex.split(example))
+
+
+def test_readme_flag_table_is_the_parsers():
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \|$", _readme_command_line_section(), flags=re.M)
+    table = {name: set(re.findall(r"`(--[a-z0-9-]+)`", flags)) for name, flags in rows}
+    assert table == {name: {s for a in actions for s in a.option_strings}
+                     for name, actions in _subparser_actions().items()}
